@@ -133,48 +133,34 @@ def select_block(
     capacity: Sequence[float],
     policy: InclusionPolicy,
     rng: SplitMix64 | None = None,
-    *,
-    min_size_hint: float = 1.0,
 ) -> list[int]:
     """Choose a maximal-by-inclusion subset within the capacity vector.
 
-    Greedy pass in policy order admitting every transaction that still fits,
-    then a completion pass over the remainder in the same order.  Transactions
-    larger than the full capacity are skipped silently (they stay pending).
-    Returns admitted ids in admission order.
+    One pass in policy order admits every transaction that still fits.
+    Residual capacity only shrinks, so a transaction skipped once can never
+    fit later and the pass alone is maximal.  Transactions larger than the
+    full capacity are skipped silently (they stay pending).  Returns admitted
+    ids in admission order.
 
-    ``min_size_hint`` is a lower bound on any transaction's positive size
-    component; once every residual drops below it the block is provably full
-    and scanning stops early.
+    Every transaction has a positive integer size on some resource, so once
+    every residual drops below 1 the block is full and scanning stops.
     """
     order = _ordered(eligible, policy, rng)
     residual = [float(c) for c in capacity]
     m = len(residual)
     chosen: list[int] = []
-    remaining: list[Transaction] = []
-    for pass_no in (0, 1):
-        if max(residual) < min_size_hint:
-            break
-        scan = order if pass_no == 0 else remaining
-        leftover: list[Transaction] = []
-        for t in scan:
-            size = t.size
-            if len(size) != m:
-                raise ValueError(
-                    f"tx {t.id} has {len(size)} resources, capacity has {m}"
-                )
-            if all(size[j] <= residual[j] + 1e-9 for j in range(m)):
-                for j in range(m):
-                    residual[j] -= size[j]
-                chosen.append(t.id)
-            else:
-                leftover.append(t)
-            if max(residual) < min_size_hint:
-                if pass_no == 0:
-                    break  # nothing further can fit; maximality already holds
+    if max(residual) < 1.0:
+        return chosen
+    for t in order:
+        size = t.size
+        if len(size) != m:
+            raise ValueError(f"tx {t.id} has {len(size)} resources, capacity has {m}")
+        if all(size[j] <= residual[j] + 1e-9 for j in range(m)):
+            for j in range(m):
+                residual[j] -= size[j]
+            chosen.append(t.id)
+            if max(residual) < 1.0:
                 break
-        if pass_no == 0:
-            remaining = leftover
     return chosen
 
 

@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 pass, 1 check failure, 2 usage or input error.  All randomness
 flows from --seed; reruns with identical flags produce byte-identical output
-files.  FEEMARKET_THREADS caps suite parallelism (default 1).
+files.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 from . import benchmarks, core, mechanisms, scenarios
 from .adversary import (
@@ -164,111 +164,159 @@ def suite_theorems(seeds: int, horizon: int = 200, B: int = 100) -> list[Row]:
             Row("theorems", seed, "max_log_price", worst_lp, bound_lp + 1e-9, worst_lp <= bound_lp + 1e-9),
         ]
 
-    return _fan_out(one, range(seeds))
+    return [row for seed in range(seeds) for row in one(seed)]
+
+
+# ---------------------------------------------------------------------------
+# Builtin constructions at their canonical parameters (read by run and suite)
+# ---------------------------------------------------------------------------
+
+ETA = 0.125
+LARGE_B = 6400  # target size of the c <= 2 constructions, in gas units
+LOG_RANGE_L = math.exp(2.0)
+
+
+def _params(B: float, c: float, discounted: bool = False) -> MechanismParams:
+    return MechanismParams(
+        B=float(B), c=c, eta=ETA, p_min=1.0, p_1=1.0, discounted_eligibility=discounted
+    )
+
+
+C2_PARAMS = _params(LARGE_B, 2.0)
+PARTIAL_PATIENCE_PARAMS = _params(1, 2.0, discounted=True)
+
+
+def _optimum_ratio(bundle, result, horizon: int) -> dict:
+    """Welfare over the horizon against the adaptive construction's optimum."""
+    audit = bundle.audit()
+    if not audit.get("optimum"):
+        return {}
+    sw = core.welfare(result.schedule, result.scenario, horizon)
+    return {"ratio": sw / audit["optimum"], "audit": audit}
+
+
+def _t_star_ratio(bundle, result, horizon: int) -> dict:
+    """Welfare over [1, 2 t*] against the high demand's value over t* blocks."""
+    t_star = scenarios.measure_t_star(result, C2_PARAMS)
+    sw = core.welfare(result.schedule, result.scenario, 2 * t_star)
+    return {"t_star": t_star, "ratio": sw / (bundle.notes["optimum_per_block"] * t_star)}
+
+
+class BuiltinRun(NamedTuple):
+    bundle: scenarios.ScenarioBundle
+    result: mechanisms.RunResult
+    horizon: int
+    score: dict
+
+
+@dataclass(frozen=True)
+class Construction:
+    """A builtin construction: its mechanism parameters (one set per
+    resource), its bundle for a seed, its inclusion policy (None: the
+    bundle's own), its horizon (None: the scenario's hint) and the
+    summary fields that score a run of it."""
+
+    params: tuple[MechanismParams, ...]
+    build: Callable[[int], scenarios.ScenarioBundle]
+    policy: InclusionPolicy | None = None
+    horizon: Callable[[scenarios.ScenarioBundle], int] | None = None
+    score: Callable[..., dict] = _optimum_ratio
+
+    def run(self, seed: int, horizon: int | None = None) -> BuiltinRun:
+        bundle = self.build(seed)
+        if horizon is None:
+            horizon = (
+                bundle.scenario.horizon_hint if self.horizon is None else self.horizon(bundle)
+            )
+        policy = bundle.policy if self.policy is None else self.policy
+        result = mechanisms.multi_resource_mechanism(
+            bundle.scenario, self.params, policy, horizon
+        )
+        return BuiltinRun(bundle, result, horizon, self.score(bundle, result, horizon))
+
+
+def c_below_two(c: float) -> Construction:
+    """The c < 2 construction against the mechanism capped at c * B."""
+    return Construction(
+        params=(_params(LARGE_B, c),),
+        build=lambda seed: scenarios.c_below_two(1200, c, LARGE_B, eps=0.005, seed=seed),
+        policy=ValueDescending(),
+    )
+
+
+BUILTINS: dict[str, Construction] = {
+    "eip_c2_failure": Construction(
+        params=(C2_PARAMS,),
+        build=lambda seed: scenarios.eip_c2_failure(C2_PARAMS, eps=0.01, seed=seed),
+        horizon=lambda b: b.notes["decay"] + math.ceil(b.notes["expected_climb"]) + 5,
+        score=_t_star_ratio,
+    ),
+    "log_range": Construction(
+        params=(C2_PARAMS,),
+        build=lambda seed: scenarios.log_range(C2_PARAMS, H=100.0, L=LOG_RANGE_L, seed=seed),
+    ),
+    "c_below_two": c_below_two(1.5),
+    "discount_mix": Construction(
+        params=(PARTIAL_PATIENCE_PARAMS,),
+        build=lambda seed: scenarios.discount_mix(rho_min=0.01, B=1, K=8, seed=seed),
+        policy=ValueDescending(),
+    ),
+    "patience_global": Construction(
+        params=(PARTIAL_PATIENCE_PARAMS,),
+        build=lambda seed: scenarios.patience_global(p=60, B=1, seed=seed),
+        policy=ValueDescending(),
+    ),
+    "three_resources": Construction(
+        params=tuple(scenarios.three_resources_params(ETA)),
+        build=lambda seed: scenarios.three_resources(300, seed=seed),
+        policy=ValueAscending(),
+    ),
+}
+BUILTIN_SCENARIOS = tuple(BUILTINS)
 
 
 def suite_lower_bounds(seeds: int) -> list[Row]:
     def one(seed: int) -> list[Row]:
         rows: list[Row] = []
-        eta = 0.125
+
+        def add(metric: str, value: float, bound: float, passed: bool) -> None:
+            rows.append(Row("lower_bounds", seed, metric, value, bound, passed))
+
         # c < 2 family against the capped mechanism
         for c in (1.25, 1.5, 1.75):
-            B = 6400
-            T = 1200
-            bundle = scenarios.c_below_two(T, c, B, eps=0.005, seed=seed)
-            params = MechanismParams(B=float(B), c=c, eta=eta, p_min=1.0, p_1=1.0)
-            run = mechanisms.run_price_based(
-                bundle.scenario, params, ValueDescending(), T
-            )
-            audit = bundle.audit()
-            loss = 1.0 - core.welfare(run.schedule, run.scenario, T) / audit["optimum"]
+            loss = 1.0 - c_below_two(c).run(seed).score["ratio"]
             bound = min(1.0 / 8.0, (2.0 - c) / 3.0) - 0.01
-            rows.append(Row("lower_bounds", seed, f"c_below_two_loss_c{c}", loss, bound, loss >= bound))
+            add(f"c_below_two_loss_c{c}", loss, bound, loss >= bound)
         # c = 2 failure
-        params = MechanismParams(B=6400.0, c=2.0, eta=eta, p_min=1.0, p_1=1.0)
-        bundle = scenarios.eip_c2_failure(params, eps=0.01)
-        t_probe = bundle.notes["decay"] + math.ceil(bundle.notes["expected_climb"]) + 5
-        run = mechanisms.run_price_based(bundle.scenario, params, bundle.policy, t_probe)
-        t_star = scenarios.measure_t_star(run, params)
-        ratio = core.welfare(run.schedule, run.scenario, 2 * t_star) / (
-            bundle.notes["optimum_per_block"] * t_star
-        )
-        rows.append(Row("lower_bounds", seed, "c2_failure_ratio", ratio, 0.5, ratio < 0.5))
+        ratio = BUILTINS["eip_c2_failure"].run(seed).score["ratio"]
+        add("c2_failure_ratio", ratio, 0.5, ratio < 0.5)
         # log range
-        L = math.exp(2.0)
-        bundle = scenarios.log_range(params, H=100.0, L=L)
-        run = mechanisms.run_price_based(
-            bundle.scenario, params, bundle.policy, bundle.scenario.horizon_hint
-        )
-        climb = scenarios.measure_climb(run, params, L, bundle.notes["decay"])
-        rows.append(
-            Row(
-                "lower_bounds", seed, "log_range_climb", float(climb),
-                bundle.notes["expected_climb"] + 1.0,
-                abs(climb - bundle.notes["expected_climb"]) <= 1.0,
-            )
-        )
+        run = BUILTINS["log_range"].run(seed)
+        notes = run.bundle.notes
+        climb = scenarios.measure_climb(run.result, C2_PARAMS, LOG_RANGE_L, notes["decay"])
+        expected = notes["expected_climb"]
+        add("log_range_climb", float(climb), expected + 1.0, abs(climb - expected) <= 1.0)
         # partially patient constructions (modified mechanism)
-        bundle = scenarios.discount_mix(rho_min=0.01, B=1, K=8)
-        mp = MechanismParams(
-            B=1.0, c=2.0, eta=eta, p_min=1.0, p_1=1.0, discounted_eligibility=True
-        )
-        T = bundle.notes["horizon"]
-        run = mechanisms.run_price_based(bundle.scenario, mp, ValueDescending(), T)
-        audit = bundle.audit()
-        loss = 1.0 - core.welfare(run.schedule, run.scenario, T) / audit["optimum"]
-        rows.append(Row("lower_bounds", seed, "discount_mix_loss", loss, 1 / 20 - 0.01, loss >= 1 / 20 - 0.01))
-        bundle = scenarios.patience_global(p=60, B=1)
-        T = bundle.notes["horizon"]
-        run = mechanisms.run_price_based(bundle.scenario, mp, ValueDescending(), T)
-        audit = bundle.audit()
-        loss = 1.0 - core.welfare(run.schedule, run.scenario, T) / audit["optimum"]
-        rows.append(Row("lower_bounds", seed, "patience_global_loss", loss, 1 / 10 - 0.02, loss >= 1 / 10 - 0.02))
+        loss = 1.0 - BUILTINS["discount_mix"].run(seed).score["ratio"]
+        add("discount_mix_loss", loss, 1 / 20 - 0.01, loss >= 1 / 20 - 0.01)
+        loss = 1.0 - BUILTINS["patience_global"].run(seed).score["ratio"]
+        add("patience_global_loss", loss, 1 / 10 - 0.02, loss >= 1 / 10 - 0.02)
         # three resources
-        bundle = scenarios.three_resources(300)
-        T = bundle.notes["horizon"]
-        run = mechanisms.multi_resource_mechanism(
-            bundle.scenario, scenarios.three_resources_params(eta), ValueAscending(), T
-        )
-        audit = bundle.audit()
-        ratio = core.welfare(run.schedule, run.scenario, T) / audit["optimum"]
-        rows.append(Row("lower_bounds", seed, "three_resources_ratio", ratio, 5 / 6 + 0.05, ratio <= 5 / 6 + 0.05))
+        ratio = BUILTINS["three_resources"].run(seed).score["ratio"]
+        add("three_resources_ratio", ratio, 5 / 6 + 0.05, ratio <= 5 / 6 + 0.05)
         # interactive price adversary
         rep = scenarios.adaptive_price_adversary(
-            MechanismParams(B=1.0, c=2.0, eta=eta, p_min=1.0, p_1=1.0),
-            gamma=2, delta=1, H=2.0**64,
+            _params(1, 2.0), gamma=2, delta=1, H=2.0**64
         )
-        rows.append(Row("lower_bounds", seed, "price_adversary_fraction", rep.fraction, rep.bound, rep.passed))
+        add("price_adversary_fraction", rep.fraction, rep.bound, rep.passed)
         return rows
 
-    return _fan_out(one, range(seeds))
-
-
-def _fan_out(fn, seeds) -> list[Row]:
-    threads = int(os.environ.get("FEEMARKET_THREADS", "1") or "1")
-    rows: list[Row] = []
-    if threads <= 1:
-        for s in seeds:
-            rows.extend(fn(s))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(fn, seeds):
-                rows.extend(chunk)
-    return rows
+    return [row for seed in range(seeds) for row in one(seed)]
 
 
 # ---------------------------------------------------------------------------
 # run subcommand
 # ---------------------------------------------------------------------------
-
-BUILTIN_SCENARIOS = (
-    "eip_c2_failure",
-    "log_range",
-    "c_below_two",
-    "discount_mix",
-    "patience_global",
-    "three_resources",
-)
 
 
 def _load_json(path: str):
@@ -279,71 +327,15 @@ def _load_json(path: str):
         raise FeeMarketError(f"{path}: {exc}") from exc
 
 
-def _builtin_bundle(name: str, seed: int):
-    """Builtin construction with canonical parameters; returns
-    (bundle, params_list, policy, horizon)."""
-    eta = 0.125
-    if name == "eip_c2_failure":
-        params = MechanismParams(B=6400.0, c=2.0, eta=eta, p_min=1.0, p_1=1.0)
-        bundle = scenarios.eip_c2_failure(params, eps=0.01, seed=seed)
-        horizon = bundle.notes["decay"] + math.ceil(bundle.notes["expected_climb"]) + 5
-        return bundle, [params], bundle.policy, horizon
-    if name == "log_range":
-        params = MechanismParams(B=6400.0, c=2.0, eta=eta, p_min=1.0, p_1=1.0)
-        bundle = scenarios.log_range(params, H=100.0, L=math.exp(2.0), seed=seed)
-        return bundle, [params], bundle.policy, bundle.scenario.horizon_hint
-    if name == "c_below_two":
-        c, B, T = 1.5, 6400, 1200
-        params = MechanismParams(B=float(B), c=c, eta=eta, p_min=1.0, p_1=1.0)
-        bundle = scenarios.c_below_two(T, c, B, eps=0.005, seed=seed)
-        return bundle, [params], ValueDescending(), T
-    if name == "discount_mix":
-        params = MechanismParams(
-            B=1.0, c=2.0, eta=eta, p_min=1.0, p_1=1.0, discounted_eligibility=True
-        )
-        bundle = scenarios.discount_mix(rho_min=0.01, B=1, K=8, seed=seed)
-        return bundle, [params], ValueDescending(), bundle.notes["horizon"]
-    if name == "patience_global":
-        params = MechanismParams(
-            B=1.0, c=2.0, eta=eta, p_min=1.0, p_1=1.0, discounted_eligibility=True
-        )
-        bundle = scenarios.patience_global(p=60, B=1, seed=seed)
-        return bundle, [params], ValueDescending(), bundle.notes["horizon"]
-    if name == "three_resources":
-        bundle = scenarios.three_resources(300, seed=seed)
-        return (
-            bundle,
-            scenarios.three_resources_params(eta),
-            ValueAscending(),
-            bundle.notes["horizon"],
-        )
-    raise FeeMarketError(f"unknown builtin scenario {name!r}")
-
-
 def cmd_run(args) -> int:
     out = Path(args.out)
-    seed = args.seed
-    if args.scenario in BUILTIN_SCENARIOS:
-        bundle, params_list, policy, horizon = _builtin_bundle(args.scenario, seed)
-        if args.horizon:
-            horizon = args.horizon
-        scn = bundle.scenario
-        if len(params_list) == 1:
-            result = mechanisms.run_price_based(scn, params_list[0], policy, horizon)
-        else:
-            result = mechanisms.multi_resource_mechanism(scn, params_list, policy, horizon)
-        params = params_list[0]
-        summary = _summarize(result, params_list, horizon)
-        audit = bundle.audit()
-        if audit.get("optimum"):
-            sw = core.welfare(result.schedule, result.scenario, horizon)
-            summary["ratio"] = sw / audit["optimum"]
-            summary["audit"] = audit
-        if args.scenario == "eip_c2_failure":
-            t_star = scenarios.measure_t_star(result, params)
-            sw = core.welfare(result.schedule, result.scenario, 2 * t_star)
-            summary["t_star"] = t_star
-            summary["ratio"] = sw / (bundle.notes["optimum_per_block"] * t_star)
+    if args.scenario in BUILTINS:
+        con = BUILTINS[args.scenario]
+        seed = 0 if args.seed is None else args.seed
+        run = con.run(seed, args.horizon or None)
+        result = run.result
+        summary = _summarize(result, con.params, run.horizon)
+        summary.update(run.score)
     else:
         try:
             with open(args.scenario) as fh:
@@ -371,7 +363,7 @@ def cmd_run(args) -> int:
     return EXIT_PASS
 
 
-def _summarize(result, params_list: list[MechanismParams], horizon: int) -> dict:
+def _summarize(result, params_list: Sequence[MechanismParams], horizon: int) -> dict:
     scn = result.scenario
     sw = core.welfare(result.schedule, scn, horizon)
     targets = [p.B for p in params_list]
@@ -476,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mechanism", help="mechanism config JSON file")
     run_p.add_argument("--policy", help="inclusion policy config JSON file")
     run_p.add_argument("--horizon", type=int, default=0)
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument(
+        "--seed", type=int, help="run seed (default: a file scenario's own, else 0)"
+    )
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.set_defaults(fn=cmd_run)
 

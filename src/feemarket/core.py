@@ -202,9 +202,10 @@ class Scenario:
     _index: dict[int, Transaction] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.capacities or any(b <= 0 for b in self.capacities):
-            raise ScenarioError(f"capacities must be positive, got {self.capacities}")
-        self.capacities = tuple(float(b) for b in self.capacities)
+        caps = self.capacities
+        if not caps or any(not math.isfinite(b) or b <= 0 for b in caps):
+            raise ScenarioError(f"capacities must be positive and finite, got {caps}")
+        self.capacities = tuple(float(b) for b in caps)
 
     @property
     def m(self) -> int:

@@ -95,6 +95,9 @@ class MechanismParams:
     discounted_eligibility: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("B", "c", "eta", "p_min", "p_1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.B <= 0:
             raise ValueError(f"target size must be positive, got {self.B}")
         if self.c <= 1:
@@ -134,20 +137,18 @@ class PriceBasedState:
     bit-exactly.
     """
 
-    __slots__ = ("params", "log_price", "executed_history")
+    __slots__ = ("params", "log_price")
 
     def __init__(self, params: MechanismParams) -> None:
         self.params = params
         self.log_price = math.log(params.p_1)
-        self.executed_history: list[tuple[tuple[float, float], ...]] = []
 
     def posted(self) -> tuple[float, float]:
         """(log price, capacity) for the coming block."""
         return self.log_price, self.params.max_block
 
     def observe(self, executed: Sequence[tuple[float, float]]) -> None:
-        """Record a closed block as (size, unit value) pairs and update."""
-        self.executed_history.append(tuple(executed))
+        """Update from a closed block given as (size, unit value) pairs."""
         block_size = 0.0
         for q, _v in executed:
             block_size += q
@@ -201,6 +202,72 @@ def eip_next_price(params: MechanismParams, log_price: float, block_size: float)
     return max(floor, log_price + math.log(factor))
 
 
+class _Arrivals:
+    """The arrival ingest both online engines share.
+
+    Block t's arrivals come from the static ``arrivals_by_time`` lookup or
+    from the adaptive generator, which sees block t-1's record.  Every
+    arrival is checked (resource count, unique id, and for generators an
+    ``arrival`` equal to t) and kept by id; a generator's arrivals are also
+    kept in order, for the realized-stream export in ``result``.
+    """
+
+    def __init__(self, scenario: Scenario, horizon: int) -> None:
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        self.scenario = scenario
+        self.horizon = horizon
+        self.gen = scenario.generator
+        self.by_time = scenario.arrivals_by_time() if self.gen is None else {}
+        self.txs: dict[int, Transaction] = {}
+        self.realized: list[Transaction] = []
+
+    def at(self, t: int, previous: BlockRecord | None) -> Sequence[Transaction]:
+        gen = self.gen
+        if gen is None:
+            arrivals = self.by_time.get(t, ())
+        else:
+            try:
+                arrivals = gen.arrivals(t, previous)
+            except FeeMarketError:
+                raise
+            except Exception as exc:  # generator bugs surface as scenario errors
+                raise ScenarioError(f"adaptive generator failed at t={t}: {exc}") from exc
+        m = self.scenario.m
+        txs = self.txs
+        for txn in arrivals:
+            if len(txn.size) != m:
+                raise ScenarioError(
+                    f"tx {txn.id}: size has {len(txn.size)} resources, scenario has {m}"
+                )
+            if txn.id in txs:
+                raise ScenarioError(f"duplicate transaction id {txn.id}")
+            if gen is not None and txn.arrival != t:
+                raise ScenarioError(
+                    f"generator emitted tx {txn.id} with arrival {txn.arrival} at block {t}"
+                )
+            txs[txn.id] = txn
+        if gen is not None:
+            self.realized.extend(arrivals)
+        return arrivals
+
+    def result(self, entries: list[ScheduleEntry], records: list[BlockRecord]) -> RunResult:
+        """The run's result; an adaptive run exports its realized stream."""
+        scenario = self.scenario
+        if self.gen is not None:
+            scenario = Scenario(
+                capacities=scenario.capacities,
+                transactions=self.realized,
+                horizon_hint=self.horizon,
+                seed=scenario.seed,
+            )
+        return RunResult(
+            schedule=Schedule(entries=entries, integral=True),
+            trace=RunTrace(records=records),
+            scenario=scenario,
+        )
+
+
 def _run_engine(
     scenario: Scenario,
     params_list: Sequence[MechanismParams],
@@ -210,54 +277,26 @@ def _run_engine(
     m = scenario.m
     if len(params_list) != m:
         raise ValueError(f"need {m} parameter sets for {m} resources, got {len(params_list)}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    ingest = _Arrivals(scenario, horizon)
+    all_txs = ingest.txs
 
     caps = tuple(p.c * p.B for p in params_list)
     states = [PriceBasedState(p) for p in params_list]
     aware = params_list[0].discounted_eligibility
 
-    static = scenario.generator is None
-    by_time = scenario.arrivals_by_time() if static else {}
-    gen = scenario.generator
-
     pending: list[tuple[float, int, Transaction]] = []  # sorted by (ln v, seq)
-    all_txs: dict[int, Transaction] = {}
     removed: set[int] = set()
     has_sensitive = False
     seq = 0
 
     entries: list[ScheduleEntry] = []
     records: list[BlockRecord] = []
-    realized: list[Transaction] = []
     cum = 0.0
     prev: BlockRecord | None = None
     random_policy = isinstance(policy, SeededRandom)
 
     for t in range(1, horizon + 1):
-        if static:
-            arrivals = by_time.get(t, ())
-        else:
-            try:
-                arrivals = gen.arrivals(t, prev)
-            except FeeMarketError:
-                raise
-            except Exception as exc:  # generator bugs surface as scenario errors
-                raise ScenarioError(f"adaptive generator failed at t={t}: {exc}") from exc
-        for txn in arrivals:
-            if len(txn.size) != m:
-                raise ScenarioError(
-                    f"tx {txn.id}: size has {len(txn.size)} resources, scenario has {m}"
-                )
-            if txn.id in all_txs:
-                raise ScenarioError(f"duplicate transaction id {txn.id}")
-            if not static and txn.arrival != t:
-                raise ScenarioError(
-                    f"generator emitted tx {txn.id} with arrival {txn.arrival} at block {t}"
-                )
-            all_txs[txn.id] = txn
-            if not static:
-                realized.append(txn)
+        for txn in ingest.at(t, prev):
             if type(txn.sensitivity) is not Patient:
                 has_sensitive = True
             lnv = math.log(txn.unit_value) if txn.unit_value > 0 else -math.inf
@@ -326,20 +365,7 @@ def _run_engine(
             pending = [e for e in pending if e[2].id not in removed]
             removed.clear()
 
-    if static:
-        out_scenario = scenario
-    else:
-        out_scenario = Scenario(
-            capacities=scenario.capacities,
-            transactions=realized,
-            horizon_hint=horizon,
-            seed=scenario.seed,
-        )
-    return RunResult(
-        schedule=Schedule(entries=entries, integral=True),
-        trace=RunTrace(records=records),
-        scenario=out_scenario,
-    )
+    return ingest.result(entries, records)
 
 
 def run_price_based(
@@ -401,16 +427,9 @@ def greedy_online(
         raise ScenarioError("greedy baseline requires a 1-resource scenario")
     if B <= 0:
         raise ValueError(f"target size must be positive, got {B}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-
-    static = scenario.generator is None
-    by_time = scenario.arrivals_by_time() if static else {}
-    gen = scenario.generator
+    ingest = _Arrivals(scenario, horizon)
 
     heap: list[tuple[float, int, int, Transaction]] = []  # (-v, arrival, id, tx)
-    all_txs: dict[int, Transaction] = {}
-    realized: list[Transaction] = []
     min_size_lb = math.inf
 
     entries: list[ScheduleEntry] = []
@@ -421,27 +440,11 @@ def greedy_online(
     cap = math.inf if max_block is None else float(max_block)
 
     for t in range(1, horizon + 1):
-        if static:
-            arrivals = by_time.get(t, ())
-        else:
-            try:
-                arrivals = gen.arrivals(t, prev)
-            except FeeMarketError:
-                raise
-            except Exception as exc:
-                raise ScenarioError(f"adaptive generator failed at t={t}: {exc}") from exc
-        for txn in arrivals:
-            if len(txn.size) != 1:
-                raise ScenarioError(f"tx {txn.id}: greedy runs single-resource only")
-            if txn.id in all_txs:
-                raise ScenarioError(f"duplicate transaction id {txn.id}")
+        for txn in ingest.at(t, prev):
             if txn.q > B:
                 raise OversizedTransactionError(
                     f"tx {txn.id}: size {txn.q} exceeds target block size {B}"
                 )
-            all_txs[txn.id] = txn
-            if not static:
-                realized.append(txn)
             heapq.heappush(heap, (-txn.unit_value, txn.arrival, txn.id, txn))
             min_size_lb = min(min_size_lb, txn.q)
 
@@ -483,17 +486,7 @@ def greedy_online(
         records.append(rec)
         prev = rec
 
-    out_scenario = scenario if static else Scenario(
-        capacities=scenario.capacities,
-        transactions=realized,
-        horizon_hint=horizon,
-        seed=scenario.seed,
-    )
-    return RunResult(
-        schedule=Schedule(entries=entries, integral=True),
-        trace=RunTrace(records=records),
-        scenario=out_scenario,
-    )
+    return ingest.result(entries, records)
 
 
 def theorem_slackness(params: MechanismParams, v_max: float) -> float:

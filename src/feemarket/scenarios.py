@@ -118,11 +118,44 @@ def random_family(
 
 
 # ---------------------------------------------------------------------------
+# Adaptive generator skeleton
+# ---------------------------------------------------------------------------
+
+
+class _AdaptiveGenerator:
+    """A single-run adaptive arrival stream.
+
+    Before emitting block t's arrivals it shows block t-1's record (from
+    t = 2 on) to ``_observe``; subclasses implement ``_observe`` and ``_emit``
+    and record their branch decision in ``branch`` and ``audit``.
+    """
+
+    def __init__(self) -> None:
+        self.branch: str | None = None
+        self.audit: dict = {}
+        self._next_id = 0
+        self._started = False
+
+    def _new_id(self) -> int:
+        self._next_id += 1
+        return self._next_id - 1
+
+    def arrivals(self, t: int, previous: BlockRecord | None) -> list[Transaction]:
+        if t == 1:
+            if self._started:
+                raise ScenarioError("adaptive generators are single-run objects")
+            self._started = True
+        if previous is not None:
+            self._observe(previous)
+        return self._emit(t)
+
+
+# ---------------------------------------------------------------------------
 # Max-block-size construction (c < 2)
 # ---------------------------------------------------------------------------
 
 
-class _CBelowTwoGenerator:
+class _CBelowTwoGenerator(_AdaptiveGenerator):
     """First half: each step one red (size B, unit value 1) and one green
     (size just over c*B/2, unit value 2); at most one fits per block.  At
     half time, branch on the number of executed greens G: few greens means
@@ -131,6 +164,7 @@ class _CBelowTwoGenerator:
     on greens is unrecoverable)."""
 
     def __init__(self, horizon: int, c: float, B: int, eps: float) -> None:
+        super().__init__()
         self.horizon = horizon
         self.half = horizon // 2
         self.quarter = horizon // 4
@@ -147,30 +181,15 @@ class _CBelowTwoGenerator:
         self.dust_ids: set[int] = set()
         self.dust_outstanding = 0
         self.greens_first_half = 0
-        self.branch: str | None = None
-        self.audit: dict = {}
-        self._next_id = 0
-        self._started = False
 
-    def _new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id - 1
-
-    def _observe(self, previous: BlockRecord | None) -> None:
-        if previous is None:
-            return
+    def _observe(self, previous: BlockRecord) -> None:
         for tid, _frac in previous.executed:
             if tid in self.green_ids and previous.time <= self.half:
                 self.greens_first_half += 1
             if tid in self.dust_ids:
                 self.dust_outstanding -= 1
 
-    def arrivals(self, t: int, previous: BlockRecord | None) -> list[Transaction]:
-        if t == 1:
-            if self._started:
-                raise ScenarioError("adaptive generators are single-run objects")
-            self._started = True
-        self._observe(previous)
+    def _emit(self, t: int) -> list[Transaction]:
         out: list[Transaction] = []
         if t <= self.half:
             out.append(
@@ -395,7 +414,7 @@ def measure_climb(result: RunResult, params: MechanismParams, L: float, decay: i
 # ---------------------------------------------------------------------------
 
 
-class _DiscountMixGenerator:
+class _DiscountMixGenerator(_AdaptiveGenerator):
     """p patient double-value transactions up front, one decaying unit-value
     ("hasty") transaction per step for p steps.  If at least p/2 hasty ones
     executed by time p, a wave of 2p more patient double-value transactions
@@ -403,35 +422,21 @@ class _DiscountMixGenerator:
     the middle third, and the final third is silent."""
 
     def __init__(self, rho_min: float, B: int, p: int) -> None:
+        super().__init__()
         self.rho = rho_min
         self.B = B
         self.p = p
         self.horizon = 3 * p
         self.hasty_ids: set[int] = set()
         self.hasty_executed = 0
-        self.branch: str | None = None
-        self.audit: dict = {}
-        self._next_id = 0
-        self._started = False
 
-    def _new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id - 1
-
-    def _observe(self, previous: BlockRecord | None) -> None:
-        if previous is None:
-            return
+    def _observe(self, previous: BlockRecord) -> None:
         if previous.time <= self.p:
             for tid, _f in previous.executed:
                 if tid in self.hasty_ids:
                     self.hasty_executed += 1
 
-    def arrivals(self, t: int, previous: BlockRecord | None) -> list[Transaction]:
-        if t == 1:
-            if self._started:
-                raise ScenarioError("adaptive generators are single-run objects")
-            self._started = True
-        self._observe(previous)
+    def _emit(self, t: int) -> list[Transaction]:
         out: list[Transaction] = []
         p, B = self.p, self.B
         if t == 1:
@@ -512,7 +517,7 @@ def discount_mix(
 # ---------------------------------------------------------------------------
 
 
-class _PatienceGlobalGenerator:
+class _PatienceGlobalGenerator(_AdaptiveGenerator):
     """p unit-value greens at time 1, one double-value red per step for the
     next p-1 steps, all with the same patience window p.  Branch at time p on
     the number of executed reds: many reds means the greens are about to
@@ -520,34 +525,20 @@ class _PatienceGlobalGenerator:
     fresh double-value transactions lands at p+1."""
 
     def __init__(self, p: int, B: int) -> None:
+        super().__init__()
         self.p = p
         self.B = B
         self.horizon = 2 * p
         self.red_ids: set[int] = set()
         self.reds_executed = 0
-        self.branch: str | None = None
-        self.audit: dict = {}
-        self._next_id = 0
-        self._started = False
 
-    def _new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id - 1
-
-    def _observe(self, previous: BlockRecord | None) -> None:
-        if previous is None:
-            return
+    def _observe(self, previous: BlockRecord) -> None:
         if previous.time <= self.p:
             for tid, _f in previous.executed:
                 if tid in self.red_ids:
                     self.reds_executed += 1
 
-    def arrivals(self, t: int, previous: BlockRecord | None) -> list[Transaction]:
-        if t == 1:
-            if self._started:
-                raise ScenarioError("adaptive generators are single-run objects")
-            self._started = True
-        self._observe(previous)
+    def _emit(self, t: int) -> list[Transaction]:
         out: list[Transaction] = []
         p, B = self.p, self.B
         if t == 1:
@@ -609,7 +600,7 @@ def patience_global(p: int, B: int, seed: int = 0) -> ScenarioBundle:
 # ---------------------------------------------------------------------------
 
 
-class _ThreeResourceGenerator:
+class _ThreeResourceGenerator(_AdaptiveGenerator):
     """Resources (anchor, X, Y, Z) with unit caps on X, Y, Z; the anchor
     carries the value-bearing size and never binds.  At time 1: t units of
     the bundle {X, Z} and t of {Y, Z}, all unit value.  Z's capacity forces
@@ -618,24 +609,15 @@ class _ThreeResourceGenerator:
     alongside the withheld bundles."""
 
     def __init__(self, t_half: int) -> None:
+        super().__init__()
         self.t_half = t_half
         self.horizon = 2 * t_half
         self.xz_ids: set[int] = set()
         self.yz_ids: set[int] = set()
         self.xz_executed = 0
         self.yz_executed = 0
-        self.branch: str | None = None
-        self.audit: dict = {}
-        self._next_id = 0
-        self._started = False
 
-    def _new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id - 1
-
-    def _observe(self, previous: BlockRecord | None) -> None:
-        if previous is None:
-            return
+    def _observe(self, previous: BlockRecord) -> None:
         if previous.time <= self.t_half:
             for tid, _f in previous.executed:
                 if tid in self.xz_ids:
@@ -643,12 +625,7 @@ class _ThreeResourceGenerator:
                 elif tid in self.yz_ids:
                     self.yz_executed += 1
 
-    def arrivals(self, t: int, previous: BlockRecord | None) -> list[Transaction]:
-        if t == 1:
-            if self._started:
-                raise ScenarioError("adaptive generators are single-run objects")
-            self._started = True
-        self._observe(previous)
+    def _emit(self, t: int) -> list[Transaction]:
         out: list[Transaction] = []
         if t == 1:
             for _ in range(self.t_half):

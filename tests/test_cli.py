@@ -1,5 +1,6 @@
 """CLI: exit codes, file formats, determinism of outputs."""
 
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from feemarket import MechanismParams, Scenario, Transaction
 from feemarket.cli import main
 from feemarket.core import scenario_to_jsonl
+from feemarket.adversary import SeededRandom, policy_to_config
 from feemarket.mechanisms import params_to_config
 
 
@@ -159,10 +161,87 @@ def test_suite_zero_seeds_header_only(tmp_path, capsys):
     assert capsys.readouterr().out == "suite,seed,metric,value,bound,pass\n"
 
 
-def test_suite_parallel_fanout_same_csv(tmp_path, monkeypatch):
-    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    monkeypatch.setenv("FEEMARKET_THREADS", "1")
-    main(["suite", "--name", "theorems", "--seeds", "4", "--horizon", "40", "--out", str(a)])
-    monkeypatch.setenv("FEEMARKET_THREADS", "4")
-    main(["suite", "--name", "theorems", "--seeds", "4", "--horizon", "40", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+def test_run_non_finite_parameter_exit_2(tmp_path, scenario_file, capsys):
+    mech = tmp_path / "nan.json"
+    mech.write_text('{"B": 100, "c": 2, "eta": NaN, "p_min": 1, "p_1": 1}')
+    rc = main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech),
+               "--horizon", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "eta must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_non_finite_capacity_exit_2(tmp_path, mech_file, capsys):
+    bad = tmp_path / "nan_b.jsonl"
+    bad.write_text('{"m": 1, "B": [NaN], "seed": 0}\n')
+    rc = main(["run", "--scenario", str(bad), "--mechanism", str(mech_file),
+               "--horizon", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_run_seed_keeps_file_scenario_seed_unless_given(tmp_path, scenario_file, mech_file):
+    policy = tmp_path / "random.json"
+    policy.write_text(json.dumps(policy_to_config(SeededRandom())))
+
+    def run(out, *seed):
+        assert main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+                     "--policy", str(policy), "--horizon", "10", "--out", str(out), *seed]) == 0
+        header = json.loads((out / "scenario.jsonl").read_text().splitlines()[0])
+        return header["seed"], (out / "trace.jsonl").read_bytes()
+
+    own_seed, own_trace = run(tmp_path / "own")
+    assert own_seed == 3  # the fixture's header seed
+    assert run(tmp_path / "three", "--seed", "3") == (3, own_trace)
+    assert run(tmp_path / "zero", "--seed", "0")[0] == 0
+
+
+# SHA-256 of the outputs of ``feemarket run --scenario <name>`` with default flags.
+BUILTIN_RUN_DIGESTS = {
+    "eip_c2_failure": {
+        "trace.jsonl": "f3288556d7ee04944bbac6d7c4fb2dc735ad7bce2930ca78af882c2ab6f86922",
+        "schedule.json": "78ed9bd8249693f9e3fc682831fe03579fda2a218850bcb14c934a16406fd86e",
+        "summary.json": "f296ccb41e24bdbcb25362cd7a02d3445d8e6f8da2df765b0d67feb35ab8d40d",
+    },
+    "log_range": {
+        "trace.jsonl": "0609503f30a132adc8f046f5c5f35382dd598a0c3e686c1cf3ac176f1945094a",
+        "schedule.json": "43f1f0d7cf4bc01a1e605e82116cc72468fa75293c0ccee2b64163d3d27277a7",
+        "summary.json": "b8e510f81696f86a76c8a1be01c1b97da5afee1b90dfc892402938dd6b5e3d30",
+    },
+    "c_below_two": {
+        "trace.jsonl": "64092b42f7c043f2b0d0e056e18c2b19cdc5a8a54d24331a008084d825ec8c56",
+        "schedule.json": "5f71e390c5ea13bdcacf16c8382bc39b5d36e05723c9e41363bfdb243c018d0a",
+        "summary.json": "844ed242a7c202b6973c56d8976038fb9a8d01a37ff1d13d6c37242f4439b3b0",
+    },
+    "discount_mix": {
+        "trace.jsonl": "3e8c1a89a33d44ca4404af11075147539b3c9a74cc84541661034ae9d7505cbe",
+        "schedule.json": "ce7722ac681beb84301095d4ebf7c83799a84315c7bb69204a33886e1a3d1067",
+        "summary.json": "3e2d6c629b790ea13dfa7d9524a7b7d68819118b63481baf1ebe3756f7416b76",
+    },
+    "patience_global": {
+        "trace.jsonl": "982d9530a3004504982aa2a38efdb646892fce99d3aa263a212d682d19fc23ce",
+        "schedule.json": "41f07a22a132ddbc0cab96e83a2ae3c41145f1c0031bed7a5786bd8cd852da62",
+        "summary.json": "a0c91e4d21b4ff2f91df87c412bce03fe226aab456fd2b81032d38f22ccf09a1",
+    },
+    "three_resources": {
+        "trace.jsonl": "f05b1283b97fb5803f7df908ae7c58e371fd76873214d23a87a58c74960aef63",
+        "schedule.json": "8d9df79652b85367a1cfc978aceb61704421e302642406784c7cc1e9d9f6d9d2",
+        "summary.json": "2c1e020e90fd84731ae2f5241d255961fc524e33881c1978d6e35ee2c9b4c807",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_RUN_DIGESTS))
+def test_builtin_run_bytes_pinned(tmp_path, name, capsys):
+    assert main(["run", "--scenario", name, "--out", str(tmp_path)]) == 0
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in BUILTIN_RUN_DIGESTS[name]}
+    assert digests == BUILTIN_RUN_DIGESTS[name]
+
+
+def test_lower_bounds_suite_csv_pinned(tmp_path):
+    out = tmp_path / "lb.csv"
+    assert main(["suite", "--name", "lower_bounds", "--seeds", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f27d9896e582cb0ec2d0fbca82ca154d2fc9057233886b3d1d91a737df752bb3"
+    )

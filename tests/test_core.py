@@ -297,6 +297,11 @@ class TestSerialization:
         with pytest.raises(ScenarioError):
             scenario_from_jsonl('{"t": 1, "id": 0, "q": [1], "v": 1.0}\n')
 
+    @pytest.mark.parametrize("cap", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_capacity_rejected(self, cap):
+        with pytest.raises(ScenarioError, match="finite"):
+            scenario_from_jsonl(f'{{"m": 1, "B": [{cap}], "seed": 0}}\n')
+
     def test_schedule_roundtrip(self):
         s = Schedule([ScheduleEntry(3, 1, 0.25), ScheduleEntry(4, 2, 1.0)], integral=False)
         assert schedule_from_json(schedule_to_json(s)) == s

@@ -72,6 +72,14 @@ class TestNextPrice:
         with pytest.raises(ValueError):
             MechanismParams(B=1, c=2, eta=0.1, p_min=2, p_1=1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["B", "c", "eta", "p_min", "p_1"])
+    def test_non_finite_rejected(self, field, value):
+        fields = dict(B=100.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MechanismParams(**fields)
+
     def test_config_roundtrip(self, std_params):
         assert params_from_config(params_to_config(std_params)) == std_params
 
@@ -216,7 +224,6 @@ class TestPriceBasedState:
         assert cap == std_params.max_block
         s.observe([(150.0, 2.0), (50.0, 9.0)])  # full block
         assert s.log_price == eip_next_price(std_params, lp0, 200.0)
-        assert s.executed_history == [((150.0, 2.0), (50.0, 9.0))]
 
 
 class TestMultiResource:
@@ -392,3 +399,22 @@ class TestAdaptiveInterface:
         scn = Scenario(capacities=(100.0,), generator=Broken())
         with pytest.raises(ScenarioError, match="t=1"):
             run_price_based(scn, std_params, ValueAscending(), 2)
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda scn, p: run_price_based(scn, p, ValueAscending(), 3),
+            lambda scn, p: greedy_online(scn, p.B, 3),
+        ],
+        ids=["price", "greedy"],
+    )
+    def test_generator_arrival_must_be_current_block(self, std_params, engine):
+        class Late:
+            def arrivals(self, t, previous):
+                if t == 2:
+                    return [Transaction(id=0, arrival=1, size=(10,), unit_value=2.0)]
+                return []
+
+        scn = Scenario(capacities=(100.0,), generator=Late())
+        with pytest.raises(ScenarioError, match="arrival 1 at block 2"):
+            engine(scn, std_params)

@@ -323,6 +323,36 @@ class TestAdaptiveReuseGuard:
         with pytest.raises(ScenarioError):
             run_price_based(bundle.scenario, params, ValueAscending(), 6)
 
+    @pytest.mark.parametrize(
+        "make, params",
+        [
+            pytest.param(
+                lambda: c_below_two(8, 1.5, 64, eps=0.05),
+                [MechanismParams(B=64.0, c=1.5, eta=ETA, p_min=1.0, p_1=1.0)],
+                id="c_below_two",
+            ),
+            pytest.param(
+                lambda: discount_mix(rho_min=0.5, B=1, K=1),
+                [MechanismParams(B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)],
+                id="discount_mix",
+            ),
+            pytest.param(
+                lambda: patience_global(p=3, B=1),
+                [MechanismParams(B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)],
+                id="patience_global",
+            ),
+            pytest.param(
+                lambda: three_resources(2), three_resources_params(ETA), id="three_resources"
+            ),
+        ],
+    )
+    def test_every_generator_is_single_run(self, make, params):
+        bundle = make()
+        horizon = bundle.scenario.horizon_hint
+        multi_resource_mechanism(bundle.scenario, params, ValueAscending(), horizon)
+        with pytest.raises(ScenarioError, match="single-run"):
+            multi_resource_mechanism(bundle.scenario, params, ValueAscending(), horizon)
+
 
 class TestGlobalDiscountProbe:
     def test_measured_ratio_reported(self):
