@@ -36,10 +36,10 @@ from .core import (
     Transaction,
     UnsupportedSensitivityError,
     check_avg_block_size,
-    constant_slack,
     max_block_size,
     measured_slackness,
     quantity_above,
+    quantity_curve,
     validate_schedule,
     welfare,
     welfare_via_threshold_integral,

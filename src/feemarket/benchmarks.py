@@ -19,11 +19,9 @@ constraint is validated before any comparison.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
-
-import numpy as np
 
 from .core import (
     REL_TOL,
@@ -32,8 +30,9 @@ from .core import (
     ScenarioError,
     Schedule,
     ScheduleEntry,
-    check_avg_block_size,
-    constant_slack,
+    _avg_block_violations,
+    _per_resource,
+    quantity_curve,
     welfare,
 )
 from .mechanisms import greedy_online
@@ -123,7 +122,7 @@ _MAX_HORIZON = 12
 
 
 def opt_integral_small(
-    scenario: Scenario, B: float | Sequence[float], horizon: int
+    scenario: Scenario, B: float | Iterable[float], horizon: int
 ) -> Schedule:
     """Exact maximum-welfare integral schedule with per-block cap(s) ``B``.
 
@@ -142,11 +141,7 @@ def opt_integral_small(
     if total_size > _MAX_TOTAL_SIZE:
         raise TooLargeError(f"total size {total_size} exceeds guard {_MAX_TOTAL_SIZE}")
     m = scenario.m
-    caps = (
-        tuple(float(b) for b in B)
-        if isinstance(B, (tuple, list, np.ndarray))
-        else (float(B),) * m
-    )
+    caps = _per_resource(B, m)
     if len(caps) != m:
         raise ValueError(f"expected {m} caps, got {len(caps)}")
 
@@ -305,36 +300,6 @@ class WelfareReport:
         }
 
 
-def _quantity_curve(
-    schedule: Schedule, scenario: Scenario, window: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sorted values and prefix sizes so Q(theta) is an O(log n) lookup."""
-    index = scenario.index()
-    lo, hi = window
-    vals = []
-    sizes = []
-    for e in schedule.entries:
-        if lo <= e.time <= hi:
-            txn = index[e.tx]
-            vals.append(txn.unit_value)
-            sizes.append(e.fraction * txn.q)
-    if not vals:
-        return np.array([]), np.array([0.0]), 0.0
-    order = np.argsort(np.asarray(vals))
-    v = np.asarray(vals)[order]
-    s = np.asarray(sizes)[order]
-    prefix = np.concatenate(([0.0], np.cumsum(s)))
-    return v, prefix, float(prefix[-1])
-
-
-def _curve_at(curve, thetas: np.ndarray) -> np.ndarray:
-    v, prefix, total = curve
-    if v.size == 0:
-        return np.zeros_like(thetas)
-    idx = np.searchsorted(v, thetas, side="left")
-    return total - prefix[idx]
-
-
 def check_threshold_dominance(
     alg: Schedule,
     bench: Schedule,
@@ -343,7 +308,7 @@ def check_threshold_dominance(
     gamma: int,
     eta: float,
     bench_limit: float,
-    bench_slack: Callable[[int], float] | float = 0.0,
+    bench_slack: float = 0.0,
 ) -> ThresholdReport:
     """Check per-threshold coverage: for every value threshold theta,
     the benchmark's quantity at-or-above theta over [1, T] must not exceed
@@ -351,33 +316,29 @@ def check_threshold_dominance(
 
     Both sides are step functions of theta with breakpoints only at scheduled
     unit values, so the union of both schedules' distinct values is an exact
-    evaluation set.  The benchmark must first satisfy its declared
-    windowed-average constraint (bench_limit with bench_slack).
+    evaluation set; each side is one ``quantity_curve``.  The benchmark must
+    first satisfy its declared windowed-average constraint (bench_limit with
+    constant slackness bench_slack).
     """
-    slack_fn = bench_slack if callable(bench_slack) else constant_slack(float(bench_slack))
-    pre = check_avg_block_size(bench, scenario, bench_limit, slack_fn)
-    if not pre.passed:
+    pre = _avg_block_violations(bench, scenario, bench_limit, bench_slack)
+    if pre:
         raise BenchmarkConstraintError(
             f"benchmark violates its declared size constraint in "
-            f"{len(pre.violations)} window(s); first: {pre.violations[0].to_json()}"
+            f"{len(pre)} window(s); first: {pre[0].to_json()}"
         )
     index = scenario.index()
     thetas = sorted(
         {index[e.tx].unit_value for e in alg.entries}
         | {index[e.tx].unit_value for e in bench.entries}
     )
-    if not thetas:
-        return ThresholdReport(passed=True, violations=[], thetas_checked=0)
-    th = np.asarray(thetas)
-    bench_curve = _quantity_curve(bench, scenario, (1, horizon))
-    alg_curve = _quantity_curve(alg, scenario, (1, horizon + gamma))
-    lhs = _curve_at(bench_curve, th)
-    rhs = _curve_at(alg_curve, th * math.exp(-eta))
-    bad = np.nonzero(lhs > rhs * (1.0 + REL_TOL) + 1e-12)[0]
-    violations = [
-        ThresholdViolation(theta=float(th[i]), lhs=float(lhs[i]), rhs=float(rhs[i]))
-        for i in bad
-    ]
+    bench_q = quantity_curve(bench, scenario, (1, horizon))
+    alg_q = quantity_curve(alg, scenario, (1, horizon + gamma))
+    retained = math.exp(-eta)
+    violations = []
+    for theta in thetas:
+        lhs, rhs = bench_q(theta), alg_q(theta * retained)
+        if lhs > rhs * (1.0 + REL_TOL) + 1e-12:
+            violations.append(ThresholdViolation(theta=theta, lhs=lhs, rhs=rhs))
     return ThresholdReport(
         passed=not violations, violations=violations, thetas_checked=len(thetas)
     )

@@ -35,7 +35,7 @@ from .adversary import (
     TipPriority,
     policy_from_config,
 )
-from .core import FeeMarketError, Scenario, constant_slack
+from .core import FeeMarketError, Scenario
 from .mechanisms import MechanismParams, params_from_config
 
 EXIT_PASS = 0
@@ -148,9 +148,7 @@ def suite_theorems(seeds: int, horizon: int = 200, B: int = 100) -> list[Row]:
             run.schedule, bench, scn, horizon, gamma, params.eta, bench_limit=B
         )
         delta = mechanisms.theorem_slackness(params, v_max)
-        srep = core.check_avg_block_size(
-            run.schedule, scn, params.B, constant_slack(delta)
-        )
+        srep = core.check_avg_block_size(run.schedule, scn, params.B, delta)
         bound_lp = math.log(v_max) + params.eta * (params.c - 1.0)
         first = run.trace.first_nonempty()
         worst_lp = max(
@@ -332,7 +330,7 @@ def cmd_run(args) -> int:
     if args.scenario in BUILTINS:
         con = BUILTINS[args.scenario]
         seed = 0 if args.seed is None else args.seed
-        run = con.run(seed, args.horizon or None)
+        run = con.run(seed, args.horizon)
         result = run.result
         summary = _summarize(result, con.params, run.horizon)
         summary.update(run.score)
@@ -349,7 +347,9 @@ def cmd_run(args) -> int:
             raise FeeMarketError("--mechanism config required for file scenarios")
         params = params_from_config(cfg)
         policy = policy_from_config(_load_json(args.policy)) if args.policy else ValueAscending()
-        horizon = args.horizon or scn.horizon_hint or 100
+        horizon = args.horizon
+        if horizon is None:
+            horizon = scn.horizon_hint or 100
         result = mechanisms.run_price_based(scn, params, policy, horizon)
         summary = _summarize(result, [params], horizon)
 
@@ -467,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", required=True, help="scenario JSONL file or builtin name")
     run_p.add_argument("--mechanism", help="mechanism config JSON file")
     run_p.add_argument("--policy", help="inclusion policy config JSON file")
-    run_p.add_argument("--horizon", type=int, default=0)
+    run_p.add_argument(
+        "--horizon", type=int, help="blocks to run (default: the scenario's own)"
+    )
     run_p.add_argument(
         "--seed", type=int, help="run seed (default: a file scenario's own, else 0)"
     )

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Mapping, Protocol, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "LOG_EPS",
@@ -46,12 +47,12 @@ __all__ = [
     "validate_schedule",
     "welfare",
     "quantity_above",
+    "quantity_curve",
     "welfare_via_threshold_integral",
     "check_avg_block_size",
     "max_block_size",
     "block_sizes",
     "measured_slackness",
-    "constant_slack",
     "BlockSizeReport",
     "WindowViolation",
     "scenario_to_jsonl",
@@ -365,6 +366,41 @@ def welfare(schedule: Schedule, scenario: Scenario, horizon: int) -> float:
     return math.fsum(terms)
 
 
+def quantity_curve(
+    schedule: Schedule, scenario: Scenario, window: tuple[int, int]
+) -> Callable[[float], float]:
+    """The threshold-quantity curve theta -> quantity_above(theta) of one
+    window, built once in O(n log n) and evaluated in O(log n).
+
+    Every scheduled size is a float, so an exact integer multiple of
+    1/scale for the largest denominator ``scale`` among them.  Walking the
+    distinct unit values in descending order keeps the integer suffix sums;
+    one division rounds each correctly, to the value ``math.fsum`` returns
+    over the same sizes.
+    """
+    a, b = window
+    if a > b:
+        raise ValueError(f"window start {a} exceeds end {b}")
+    index = scenario.index()
+    groups: dict[float, list[tuple[int, int]]] = {}
+    for e in schedule.entries:
+        if not (a <= e.time <= b):
+            continue
+        t_ = index.get(e.tx)
+        if t_ is None:
+            raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
+        groups.setdefault(t_.unit_value, []).append((e.fraction * t_.q).as_integer_ratio())
+    values = sorted(groups)
+    scale = max((d for group in groups.values() for _n, d in group), default=1)
+    suffix = [0.0] * (len(values) + 1)
+    total = 0
+    for i in range(len(values) - 1, -1, -1):
+        for n, d in groups[values[i]]:
+            total += n * (scale // d)
+        suffix[i] = total / scale
+    return lambda theta: suffix[bisect_left(values, theta)]
+
+
 def quantity_above(
     schedule: Schedule,
     scenario: Scenario,
@@ -376,20 +412,7 @@ def quantity_above(
     The comparison is inclusive; thresholds apply to declared per-unit values
     regardless of time sensitivity.
     """
-    a, b = window
-    if a > b:
-        raise ValueError(f"window start {a} exceeds end {b}")
-    index = scenario.index()
-    terms = []
-    for e in schedule.entries:
-        if not (a <= e.time <= b):
-            continue
-        t_ = index.get(e.tx)
-        if t_ is None:
-            raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
-        if t_.unit_value >= theta:
-            terms.append(e.fraction * t_.q)
-    return math.fsum(terms)
+    return quantity_curve(schedule, scenario, window)(theta)
 
 
 def welfare_via_threshold_integral(
@@ -400,8 +423,10 @@ def welfare_via_threshold_integral(
     The curve theta -> quantity_above(theta) is a step function whose
     breakpoints are the distinct scheduled unit values v(1) > ... > v(k), so
     the area is the finite sum of (v(j) - v(j+1)) * quantity_above(v(j)) with
-    v(k+1) = 0.  Only defined for patient values; distinct values are
-    deduplicated exactly on the float bit pattern.
+    v(k+1) = 0.  Each quantity is the exact suffix sum of the sizes at or
+    above v(j), correctly rounded (``quantity_curve``), so the whole identity
+    costs O(n log n).  Only defined for patient values; distinct values are
+    deduplicated exactly on the float value.
     """
     index = scenario.index()
     values: set[float] = set()
@@ -420,10 +445,11 @@ def welfare_via_threshold_integral(
     if not values:
         return 0.0
     ordered = sorted(values, reverse=True)
+    quantity = quantity_curve(schedule, scenario, (1, horizon))
     terms = []
     for j, v in enumerate(ordered):
         nxt = ordered[j + 1] if j + 1 < len(ordered) else 0.0
-        terms.append((v - nxt) * quantity_above(schedule, scenario, v, (1, horizon)))
+        terms.append((v - nxt) * quantity(v))
     return math.fsum(terms)
 
 
@@ -464,8 +490,14 @@ class BlockSizeReport:
         }
 
 
-def constant_slack(delta: float) -> Callable[[int], float]:
-    return lambda _k: delta
+def constant_slack(delta: float) -> float:
+    """The constant slackness delta, as ``check_avg_block_size`` takes it.
+
+    ``slack`` was once a function of the window length; it is now the
+    constant itself, and this returns it unchanged for callers written
+    against the old form (``perfbench/workloads.py`` among them).
+    """
+    return float(delta)
 
 
 def block_sizes(schedule: Schedule, scenario: Scenario) -> dict[int, tuple[float, ...]]:
@@ -483,81 +515,159 @@ def block_sizes(schedule: Schedule, scenario: Scenario) -> dict[int, tuple[float
     return {t: tuple(v) for t, v in out.items()}
 
 
-def _size_arrays(schedule: Schedule, scenario: Scenario) -> tuple[int, np.ndarray] | None:
-    """(first time, per-block size matrix over the support) or None if empty."""
+def _per_resource(B: float | Iterable[float], m: int) -> tuple[float, ...]:
+    """One float per resource: an iterable as given, a scalar repeated m times."""
+    return tuple(float(b) for b in B) if isinstance(B, Iterable) else (float(B),) * m
+
+
+# Relative width of the rounding band around the float window passes below:
+# 32 units in the last place of the largest magnitude they handle, several
+# times the rounding error their handful of float operations can add up to.
+_BAND = 2.0**-48
+
+
+def _block_prefix_sums(
+    schedule: Schedule, scenario: Scenario, B: float | Iterable[float]
+) -> tuple[int, list[tuple[float, list[float]]]]:
+    """(first block of the support, per resource j the pair (B_j, P)), where
+    P[i] is the total size of the support's first i blocks, P[0] = 0."""
+    targets = _per_resource(B, scenario.m)
+    if len(targets) != scenario.m:
+        raise ValueError(f"expected {scenario.m} targets, got {len(targets)}")
+    if not all(0.0 < b < math.inf for b in targets):
+        raise ValueError(f"targets must be positive and finite, got {targets}")
     sizes = block_sizes(schedule, scenario)
     if not sizes:
-        return None
+        return 0, [(b, [0.0]) for b in targets]
     lo, hi = min(sizes), max(sizes)
-    mat = np.zeros((hi - lo + 1, scenario.m))
-    for t, row in sizes.items():
-        mat[t - lo] = row
-    return lo, mat
+    empty = (0.0,) * scenario.m
+    rows = [sizes.get(t, empty) for t in range(lo, hi + 1)]
+    return lo, [
+        (b, list(accumulate((row[j] for row in rows), initial=0.0)))
+        for j, b in enumerate(targets)
+    ]
+
+
+def _window_violations(
+    lo: int, columns: list[tuple[float, list[float]]], delta: float
+) -> list[WindowViolation]:
+    """Every window (i, j] of every resource whose total P[j] - P[i] exceeds
+    (k + delta) * B_j * (1 + REL_TOL), k = j - i, by resource, then k, then i.
+
+    With B' = B_j * (1 + REL_TOL) and D[i] = P[i] - i * B', a window
+    violates about where D[j] - D[i] > delta * B'.  One running-minimum pass
+    over D finds the ends j that come within a rounding band of that; only
+    their windows are tested, with the exact float expression.  A NaN or
+    +inf delta admits no window, -inf every window, as the exact test does.
+    """
+    scale = 1.0 + REL_TOL
+    violations: list[WindowViolation] = []
+    for resource, (bj, P) in enumerate(columns):
+        n = len(P) - 1
+        step = bj * scale
+        D = [p - i * step for i, p in enumerate(P)]
+        cut = delta * step - _BAND * (2.0 * max(map(abs, P)) + (n + abs(delta)) * step)
+        found = []
+        low = D[0]
+        for j in range(1, n + 1):
+            dj = D[j]
+            if dj - low > cut:
+                for i in range(j):
+                    if dj - D[i] > cut:
+                        total = P[j] - P[i]
+                        bound = (j - i + delta) * bj
+                        if total > bound * scale:
+                            found.append((j - i, i, total, bound))
+            low = min(low, dj)
+        found.sort()
+        violations.extend(
+            WindowViolation(resource, lo + i, lo + i + k - 1, total, bound)
+            for k, i, total, bound in found
+        )
+    return violations
+
+
+def _max_slackness(columns: list[tuple[float, list[float]]]) -> float:
+    """max(0, max over resources and windows (i, j] of
+    (P[j] - P[i]) / B_j - (j - i)), bit for bit as that float expression.
+
+    With E[i] = P[i] - i * B_j the window's slackness is about
+    (E[j] - E[i]) / B_j.  A running-minimum pass finds the largest gap G;
+    only windows whose gap lies within a rounding band of G can hold the
+    float maximum, and only they are evaluated.  Where many windows tie
+    (every block exactly B_j) the band holds O(n^2) of them.
+    """
+    best = 0.0
+    for bj, P in columns:
+        n = len(P) - 1
+        if n == 0:
+            continue
+        E = [p - i * bj for i, p in enumerate(P)]
+        gaps = [-math.inf] * (n + 1)
+        low = E[0]
+        for j in range(1, n + 1):
+            gaps[j] = E[j] - low
+            low = min(low, E[j])
+        cut = max(gaps) - _BAND * (2.0 * max(map(abs, P)) + n * bj)
+        for j in range(1, n + 1):
+            if gaps[j] >= cut:
+                ej, pj = E[j], P[j]
+                for i in range(j):
+                    if ej - E[i] >= cut:
+                        best = max(best, (pj - P[i]) / bj - (j - i))
+    return best
+
+
+def _avg_block_violations(
+    schedule: Schedule, scenario: Scenario, B: float | Iterable[float], slack: float
+) -> list[WindowViolation]:
+    """The violations ``check_avg_block_size`` reports, without its
+    max-slackness pass."""
+    lo, columns = _block_prefix_sums(schedule, scenario, B)
+    return _window_violations(lo, columns, float(slack))
 
 
 def check_avg_block_size(
     schedule: Schedule,
     scenario: Scenario,
-    B: float | Sequence[float],
-    slack: Callable[[int], float],
+    B: float | Iterable[float],
+    slack: float,
 ) -> BlockSizeReport:
-    """Verify the windowed average-size limit with slackness.
+    """Verify the windowed average-size limit with constant slackness delta.
 
     For every window [t0, t1] within the schedule's support and every
-    resource j, checks sum_t Q_{t,j} <= (k + slack(k)) * B_j with
-    k = t1 - t0 + 1.  Uses prefix sums, O(n^2) windows.  An empty report
-    (no violations) means pass; equality is a pass, with 1e-9 relative slack.
+    resource j, checks sum_t Q_{t,j} <= (k + delta) * B_j with
+    k = t1 - t0 + 1; equality is a pass, with 1e-9 relative slack.  An empty
+    report (no violations) means pass.  ``B`` is one target for every
+    resource or one per resource.
+
+    Both the violations and ``max_slackness`` come from O(n) running-minimum
+    passes over prefix sums.  Only the windows within a rounding band of the
+    bound (or of the maximum) are re-evaluated with the float expression of
+    the direct all-windows check, so the report is the one that check gives,
+    bit for bit.
     """
-    targets = (
-        tuple(float(b) for b in B)
-        if isinstance(B, (list, tuple, np.ndarray))
-        else (float(B),) * scenario.m
+    lo, columns = _block_prefix_sums(schedule, scenario, B)
+    violations = _window_violations(lo, columns, float(slack))
+    return BlockSizeReport(
+        passed=not violations, violations=violations, max_slackness=_max_slackness(columns)
     )
-    if len(targets) != scenario.m:
-        raise ValueError(f"expected {scenario.m} targets, got {len(targets)}")
-    arr = _size_arrays(schedule, scenario)
-    if arr is None:
-        return BlockSizeReport(passed=True, violations=[], max_slackness=0.0)
-    lo, mat = arr
-    n = mat.shape[0]
-    violations: list[WindowViolation] = []
-    max_slack = 0.0
-    for j in range(scenario.m):
-        bj = targets[j]
-        psum = np.concatenate(([0.0], np.cumsum(mat[:, j])))
-        for k in range(1, n + 1):
-            sums = psum[k:] - psum[:-k]
-            worst = float(sums.max())
-            max_slack = max(max_slack, worst / bj - k)
-            bound = (k + slack(k)) * bj
-            bad = np.nonzero(sums > bound * (1.0 + REL_TOL))[0]
-            for i in bad:
-                violations.append(
-                    WindowViolation(
-                        resource=j,
-                        start=lo + int(i),
-                        end=lo + int(i) + k - 1,
-                        total=float(sums[i]),
-                        bound=bound,
-                    )
-                )
-    return BlockSizeReport(passed=not violations, violations=violations, max_slackness=max_slack)
 
 
-def measured_slackness(schedule: Schedule, scenario: Scenario, B: float | Sequence[float]) -> float:
+def measured_slackness(
+    schedule: Schedule, scenario: Scenario, B: float | Iterable[float]
+) -> float:
     """Smallest constant slackness the schedule satisfies: max over windows of
     (window total / B_j) - k."""
-    report = check_avg_block_size(schedule, scenario, B, constant_slack(math.inf))
-    return report.max_slackness
+    return check_avg_block_size(schedule, scenario, B, math.inf).max_slackness
 
 
 def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
     """Component-wise maximum block size over all times."""
-    arr = _size_arrays(schedule, scenario)
-    if arr is None:
+    sizes = block_sizes(schedule, scenario).values()
+    if not sizes:
         return (0.0,) * scenario.m
-    _, mat = arr
-    return tuple(float(x) for x in mat.max(axis=0))
+    return tuple(max(row[j] for row in sizes) for j in range(scenario.m))
 
 
 # ---------------------------------------------------------------------------

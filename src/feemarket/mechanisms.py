@@ -284,8 +284,10 @@ def _run_engine(
     states = [PriceBasedState(p) for p in params_list]
     aware = params_list[0].discounted_eligibility
 
-    pending: list[tuple[float, int, Transaction]] = []  # sorted by (ln v, seq)
-    removed: set[int] = set()
+    # The pool, sorted by (ln v, arrival seq); key[id] locates an entry, so
+    # an executed transaction leaves it by bisection.
+    pending: list[tuple[float, int, Transaction]] = []
+    key: dict[int, tuple[float, int]] = {}
     has_sensitive = False
     seq = 0
 
@@ -301,18 +303,17 @@ def _run_engine(
                 has_sensitive = True
             lnv = math.log(txn.unit_value) if txn.unit_value > 0 else -math.inf
             insort(pending, (lnv, seq, txn))
+            key[txn.id] = (lnv, seq)
             seq += 1
 
         if m == 1 and not (aware and has_sensitive):
             lnp = states[0].log_price
             i = bisect_left(pending, (lnp - LOG_EPS,))
-            eligible = [e[2] for e in pending[i:] if e[2].id not in removed]
+            eligible = [e[2] for e in pending[i:]]
         elif m == 1:
             lnp = states[0].log_price
             eligible = []
             for _lnv, _s, txn in pending:
-                if txn.id in removed:
-                    continue
                 val = txn.value_at(t) if aware else txn.unit_value
                 if val > 0.0 and math.log(val) >= lnp - LOG_EPS:
                     eligible.append(txn)
@@ -320,8 +321,6 @@ def _run_engine(
             prices = [math.exp(s.log_price) for s in states]
             eligible = []
             for _lnv, _s, txn in pending:
-                if txn.id in removed:
-                    continue
                 val = txn.value_at(t) if aware else txn.unit_value
                 cost = 0.0
                 for j in range(m):
@@ -342,7 +341,7 @@ def _run_engine(
                 qsums[j] += txn.size[j]
             block_terms.append(txn.size[0] * txn.value_at(t))
             entries.append(ScheduleEntry(tx=cid, time=t, fraction=1.0))
-            removed.add(cid)
+            del pending[bisect_left(pending, key.pop(cid))]
         cum += math.fsum(block_terms)
 
         rec = BlockRecord(
@@ -360,10 +359,6 @@ def _run_engine(
             states[j].observe(
                 [(all_txs[cid].size[j], all_txs[cid].unit_value) for cid in chosen]
             )
-
-        if len(removed) > 64 and 2 * len(removed) > len(pending):
-            pending = [e for e in pending if e[2].id not in removed]
-            removed.clear()
 
     return ingest.result(entries, records)
 

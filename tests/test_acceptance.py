@@ -22,7 +22,6 @@ from feemarket import (
     check_avg_block_size,
     check_threshold_dominance,
     check_welfare_dominance,
-    constant_slack,
     greedy_online,
     max_block_size,
     multi_resource_mechanism,
@@ -127,7 +126,7 @@ def test_criterion_3_slackness_everywhere(theorem_runs):
             params.p_1,
         )
         delta = theorem_slackness(params, v_max)
-        rep = check_avg_block_size(sched, scn, params.B, constant_slack(delta))
+        rep = check_avg_block_size(sched, scn, params.B, delta)
         bad_windows += len(rep.violations)
         checked += 1
     report(

@@ -3,14 +3,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from feemarket import MechanismParams, Scenario, Transaction
-from feemarket.cli import main
+from feemarket.cli import main, theorem_params
 from feemarket.core import scenario_to_jsonl
 from feemarket.adversary import SeededRandom, policy_to_config
-from feemarket.mechanisms import params_to_config
+from feemarket.mechanisms import params_to_config, theorem_gamma
+from feemarket.scenarios import random_family
 
 
 @pytest.fixture
@@ -180,6 +185,28 @@ def test_run_non_finite_capacity_exit_2(tmp_path, mech_file, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_run_non_positive_horizon_exit_2(tmp_path, scenario_file, mech_file, horizon, capsys):
+    for scenario in ("log_range", str(scenario_file)):
+        out = tmp_path / horizon / Path(scenario).name
+        rc = main(["run", "--scenario", scenario, "--mechanism", str(mech_file),
+                   "--horizon", horizon, "--out", str(out)])
+        assert rc == 2
+        assert "horizon must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy would cost a cold `import feemarket` most of its time
+    code = "import feemarket, feemarket.cli, sys; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_run_seed_keeps_file_scenario_seed_unless_given(tmp_path, scenario_file, mech_file):
     policy = tmp_path / "random.json"
     policy.write_text(json.dumps(policy_to_config(SeededRandom())))
@@ -245,3 +272,42 @@ def test_lower_bounds_suite_csv_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "f27d9896e582cb0ec2d0fbca82ca154d2fc9057233886b3d1d91a737df752bb3"
     )
+
+
+# SHA-256 of the outputs of ``feemarket run`` on an overloaded file scenario:
+# random_family (seed 1, T = 600, load 2.5, theorem parameters) run for
+# T + Gamma blocks, so low-value transactions pile up in the pending pool.
+OVERLOADED_RUN_DIGESTS = {
+    "value_asc": {
+        "trace.jsonl": "47c3d7365dc7008c769f77f45fc1d1e5105a2de3986f548adfb0a13140c3053f",
+        "schedule.json": "7d7122ac12e465c358030c17cfc6f701243629cf770e92b33e6c606b892c47d4",
+        "summary.json": "4166bcd78b11079b78c9bad57f33843eeeadf6faefaf7c5f30019dca8384ea48",
+    },
+    "random": {
+        "trace.jsonl": "0c019a414809564f93ad4e93b40a0df7bf573c140548f55092873686d644a7ca",
+        "schedule.json": "8589f90cfb1970e7b0adfd31251a5991037055ce8ea295ae8737bf35af5ed9b9",
+        "summary.json": "b448d03fd4288ea4afaff49f8f10beff51f58bdb40091858eec2bdca38a5933e",
+    },
+}
+
+
+@pytest.mark.parametrize("policy", sorted(OVERLOADED_RUN_DIGESTS))
+def test_overloaded_run_bytes_pinned(tmp_path, policy, capsys):
+    params = theorem_params()
+    scn = random_family(
+        seed=1, horizon=600, value_range=(math.exp(params.eta), 1e6), q_max=100,
+        load_factor=2.5, B=100, eta=params.eta,
+    )
+    (tmp_path / "scenario.jsonl").write_text(scenario_to_jsonl(scn))
+    (tmp_path / "mech.json").write_text(json.dumps(params_to_config(params)))
+    (tmp_path / "policy.json").write_text(json.dumps({"policy": policy}))
+    horizon = 600 + theorem_gamma(params, v_max=1e6, q_max=100)
+    out = tmp_path / "out"
+    assert main([
+        "run", "--scenario", str(tmp_path / "scenario.jsonl"),
+        "--mechanism", str(tmp_path / "mech.json"), "--policy", str(tmp_path / "policy.json"),
+        "--horizon", str(horizon), "--out", str(out),
+    ]) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in OVERLOADED_RUN_DIGESTS[policy]}
+    assert digests == OVERLOADED_RUN_DIGESTS[policy]

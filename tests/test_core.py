@@ -13,7 +13,6 @@ from feemarket import (
     Transaction,
     UnsupportedSensitivityError,
     check_avg_block_size,
-    constant_slack,
     max_block_size,
     quantity_above,
     validate_schedule,
@@ -176,33 +175,39 @@ class TestAvgBlockSize:
 
     def test_alternating_double_blocks_pass_with_slack_one(self):
         sched, scn = self.make([20, 0, 20, 0])
-        report = check_avg_block_size(sched, scn, 10.0, constant_slack(1))
+        report = check_avg_block_size(sched, scn, 10.0, 1)
         assert report.passed
         # oracle: enumerate all 10 windows of [1, 4]
         sizes = {1: 20.0, 3: 20.0}
-        assert brute_window_check(sizes, 10.0, constant_slack(1), 1, 4) == []
+        assert brute_window_check(sizes, 10.0, 1, 1, 4) == []
 
     def test_single_double_block_fails_zero_slack(self):
         sched, scn = self.make([20])
-        report = check_avg_block_size(sched, scn, 10.0, constant_slack(0))
+        report = check_avg_block_size(sched, scn, 10.0, 0)
         assert not report.passed
         assert (report.violations[0].start, report.violations[0].end) == (1, 1)
 
     def test_empty_passes(self):
         sched, scn = self.make([0, 0])
         scn.transactions.append(Transaction(id=99, arrival=1, size=(1,), unit_value=1.0))
-        assert check_avg_block_size(sched, scn, 10.0, constant_slack(0)).passed
+        assert check_avg_block_size(sched, scn, 10.0, 0).passed
 
     def test_matches_window_oracle(self):
         sizes = [13, 0, 7, 20, 5, 0, 18]
         sched, scn = self.make(sizes)
         for slack in (0, 1, 2):
-            mine = check_avg_block_size(sched, scn, 10.0, constant_slack(slack))
+            mine = check_avg_block_size(sched, scn, 10.0, slack)
             oracle = brute_window_check(
-                {t: float(q) for t, q in enumerate(sizes, 1)}, 10.0, constant_slack(slack), 1, 7
+                {t: float(q) for t, q in enumerate(sizes, 1)}, 10.0, slack, 1, 7
             )
             got = sorted((v.start, v.end) for v in mine.violations)
             assert got == sorted(oracle)
+
+    @pytest.mark.parametrize("B", [0.0, -10.0, float("inf"), float("nan"), [10.0, 10.0]])
+    def test_bad_targets_rejected(self, B):
+        sched, scn = self.make([20, 0])
+        with pytest.raises(ValueError):
+            check_avg_block_size(sched, scn, B, 0)
 
     def test_measured_slackness(self):
         sched, scn = self.make([20, 0, 20, 0])
@@ -212,11 +217,11 @@ class TestAvgBlockSize:
         # pass with zero slack exactly when every block and every window
         # average stays at or below the target
         sched, scn = self.make([10, 9, 10, 10])
-        assert check_avg_block_size(sched, scn, 10.0, constant_slack(0)).passed
+        assert check_avg_block_size(sched, scn, 10.0, 0).passed
         sched, scn = self.make([10, 11, 9])  # one block over
-        assert not check_avg_block_size(sched, scn, 10.0, constant_slack(0)).passed
+        assert not check_avg_block_size(sched, scn, 10.0, 0).passed
         sched, scn = self.make([10, 10, 10, 10, 10, 1])
-        assert check_avg_block_size(sched, scn, 10.0, constant_slack(0)).passed
+        assert check_avg_block_size(sched, scn, 10.0, 0).passed
 
 
 class TestMaxBlockSize:

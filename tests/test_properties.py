@@ -11,7 +11,6 @@ from feemarket import (
     ScheduleEntry,
     Transaction,
     check_avg_block_size,
-    constant_slack,
     eip_next_price,
     quantity_above,
     select_block,
@@ -99,8 +98,8 @@ def test_quantity_above_additive_over_windows(case, theta, split):
 def test_avg_block_size_monotone_in_slack(case, d1, d2):
     scn, sched, _ = case
     lo, hi = min(d1, d2), max(d1, d2)
-    if check_avg_block_size(sched, scn, 60.0, constant_slack(lo)).passed:
-        assert check_avg_block_size(sched, scn, 60.0, constant_slack(hi)).passed
+    if check_avg_block_size(sched, scn, 60.0, lo).passed:
+        assert check_avg_block_size(sched, scn, 60.0, hi).passed
 
 
 @given(
