@@ -49,7 +49,6 @@ from .mechanisms import (
     InfeasibleParametersError,
     MechanismParams,
     OversizedTransactionError,
-    PriceBasedState,
     RunResult,
     eip_next_price,
     greedy_online,

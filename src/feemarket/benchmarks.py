@@ -26,6 +26,7 @@ from functools import lru_cache
 from .core import (
     REL_TOL,
     FeeMarketError,
+    InvalidScheduleError,
     Scenario,
     ScenarioError,
     Schedule,
@@ -300,6 +301,15 @@ class WelfareReport:
         }
 
 
+def _check_extension(gamma: int, eta: float) -> None:
+    """Reject a horizon extension or step size outside the theorem's range;
+    a non-finite eta would make e^{-eta} void the comparison."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+
+
 def check_threshold_dominance(
     alg: Schedule,
     bench: Schedule,
@@ -320,6 +330,9 @@ def check_threshold_dominance(
     first satisfy its declared windowed-average constraint (bench_limit with
     constant slackness bench_slack).
     """
+    _check_extension(gamma, eta)
+    if not (math.isfinite(bench_slack) and bench_slack >= 0):
+        raise ValueError(f"bench_slack must be finite and >= 0, got {bench_slack}")
     pre = _avg_block_violations(bench, scenario, bench_limit, bench_slack)
     if pre:
         raise BenchmarkConstraintError(
@@ -327,10 +340,15 @@ def check_threshold_dominance(
             f"{len(pre)} window(s); first: {pre[0].to_json()}"
         )
     index = scenario.index()
-    thetas = sorted(
-        {index[e.tx].unit_value for e in alg.entries}
-        | {index[e.tx].unit_value for e in bench.entries}
-    )
+    try:
+        thetas = sorted(
+            {index[e.tx].unit_value for e in alg.entries}
+            | {index[e.tx].unit_value for e in bench.entries}
+        )
+    except KeyError as exc:
+        raise InvalidScheduleError(
+            f"entry references unknown transaction id {exc.args[0]}"
+        ) from None
     bench_q = quantity_curve(bench, scenario, (1, horizon))
     alg_q = quantity_curve(alg, scenario, (1, horizon + gamma))
     retained = math.exp(-eta)
@@ -358,6 +376,7 @@ def check_welfare_dominance(
     approximation 1 - eta) and the comparison carries 1e-9 relative slack.
     An empty benchmark passes with an infinite ratio sentinel.
     """
+    _check_extension(gamma, eta)
     sw_alg = welfare(alg, scenario, horizon + gamma)
     sw_bench = welfare(bench, scenario, horizon)
     required = math.exp(-eta) * sw_bench * (1.0 - REL_TOL)

@@ -400,6 +400,7 @@ def cmd_verify(args) -> int:
             alg = core.schedule_from_json(fh.read())
     except OSError as exc:
         raise FeeMarketError(str(exc)) from exc
+    core.validate_schedule(alg, scn)
     if args.benchmark == "opt_fractional":
         bench = benchmarks.opt_fractional(scn, args.bench_limit, args.horizon)
     else:
@@ -408,6 +409,7 @@ def cmd_verify(args) -> int:
                 bench = core.schedule_from_json(fh.read())
         except OSError as exc:
             raise FeeMarketError(str(exc)) from exc
+        core.validate_schedule(bench, scn)
     trep = benchmarks.check_threshold_dominance(
         alg, bench, scn, args.horizon, args.gamma, args.eta,
         bench_limit=args.bench_limit, bench_slack=args.bench_slack,

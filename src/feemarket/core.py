@@ -261,11 +261,6 @@ class Schedule:
         times = [e.time for e in self.entries]
         return min(times), max(times)
 
-    def restricted(self, lo: int, hi: int) -> "Schedule":
-        return Schedule(
-            [e for e in self.entries if lo <= e.time <= hi], integral=self.integral
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class BlockRecord:

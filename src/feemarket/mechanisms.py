@@ -9,9 +9,11 @@ multiplicative telescoping is exact up to additive float error, and
 eligibility compares ln-values with a 1e-12 absolute tolerance, inclusive on
 equality.
 
-Price decisions depend only on executed history (never on pending contents);
-``replay_log_prices`` recomputes every posted price from a trace's executions
-alone and must reproduce them bit-exactly.
+Price decisions depend only on executed history (never on pending contents):
+the posted log-prices are a fold of ``eip_next_price`` over the executed
+block sizes, starting from ln p_1.  The engine and ``replay_log_prices`` run
+the same fold, the latter from a trace's executions alone, and must agree
+bit-exactly.
 
 Also here: the greedy online baseline (schedule by descending per-unit value
 against a cumulative size target), a per-resource price generalization for
@@ -32,7 +34,6 @@ from .core import (
     LOG_EPS,
     BlockRecord,
     FeeMarketError,
-    Patient,
     RunTrace,
     Scenario,
     ScenarioError,
@@ -44,7 +45,6 @@ from .core import (
 __all__ = [
     "MechanismParams",
     "RunResult",
-    "PriceBasedState",
     "CapacityViolationError",
     "OversizedTransactionError",
     "InfeasibleParametersError",
@@ -125,34 +125,6 @@ class RunResult:
     schedule: Schedule
     trace: RunTrace
     scenario: Scenario
-
-
-class PriceBasedState:
-    """One resource's price ladder, driven purely by executed history.
-
-    The state sees only what past blocks executed (their sizes; per-unit
-    values are recorded in the summary but never influence the update), so
-    posted prices can never depend on pending transactions.  Replaying the
-    executed history through a fresh state reproduces the posted prices
-    bit-exactly.
-    """
-
-    __slots__ = ("params", "log_price")
-
-    def __init__(self, params: MechanismParams) -> None:
-        self.params = params
-        self.log_price = math.log(params.p_1)
-
-    def posted(self) -> tuple[float, float]:
-        """(log price, capacity) for the coming block."""
-        return self.log_price, self.params.max_block
-
-    def observe(self, executed: Sequence[tuple[float, float]]) -> None:
-        """Update from a closed block given as (size, unit value) pairs."""
-        block_size = 0.0
-        for q, _v in executed:
-            block_size += q
-        self.log_price = eip_next_price(self.params, self.log_price, block_size)
 
 
 def params_to_config(params: MechanismParams) -> dict:
@@ -268,6 +240,13 @@ class _Arrivals:
         )
 
 
+def _pool_key(txn: Transaction) -> tuple[float, int]:
+    """The pending pool's sort key (ln v, id); ln 0 is -inf.  Ids are unique,
+    so the key locates one entry."""
+    v = txn.unit_value
+    return (math.log(v) if v > 0 else -math.inf, txn.id)
+
+
 def _run_engine(
     scenario: Scenario,
     params_list: Sequence[MechanismParams],
@@ -281,15 +260,12 @@ def _run_engine(
     all_txs = ingest.txs
 
     caps = tuple(p.c * p.B for p in params_list)
-    states = [PriceBasedState(p) for p in params_list]
+    log_prices = tuple(math.log(p.p_1) for p in params_list)
     aware = params_list[0].discounted_eligibility
 
-    # The pool, sorted by (ln v, arrival seq); key[id] locates an entry, so
-    # an executed transaction leaves it by bisection.
+    # The pool, sorted by _pool_key; an executed transaction leaves it by
+    # bisection.
     pending: list[tuple[float, int, Transaction]] = []
-    key: dict[int, tuple[float, int]] = {}
-    has_sensitive = False
-    seq = 0
 
     entries: list[ScheduleEntry] = []
     records: list[BlockRecord] = []
@@ -299,28 +275,22 @@ def _run_engine(
 
     for t in range(1, horizon + 1):
         for txn in ingest.at(t, prev):
-            if type(txn.sensitivity) is not Patient:
-                has_sensitive = True
-            lnv = math.log(txn.unit_value) if txn.unit_value > 0 else -math.inf
-            insort(pending, (lnv, seq, txn))
-            key[txn.id] = (lnv, seq)
-            seq += 1
+            insort(pending, (*_pool_key(txn), txn))
 
-        if m == 1 and not (aware and has_sensitive):
-            lnp = states[0].log_price
-            i = bisect_left(pending, (lnp - LOG_EPS,))
+        if m == 1 and not aware:
+            i = bisect_left(pending, (log_prices[0] - LOG_EPS,))
             eligible = [e[2] for e in pending[i:]]
         elif m == 1:
-            lnp = states[0].log_price
+            lnp = log_prices[0]
             eligible = []
-            for _lnv, _s, txn in pending:
-                val = txn.value_at(t) if aware else txn.unit_value
+            for _lnv, _id, txn in pending:
+                val = txn.value_at(t)
                 if val > 0.0 and math.log(val) >= lnp - LOG_EPS:
                     eligible.append(txn)
         else:
-            prices = [math.exp(s.log_price) for s in states]
+            prices = [math.exp(lp) for lp in log_prices]
             eligible = []
-            for _lnv, _s, txn in pending:
+            for _lnv, _id, txn in pending:
                 val = txn.value_at(t) if aware else txn.unit_value
                 cost = 0.0
                 for j in range(m):
@@ -341,12 +311,12 @@ def _run_engine(
                 qsums[j] += txn.size[j]
             block_terms.append(txn.size[0] * txn.value_at(t))
             entries.append(ScheduleEntry(tx=cid, time=t, fraction=1.0))
-            del pending[bisect_left(pending, key.pop(cid))]
+            del pending[bisect_left(pending, _pool_key(txn))]
         cum += math.fsum(block_terms)
 
         rec = BlockRecord(
             time=t,
-            log_prices=tuple(s.log_price for s in states),
+            log_prices=log_prices,
             capacities=caps,
             executed=tuple(executed),
             sizes=tuple(qsums),
@@ -354,11 +324,7 @@ def _run_engine(
         )
         records.append(rec)
         prev = rec
-
-        for j in range(m):
-            states[j].observe(
-                [(all_txs[cid].size[j], all_txs[cid].unit_value) for cid in chosen]
-            )
+        log_prices = tuple(map(eip_next_price, params_list, log_prices, qsums))
 
     return ingest.result(entries, records)
 
@@ -537,16 +503,19 @@ def replay_log_prices(
 ) -> list[tuple[float, ...]]:
     """Recompute every posted log-price from the executed history alone.
 
-    Feeds the recorded executions (in admission order) through fresh price
-    states; the result must match the trace's posted prices bit-exactly.
+    Folds ``eip_next_price`` over the block sizes summed from the recorded
+    executions (in admission order), as the engine does; the result must
+    match the trace's posted prices bit-exactly.
     """
     index = scenario.index()
-    states = [PriceBasedState(p) for p in params_list]
+    log_prices = tuple(math.log(p.p_1) for p in params_list)
     out: list[tuple[float, ...]] = []
     for rec in trace.records:
-        out.append(tuple(s.log_price for s in states))
-        for j, state in enumerate(states):
-            state.observe(
-                [(frac * index[cid].size[j], index[cid].unit_value) for cid, frac in rec.executed]
-            )
+        out.append(log_prices)
+        sizes = [0.0] * len(params_list)
+        for cid, frac in rec.executed:
+            size = index[cid].size
+            for j in range(len(sizes)):
+                sizes[j] += frac * size[j]
+        log_prices = tuple(map(eip_next_price, params_list, log_prices, sizes))
     return out

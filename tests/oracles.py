@@ -20,7 +20,7 @@ from typing import Sequence
 
 from feemarket.adversary import SeededRandom, block_rng, select_block
 from feemarket.core import LOG_EPS, BlockRecord, RunTrace, Scenario, Schedule
-from feemarket.mechanisms import PriceBasedState
+from feemarket.mechanisms import eip_next_price
 
 
 def brute_force_welfare(schedule: Schedule, scenario: Scenario, horizon: int) -> float:
@@ -173,19 +173,19 @@ def rescanning_engine(scenario: Scenario, params_list, policy, horizon: int) -> 
     pending pool for eligible transactions every block."""
     m = scenario.m
     caps = tuple(p.c * p.B for p in params_list)
-    states = [PriceBasedState(p) for p in params_list]
+    log_prices = [math.log(p.p_1) for p in params_list]
     aware = params_list[0].discounted_eligibility
     pool = []
     records = []
     cum = 0.0
     for t in range(1, horizon + 1):
         pool += [txn for txn in scenario.transactions if txn.arrival == t]
-        prices = [math.exp(s.log_price) for s in states]
+        prices = [math.exp(lp) for lp in log_prices]
         eligible = []
         for txn in pool:
             val = txn.value_at(t) if aware else txn.unit_value
             if m == 1:
-                ok = val > 0.0 and math.log(val) >= states[0].log_price - LOG_EPS
+                ok = val > 0.0 and math.log(val) >= log_prices[0] - LOG_EPS
             else:
                 cost = 0.0
                 for j in range(m):
@@ -206,13 +206,13 @@ def rescanning_engine(scenario: Scenario, params_list, policy, horizon: int) -> 
         records.append(
             BlockRecord(
                 time=t,
-                log_prices=tuple(s.log_price for s in states),
+                log_prices=tuple(log_prices),
                 capacities=caps,
                 executed=tuple((cid, 1.0) for cid in chosen),
                 sizes=tuple(sizes),
                 cumulative_welfare=cum,
             )
         )
-        for j, state in enumerate(states):
-            state.observe([(done[cid].size[j], done[cid].unit_value) for cid in chosen])
+        for j in range(m):
+            log_prices[j] = eip_next_price(params_list[j], log_prices[j], sizes[j])
     return RunTrace(records)

@@ -7,6 +7,7 @@ import pytest
 
 from feemarket import (
     BenchmarkConstraintError,
+    InvalidScheduleError,
     Scenario,
     Schedule,
     ScheduleEntry,
@@ -180,6 +181,13 @@ class TestThresholdDominance:
                 res.schedule, scn, theta * math.exp(-0.125), 1, 40 + gamma
             )
             assert lhs <= rhs * (1 + 1e-9) + 1e-12
+
+    def test_unknown_algorithm_id_is_invalid_schedule(self, tiny_scenario):
+        alg = Schedule([ScheduleEntry(9999, 1, 1.0)], integral=True)
+        with pytest.raises(InvalidScheduleError, match="unknown transaction id 9999"):
+            check_threshold_dominance(
+                alg, Schedule([]), tiny_scenario, 2, 2, 0.125, bench_limit=100.0
+            )
 
     def test_benchmark_constraint_precondition(self, tiny_scenario):
         bad = Schedule(

@@ -140,6 +140,62 @@ def test_verify_insufficient_gamma_fails_with_violations(tmp_path, capsys):
     assert report["threshold"]["violations"]
 
 
+def _verify_args(scenario, schedule, benchmark="opt_fractional", **flags):
+    opts = {"horizon": "8", "gamma": "32", "eta": "0.125", "bench-limit": "100"}
+    opts.update(flags)
+    args = ["verify", "--scenario", str(scenario), "--schedule", str(schedule),
+            "--benchmark", str(benchmark)]
+    for name, value in opts.items():
+        args += [f"--{name}", value]
+    return args
+
+
+def _malformed(entries, how):
+    bad = [dict(e) for e in entries]
+    if how == "early":
+        for e in bad:
+            e["t"] = 1
+    elif how == "fraction":
+        bad[0]["frac"] = 7.0
+    else:
+        bad.append({"id": 9999, "t": bad[-1]["t"], "frac": 1.0})
+    return json.dumps({"integral": True, "entries": bad})
+
+
+@pytest.mark.parametrize("role", ["schedule", "benchmark"])
+@pytest.mark.parametrize("how", ["early", "fraction", "unknown_id"])
+def test_verify_malformed_schedule_exit_2(tmp_path, scenario_file, mech_file, how, role, capsys):
+    out = tmp_path / "out"
+    main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+          "--horizon", "40", "--out", str(out)])
+    good = out / "schedule.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text(_malformed(json.loads(good.read_text())["entries"], how))
+    capsys.readouterr()
+    if role == "schedule":
+        args = _verify_args(scenario_file, bad)
+    else:
+        args = _verify_args(scenario_file, good, benchmark=bad)
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("eta", "inf"), ("eta", "nan"), ("eta", "-1"), ("gamma", "-100"), ("bench-slack", "nan"),
+])
+def test_verify_bad_numeric_flag_exit_2(tmp_path, scenario_file, mech_file, flag, value, capsys):
+    out = tmp_path / "out"
+    main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+          "--horizon", "40", "--out", str(out)])
+    capsys.readouterr()
+    # at horizon 200 a gamma of -100 still leaves a valid window [1, 100]
+    args = _verify_args(scenario_file, out / "schedule.json", horizon="200", **{flag: value})
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_trace_jsonl_fields(tmp_path, scenario_file, mech_file):
     out = tmp_path / "out"
     main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),

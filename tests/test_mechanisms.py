@@ -216,14 +216,16 @@ class TestRunPriceBased:
 
 class TestPriceBasedState:
     def test_state_sees_only_executed_history(self, std_params):
-        from feemarket import PriceBasedState
-
-        s = PriceBasedState(std_params)
-        lp0, cap = s.posted()
-        assert lp0 == math.log(std_params.p_1)
-        assert cap == std_params.max_block
-        s.observe([(150.0, 2.0), (50.0, 9.0)])  # full block
-        assert s.log_price == eip_next_price(std_params, lp0, 200.0)
+        scn = scn_of(
+            Transaction(id=0, arrival=1, size=(150,), unit_value=2.0),
+            Transaction(id=1, arrival=1, size=(50,), unit_value=9.0),
+        )
+        first, second = run_price_based(scn, std_params, ValueAscending(), 2).trace.records
+        lp0 = math.log(std_params.p_1)
+        assert first.log_prices == (lp0,)
+        assert first.capacities == (std_params.max_block,)
+        assert first.sizes == (200.0,)  # full block
+        assert second.log_prices == (eip_next_price(std_params, lp0, 200.0),)
 
 
 class TestMultiResource:
