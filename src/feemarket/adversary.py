@@ -14,6 +14,7 @@ platforms and runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter, le
 from typing import Mapping, Sequence, Union
 
 from .core import Transaction
@@ -113,19 +114,42 @@ def _ordered(
     rng: SplitMix64 | None,
 ) -> list[Transaction]:
     if isinstance(policy, ValueAscending):
-        return sorted(eligible, key=lambda t: (t.unit_value, t.id))
+        return sorted(eligible, key=attrgetter("unit_value", "id"))
     if isinstance(policy, ValueDescending):
-        return sorted(eligible, key=lambda t: (-t.unit_value, t.id))
+        # A stable descending sort keeps equal values in ascending id.
+        xs = sorted(eligible, key=attrgetter("unit_value", "id"))
+        xs.sort(key=attrgetter("unit_value"), reverse=True)
+        return xs
     if isinstance(policy, TipPriority):
         tips = policy.tips
         return sorted(eligible, key=lambda t: (-tips.get(t.id, 0.0), t.id))
     if isinstance(policy, SeededRandom):
         if rng is None:
             raise ValueError("SeededRandom policy requires a block RNG")
-        xs = sorted(eligible, key=lambda t: t.id)
+        xs = sorted(eligible, key=attrgetter("id"))
         rng.shuffle(xs)
         return xs
     raise TypeError(f"unknown inclusion policy {policy!r}")
+
+
+def _first_fit(order: list[Transaction], sizes: list[int], residual: float) -> list[int]:
+    """The one-resource pass, jumping from one admission to the next: the
+    entries that do not fit are skipped inside ``filter`` and ``list.index``."""
+    chosen: list[int] = []
+    rest = iter(sizes)
+    pos = 0
+    while True:
+        q = next(filter((residual + 1e-9).__ge__, rest), None)
+        if q is None:
+            return chosen
+        # Every entry between ``pos`` and the fit was too large, so the first
+        # entry equal to ``q`` is the fit itself.
+        pos = sizes.index(q, pos)
+        chosen.append(order[pos].id)
+        pos += 1
+        residual -= q
+        if residual < 1.0:
+            return chosen
 
 
 def select_block(
@@ -136,31 +160,45 @@ def select_block(
 ) -> list[int]:
     """Choose a maximal-by-inclusion subset within the capacity vector.
 
-    One pass in policy order admits every transaction that still fits.
-    Residual capacity only shrinks, so a transaction skipped once can never
-    fit later and the pass alone is maximal.  Transactions larger than the
-    full capacity are skipped silently (they stay pending).  Returns admitted
-    ids in admission order.
+    One pass in policy order admits every transaction that still fits
+    (``size <= residual + 1e-9`` on every resource).  Residual capacity only
+    shrinks, so a transaction skipped once can never fit later and the pass
+    alone is maximal.  Transactions larger than the full capacity are skipped
+    silently (they stay pending).  Returns admitted ids in admission order.
+    Raises ValueError if any eligible transaction's resource count differs
+    from the capacity's.
 
     Every transaction has a positive integer size on some resource, so once
     every residual drops below 1 the block is full and scanning stops.
+
+    Cost: the value orders and the random order's pre-shuffle sort use
+    C-level keys (the tip order keeps a Python key), and the resource-count
+    check runs in C.  With one resource the pass runs Python code only per
+    admitted transaction; the ones that do not fit are skipped inside
+    ``filter`` and ``list.index``.  With several resources the pass scans in
+    Python until the block fills, one C-level fit test per transaction.
     """
     order = _ordered(eligible, policy, rng)
     residual = [float(c) for c in capacity]
     m = len(residual)
+    sizes = list(map(attrgetter("size"), order))
+    if set(map(len, sizes)) - {m}:
+        bad = next(t for t in order if len(t.size) != m)
+        raise ValueError(f"tx {bad.id} has {len(bad.size)} resources, capacity has {m}")
     chosen: list[int] = []
     if max(residual) < 1.0:
         return chosen
-    for t in order:
-        size = t.size
-        if len(size) != m:
-            raise ValueError(f"tx {t.id} has {len(size)} resources, capacity has {m}")
-        if all(size[j] <= residual[j] + 1e-9 for j in range(m)):
+    if m == 1:
+        return _first_fit(order, list(map(itemgetter(0), sizes)), residual[0])
+    lims = [r + 1e-9 for r in residual]
+    for t, size in zip(order, sizes):
+        if all(map(le, size, lims)):
             for j in range(m):
                 residual[j] -= size[j]
             chosen.append(t.id)
             if max(residual) < 1.0:
                 break
+            lims = [r + 1e-9 for r in residual]
     return chosen
 
 

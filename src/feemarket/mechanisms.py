@@ -416,7 +416,7 @@ def greedy_online(
         lowest_v = math.inf
         stash: list[tuple[float, int, int, Transaction]] = []
         while virtual_cum < target - 1e-9 and heap:
-            if cap - used < min_size_lb:
+            if used + min_size_lb > cap + 1e-9:
                 break
             item = heapq.heappop(heap)
             txn = item[3]

@@ -6,10 +6,11 @@ the feasible region's constraint matrix has consecutive ones, so it is
 totally unimodular and an integer optimum exists), knapsacks by subset
 enumeration, and window checks by direct enumeration of all windows.
 
-The last three oracles are the direct forms of the library's fast paths:
+The last four oracles are the direct forms of the library's fast paths:
 the all-windows block-size check, the threshold-integral identity with one
-full scan per distinct value, and a price engine that rescans its whole
-pending pool every block.  The fast paths must match them bit for bit.
+full scan per distinct value, block assembly that sorts by tuple keys and
+fit-tests every eligible transaction, and a price engine that rescans its
+whole pending pool every block.  The fast paths must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import itertools
 import math
 from typing import Sequence
 
-from feemarket.adversary import SeededRandom, block_rng, select_block
+from feemarket.adversary import (
+    SeededRandom,
+    TipPriority,
+    ValueAscending,
+    ValueDescending,
+    block_rng,
+)
 from feemarket.core import LOG_EPS, BlockRecord, RunTrace, Scenario, Schedule
 from feemarket.mechanisms import eip_next_price
 
@@ -168,6 +175,41 @@ def per_value_identity(schedule: Schedule, scenario: Scenario, horizon: int) -> 
     return math.fsum(terms)
 
 
+def reference_select_block(eligible, capacity, policy, rng=None) -> list[int]:
+    """Block assembly by one scan in policy order: sort by a tuple key, then
+    fit-test every transaction until every residual drops below 1."""
+    if isinstance(policy, ValueAscending):
+        order = sorted(eligible, key=lambda t: (t.unit_value, t.id))
+    elif isinstance(policy, ValueDescending):
+        order = sorted(eligible, key=lambda t: (-t.unit_value, t.id))
+    elif isinstance(policy, TipPriority):
+        tips = policy.tips
+        order = sorted(eligible, key=lambda t: (-tips.get(t.id, 0.0), t.id))
+    elif isinstance(policy, SeededRandom):
+        if rng is None:
+            raise ValueError("SeededRandom policy requires a block RNG")
+        order = sorted(eligible, key=lambda t: t.id)
+        rng.shuffle(order)
+    else:
+        raise TypeError(f"unknown inclusion policy {policy!r}")
+    residual = [float(c) for c in capacity]
+    m = len(residual)
+    chosen: list[int] = []
+    if max(residual) < 1.0:
+        return chosen
+    for t in order:
+        size = t.size
+        if len(size) != m:
+            raise ValueError(f"tx {t.id} has {len(size)} resources, capacity has {m}")
+        if all(size[j] <= residual[j] + 1e-9 for j in range(m)):
+            for j in range(m):
+                residual[j] -= size[j]
+            chosen.append(t.id)
+            if max(residual) < 1.0:
+                break
+    return chosen
+
+
 def rescanning_engine(scenario: Scenario, params_list, policy, horizon: int) -> RunTrace:
     """The price-posting engine on a static scenario, rescanning the whole
     pending pool for eligible transactions every block."""
@@ -194,7 +236,7 @@ def rescanning_engine(scenario: Scenario, params_list, policy, horizon: int) -> 
             if ok:
                 eligible.append(txn)
         rng = block_rng(scenario.seed, t) if isinstance(policy, SeededRandom) else None
-        chosen = select_block(eligible, caps, policy, rng)
+        chosen = reference_select_block(eligible, caps, policy, rng)
         chosen_ids = set(chosen)
         done = {txn.id: txn for txn in pool if txn.id in chosen_ids}
         pool = [txn for txn in pool if txn.id not in done]

@@ -107,6 +107,18 @@ def test_seeded_random_deterministic():
     assert_maximal(es, (40.0,), c)
 
 
+@pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending(), TipPriority({0: 1.0})])
+def test_resource_count_checked_after_block_fills(policy):
+    # tx 0 fills the block first under every policy; the two-resource tx 1
+    # is never fit-tested but is still invalid input.
+    es = [
+        Transaction(id=0, arrival=1, size=(10,), unit_value=1.0),
+        Transaction(id=1, arrival=1, size=(5, 5), unit_value=1.0),
+    ]
+    with pytest.raises(ValueError, match="tx 1 has 2 resources, capacity has 1"):
+        select_block(es, (10.0,), policy)
+
+
 def test_seeded_random_requires_rng():
     with pytest.raises(ValueError):
         select_block(txs((1, 1.0)), (10.0,), SeededRandom())

@@ -344,6 +344,18 @@ OVERLOADED_RUN_DIGESTS = {
         "schedule.json": "8589f90cfb1970e7b0adfd31251a5991037055ce8ea295ae8737bf35af5ed9b9",
         "summary.json": "b448d03fd4288ea4afaff49f8f10beff51f58bdb40091858eec2bdca38a5933e",
     },
+    "value_desc": {
+        "trace.jsonl": "3117d6a760f34f45f7be7e13e1543f8dfec6b4265893f0830e1cca397d6320b7",
+        "schedule.json": "520fac7300ce7c0e547d1dfff4aea360ea6fd2dcb84c07dda119ac069a38191c",
+        "summary.json": "707da38274a39d9cd1e87d609aea8617b6a6831dc6ce630d03fdf496e1fbd6f3",
+    },
+    # Tips 1 / v rank the transactions of this scenario as value_asc does,
+    # so the bytes are the same.
+    "tip": {
+        "trace.jsonl": "47c3d7365dc7008c769f77f45fc1d1e5105a2de3986f548adfb0a13140c3053f",
+        "schedule.json": "7d7122ac12e465c358030c17cfc6f701243629cf770e92b33e6c606b892c47d4",
+        "summary.json": "4166bcd78b11079b78c9bad57f33843eeeadf6faefaf7c5f30019dca8384ea48",
+    },
 }
 
 
@@ -356,7 +368,10 @@ def test_overloaded_run_bytes_pinned(tmp_path, policy, capsys):
     )
     (tmp_path / "scenario.jsonl").write_text(scenario_to_jsonl(scn))
     (tmp_path / "mech.json").write_text(json.dumps(params_to_config(params)))
-    (tmp_path / "policy.json").write_text(json.dumps({"policy": policy}))
+    policy_config = {"policy": policy}
+    if policy == "tip":
+        policy_config["tips"] = {str(t.id): 1.0 / t.unit_value for t in scn.transactions}
+    (tmp_path / "policy.json").write_text(json.dumps(policy_config))
     horizon = 600 + theorem_gamma(params, v_max=1e6, q_max=100)
     out = tmp_path / "out"
     assert main([

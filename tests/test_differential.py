@@ -1,6 +1,8 @@
 """The fast paths against their direct forms in ``oracles``, bit for bit:
-the O(n) window check, the O(n log n) welfare identity and the engine's
-bisected pending pool."""
+the O(n) window check, the O(n log n) welfare identity, block assembly and
+the engine's bisected pending pool."""
+
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,9 +22,15 @@ from feemarket import (
     multi_resource_mechanism,
     welfare_via_threshold_integral,
 )
-from feemarket.adversary import SeededRandom
+from feemarket.adversary import SeededRandom, block_rng, select_block
+from feemarket.mechanisms import _pool_key
 
-from oracles import all_windows_block_check, per_value_identity, rescanning_engine
+from oracles import (
+    all_windows_block_check,
+    per_value_identity,
+    reference_select_block,
+    rescanning_engine,
+)
 
 
 def bits(x: float) -> str:
@@ -187,3 +195,53 @@ def test_engine_matches_rescanning_engine(case):
     assert [(e.tx, e.time) for e in run.schedule.entries] == [
         (cid, rec.time) for rec in run.trace.records for cid, _f in rec.executed
     ]
+
+
+# Adjacent floats whose logs are equal, so the engine's (ln v, id) pool
+# order differs from (v, id) order on them.
+_TIED_VALUES = [1e6, math.nextafter(1e6, math.inf), 12345.678, math.nextafter(12345.678, math.inf)]
+assert math.log(_TIED_VALUES[0]) == math.log(_TIED_VALUES[1])
+
+
+@st.composite
+def block_cases(draw):
+    """Eligible sets for one block: tie-heavy values, sizes around and above
+    non-integer caps, up to four resources, shuffled or in pool order."""
+    m = draw(st.sampled_from([1, 1, 2, 3, 4]))
+    caps = tuple(
+        draw(st.sampled_from([1.15 * 100, 0.29 * 100, 100.0, 61.0, 7.5, 0.5, 1.0]))
+        for _ in range(m)
+    )
+    value = st.sampled_from([0.0, 1.0, 2.0, 2.0, 1.0 / 3.0, *_TIED_VALUES])
+    quantity = st.sampled_from([1, 2, 14, 15, 29, 54, 61, 100, 115, 130])
+    txs = []
+    for i in range(draw(st.integers(0, 30))):
+        extra = tuple(draw(st.one_of(st.just(0), quantity)) for _ in range(m - 1))
+        txs.append(
+            Transaction(id=i, arrival=1, size=(draw(quantity), *extra), unit_value=draw(value))
+        )
+    if draw(st.booleans()):
+        txs = draw(st.permutations(txs))
+    else:
+        txs.sort(key=_pool_key)
+    policy = draw(
+        st.sampled_from(
+            [
+                ValueAscending(),
+                ValueDescending(),
+                SeededRandom(),
+                TipPriority({i: (i * 37 % 11) / 7.0 for i in range(0, 30, 2)}),
+            ]
+        )
+    )
+    return txs, caps, policy, draw(st.integers(0, 3))
+
+
+@given(block_cases())
+@settings(max_examples=400, deadline=None)
+def test_select_block_matches_reference(case):
+    txs, caps, policy, seed = case
+    shuffled = isinstance(policy, SeededRandom)
+    got = select_block(txs, caps, policy, block_rng(seed, 7) if shuffled else None)
+    want = reference_select_block(txs, caps, policy, block_rng(seed, 7) if shuffled else None)
+    assert got == want

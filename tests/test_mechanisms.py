@@ -327,6 +327,17 @@ class TestGreedy:
         assert max_block_size(res.schedule, scn)[0] <= 20.0
         validate_schedule(res.schedule, scn)
 
+    def test_max_block_early_exit_uses_fit_tolerance(self):
+        # 1.15 * 100 is 114.99999999999999: 61 + 54 fits under the 1e-9
+        # tolerance of the fit test, so the early exit must not stop at 61.
+        txs = [
+            Transaction(id=0, arrival=1, size=(61,), unit_value=4.0),
+            Transaction(id=1, arrival=1, size=(54,), unit_value=2.0),
+        ]
+        scn = scn_of(*txs, B=100.0)
+        res = greedy_online(scn, 100.0, 2, max_block=1.15 * 100)
+        assert res.trace.records[0].executed == ((0, 1.0), (1, 1.0))
+
     def test_deficit_persists_no_catch_up(self):
         # one small tx at t=1, nothing else until a flood at t=3: the early
         # shortfall is never made up, so block 3 stays around B, not 2B+.
