@@ -13,6 +13,7 @@ platforms and runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, le
 from typing import Mapping, Sequence, Union
@@ -225,7 +226,14 @@ def policy_to_config(policy: InclusionPolicy) -> dict:
 def policy_from_config(obj: Mapping) -> InclusionPolicy:
     name = obj.get("policy")
     if name == "tip":
-        tips = {int(k): float(v) for k, v in obj.get("tips", {}).items()}
+        raw = obj.get("tips", {})
+        if not isinstance(raw, Mapping):
+            raise ValueError(f"tips must map transaction ids to tips, got {raw!r}")
+        tips = {int(k): float(v) for k, v in raw.items()}
+        # A NaN tip would make the tip order depend on the input order.
+        for i, tip in tips.items():
+            if not math.isfinite(tip):
+                raise ValueError(f"tx {i}: tip must be finite, got {tip}")
         return TipPriority(tips=tips)
     if name == "value_asc":
         return ValueAscending()

@@ -22,8 +22,10 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Callable, Mapping, Protocol, Sequence, Union
+from itertools import accumulate, repeat
+from json import JSONDecodeError
+from operator import attrgetter
+from typing import Callable, Protocol, Sequence, Union
 
 __all__ = [
     "LOG_EPS",
@@ -66,6 +68,8 @@ __all__ = [
 LOG_EPS = 1e-12
 # Relative slack applied to inequality checks.
 REL_TOL = 1e-9
+
+_is_instance = type.__instancecheck__
 
 
 class FeeMarketError(Exception):
@@ -137,15 +141,17 @@ class Transaction:
     sensitivity: Sensitivity = PATIENT
 
     def __post_init__(self) -> None:
+        # Every check runs in C builtins; bool sizes pass, as ints.
+        size = self.size
         if self.arrival < 1:
             raise ValueError(f"tx {self.id}: arrival must be >= 1, got {self.arrival}")
-        if not self.size or any(not isinstance(q, int) or q < 0 for q in self.size):
+        if not size or not all(map(_is_instance, repeat(int), size)) or min(size) < 0:
             raise ValueError(
-                f"tx {self.id}: sizes must be nonnegative integer gas units, got {self.size}"
+                f"tx {self.id}: sizes must be nonnegative integer gas units, got {size}"
             )
-        if not any(q > 0 for q in self.size):
+        if max(size) <= 0:
             raise ValueError(f"tx {self.id}: at least one size entry must be positive")
-        if not (self.unit_value >= 0.0) or math.isinf(self.unit_value):
+        if not 0.0 <= self.unit_value < math.inf:
             raise ValueError(f"tx {self.id}: unit value must be finite and >= 0")
 
     @property
@@ -668,6 +674,28 @@ def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Serialization (JSON / JSON-lines)
 # ---------------------------------------------------------------------------
+#
+# The writers emit the bytes json.dumps writes.  json.dumps formats an int
+# with int.__repr__ and a finite float with float.__repr__, and str() of an
+# exact int or float is that repr, so a line whose fields all have the exact
+# type they should (and whose floats are finite) is one f-string.  Any other
+# line goes through json.dumps: several resources, a discount or patience
+# sensitivity, a non-finite float (json writes Infinity), an int or float
+# subclass (json writes a bool as true).
+#
+# The readers parse each line with one json.loads and build its records
+# directly.  An integer field must hold a number equal to an integer: 5.0
+# reads as 5; 5.5 and "5" are rejected.
+
+_PATIENT_JSON = {"kind": "patient"}
+
+
+def _integer(x, name: str) -> int:
+    """``x`` as an int, if it is a number equal to one."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return n
 
 
 def _sens_to_json(s: Sensitivity) -> dict:
@@ -678,87 +706,127 @@ def _sens_to_json(s: Sensitivity) -> dict:
     return {"kind": "patience", "p": s.window}
 
 
-def _sens_from_json(d: Mapping) -> Sensitivity:
+def _sens_from_json(d: object) -> Sensitivity:
+    if type(d) is not dict:
+        raise TypeError(f"sens must be an object, got {d!r}")
     kind = d.get("kind")
     if kind == "patient":
         return PATIENT
     if kind == "discount":
         return Discount(rho=float(d["rho"]))
     if kind == "patience":
-        return Patience(window=int(d["p"]))
-    raise ScenarioError(f"unknown sensitivity kind {kind!r}")
+        return Patience(window=_integer(d["p"], "patience window"))
+    raise ValueError(f"unknown sensitivity kind {kind!r}")
 
 
 def scenario_to_jsonl(scenario: Scenario) -> str:
-    """One header line {m, B, seed} then one line per arrival event."""
+    """One header line {m, B, seed} then one line per arrival event, in
+    (arrival, id) order."""
     lines = [
         json.dumps(
             {"m": scenario.m, "B": list(scenario.capacities), "seed": scenario.seed}
         )
     ]
-    for t_ in sorted(scenario.transactions, key=lambda x: (x.arrival, x.id)):
-        lines.append(
-            json.dumps(
-                {
-                    "t": t_.arrival,
-                    "id": t_.id,
-                    "q": list(t_.size),
-                    "v": t_.unit_value,
-                    "sens": _sens_to_json(t_.sensitivity),
-                }
+    for t_ in sorted(scenario.transactions, key=attrgetter("arrival", "id")):
+        a, i, size, v = t_.arrival, t_.id, t_.size, t_.unit_value
+        # A Transaction's unit value is finite.
+        if (
+            type(v) is float
+            and type(a) is int
+            and type(i) is int
+            and type(t_.sensitivity) is Patient
+            and len(size) == 1
+            and type(size[0]) is int
+        ):
+            lines.append(
+                f'{{"t": {a}, "id": {i}, "q": [{size[0]}], "v": {v}, '
+                '"sens": {"kind": "patient"}}'
             )
-        )
+        else:
+            lines.append(
+                json.dumps(
+                    {
+                        "t": a,
+                        "id": i,
+                        "q": list(size),
+                        "v": v,
+                        "sens": _sens_to_json(t_.sensitivity),
+                    }
+                )
+            )
     return "\n".join(lines) + "\n"
 
 
 def scenario_from_jsonl(text: str) -> Scenario:
-    lines = [ln for ln in text.splitlines()]
-    header = None
+    """Parse ``scenario_to_jsonl`` output.  Blank lines are skipped but
+    counted, so an error names the line of the text it comes from."""
+    rows = enumerate(text.splitlines(), start=1)
+    for no, ln in rows:
+        if ln.strip():
+            break
+    else:
+        raise ScenarioError("line 1: missing scenario header")
+    try:
+        header = json.loads(ln)
+        if type(header) is not dict or not {"m", "B", "seed"} <= header.keys():
+            raise ScenarioError(f"line {no}: expected header with m, B, seed")
+        if type(header["B"]) is not list:
+            raise TypeError(f"B must be a list, got {header['B']!r}")
+        capacities = tuple(map(float, header["B"]))
+        m = _integer(header["m"], "m")
+        seed = _integer(header["seed"], "seed")
+    except JSONDecodeError as exc:
+        raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ScenarioError(f"line {no}: bad header ({exc})") from exc
+    loads = json.loads
     txs: list[Transaction] = []
-    for no, ln in enumerate(lines, start=1):
+    append = txs.append
+    for no, ln in rows:
         if not ln.strip():
             continue
         try:
-            obj = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
-        if header is None:
-            if not {"m", "B", "seed"} <= obj.keys():
-                raise ScenarioError(f"line {no}: expected header with m, B, seed")
-            header = obj
-            continue
-        try:
-            txs.append(
+            obj = loads(ln)
+            i, t, q = obj["id"], obj["t"], obj["q"]
+            ii, tt, size = int(i), int(t), tuple(map(int, q))
+            if ii != i or tt != t or list(size) != q:
+                raise ValueError(
+                    f"t, id and q must be integers, got t={t!r}, id={i!r}, q={q!r}"
+                )
+            sens = obj.get("sens", _PATIENT_JSON)
+            append(
                 Transaction(
-                    id=int(obj["id"]),
-                    arrival=int(obj["t"]),
-                    size=tuple(int(x) for x in obj["q"]),
-                    unit_value=float(obj["v"]),
-                    sensitivity=_sens_from_json(obj.get("sens", {"kind": "patient"})),
+                    ii,
+                    tt,
+                    size,
+                    float(obj["v"]),
+                    PATIENT if sens == _PATIENT_JSON else _sens_from_json(sens),
                 )
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except JSONDecodeError as exc:
+            raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
-    if header is None:
-        raise ScenarioError("line 1: missing scenario header")
-    scn = Scenario(
-        capacities=tuple(float(b) for b in header["B"]),
-        transactions=txs,
-        seed=int(header["seed"]),
-    )
-    if scn.m != int(header["m"]):
+    scn = Scenario(capacities=capacities, transactions=txs, seed=seed)
+    if scn.m != m:
         raise ScenarioError("header resource count does not match capacities")
     scn.index()  # validates id uniqueness
     return scn
 
 
 def schedule_to_json(schedule: Schedule) -> str:
+    entries, integral = schedule.entries, schedule.integral
+    parts = [
+        f'{{"id": {i}, "t": {t}, "frac": {f}}}'
+        for i, t, f in map(attrgetter("tx", "time", "fraction"), entries)
+        if type(i) is int and type(t) is int and type(f) is float and -math.inf < f < math.inf
+    ]
+    if len(parts) == len(entries) and type(integral) is bool:
+        return f'{{"integral": {"true" if integral else "false"}, "entries": [{", ".join(parts)}]}}'
     return json.dumps(
         {
-            "integral": schedule.integral,
-            "entries": [
-                {"id": e.tx, "t": e.time, "frac": e.fraction} for e in schedule.entries
-            ],
+            "integral": integral,
+            "entries": [{"id": e.tx, "t": e.time, "frac": e.fraction} for e in entries],
         }
     )
 
@@ -766,12 +834,19 @@ def schedule_to_json(schedule: Schedule) -> str:
 def schedule_from_json(text: str) -> Schedule:
     try:
         obj = json.loads(text)
-        entries = [
-            ScheduleEntry(tx=int(e["id"]), time=int(e["t"]), fraction=float(e["frac"]))
-            for e in obj["entries"]
-        ]
-        return Schedule(entries=entries, integral=bool(obj["integral"]))
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        entries = []
+        append = entries.append
+        for e in obj["entries"]:
+            i, t = e["id"], e["t"]
+            ii, tt = int(i), int(t)
+            if ii != i or tt != t:
+                raise ValueError(f"entry id and t must be integers, got id={i!r}, t={t!r}")
+            append(ScheduleEntry(ii, tt, float(e["frac"])))
+        integral = obj["integral"]
+        if type(integral) is not bool:
+            raise TypeError(f"integral must be true or false, got {integral!r}")
+        return Schedule(entries, integral)
+    except (JSONDecodeError, KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InvalidScheduleError(f"bad schedule JSON: {exc}") from exc
 
 
@@ -779,17 +854,39 @@ def trace_to_jsonl(trace: RunTrace) -> str:
     """One line per block: posted price, capacity, executions, sizes, welfare."""
     lines = []
     for r in trace.records:
+        t, executed, w = r.time, r.executed, r.cumulative_welfare
+        if len(r.log_prices) == 1:
+            p, b, q = math.exp(r.log_prices[0]), r.capacities[0], r.sizes[0]
+            parts = [
+                f'{{"id": {i}, "frac": {f}}}'
+                for i, f in executed
+                if type(i) is int and type(f) is float and -math.inf < f < math.inf
+            ]
+            # A sum of floats is finite only if every term is.
+            if (
+                len(parts) == len(executed)
+                and type(t) is int
+                and type(b) is float
+                and type(q) is float
+                and type(w) is float
+                and -math.inf < p + b + q + w < math.inf
+            ):
+                lines.append(
+                    f'{{"t": {t}, "p": {p}, "B_t": {b}, "executed": [{", ".join(parts)}], '
+                    f'"Q": {q}, "cum_welfare": {w}}}'
+                )
+                continue
         single = len(r.log_prices) == 1
         prices = [math.exp(lp) for lp in r.log_prices]
         lines.append(
             json.dumps(
                 {
-                    "t": r.time,
+                    "t": t,
                     "p": prices[0] if single else prices,
                     "B_t": r.capacities[0] if single else list(r.capacities),
-                    "executed": [{"id": i, "frac": f} for i, f in r.executed],
+                    "executed": [{"id": i, "frac": f} for i, f in executed],
                     "Q": r.sizes[0] if single else list(r.sizes),
-                    "cum_welfare": r.cumulative_welfare,
+                    "cum_welfare": w,
                 }
             )
         )

@@ -6,16 +6,19 @@ the feasible region's constraint matrix has consecutive ones, so it is
 totally unimodular and an integer optimum exists), knapsacks by subset
 enumeration, and window checks by direct enumeration of all windows.
 
-The last four oracles are the direct forms of the library's fast paths:
+The remaining oracles are the direct forms of the library's fast paths:
 the all-windows block-size check, the threshold-integral identity with one
 full scan per distinct value, block assembly that sorts by tuple keys and
-fit-tests every eligible transaction, and a price engine that rescans its
-whole pending pool every block.  The fast paths must match them bit for bit.
+fit-tests every eligible transaction, a price engine that rescans its whole
+pending pool every block, and JSON(-lines) writers and readers that build
+one dict per record and convert it field by field.  The fast paths must
+match them bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from typing import Sequence
 
@@ -26,7 +29,21 @@ from feemarket.adversary import (
     ValueDescending,
     block_rng,
 )
-from feemarket.core import LOG_EPS, BlockRecord, RunTrace, Scenario, Schedule
+from feemarket.core import (
+    LOG_EPS,
+    PATIENT,
+    BlockRecord,
+    Discount,
+    InvalidScheduleError,
+    Patience,
+    Patient,
+    RunTrace,
+    Scenario,
+    ScenarioError,
+    Schedule,
+    ScheduleEntry,
+    Transaction,
+)
 from feemarket.mechanisms import eip_next_price
 
 
@@ -258,3 +275,154 @@ def rescanning_engine(scenario: Scenario, params_list, policy, horizon: int) -> 
         for j in range(m):
             log_prices[j] = eip_next_price(params_list[j], log_prices[j], sizes[j])
     return RunTrace(records)
+
+
+def _reference_sens_to_json(s) -> dict:
+    if type(s) is Patient:
+        return {"kind": "patient"}
+    if type(s) is Discount:
+        return {"kind": "discount", "rho": s.rho}
+    return {"kind": "patience", "p": s.window}
+
+
+def reference_scenario_to_jsonl(scenario: Scenario) -> str:
+    """One json.dumps per line: the header, then each event in (arrival, id)
+    order."""
+    lines = [
+        json.dumps(
+            {"m": scenario.m, "B": list(scenario.capacities), "seed": scenario.seed}
+        )
+    ]
+    for t_ in sorted(scenario.transactions, key=lambda x: (x.arrival, x.id)):
+        lines.append(
+            json.dumps(
+                {
+                    "t": t_.arrival,
+                    "id": t_.id,
+                    "q": list(t_.size),
+                    "v": t_.unit_value,
+                    "sens": _reference_sens_to_json(t_.sensitivity),
+                }
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_schedule_to_json(schedule: Schedule) -> str:
+    return json.dumps(
+        {
+            "integral": schedule.integral,
+            "entries": [
+                {"id": e.tx, "t": e.time, "frac": e.fraction} for e in schedule.entries
+            ],
+        }
+    )
+
+
+def reference_trace_to_jsonl(trace: RunTrace) -> str:
+    lines = []
+    for r in trace.records:
+        single = len(r.log_prices) == 1
+        prices = [math.exp(lp) for lp in r.log_prices]
+        lines.append(
+            json.dumps(
+                {
+                    "t": r.time,
+                    "p": prices[0] if single else prices,
+                    "B_t": r.capacities[0] if single else list(r.capacities),
+                    "executed": [{"id": i, "frac": f} for i, f in r.executed],
+                    "Q": r.sizes[0] if single else list(r.sizes),
+                    "cum_welfare": r.cumulative_welfare,
+                }
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _reference_integer(x, name: str) -> int:
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return n
+
+
+def _reference_sens_from_json(d):
+    if not isinstance(d, dict):
+        raise TypeError(f"sens must be an object, got {d!r}")
+    kind = d.get("kind")
+    if kind == "patient":
+        return PATIENT
+    if kind == "discount":
+        return Discount(rho=float(d["rho"]))
+    if kind == "patience":
+        return Patience(window=_reference_integer(d["p"], "patience window"))
+    raise ValueError(f"unknown sensitivity kind {kind!r}")
+
+
+def reference_scenario_from_jsonl(text: str) -> Scenario:
+    """One json.loads per non-blank line, then each field read and converted
+    on its own."""
+    header = None
+    header_no = 0
+    txs = []
+    for no, ln in enumerate(text.splitlines(), start=1):
+        if not ln.strip():
+            continue
+        try:
+            obj = json.loads(ln)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
+        if header is None:
+            if not isinstance(obj, dict) or not {"m", "B", "seed"} <= obj.keys():
+                raise ScenarioError(f"line {no}: expected header with m, B, seed")
+            header, header_no = obj, no
+            try:
+                if not isinstance(obj["B"], list):
+                    raise TypeError(f"B must be a list, got {obj['B']!r}")
+                capacities = tuple(float(b) for b in obj["B"])
+                m = _reference_integer(obj["m"], "m")
+                seed = _reference_integer(obj["seed"], "seed")
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ScenarioError(f"line {header_no}: bad header ({exc})") from exc
+            continue
+        try:
+            i, t, q = obj["id"], obj["t"], obj["q"]
+            ii, tt, size = int(i), int(t), tuple(int(x) for x in q)
+            if ii != i or tt != t or not isinstance(q, list) or list(size) != q:
+                raise ValueError(
+                    f"t, id and q must be integers, got t={t!r}, id={i!r}, q={q!r}"
+                )
+            txs.append(
+                Transaction(
+                    id=ii,
+                    arrival=tt,
+                    size=size,
+                    unit_value=float(obj["v"]),
+                    sensitivity=_reference_sens_from_json(obj.get("sens", {"kind": "patient"})),
+                )
+            )
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
+    if header is None:
+        raise ScenarioError("line 1: missing scenario header")
+    scn = Scenario(capacities=capacities, transactions=txs, seed=seed)
+    if scn.m != m:
+        raise ScenarioError("header resource count does not match capacities")
+    scn.index()
+    return scn
+
+
+def reference_schedule_from_json(text: str) -> Schedule:
+    try:
+        obj = json.loads(text)
+        entries = []
+        for e in obj["entries"]:
+            i, t = e["id"], e["t"]
+            if int(i) != i or int(t) != t:
+                raise ValueError(f"entry id and t must be integers, got id={i!r}, t={t!r}")
+            entries.append(ScheduleEntry(tx=int(i), time=int(t), fraction=float(e["frac"])))
+        if not isinstance(obj["integral"], bool):
+            raise TypeError(f"integral must be true or false, got {obj['integral']!r}")
+        return Schedule(entries=entries, integral=obj["integral"])
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise InvalidScheduleError(f"bad schedule JSON: {exc}") from exc

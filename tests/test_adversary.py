@@ -1,5 +1,8 @@
 """Block assembly: maximality, capacity, policy order, seeded determinism."""
 
+import json
+import math
+
 import pytest
 
 from feemarket import (
@@ -139,3 +142,27 @@ def test_policy_config_roundtrip():
         assert policy_from_config(policy_to_config(p)) == p
     with pytest.raises(ValueError):
         policy_from_config({"policy": "nope"})
+
+
+def test_nan_tip_config_rejected():
+    """A NaN tip makes the tip order depend on the input order: three equal
+    transactions of size 10 in a block of 10 admit [0] in id order and [2]
+    reversed.  A config carrying one (json reads NaN) is rejected."""
+    eligible = txs((10, 1.0), (10, 1.0), (10, 1.0))
+    nan_order = TipPriority({0: math.nan, 1: 1.0, 2: 2.0})
+    assert select_block(eligible, (10.0,), nan_order) == [0]
+    assert select_block(eligible[::-1], (10.0,), nan_order) == [2]
+    config = json.loads(json.dumps(policy_to_config(nan_order)))
+    with pytest.raises(ValueError, match="tx 0: tip must be finite, got nan"):
+        policy_from_config(config)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_infinite_tip_rejected(bad):
+    with pytest.raises(ValueError, match="tip must be finite"):
+        policy_from_config({"policy": "tip", "tips": {"0": 1.0, "1": bad}})
+
+
+def test_tips_must_be_a_mapping():
+    with pytest.raises(ValueError, match="tips must map"):
+        policy_from_config({"policy": "tip", "tips": [1.0]})

@@ -98,6 +98,32 @@ def test_run_malformed_scenario_exit_2(tmp_path, mech_file, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,line", [
+    ("[1, 2]\n", 1),
+    ('{"m": 1, "B": 100, "seed": 0}\n', 1),
+    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": "patient"}\n', 2),
+    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0.7, "q": [5], "v": 2.0}\n', 2),
+    ('{"m": 1, "B": [100.0], "seed": 0}\n\n{"t": 1, "id": 0, "q": [5.9], "v": 2.0}\n', 3),
+])
+def test_run_bad_scenario_line_exit_2(tmp_path, mech_file, text, line, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text)
+    rc = main(["run", "--scenario", str(bad), "--mechanism", str(mech_file),
+               "--horizon", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {line}: ")
+
+
+def test_run_nan_tip_policy_exit_2(tmp_path, scenario_file, mech_file, capsys):
+    policy = tmp_path / "tip.json"
+    policy.write_text('{"policy": "tip", "tips": {"0": NaN}}')
+    rc = main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+               "--policy", str(policy), "--horizon", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "tip must be finite" in capsys.readouterr().err
+
+
 def test_verify_pass_and_fail(tmp_path, scenario_file, mech_file):
     out = tmp_path / "out"
     main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
@@ -152,18 +178,23 @@ def _verify_args(scenario, schedule, benchmark="opt_fractional", **flags):
 
 def _malformed(entries, how):
     bad = [dict(e) for e in entries]
+    integral = True
     if how == "early":
         for e in bad:
             e["t"] = 1
     elif how == "fraction":
         bad[0]["frac"] = 7.0
+    elif how == "fractional_id":
+        bad[0]["id"] += 0.7
+    elif how == "integral_flag":
+        integral = "no"
     else:
         bad.append({"id": 9999, "t": bad[-1]["t"], "frac": 1.0})
-    return json.dumps({"integral": True, "entries": bad})
+    return json.dumps({"integral": integral, "entries": bad})
 
 
 @pytest.mark.parametrize("role", ["schedule", "benchmark"])
-@pytest.mark.parametrize("how", ["early", "fraction", "unknown_id"])
+@pytest.mark.parametrize("how", ["early", "fraction", "unknown_id", "fractional_id", "integral_flag"])
 def test_verify_malformed_schedule_exit_2(tmp_path, scenario_file, mech_file, how, role, capsys):
     out = tmp_path / "out"
     main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),

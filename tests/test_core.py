@@ -1,5 +1,7 @@
 """Core accounting: welfare, threshold quantities, size verifiers, serialization."""
 
+import math
+
 import pytest
 
 from feemarket import (
@@ -66,6 +68,28 @@ class TestTransaction:
             Transaction(id=0, arrival=1, size=(1.5,), unit_value=1.0)  # gas units
         with pytest.raises(ValueError):
             Discount(rho=1.0)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"arrival": 0}, "tx 7: arrival must be >= 1, got 0"),
+        ({"arrival": 0, "size": ()}, "tx 7: arrival must be >= 1, got 0"),
+        ({"size": ()}, "tx 7: sizes must be nonnegative integer gas units, got ()"),
+        ({"size": (3, -1)}, "tx 7: sizes must be nonnegative integer gas units, got (3, -1)"),
+        ({"size": (1.5,)}, "tx 7: sizes must be nonnegative integer gas units, got (1.5,)"),
+        ({"size": (2, 1.0)}, "tx 7: sizes must be nonnegative integer gas units, got (2, 1.0)"),
+        ({"size": (0, 0)}, "tx 7: at least one size entry must be positive"),
+        ({"size": (False,)}, "tx 7: at least one size entry must be positive"),
+        ({"size": (0,), "unit_value": math.nan}, "tx 7: at least one size entry must be positive"),
+        ({"unit_value": math.nan}, "tx 7: unit value must be finite and >= 0"),
+        ({"unit_value": math.inf}, "tx 7: unit value must be finite and >= 0"),
+        ({"unit_value": -1.0}, "tx 7: unit value must be finite and >= 0"),
+    ])
+    def test_rejection_messages(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            Transaction(**{"id": 7, "arrival": 1, "size": (5,), "unit_value": 1.0, **fields})
+        assert str(exc.value) == message
+
+    def test_bool_sizes_accepted(self):
+        assert Transaction(id=7, arrival=1, size=(True, False), unit_value=0.0).size == (True, False)
 
 
 class TestWelfare:
@@ -310,3 +334,52 @@ class TestSerialization:
     def test_schedule_roundtrip(self):
         s = Schedule([ScheduleEntry(3, 1, 0.25), ScheduleEntry(4, 2, 1.0)], integral=False)
         assert schedule_from_json(schedule_to_json(s)) == s
+
+    def test_integral_floats_read_as_ints(self):
+        header = '{"m": 1, "B": [100.0], "seed": 2.0}\n'
+        scn = scenario_from_jsonl(header + '{"t": 3.0, "id": 4.0, "q": [5.0], "v": 1.0}\n')
+        t = scn.transactions[0]
+        assert (t.arrival, t.id, t.size, scn.seed) == (3, 4, (5,), 2)
+        assert all(type(x) is int for x in (t.arrival, t.id, *t.size, scn.seed))
+        s = schedule_from_json('{"integral": true, "entries": [{"id": 4.0, "t": 3.0, "frac": 1}]}')
+        assert s.entries == [ScheduleEntry(4, 3, 1.0)]
+
+    @pytest.mark.parametrize("line,match", [
+        ('{"t": 1, "id": 0.7, "q": [5], "v": 1.0}', "integers"),
+        ('{"t": 1, "id": 0, "q": [5.9], "v": 1.0}', "integers"),
+        ('{"t": 1.5, "id": 0, "q": [5], "v": 1.0}', "integers"),
+        ('{"t": 1, "id": "0", "q": [5], "v": 1.0}', "integers"),
+        ('{"t": 1, "id": 0, "q": 5, "v": 1.0}', "not iterable"),
+        ('{"t": 1, "id": 0, "q": [Infinity], "v": 1.0}', "infinity"),
+        ('{"t": 1, "id": 0, "q": [5], "v": 1.0, "sens": "patient"}', "sens must be an object"),
+        ('{"t": 1, "id": 0, "q": [5], "v": 1.0, "sens": {"kind": "x"}}', "unknown sensitivity"),
+        ('{"t": 1, "id": 0, "q": [5], "v": 1.0, "sens": {"kind": "patience", "p": 1.5}}',
+         "patience window must be an integer"),
+    ])
+    def test_bad_event_names_its_line(self, line, match):
+        text = '{"m": 1, "B": [100.0], "seed": 0}\n\n' + line + "\n"
+        with pytest.raises(ScenarioError, match=f"^line 3: bad event record .*{match}"):
+            scenario_from_jsonl(text)
+
+    @pytest.mark.parametrize("header,match", [
+        ("[1, 2]", "expected header"),
+        ('{"m": 1, "B": 100, "seed": 0}', "B must be a list"),
+        ('{"m": 1, "B": "1", "seed": 0}', "B must be a list"),
+        ('{"m": 1.5, "B": [100], "seed": 0}', "m must be an integer"),
+        ('{"m": 1, "B": [100], "seed": 0.5}', "seed must be an integer"),
+        ('{"m": 1, "B": [100], "seed": null}', "bad header"),
+    ])
+    def test_bad_header_names_its_line(self, header, match):
+        with pytest.raises(ScenarioError, match=f"^line 2: .*{match}"):
+            scenario_from_jsonl("\n" + header + "\n")
+
+    @pytest.mark.parametrize("text,match", [
+        ('{"integral": false, "entries": [{"id": 1.7, "t": 1, "frac": 1.0}]}', "integers"),
+        ('{"integral": false, "entries": [{"id": 1, "t": 2.5, "frac": 1.0}]}', "integers"),
+        ('{"integral": "no", "entries": []}', "integral must be true or false"),
+        ('{"integral": 1, "entries": []}', "integral must be true or false"),
+        ('{"integral": false, "entries": [{"id": 1e400, "t": 1, "frac": 1.0}]}', "infinity"),
+    ])
+    def test_bad_schedule_rejected(self, text, match):
+        with pytest.raises(InvalidScheduleError, match=match):
+            schedule_from_json(text)

@@ -1,17 +1,25 @@
 """The fast paths against their direct forms in ``oracles``, bit for bit:
-the O(n) window check, the O(n log n) welfare identity, block assembly and
-the engine's bisected pending pool."""
+the O(n) window check, the O(n log n) welfare identity, block assembly, the
+engine's bisected pending pool, and the template JSON writers and per-line
+readers."""
 
+import json
 import math
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from feemarket import (
     PATIENT,
+    BlockRecord,
     Discount,
+    InvalidScheduleError,
     MechanismParams,
     Patience,
+    RunTrace,
     Scenario,
+    ScenarioError,
     Schedule,
     ScheduleEntry,
     TipPriority,
@@ -22,13 +30,26 @@ from feemarket import (
     multi_resource_mechanism,
     welfare_via_threshold_integral,
 )
+from feemarket import core
 from feemarket.adversary import SeededRandom, block_rng, select_block
+from feemarket.core import (
+    scenario_from_jsonl,
+    scenario_to_jsonl,
+    schedule_from_json,
+    schedule_to_json,
+    trace_to_jsonl,
+)
 from feemarket.mechanisms import _pool_key
 
 from oracles import (
     all_windows_block_check,
     per_value_identity,
+    reference_scenario_from_jsonl,
+    reference_scenario_to_jsonl,
+    reference_schedule_from_json,
+    reference_schedule_to_json,
     reference_select_block,
+    reference_trace_to_jsonl,
     rescanning_engine,
 )
 
@@ -245,3 +266,271 @@ def test_select_block_matches_reference(case):
     got = select_block(txs, caps, policy, block_rng(seed, 7) if shuffled else None)
     want = reference_select_block(txs, caps, policy, block_rng(seed, 7) if shuffled else None)
     assert got == want
+
+
+# Floats at the edges of the format: zero, the smallest subnormal, the
+# smallest normal, near the largest finite value, and the non-finite ones.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308]
+NON_FINITE = [math.inf, -math.inf, math.nan]
+finite = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+any_float = st.one_of(finite, st.sampled_from(NON_FINITE))
+unit_values = st.one_of(
+    st.sampled_from([v for v in EDGE_FLOATS if v >= 0.0]),
+    st.floats(0.0, 1e308),
+    st.integers(0, 10**6),  # an int value is written as json writes an int
+)
+sensitivities = st.one_of(
+    st.just(PATIENT),
+    st.builds(Discount, rho=st.floats(0.0, 0.99)),
+    st.builds(Patience, window=st.integers(0, 50)),
+)
+# Bools pass as sizes and arrivals; json writes them as true/false.
+size_entries = st.one_of(st.integers(0, 2**70), st.booleans())
+
+
+@st.composite
+def scenarios(draw, patient_share=None):
+    m = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n, unique=True))
+    txs = []
+    for i in ids:
+        size = draw(st.lists(size_entries, min_size=m, max_size=m))
+        if not any(size):
+            size[0] = 1
+        txs.append(
+            Transaction(
+                id=i,
+                arrival=draw(st.one_of(st.integers(1, 10**6), st.just(True))),
+                size=tuple(size),
+                unit_value=draw(unit_values),
+                sensitivity=draw(sensitivities),
+            )
+        )
+    capacities = tuple(draw(st.floats(1e-300, 1e300)) for _ in range(m))
+    return Scenario(capacities=capacities, transactions=txs, seed=draw(st.integers(0, 2**64)))
+
+
+@given(scenarios())
+@settings(max_examples=200, deadline=None)
+def test_scenario_writer_matches_json_dumps(scn):
+    assert scenario_to_jsonl(scn) == reference_scenario_to_jsonl(scn)
+
+
+@st.composite
+def traces(draw):
+    m = draw(st.sampled_from([1, 1, 2, 3]))
+    records = []
+    for t in range(1, draw(st.integers(0, 6)) + 1):
+        executed = tuple(
+            (draw(st.one_of(st.integers(0, 2**40), st.booleans())), draw(any_float))
+            for _ in range(draw(st.integers(0, 4)))
+        )
+        records.append(
+            BlockRecord(
+                time=t,
+                log_prices=tuple(
+                    draw(st.one_of(st.floats(-800.0, 709.0), st.sampled_from([-math.inf, math.nan])))
+                    for _ in range(m)
+                ),
+                capacities=tuple(draw(st.one_of(any_float, st.integers(0, 10**6))) for _ in range(m)),
+                executed=executed,
+                sizes=tuple(draw(st.one_of(any_float, st.integers(0, 10**6))) for _ in range(m)),
+                cumulative_welfare=draw(any_float),
+            )
+        )
+    return RunTrace(records)
+
+
+@given(traces())
+@settings(max_examples=200, deadline=None)
+def test_trace_writer_matches_json_dumps(trace):
+    assert trace_to_jsonl(trace) == reference_trace_to_jsonl(trace)
+
+
+@st.composite
+def schedules(draw):
+    entries = [
+        ScheduleEntry(
+            draw(st.one_of(st.integers(0, 2**40), st.booleans())),
+            draw(st.integers(1, 10**6)),
+            draw(st.one_of(any_float, st.integers(0, 1))),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    return Schedule(entries, integral=draw(st.one_of(st.booleans(), st.integers(0, 1))))
+
+
+@given(schedules())
+@settings(max_examples=200, deadline=None)
+def test_schedule_writer_matches_json_dumps(schedule):
+    assert schedule_to_json(schedule) == reference_schedule_to_json(schedule)
+
+
+@given(
+    scenarios(),
+    schedules().filter(
+        lambda s: type(s.integral) is bool and all(math.isfinite(e.fraction) for e in s.entries)
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_scenario_and_schedule_round_trip(scn, schedule):
+    back = scenario_from_jsonl(scenario_to_jsonl(scn))
+    assert (back.capacities, back.seed) == (scn.capacities, scn.seed)
+    assert back.transactions == sorted(scn.transactions, key=lambda t: (t.arrival, t.id))
+    assert schedule_from_json(schedule_to_json(schedule)) == schedule
+
+
+def test_template_taken_only_for_exact_types(monkeypatch):
+    """Lines whose fields all have their exact types skip json.dumps; the
+    others fall back to it."""
+    calls = []
+
+    def dumps(obj):
+        calls.append(obj)
+        return json.dumps(obj)
+
+    monkeypatch.setattr(core, "json", SimpleNamespace(dumps=dumps, loads=json.loads))
+    patient = Transaction(3, 1, (7,), 2.5)
+    scn = Scenario(capacities=(100.0,), transactions=[patient])
+    assert scenario_to_jsonl(scn).splitlines()[1] == (
+        '{"t": 1, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}'
+    )
+    assert len(calls) == 1  # the header
+    for odd in (
+        Transaction(4, 1, (7,), 2.5, Discount(0.5)),
+        Transaction(4, 1, (7, 1), 2.5),
+        Transaction(4, 1, (True,), 2.5),
+        Transaction(4, 1, (7,), 2),
+    ):
+        calls.clear()
+        scenario_to_jsonl(Scenario(capacities=(100.0,) * len(odd.size), transactions=[odd]))
+        assert len(calls) == 2
+    calls.clear()
+    record = BlockRecord(1, (0.0,), (300.0,), ((3, 1.0),), (7.0,), 17.5)
+    assert trace_to_jsonl(RunTrace([record])) == (
+        '{"t": 1, "p": 1.0, "B_t": 300.0, "executed": [{"id": 3, "frac": 1.0}], '
+        '"Q": 7.0, "cum_welfare": 17.5}\n'
+    )
+    assert schedule_to_json(Schedule([ScheduleEntry(3, 1, 1.0)], integral=True)) == (
+        '{"integral": true, "entries": [{"id": 3, "t": 1, "frac": 1.0}]}'
+    )
+    assert calls == []
+    for odd in (
+        BlockRecord(1, (0.0,), (300.0,), ((True, 1.0),), (7.0,), 17.5),
+        BlockRecord(1, (0.0,), (300.0,), ((3, 1),), (7.0,), 17.5),
+        BlockRecord(1, (0.0,), (300,), ((3, 1.0),), (7.0,), 17.5),
+        BlockRecord(1, (0.0,), (300.0,), ((3, 1.0),), (7.0,), math.inf),
+        BlockRecord(1, (0.0, 0.0), (300.0, 300.0), ((3, 1.0),), (7.0, 1.0), 17.5),
+    ):
+        calls.clear()
+        assert trace_to_jsonl(RunTrace([odd])) == reference_trace_to_jsonl(RunTrace([odd]))
+        assert len(calls) == 1
+
+
+# Replacement field values for the reader tests: integral and fractional
+# numbers, strings, nulls, bools, lists, objects and non-finite numbers.
+ODD_VALUES = [
+    0, 1, -1, 5.0, 0.7, 1.7, 2**70, 1e300, "5", "x", None, True, False, [], [5], [5.9],
+    [5.0], [0], [0, 0], [1, 2], [-1], [True], {}, "patient", {"kind": "patient"},
+    {"kind": "patient", "extra": 1}, {"kind": "discount", "rho": 0.5},
+    {"kind": "discount", "rho": 1.5}, {"kind": "patience", "p": 3},
+    {"kind": "patience", "p": 2.5}, {"kind": "patience", "p": -1}, {"kind": "nope"},
+    math.nan, math.inf, -math.inf,
+]
+ODD_LINES = ["[1, 2]", '"x"', "null", "5", "{", '{"t": 1', "{}", "\u3000", "  "]
+
+
+def outcome(read, text, describe):
+    """What ``read`` makes of ``text``: ``describe`` of its result, or its
+    error's type and message."""
+    try:
+        result = read(text)
+    except Exception as exc:  # compared below, not swallowed
+        return type(exc), str(exc)
+    return describe(result)
+
+
+def describe_scenario(scn):
+    return (
+        scn.capacities,
+        scn.seed,
+        [
+            (t.id, t.arrival, t.size, tuple(map(type, t.size)), bits(t.unit_value), t.sensitivity)
+            for t in scn.transactions
+        ],
+    )
+
+
+@st.composite
+def mutated_scenario_texts(draw):
+    scn = Scenario(
+        capacities=(100.0,),
+        transactions=[
+            Transaction(i, 1 + i % 3, (1 + i,), 0.5 + i, draw(sensitivities)) for i in range(4)
+        ],
+        seed=7,
+    )
+    lines = reference_scenario_to_jsonl(scn).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   ", "\t"])))
+    row = draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.strip()]))
+    obj = json.loads(lines[row])
+    how = draw(st.sampled_from(["set", "delete", "line"]))
+    if how == "line":
+        lines[row] = draw(st.sampled_from(ODD_LINES))
+    else:
+        key = draw(st.sampled_from(sorted(obj)))
+        if how == "delete":
+            del obj[key]
+        else:
+            obj[key] = draw(st.sampled_from(ODD_VALUES))
+        lines[row] = json.dumps(obj)
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_scenario_texts())
+@settings(max_examples=600, deadline=None)
+def test_scenario_reader_matches_per_line_reference(text):
+    got = outcome(scenario_from_jsonl, text, describe_scenario)
+    assert got == outcome(reference_scenario_from_jsonl, text, describe_scenario)
+    if isinstance(got[0], type):
+        assert got[0] is ScenarioError, got
+
+
+def test_scenario_reader_counts_blank_lines():
+    text = '{"m": 1, "B": [100.0], "seed": 0}\n\n   \n{"t": 1, "id": 0.7, "q": [5], "v": 1.0}\n'
+    for read in (scenario_from_jsonl, reference_scenario_from_jsonl):
+        with pytest.raises(ScenarioError, match=r"^line 4: bad event record \(t, id and q"):
+            read(text)
+
+
+@st.composite
+def mutated_schedule_texts(draw):
+    entries = [{"id": i, "t": 1 + i, "frac": 1.0 / (1 + i)} for i in range(draw(st.integers(1, 4)))]
+    obj = {"integral": False, "entries": entries}
+    how = draw(st.sampled_from(["integral", "set", "delete"]))
+    if how == "integral":
+        obj["integral"] = draw(st.sampled_from(ODD_VALUES))
+    else:
+        entry = draw(st.sampled_from(entries))
+        key = draw(st.sampled_from(["id", "t", "frac"]))
+        if how == "delete":
+            del entry[key]
+        else:
+            entry[key] = draw(st.sampled_from(ODD_VALUES))
+    return json.dumps(obj)
+
+
+@given(mutated_schedule_texts())
+@settings(max_examples=400, deadline=None)
+def test_schedule_reader_matches_reference(text):
+    def describe(s):
+        return s.integral, [(e.tx, e.time, type(e.tx), type(e.time), bits(e.fraction)) for e in s.entries]
+
+    got = outcome(schedule_from_json, text, describe)
+    assert got == outcome(reference_schedule_from_json, text, describe)
+    if isinstance(got[0], type):
+        assert got[0] is InvalidScheduleError, got
