@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, le
 from typing import Mapping, Sequence, Union
 
-from .core import Transaction
+from .core import Transaction, _number
 
 __all__ = [
     "PRNG_NAME",
@@ -224,12 +224,16 @@ def policy_to_config(policy: InclusionPolicy) -> dict:
 
 
 def policy_from_config(obj: Mapping) -> InclusionPolicy:
+    """The policy of a JSON config object; a tip must be a JSON number and a
+    config of any other shape raises ValueError."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"policy config must be a JSON object, got {obj!r}")
     name = obj.get("policy")
     if name == "tip":
         raw = obj.get("tips", {})
         if not isinstance(raw, Mapping):
             raise ValueError(f"tips must map transaction ids to tips, got {raw!r}")
-        tips = {int(k): float(v) for k, v in raw.items()}
+        tips = {int(k): _number(v, f"tx {k}: tip") for k, v in raw.items()}
         # A NaN tip would make the tip order depend on the input order.
         for i, tip in tips.items():
             if not math.isfinite(tip):

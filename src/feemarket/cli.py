@@ -270,7 +270,6 @@ BUILTINS: dict[str, Construction] = {
         policy=ValueAscending(),
     ),
 }
-BUILTIN_SCENARIOS = tuple(BUILTINS)
 
 
 def suite_lower_bounds(seeds: int) -> list[Row]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from json import JSONDecodeError
 from operator import attrgetter
-from typing import Callable, Protocol, Sequence, Union
+from typing import Callable, Protocol, Union
 
 __all__ = [
     "LOG_EPS",
@@ -168,18 +168,6 @@ class Transaction:
             return self.unit_value * (1.0 - sens.rho) ** (t - self.arrival)
         # Patience
         return self.unit_value if t <= self.arrival + sens.window else 0.0
-
-
-def tx(
-    id: int,
-    arrival: int,
-    q: int | Sequence[int],
-    v: float,
-    sensitivity: Sensitivity = PATIENT,
-) -> Transaction:
-    """Convenience constructor; promotes a scalar size to a 1-tuple."""
-    size = (int(q),) if isinstance(q, int) else tuple(int(x) for x in q)
-    return Transaction(id=id, arrival=arrival, size=size, unit_value=float(v), sensitivity=sensitivity)
 
 
 class ArrivalGenerator(Protocol):
@@ -685,7 +673,8 @@ def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
 #
 # The readers parse each line with one json.loads and build its records
 # directly.  An integer field must hold a number equal to an integer: 5.0
-# reads as 5; 5.5 and "5" are rejected.
+# reads as 5; 5.5 and "5" are rejected.  A float field must hold a number:
+# 5 reads as 5.0; "5" and true are rejected.
 
 _PATIENT_JSON = {"kind": "patient"}
 
@@ -696,6 +685,17 @@ def _integer(x, name: str) -> int:
     if n != x:
         raise ValueError(f"{name} must be an integer, got {x!r}")
     return n
+
+
+def _number(x, name: str) -> float:
+    """``x`` as a float, if it is a JSON number (an int or a float; not a
+    bool, a string or null)."""
+    if type(x) is not float and type(x) is not int:
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range") from None
 
 
 def _sens_to_json(s: Sensitivity) -> dict:
@@ -713,7 +713,7 @@ def _sens_from_json(d: object) -> Sensitivity:
     if kind == "patient":
         return PATIENT
     if kind == "discount":
-        return Discount(rho=float(d["rho"]))
+        return Discount(rho=_number(d["rho"], "rho"))
     if kind == "patience":
         return Patience(window=_integer(d["p"], "patience window"))
     raise ValueError(f"unknown sensitivity kind {kind!r}")
@@ -772,7 +772,7 @@ def scenario_from_jsonl(text: str) -> Scenario:
             raise ScenarioError(f"line {no}: expected header with m, B, seed")
         if type(header["B"]) is not list:
             raise TypeError(f"B must be a list, got {header['B']!r}")
-        capacities = tuple(map(float, header["B"]))
+        capacities = tuple(_number(b, "B") for b in header["B"])
         m = _integer(header["m"], "m")
         seed = _integer(header["seed"], "seed")
     except JSONDecodeError as exc:
@@ -799,7 +799,7 @@ def scenario_from_jsonl(text: str) -> Scenario:
                     ii,
                     tt,
                     size,
-                    float(obj["v"]),
+                    _number(obj["v"], "v"),
                     PATIENT if sens == _PATIENT_JSON else _sens_from_json(sens),
                 )
             )
@@ -841,7 +841,7 @@ def schedule_from_json(text: str) -> Schedule:
             ii, tt = int(i), int(t)
             if ii != i or tt != t:
                 raise ValueError(f"entry id and t must be integers, got id={i!r}, t={t!r}")
-            append(ScheduleEntry(ii, tt, float(e["frac"])))
+            append(ScheduleEntry(ii, tt, _number(e["frac"], "frac")))
         integral = obj["integral"]
         if type(integral) is not bool:
             raise TypeError(f"integral must be true or false, got {integral!r}")

@@ -40,6 +40,7 @@ from .core import (
     Schedule,
     ScheduleEntry,
     Transaction,
+    _number,
 )
 
 __all__ = [
@@ -140,14 +141,28 @@ def params_to_config(params: MechanismParams) -> dict:
 
 
 def params_from_config(obj: Mapping) -> MechanismParams:
+    """The parameters of a JSON config object.  ``B``, ``c``, ``eta``,
+    ``p_min`` and ``p_1`` must be JSON numbers and ``discounted_eligibility``
+    (default false) a boolean; a config of any other shape raises
+    ValueError."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"mechanism config must be a JSON object, got {obj!r}")
+    missing = [name for name in ("B", "c", "eta", "p_min", "p_1") if name not in obj]
+    if missing:
+        raise ValueError(f"mechanism config lacks {', '.join(missing)}")
+    discounted = obj.get("discounted_eligibility", False)
+    if type(discounted) is not bool:
+        raise ValueError(
+            f"discounted_eligibility must be true or false, got {discounted!r}"
+        )
     return MechanismParams(
-        B=float(obj["B"]),
-        c=float(obj["c"]),
-        eta=float(obj["eta"]),
-        p_min=float(obj["p_min"]),
-        p_1=float(obj["p_1"]),
+        B=_number(obj["B"], "B"),
+        c=_number(obj["c"], "c"),
+        eta=_number(obj["eta"], "eta"),
+        p_min=_number(obj["p_min"], "p_min"),
+        p_1=_number(obj["p_1"], "p_1"),
         update_rule=str(obj.get("update_rule", EXPONENTIAL)),
-        discounted_eligibility=bool(obj.get("discounted_eligibility", False)),
+        discounted_eligibility=discounted,
     )
 
 

@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .adversary import InclusionPolicy, TipPriority, ValueAscending
 from .core import (
+    PATIENT,
     BlockRecord,
     Discount,
     Patience,
     Scenario,
     ScenarioError,
+    Sensitivity,
     Transaction,
     welfare,
 )
@@ -105,13 +108,11 @@ def random_family(
     if load_factor > 0:
         per_step = max(1, round(load_factor * B / ((1 + q_max) / 2)))
         ln_lo, ln_hi = math.log(v_lo), math.log(v_hi)
-        nid = 0
         for t in range(1, horizon + 1):
             for _ in range(per_step):
                 q = rng.randint(1, q_max)
                 v = math.exp(rng.uniform(ln_lo, ln_hi))
-                txs.append(Transaction(id=nid, arrival=t, size=(q,), unit_value=v))
-                nid += 1
+                txs.append(Transaction(len(txs), t, (q,), v))
     return Scenario(
         capacities=(float(B),), transactions=txs, horizon_hint=horizon, seed=seed
     )
@@ -125,20 +126,41 @@ def random_family(
 class _AdaptiveGenerator:
     """A single-run adaptive arrival stream.
 
-    Before emitting block t's arrivals it shows block t-1's record (from
-    t = 2 on) to ``_observe``; subclasses implement ``_observe`` and ``_emit``
-    and record their branch decision in ``branch`` and ``audit``.
+    A subclass implements only ``_emit(t)``, which returns block t's
+    arrivals, and builds each of them with ``_tx``.  ``_tx`` issues the ids
+    0, 1, 2, ... in call order; a transaction given a ``tag`` is recorded in
+    ``tags[id]`` and counted in ``emitted[tag]``.  Before ``_emit(t)`` runs,
+    ``arrivals`` counts every tagged id in block t-1's executed list into
+    ``executed[tag]``, so ``_emit(t)`` sees the counts over blocks 1..t-1
+    exactly.  A construction that branches on how many of its tagged
+    transactions executed by block k reads the count once, at block k+1,
+    and so needs no cutoff of its own.  The branch decision goes in
+    ``branch`` and, with the reference optimum, in ``audit``.
     """
 
     def __init__(self) -> None:
         self.branch: str | None = None
         self.audit: dict = {}
+        self.tags: dict[int, str] = {}
+        self.emitted: Counter[str] = Counter()
+        self.executed: Counter[str] = Counter()
         self._next_id = 0
         self._started = False
 
-    def _new_id(self) -> int:
+    def _tx(
+        self,
+        t: int,
+        size: tuple[int, ...],
+        v: float,
+        sens: Sensitivity = PATIENT,
+        tag: str | None = None,
+    ) -> Transaction:
+        tid = self._next_id
         self._next_id += 1
-        return self._next_id - 1
+        if tag is not None:
+            self.tags[tid] = tag
+            self.emitted[tag] += 1
+        return Transaction(tid, t, size, v, sens)
 
     def arrivals(self, t: int, previous: BlockRecord | None) -> list[Transaction]:
         if t == 1:
@@ -146,7 +168,11 @@ class _AdaptiveGenerator:
                 raise ScenarioError("adaptive generators are single-run objects")
             self._started = True
         if previous is not None:
-            self._observe(previous)
+            tags, executed = self.tags, self.executed
+            for tid, _frac in previous.executed:
+                tag = tags.get(tid)
+                if tag is not None:
+                    executed[tag] += 1
         return self._emit(t)
 
 
@@ -177,59 +203,28 @@ class _CBelowTwoGenerator(_AdaptiveGenerator):
         assert self.green_size > (c - 1) * B  # holds for any c < 2
         self.dust_size = max(1, B // 64)
         self.dust_target = 2 * math.ceil(c * B / self.dust_size)
-        self.green_ids: set[int] = set()
-        self.dust_ids: set[int] = set()
-        self.dust_outstanding = 0
-        self.greens_first_half = 0
-
-    def _observe(self, previous: BlockRecord) -> None:
-        for tid, _frac in previous.executed:
-            if tid in self.green_ids and previous.time <= self.half:
-                self.greens_first_half += 1
-            if tid in self.dust_ids:
-                self.dust_outstanding -= 1
 
     def _emit(self, t: int) -> list[Transaction]:
-        out: list[Transaction] = []
+        B = self.B
         if t <= self.half:
-            out.append(
-                Transaction(id=self._new_id(), arrival=t, size=(self.B,), unit_value=1.0)
-            )
-            gid = self._new_id()
-            self.green_ids.add(gid)
-            out.append(
-                Transaction(id=gid, arrival=t, size=(self.green_size,), unit_value=2.0)
-            )
-        elif t <= self.horizon:
-            if self.branch is None:
-                g = self.greens_first_half
-                self.branch = "I" if g <= self.quarter else "II"
-                optimum = (
-                    2.0 * self.horizon * self.B
-                    if self.branch == "I"
-                    else 1.5 * self.horizon * self.B
-                )
-                self.audit = {
-                    "greens_first_half": g,
-                    "branch": self.branch,
-                    "optimum": optimum,
-                }
-            if self.branch == "I":
-                out.append(
-                    Transaction(
-                        id=self._new_id(), arrival=t, size=(self.B,), unit_value=2.0
-                    )
-                )
-            else:
-                while self.dust_outstanding < self.dust_target:
-                    did = self._new_id()
-                    self.dust_ids.add(did)
-                    out.append(
-                        Transaction(
-                            id=did, arrival=t, size=(self.dust_size,), unit_value=1.0
-                        )
-                    )
-                    self.dust_outstanding += 1
+            red = self._tx(t, (B,), 1.0)
+            return [red, self._tx(t, (self.green_size,), 2.0, tag="green")]
+        if t > self.horizon:
+            return []
+        if self.branch is None:
+            g = self.executed["green"]
+            self.branch = "I" if g <= self.quarter else "II"
+            optimum = (2.0 if self.branch == "I" else 1.5) * self.horizon * B
+            self.audit = {
+                "greens_first_half": g,
+                "branch": self.branch,
+                "optimum": optimum,
+            }
+        if self.branch == "I":
+            return [self._tx(t, (B,), 2.0)]
+        out = []
+        while self.emitted["dust"] - self.executed["dust"] < self.dust_target:
+            out.append(self._tx(t, (self.dust_size,), 1.0, tag="dust"))
         return out
 
 
@@ -258,6 +253,18 @@ def c_below_two(horizon: int, c: float, B: int, eps: float, seed: int = 0) -> Sc
 # ---------------------------------------------------------------------------
 
 
+def _target_and_decay(params: MechanismParams) -> tuple[int, int]:
+    """The target size as an integer number of gas units, and the number of
+    blocks the price takes to decay from p_1 to the floor; the static streams
+    start after that prefix."""
+    B = int(params.B)
+    if B != params.B:
+        raise ValueError("target size must be an integer number of gas units")
+    if params.p_1 <= params.p_min:
+        return B, 0
+    return B, math.ceil(math.log(params.p_1 / params.p_min) / params.eta)
+
+
 def eip_c2_failure(
     params: MechanismParams, eps: float, horizon: int | None = None, seed: int = 0
 ) -> ScenarioBundle:
@@ -270,36 +277,20 @@ def eip_c2_failure(
         raise ValueError(f"requires c = 2, got c = {params.c}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    B = int(params.B)
-    if B != params.B:
-        raise ValueError("target size must be an integer number of gas units")
+    B, decay = _target_and_decay(params)
     low_size = round((1.0 + eps) * B)
     if low_size <= B:
         raise ValueError(f"eps*B must round to at least one gas unit (eps={eps}, B={B})")
     eps_eff = low_size / B - 1.0
-    decay = (
-        math.ceil(math.log(params.p_1 / params.p_min) / params.eta)
-        if params.p_1 > params.p_min
-        else 0
-    )
     climb = math.ceil(math.log(2.0) / (params.eta * eps_eff))
     if horizon is None:
         horizon = decay + climb + 10
     txs: list[Transaction] = []
     tips: dict[int, float] = {}
-    nid = 0
     for t in range(decay + 1, horizon + 1):
-        txs.append(
-            Transaction(id=nid, arrival=t, size=(B,), unit_value=10.0 * params.p_min)
-        )
-        nid += 1
-        txs.append(
-            Transaction(
-                id=nid, arrival=t, size=(low_size,), unit_value=2.0 * params.p_min
-            )
-        )
-        tips[nid] = 1.0
-        nid += 1
+        txs.append(Transaction(len(txs), t, (B,), 10.0 * params.p_min))
+        tips[len(txs)] = 1.0  # the low transaction's id
+        txs.append(Transaction(len(txs), t, (low_size,), 2.0 * params.p_min))
     scenario = Scenario(
         capacities=(float(B),), transactions=txs, horizon_hint=horizon, seed=seed
     )
@@ -343,9 +334,7 @@ def log_range(
     ln(L) / ((c-1) * eta) blocks and accumulates slackness (c-1) per block."""
     if not (H > L > 1.0):
         raise ValueError(f"requires H > L > 1, got H={H}, L={L}")
-    B = int(params.B)
-    if B != params.B:
-        raise ValueError("target size must be an integer number of gas units")
+    B, decay = _target_and_decay(params)
     n_chunks = math.ceil(params.c)
     chunk = params.c * B / n_chunks
     if chunk != int(chunk):
@@ -353,33 +342,17 @@ def log_range(
             f"c*B must split into {n_chunks} integer chunks (c={params.c}, B={B})"
         )
     chunk = int(chunk)
-    decay = (
-        math.ceil(math.log(params.p_1 / params.p_min) / params.eta)
-        if params.p_1 > params.p_min
-        else 0
-    )
     expected_climb = math.log(L) / (params.eta * (params.c - 1.0))
     if horizon is None:
         horizon = decay + math.ceil(expected_climb) + 20
     txs: list[Transaction] = []
     tips: dict[int, float] = {}
-    nid = 0
     for t in range(decay + 1, horizon + 1):
         for _ in range(n_chunks):
-            txs.append(
-                Transaction(
-                    id=nid, arrival=t, size=(chunk,), unit_value=H * params.p_min
-                )
-            )
-            nid += 1
+            txs.append(Transaction(len(txs), t, (chunk,), H * params.p_min))
         for _ in range(n_chunks):
-            txs.append(
-                Transaction(
-                    id=nid, arrival=t, size=(chunk,), unit_value=L * params.p_min
-                )
-            )
-            tips[nid] = 1.0
-            nid += 1
+            tips[len(txs)] = 1.0
+            txs.append(Transaction(len(txs), t, (chunk,), L * params.p_min))
     scenario = Scenario(
         capacities=(float(B),), transactions=txs, horizon_hint=horizon, seed=seed
     )
@@ -423,67 +396,30 @@ class _DiscountMixGenerator(_AdaptiveGenerator):
 
     def __init__(self, rho_min: float, B: int, p: int) -> None:
         super().__init__()
-        self.rho = rho_min
+        self.discount = Discount(rho=rho_min)
         self.B = B
         self.p = p
         self.horizon = 3 * p
-        self.hasty_ids: set[int] = set()
-        self.hasty_executed = 0
-
-    def _observe(self, previous: BlockRecord) -> None:
-        if previous.time <= self.p:
-            for tid, _f in previous.executed:
-                if tid in self.hasty_ids:
-                    self.hasty_executed += 1
 
     def _emit(self, t: int) -> list[Transaction]:
-        out: list[Transaction] = []
         p, B = self.p, self.B
-        if t == 1:
-            for _ in range(p):
-                out.append(
-                    Transaction(id=self._new_id(), arrival=1, size=(B,), unit_value=2.0)
-                )
+        out = [self._tx(1, (B,), 2.0) for _ in range(p)] if t == 1 else []
         if t <= p:
-            hid = self._new_id()
-            self.hasty_ids.add(hid)
-            out.append(
-                Transaction(
-                    id=hid,
-                    arrival=t,
-                    size=(B,),
-                    unit_value=1.0,
-                    sensitivity=Discount(rho=self.rho),
-                )
-            )
+            out.append(self._tx(t, (B,), 1.0, self.discount, tag="hasty"))
         elif t <= 2 * p:
             if self.branch is None:
-                h = self.hasty_executed
+                h = self.executed["hasty"]
                 self.branch = "I" if 2 * h >= p else "II"
-                optimum = 6.0 * p * B if self.branch == "I" else 4.0 * p * B
+                optimum = (6.0 if self.branch == "I" else 4.0) * p * B
                 self.audit = {
                     "hasty_executed": h,
                     "branch": self.branch,
                     "optimum": optimum,
                 }
-            if self.branch == "I":
-                if t == p + 1:
-                    for _ in range(2 * p):
-                        out.append(
-                            Transaction(
-                                id=self._new_id(), arrival=t, size=(B,), unit_value=2.0
-                            )
-                        )
-            else:
-                out.append(
-                    Transaction(
-                        id=self._new_id(),
-                        arrival=t,
-                        size=(B,),
-                        unit_value=1.0,
-                        sensitivity=Discount(rho=self.rho),
-                    )
-                )
+            if self.branch == "II":
+                out.append(self._tx(t, (B,), 1.0, self.discount))
+            elif t == p + 1:
+                out.extend(self._tx(t, (B,), 2.0) for _ in range(2 * p))
         return out
 
 
@@ -526,61 +462,25 @@ class _PatienceGlobalGenerator(_AdaptiveGenerator):
 
     def __init__(self, p: int, B: int) -> None:
         super().__init__()
+        self.window = Patience(window=p)
         self.p = p
         self.B = B
         self.horizon = 2 * p
-        self.red_ids: set[int] = set()
-        self.reds_executed = 0
-
-    def _observe(self, previous: BlockRecord) -> None:
-        if previous.time <= self.p:
-            for tid, _f in previous.executed:
-                if tid in self.red_ids:
-                    self.reds_executed += 1
 
     def _emit(self, t: int) -> list[Transaction]:
-        out: list[Transaction] = []
-        p, B = self.p, self.B
+        p, B, window = self.p, self.B, self.window
         if t == 1:
-            for _ in range(p):
-                out.append(
-                    Transaction(
-                        id=self._new_id(),
-                        arrival=1,
-                        size=(B,),
-                        unit_value=1.0,
-                        sensitivity=Patience(window=p),
-                    )
-                )
-        elif t <= p:
-            rid = self._new_id()
-            self.red_ids.add(rid)
-            out.append(
-                Transaction(
-                    id=rid,
-                    arrival=t,
-                    size=(B,),
-                    unit_value=2.0,
-                    sensitivity=Patience(window=p),
-                )
-            )
-        elif t == p + 1:
-            r = self.reds_executed
+            return [self._tx(1, (B,), 1.0, window) for _ in range(p)]
+        if t <= p:
+            return [self._tx(t, (B,), 2.0, window, tag="red")]
+        if t == p + 1:
+            r = self.executed["red"]
             self.branch = "I" if 2 * r >= p else "II"
             optimum = (3.0 * p - 2.0) * B if self.branch == "I" else (4.0 * p - 1.0) * B
             self.audit = {"reds_executed": r, "branch": self.branch, "optimum": optimum}
             if self.branch == "II":
-                for _ in range(p):
-                    out.append(
-                        Transaction(
-                            id=self._new_id(),
-                            arrival=t,
-                            size=(B,),
-                            unit_value=2.0,
-                            sensitivity=Patience(window=p),
-                        )
-                    )
-        return out
+                return [self._tx(t, (B,), 2.0, window) for _ in range(p)]
+        return []
 
 
 def patience_global(p: int, B: int, seed: int = 0) -> ScenarioBundle:
@@ -612,47 +512,24 @@ class _ThreeResourceGenerator(_AdaptiveGenerator):
         super().__init__()
         self.t_half = t_half
         self.horizon = 2 * t_half
-        self.xz_ids: set[int] = set()
-        self.yz_ids: set[int] = set()
-        self.xz_executed = 0
-        self.yz_executed = 0
-
-    def _observe(self, previous: BlockRecord) -> None:
-        if previous.time <= self.t_half:
-            for tid, _f in previous.executed:
-                if tid in self.xz_ids:
-                    self.xz_executed += 1
-                elif tid in self.yz_ids:
-                    self.yz_executed += 1
 
     def _emit(self, t: int) -> list[Transaction]:
         out: list[Transaction] = []
         if t == 1:
             for _ in range(self.t_half):
-                xid = self._new_id()
-                self.xz_ids.add(xid)
-                out.append(
-                    Transaction(id=xid, arrival=1, size=(1, 1, 0, 1), unit_value=1.0)
-                )
-                yid = self._new_id()
-                self.yz_ids.add(yid)
-                out.append(
-                    Transaction(id=yid, arrival=1, size=(1, 0, 1, 1), unit_value=1.0)
-                )
+                out.append(self._tx(1, (1, 1, 0, 1), 1.0, tag="xz"))
+                out.append(self._tx(1, (1, 0, 1, 1), 1.0, tag="yz"))
         elif t == self.t_half + 1:
-            starved = "X" if self.xz_executed <= self.yz_executed else "Y"
-            self.branch = starved
+            xz, yz = self.executed["xz"], self.executed["yz"]
+            self.branch = starved = "X" if xz <= yz else "Y"
             self.audit = {
-                "alloc_xz": self.xz_executed,
-                "alloc_yz": self.yz_executed,
+                "alloc_xz": xz,
+                "alloc_yz": yz,
                 "starved": starved,
                 "optimum": 3.0 * self.t_half,
             }
             size = (1, 1, 0, 0) if starved == "X" else (1, 0, 1, 0)
-            for _ in range(self.t_half):
-                out.append(
-                    Transaction(id=self._new_id(), arrival=t, size=size, unit_value=1.0)
-                )
+            out.extend(self._tx(t, size, 1.0) for _ in range(self.t_half))
         return out
 
 
@@ -746,13 +623,11 @@ def adaptive_price_adversary(
     per_value = R + delta
 
     def build(m_idx: int) -> Scenario:
-        txs = []
-        nid = 0
+        txs: list[Transaction] = []
         for i in range(m_idx + 1):
             v = (r**i) * params.p_min
             for _ in range(per_value):
-                txs.append(Transaction(id=nid, arrival=1, size=(B,), unit_value=v))
-                nid += 1
+                txs.append(Transaction(len(txs), 1, (B,), v))
         return Scenario(capacities=(float(B),), transactions=txs, seed=0)
 
     def run(m_idx: int) -> RunResult:

@@ -346,6 +346,15 @@ def _reference_integer(x, name: str) -> int:
     return n
 
 
+def _reference_number(x, name: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range") from None
+
+
 def _reference_sens_from_json(d):
     if not isinstance(d, dict):
         raise TypeError(f"sens must be an object, got {d!r}")
@@ -353,7 +362,7 @@ def _reference_sens_from_json(d):
     if kind == "patient":
         return PATIENT
     if kind == "discount":
-        return Discount(rho=float(d["rho"]))
+        return Discount(rho=_reference_number(d["rho"], "rho"))
     if kind == "patience":
         return Patience(window=_reference_integer(d["p"], "patience window"))
     raise ValueError(f"unknown sensitivity kind {kind!r}")
@@ -379,7 +388,7 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
             try:
                 if not isinstance(obj["B"], list):
                     raise TypeError(f"B must be a list, got {obj['B']!r}")
-                capacities = tuple(float(b) for b in obj["B"])
+                capacities = tuple(_reference_number(b, "B") for b in obj["B"])
                 m = _reference_integer(obj["m"], "m")
                 seed = _reference_integer(obj["seed"], "seed")
             except (ValueError, TypeError, OverflowError) as exc:
@@ -397,7 +406,7 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
                     id=ii,
                     arrival=tt,
                     size=size,
-                    unit_value=float(obj["v"]),
+                    unit_value=_reference_number(obj["v"], "v"),
                     sensitivity=_reference_sens_from_json(obj.get("sens", {"kind": "patient"})),
                 )
             )
@@ -420,7 +429,8 @@ def reference_schedule_from_json(text: str) -> Schedule:
             i, t = e["id"], e["t"]
             if int(i) != i or int(t) != t:
                 raise ValueError(f"entry id and t must be integers, got id={i!r}, t={t!r}")
-            entries.append(ScheduleEntry(tx=int(i), time=int(t), fraction=float(e["frac"])))
+            fraction = _reference_number(e["frac"], "frac")
+            entries.append(ScheduleEntry(tx=int(i), time=int(t), fraction=fraction))
         if not isinstance(obj["integral"], bool):
             raise TypeError(f"integral must be true or false, got {obj['integral']!r}")
         return Schedule(entries=entries, integral=obj["integral"])

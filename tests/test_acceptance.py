@@ -366,7 +366,7 @@ def test_criterion_12_partial_patience():
     gen = bundle.scenario.generator
     Tm = bundle.notes["horizon"]
     scn, audit = drive(bundle, Tm, lambda t, pending: {
-        x.id for x in pending if x.id in gen.hasty_ids
+        x.id for x in pending if gen.tags.get(x.id) == "hasty"
     })
     dp_ok &= abs(welfare(opt_integral_small(scn, 1.0, Tm), scn, Tm) - audit["optimum"]) <= 1e-9
     bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
@@ -377,7 +377,7 @@ def test_criterion_12_partial_patience():
         gen = bundle.scenario.generator
         Tm = bundle.notes["horizon"]
         pick = (
-            (lambda t, pending: {x.id for x in pending if x.id in gen.red_ids})
+            (lambda t, pending: {x.id for x in pending if gen.tags.get(x.id) == "red"})
             if picker == "reds"
             else (lambda t, p: set())
         )

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from feemarket import MechanismParams, Scenario, Transaction
-from feemarket.cli import main, theorem_params
+from feemarket.cli import BUILTINS, main, theorem_params
 from feemarket.core import scenario_to_jsonl
 from feemarket.adversary import SeededRandom, policy_to_config
 from feemarket.mechanisms import params_to_config, theorem_gamma
@@ -104,6 +104,10 @@ def test_run_malformed_scenario_exit_2(tmp_path, mech_file, capsys):
     ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": "patient"}\n', 2),
     ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0.7, "q": [5], "v": 2.0}\n', 2),
     ('{"m": 1, "B": [100.0], "seed": 0}\n\n{"t": 1, "id": 0, "q": [5.9], "v": 2.0}\n', 3),
+    ('{"m": 1, "B": ["100"], "seed": 0}\n', 1),
+    ('{"m": 1, "B": [true], "seed": 0}\n', 1),
+    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": "1.5"}\n', 2),
+    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": true}\n', 2),
 ])
 def test_run_bad_scenario_line_exit_2(tmp_path, mech_file, text, line, capsys):
     bad = tmp_path / "bad.jsonl"
@@ -122,6 +126,50 @@ def test_run_nan_tip_policy_exit_2(tmp_path, scenario_file, mech_file, capsys):
                "--policy", str(policy), "--horizon", "3", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "tip must be finite" in capsys.readouterr().err
+
+
+_MECH = {"B": 100, "c": 2, "eta": 0.125, "p_min": 1, "p_1": 1}
+
+
+@pytest.mark.parametrize("config", [
+    [100, 2, 0.125, 1, 1],
+    "mech",
+    {k: v for k, v in _MECH.items() if k != "B"},
+    {**_MECH, "B": None},
+    {**_MECH, "B": "100"},
+    {**_MECH, "eta": True},
+    {**_MECH, "p_1": 10**400},
+    {**_MECH, "discounted_eligibility": "false"},
+    {**_MECH, "discounted_eligibility": 0},
+    {**_MECH, "discounted_eligibility": None},
+])
+def test_run_malformed_mechanism_config_exit_2(tmp_path, scenario_file, config, capsys):
+    mech = tmp_path / "mech.json"
+    mech.write_text(json.dumps(config))
+    rc = main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech),
+               "--horizon", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", [
+    ["tip"],
+    None,
+    {"policy": "tip", "tips": {"0": None}},
+    {"policy": "tip", "tips": {"0": "1.5"}},
+    {"policy": "tip", "tips": {"0": True}},
+])
+def test_run_malformed_policy_config_exit_2(tmp_path, scenario_file, mech_file, config, capsys):
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(config))
+    rc = main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+               "--policy", str(policy), "--horizon", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_pass_and_fail(tmp_path, scenario_file, mech_file):
@@ -188,13 +236,20 @@ def _malformed(entries, how):
         bad[0]["id"] += 0.7
     elif how == "integral_flag":
         integral = "no"
+    elif how == "string_fraction":
+        bad[0]["frac"] = "1.0"
+    elif how == "bool_fraction":
+        bad[0]["frac"] = True
     else:
         bad.append({"id": 9999, "t": bad[-1]["t"], "frac": 1.0})
     return json.dumps({"integral": integral, "entries": bad})
 
 
 @pytest.mark.parametrize("role", ["schedule", "benchmark"])
-@pytest.mark.parametrize("how", ["early", "fraction", "unknown_id", "fractional_id", "integral_flag"])
+@pytest.mark.parametrize("how", [
+    "early", "fraction", "unknown_id", "fractional_id", "integral_flag", "string_fraction",
+    "bool_fraction",
+])
 def test_verify_malformed_schedule_exit_2(tmp_path, scenario_file, mech_file, how, role, capsys):
     out = tmp_path / "out"
     main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
@@ -308,6 +363,25 @@ def test_run_seed_keeps_file_scenario_seed_unless_given(tmp_path, scenario_file,
     assert own_seed == 3  # the fixture's header seed
     assert run(tmp_path / "three", "--seed", "3") == (3, own_trace)
     assert run(tmp_path / "zero", "--seed", "0")[0] == 0
+
+
+@pytest.mark.parametrize("name", ["c_below_two", "discount_mix", "patience_global"])
+def test_adaptive_export_reruns_as_file_scenario(tmp_path, name, capsys):
+    """An adaptive run's exported stream, run again as a file scenario with
+    the builtin's mechanism, policy and block count, gives the same bytes."""
+    con = BUILTINS[name]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--scenario", name, "--out", str(a)]) == 0
+    (tmp_path / "mech.json").write_text(json.dumps(params_to_config(con.params[0])))
+    (tmp_path / "policy.json").write_text(json.dumps(policy_to_config(con.policy)))
+    blocks = json.loads((a / "summary.json").read_text())["blocks"]
+    assert main([
+        "run", "--scenario", str(a / "scenario.jsonl"),
+        "--mechanism", str(tmp_path / "mech.json"), "--policy", str(tmp_path / "policy.json"),
+        "--horizon", str(blocks), "--out", str(b),
+    ]) == 0
+    for f in ("trace.jsonl", "schedule.json", "scenario.jsonl"):
+        assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
 
 # SHA-256 of the outputs of ``feemarket run --scenario <name>`` with default flags.

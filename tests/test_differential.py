@@ -39,7 +39,7 @@ from feemarket.core import (
     schedule_to_json,
     trace_to_jsonl,
 )
-from feemarket.mechanisms import _pool_key
+from feemarket.mechanisms import _pool_key, replay_log_prices
 
 from oracles import (
     all_windows_block_check,
@@ -164,9 +164,9 @@ def test_identity_matches_per_value_scan(case):
 
 @st.composite
 def engine_cases(draw):
-    """Overloaded static streams: shared values, every sensitivity, one or
+    """Overloaded static streams: shared values, every sensitivity, one to
     three resources, every inclusion policy."""
-    m = draw(st.sampled_from([1, 1, 3]))
+    m = draw(st.sampled_from([1, 1, 2, 3]))
     B = draw(st.sampled_from([10, 50]))
     horizon = draw(st.integers(1, 12))
     value = st.sampled_from([0.0, 1.0, 1.2, 2.0, 5.0, 40.0])
@@ -216,6 +216,7 @@ def test_engine_matches_rescanning_engine(case):
     assert [(e.tx, e.time) for e in run.schedule.entries] == [
         (cid, rec.time) for rec in run.trace.records for cid, _f in rec.executed
     ]
+    assert replay_log_prices(params, run.trace, scn) == [r.log_prices for r in run.trace.records]
 
 
 # Adjacent floats whose logs are equal, so the engine's (ln v, id) pool
@@ -430,13 +431,15 @@ def test_template_taken_only_for_exact_types(monkeypatch):
         assert len(calls) == 1
 
 
-# Replacement field values for the reader tests: integral and fractional
-# numbers, strings, nulls, bools, lists, objects and non-finite numbers.
+# Replacement field values for the reader tests: integral, fractional and
+# out-of-range numbers, numeric and other strings, nulls, bools, lists,
+# objects and non-finite numbers.
 ODD_VALUES = [
-    0, 1, -1, 5.0, 0.7, 1.7, 2**70, 1e300, "5", "x", None, True, False, [], [5], [5.9],
-    [5.0], [0], [0, 0], [1, 2], [-1], [True], {}, "patient", {"kind": "patient"},
-    {"kind": "patient", "extra": 1}, {"kind": "discount", "rho": 0.5},
-    {"kind": "discount", "rho": 1.5}, {"kind": "patience", "p": 3},
+    0, 1, -1, 5.0, 0.7, 1.7, 2**70, 10**400, 1e300, "5", "1.5", "x", None, True, False, [],
+    [5], [5.9], [5.0], [0], [0, 0], [1, 2], [-1], [True], [False], ["100"], {}, "patient",
+    {"kind": "patient"}, {"kind": "patient", "extra": 1}, {"kind": "discount", "rho": 0.5},
+    {"kind": "discount", "rho": 1.5}, {"kind": "discount", "rho": "0.5"},
+    {"kind": "discount", "rho": False}, {"kind": "patience", "p": 3},
     {"kind": "patience", "p": 2.5}, {"kind": "patience", "p": -1}, {"kind": "nope"},
     math.nan, math.inf, -math.inf,
 ]

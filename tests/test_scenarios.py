@@ -94,7 +94,7 @@ class TestCBelowTwo:
                 pool = [
                     x.id
                     for x in pending
-                    if (x.id in gen.green_ids) == (picker == "greens")
+                    if (gen.tags.get(x.id) == "green") == (picker == "greens")
                 ]
                 return set(pool[:1])
 
@@ -121,7 +121,7 @@ class TestCBelowTwo:
         gen = bundle.scenario.generator
 
         def pick(t, pending):
-            reds = [x.id for x in pending if x.id not in gen.green_ids]
+            reds = [x.id for x in pending if gen.tags.get(x.id) != "green"]
             return set(reds[:1])
 
         scn, audit = drive(bundle, 8, pick)
@@ -215,7 +215,7 @@ class TestDiscountMix:
         T = bundle.notes["horizon"]
 
         def pick_hasty(t, pending):
-            return set(x.id for x in pending if x.id in gen.hasty_ids)
+            return set(x.id for x in pending if gen.tags.get(x.id) == "hasty")
 
         scn, audit = drive(bundle, T, pick_hasty)
         assert audit["branch"] == "I"
@@ -236,7 +236,7 @@ class TestPatienceGlobal:
         T = bundle.notes["horizon"]
 
         def pick_red(t, pending):
-            return set(x.id for x in pending if x.id in gen.red_ids)
+            return set(x.id for x in pending if gen.tags.get(x.id) == "red")
 
         scn, audit = drive(bundle, T, pick_red)
         assert audit["branch"] == "I"
@@ -279,7 +279,7 @@ class TestThreeResources:
         T = bundle.notes["horizon"]
 
         def pick_xz(t, pending):
-            xz = [x.id for x in pending if x.id in gen.xz_ids]
+            xz = [x.id for x in pending if gen.tags.get(x.id) == "xz"]
             return set(xz[:1])
 
         scn, audit = drive(bundle, T, pick_xz)
