@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -648,7 +649,7 @@ def measured_slackness(
 ) -> float:
     """Smallest constant slackness the schedule satisfies: max over windows of
     (window total / B_j) - k."""
-    return check_avg_block_size(schedule, scenario, B, math.inf).max_slackness
+    return _max_slackness(_block_prefix_sums(schedule, scenario, B)[1])
 
 
 def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
@@ -671,12 +672,35 @@ def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
 # sensitivity, a non-finite float (json writes Infinity), an int or float
 # subclass (json writes a bool as true).
 #
-# The readers parse each line with one json.loads and build its records
-# directly.  An integer field must hold a number equal to an integer: 5.0
-# reads as 5; 5.5 and "5" are rejected.  A float field must hold a number:
+# The readers parse each line with one json.loads (but for the scenario
+# reader's template lines, below) and build its records directly.  An
+# integer field must hold a number equal to an integer: 5.0 reads as 5; 5.5
+# and "5" are rejected.  A float field must hold a number:
 # 5 reads as 5.0; "5" and true are rejected.
+#
+# scenario_from_jsonl reads the line form scenario_to_jsonl's f-string writes
+# without json.loads: _TEMPLATE_EVENT matches exactly that form, and a
+# matched line's Transaction is built from the captured digits.  The pattern
+# admits only what json.loads reads to the same values:
+#   - ASCII digits: [0-9], never \d, which matches digits that int() reads
+#     and json rejects;
+#   - numbers without a plus sign, underscore or leading zero; the minus
+#     the writer puts on a negative id or on -0.0 reads the same both ways;
+#     t and q are positive, as a one-resource Transaction's are;
+#   - a v with a fraction or an exponent: json reads a bare integer as an
+#     int, which _number rejects when it is too large for a float, where
+#     float() would return inf.
+# Every other line (blank, another sensitivity, spacing or key order,
+# several resources, NaN, ...) goes through json.loads as before, so the
+# records, errors and line numbers are those of the json.loads path.
 
 _PATIENT_JSON = {"kind": "patient"}
+
+_TEMPLATE_EVENT = re.compile(
+    r'\{"t": ([1-9][0-9]*), "id": (-?(?:0|[1-9][0-9]*)), "q": \[([1-9][0-9]*)\], '
+    r'"v": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)), '
+    r'"sens": \{"kind": "patient"\}\}'
+).fullmatch
 
 
 def _integer(x, name: str) -> int:
@@ -779,13 +803,20 @@ def scenario_from_jsonl(text: str) -> Scenario:
         raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
     except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"line {no}: bad header ({exc})") from exc
-    loads = json.loads
+    loads, template = json.loads, _TEMPLATE_EVENT
     txs: list[Transaction] = []
     append = txs.append
     for no, ln in rows:
-        if not ln.strip():
-            continue
         try:
+            hit = template(ln)
+            if hit is not None:
+                t, i, q, v = hit.groups()
+                # Converted in line order, as json.loads would.
+                t = int(t)
+                append(Transaction(int(i), t, (int(q),), float(v), PATIENT))
+                continue
+            if not ln.strip():
+                continue
             obj = loads(ln)
             i, t, q = obj["id"], obj["t"], obj["q"]
             ii, tt, size = int(i), int(t), tuple(map(int, q))

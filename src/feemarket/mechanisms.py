@@ -34,6 +34,7 @@ from .core import (
     LOG_EPS,
     BlockRecord,
     FeeMarketError,
+    Patient,
     RunTrace,
     Scenario,
     ScenarioError,
@@ -279,8 +280,13 @@ def _run_engine(
     aware = params_list[0].discounted_eligibility
 
     # The pool, sorted by _pool_key; an executed transaction leaves it by
-    # bisection.
+    # bisection.  With discounted eligibility on one resource, a transaction
+    # whose value can decay waits in ``decaying`` instead and is scanned
+    # every block.  The eligible list's order does not matter: select_block
+    # orders it by a key that is unique per transaction under every policy.
     pending: list[tuple[float, int, Transaction]] = []
+    decaying: dict[int, Transaction] = {}
+    split = m == 1 and aware
 
     entries: list[ScheduleEntry] = []
     records: list[BlockRecord] = []
@@ -290,17 +296,17 @@ def _run_engine(
 
     for t in range(1, horizon + 1):
         for txn in ingest.at(t, prev):
-            insort(pending, (*_pool_key(txn), txn))
+            if split and type(txn.sensitivity) is not Patient:
+                decaying[txn.id] = txn
+            else:
+                insort(pending, (*_pool_key(txn), txn))
 
-        if m == 1 and not aware:
-            i = bisect_left(pending, (log_prices[0] - LOG_EPS,))
-            eligible = [e[2] for e in pending[i:]]
-        elif m == 1:
-            lnp = log_prices[0]
-            eligible = []
-            for _lnv, _id, txn in pending:
+        if m == 1:
+            floor = log_prices[0] - LOG_EPS
+            eligible = [e[2] for e in pending[bisect_left(pending, (floor,)) :]]
+            for txn in decaying.values():
                 val = txn.value_at(t)
-                if val > 0.0 and math.log(val) >= lnp - LOG_EPS:
+                if val > 0.0 and math.log(val) >= floor:
                     eligible.append(txn)
         else:
             prices = [math.exp(lp) for lp in log_prices]
@@ -326,7 +332,8 @@ def _run_engine(
                 qsums[j] += txn.size[j]
             block_terms.append(txn.size[0] * txn.value_at(t))
             entries.append(ScheduleEntry(tx=cid, time=t, fraction=1.0))
-            del pending[bisect_left(pending, _pool_key(txn))]
+            if decaying.pop(cid, None) is None:
+                del pending[bisect_left(pending, _pool_key(txn))]
         cum += math.fsum(block_terms)
 
         rec = BlockRecord(

@@ -381,6 +381,9 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
             obj = json.loads(ln)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # an integer past int()'s digit limit
+            what = "bad header" if header is None else "bad event record"
+            raise ScenarioError(f"line {no}: {what} ({exc})") from exc
         if header is None:
             if not isinstance(obj, dict) or not {"m", "B", "seed"} <= obj.keys():
                 raise ScenarioError(f"line {no}: expected header with m, B, seed")

@@ -166,3 +166,16 @@ def test_infinite_tip_rejected(bad):
 def test_tips_must_be_a_mapping():
     with pytest.raises(ValueError, match="tips must map"):
         policy_from_config({"policy": "tip", "tips": [1.0]})
+
+
+@pytest.mark.parametrize("key", ["1_0", " 3 ", "+3", "\u0663", "-1", "3.0", ""])
+def test_tip_key_must_be_decimal_id(key):
+    """int() reads "1_0" as 10, " 3 " and "+3" as 3 and an Arabic-Indic
+    three as 3; a tip key must be ASCII digits only."""
+    with pytest.raises(ValueError, match="tip keys must be decimal transaction ids"):
+        policy_from_config({"policy": "tip", "tips": {"0": 1.0, key: 2.0}})
+
+
+def test_decimal_tip_keys_accepted():
+    config = {"policy": "tip", "tips": {"0": 1.0, "10": 2.0, "12345678901234567890": 0.5}}
+    assert policy_from_config(config).tips == {0: 1.0, 10: 2.0, 12345678901234567890: 0.5}

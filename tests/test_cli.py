@@ -160,6 +160,10 @@ def test_run_malformed_mechanism_config_exit_2(tmp_path, scenario_file, config, 
     {"policy": "tip", "tips": {"0": None}},
     {"policy": "tip", "tips": {"0": "1.5"}},
     {"policy": "tip", "tips": {"0": True}},
+    {"policy": "tip", "tips": {"1_0": 2.0}},
+    {"policy": "tip", "tips": {" 3 ": 2.0}},
+    {"policy": "tip", "tips": {"+3": 2.0}},
+    {"policy": "tip", "tips": {"\u0663": 2.0}},
 ])
 def test_run_malformed_policy_config_exit_2(tmp_path, scenario_file, mech_file, config, capsys):
     policy = tmp_path / "policy.json"

@@ -6,6 +6,7 @@ readers."""
 import json
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -508,6 +509,176 @@ def test_scenario_reader_counts_blank_lines():
     for read in (scenario_from_jsonl, reference_scenario_from_jsonl):
         with pytest.raises(ScenarioError, match=r"^line 4: bad event record \(t, id and q"):
             read(text)
+
+
+def template_line(t="2", i="3", q="7", v="2.5"):
+    """An event line in the form the scenario writer's f-string emits."""
+    return f'{{"t": {t}, "id": {i}, "q": [{q}], "v": {v}, "sens": {{"kind": "patient"}}}}'
+
+
+def template_text(*lines):
+    """A scenario text with ``lines`` between two template lines."""
+    return "\n".join(
+        ['{"m": 1, "B": [100.0], "seed": 0}', template_line(i="0"), *lines, template_line(i="9")]
+    ) + "\n"
+
+
+# Number tokens for the template's fields: non-ASCII digits (int() reads
+# them, json does not), leading zeros, signs, incomplete fractions, bare
+# integers, digits past int()'s limit and past the float range, exponents in
+# either case, underscores (int() and float() read them, json does not).
+NUMBER_TOKENS = [
+    "\u0663", "1\u0663", "\uff11", "\u0660.5", "1\u0663.5", "1.\u0665", "1e\u0665",
+    "0", "00", "07", "-0", "-3", "+3", "0.0", "-0.0", "-1.5", "00.5", "-",
+    "1.", ".5", "1.e5", "5", "2", "1e400", "-1e400", "1" + "0" * 400, "1" + "0" * 400 + ".0",
+    "1E+5", "1e-5", "1e5", "2.5E-3", "5e-324", "1e+", "1_0", "1_0.5", "1.0_0", "1e1_0",
+    "1" * 4301, "2" * 4302, "NaN", "Infinity", "-Infinity", "true", "null", '"5"', "[5]",
+    "5 ", " 5", "5\t", "0x10",
+]
+# Whole-line mutations: extra and missing spaces, swapped keys, duplicate
+# keys, trailing and embedded line breaks and other whitespace.
+LINE_MUTATIONS = [
+    '{"t":  2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"t": 2,  "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"t": 2, "id": 3, "q": [ 7], "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"} }',
+    '{"t":2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind":"patient"}}',
+    '{"t": 2,"id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"id": 3, "t": 2, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"t": 2, "id": 3, "q": [7], "sens": {"kind": "patient"}, "v": 2.5}',
+    '{"t": 2, "t": 4, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}, "id": 4}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient", "kind": "nope"}}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}\r',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}\r\n',
+    '{"t": 2, "id": 3, "q": [7],\r "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}\x85',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}} ',
+    ' {"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}\t',
+    '{"t": 2, "id": 3, "q": [7, 0], "v": 2.5, "sens": {"kind": "patient"}}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "Patient"}}',
+    '{"t": 2, "id": 3, "q": [7], "v": 2.5}',
+]
+
+
+def test_template_mutations_match_per_line_reference():
+    """Every number token in every field of a template line, and every
+    whole-line mutation, reads as the json.loads reference reads it: the
+    same records, or the same error type and message."""
+    texts = [
+        template_text(template_line(**{field: token}))
+        for field in ("t", "i", "q", "v")
+        for token in NUMBER_TOKENS
+    ]
+    texts += [template_text(line) for line in LINE_MUTATIONS]
+    # Two over-long fields: the error names the first in line order.
+    texts.append(template_text(template_line(t="1" * 4301, i="2" * 4302)))
+    for text in texts:
+        got = outcome(scenario_from_jsonl, text, describe_scenario)
+        assert got == outcome(reference_scenario_from_jsonl, text, describe_scenario), text[:200]
+    # A bare 400-digit v is an int too large for a float; with ".0" it is a
+    # float that overflows to inf.
+    for v, message in (("1" + "0" * 400, "v is out of range"), ("1e400", "unit value must be finite")):
+        with pytest.raises(ScenarioError, match=f"^line 3: bad event record \\(.*{message}"):
+            scenario_from_jsonl(template_text(template_line(v=v)))
+
+
+template_tokens = st.one_of(
+    st.integers(0, 10**20).map(str),
+    st.floats(0.0, 1e308).map(repr),
+    st.sampled_from(NUMBER_TOKENS),
+)
+
+
+@st.composite
+def edited_template_texts(draw):
+    """A template line with drawn field tokens and up to three character
+    edits: an insertion, a deletion or a replacement at a drawn position."""
+    line = template_line(*(draw(template_tokens) for _ in range(4)))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(line)))
+        char = draw(st.sampled_from(list(' \t\r-+._eE0159\u0663"{}[],:')))
+        how = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if how == "insert":
+            line = line[:pos] + char + line[pos:]
+        else:
+            line = line[:pos] + (char if how == "replace" else "") + line[pos + 1 :]
+    return template_text(line)
+
+
+@given(edited_template_texts())
+@settings(max_examples=600, deadline=None)
+def test_edited_template_lines_match_per_line_reference(text):
+    got = outcome(scenario_from_jsonl, text, describe_scenario)
+    assert got == outcome(reference_scenario_from_jsonl, text, describe_scenario)
+
+
+def counting_json(calls):
+    """A stand-in for core's json module that records each loads call."""
+
+    def loads(text):
+        calls.append(text)
+        return json.loads(text)
+
+    return SimpleNamespace(dumps=json.dumps, loads=loads)
+
+
+@st.composite
+def template_scenarios(draw):
+    """Scenarios whose every event line the writer emits from its template:
+    one resource, exact int fields, a finite float value, patient."""
+    n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n, unique=True))
+    txs = [
+        Transaction(
+            i,
+            draw(st.integers(1, 2**70)),
+            (draw(st.integers(1, 2**70)),),
+            draw(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 1e308))),
+        )
+        for i in ids
+    ]
+    return Scenario(capacities=(100.0,), transactions=txs, seed=draw(st.integers(0, 2**64)))
+
+
+@given(template_scenarios())
+@settings(max_examples=200, deadline=None)
+def test_template_lines_read_without_json_loads(scn):
+    """The reader parses every line the writer's template emits without
+    json.loads; only the header goes through it."""
+    calls = []
+    text = scenario_to_jsonl(scn)
+    with mock.patch.object(core, "json", counting_json(calls)):
+        got = describe_scenario(scenario_from_jsonl(text))
+    assert calls == text.splitlines()[:1]
+    assert got == describe_scenario(reference_scenario_from_jsonl(text))
+
+
+def test_other_lines_read_with_json_loads(monkeypatch):
+    """Each line the writer emits through json.dumps is read through
+    json.loads, as is each line the template pattern leaves out."""
+    calls = []
+    monkeypatch.setattr(core, "json", counting_json(calls))
+    for odd in (
+        Transaction(4, 1, (7,), 2.5, Discount(0.5)),
+        Transaction(4, 1, (7,), 2.5, Patience(3)),
+        Transaction(4, 1, (7, 1), 2.5),
+        Transaction(4, 1, (True,), 2.5),
+        Transaction(4, True, (7,), 2.5),
+        Transaction(4, 1, (7,), 2),
+    ):
+        calls.clear()
+        scenario_from_jsonl(
+            scenario_to_jsonl(Scenario(capacities=(100.0,) * len(odd.size), transactions=[odd]))
+        )
+        assert len(calls) == 2
+    for line in ("", "  ", template_line(v="5"), template_line(i="07"), LINE_MUTATIONS[0]):
+        calls.clear()
+        outcome(scenario_from_jsonl, template_text(line), describe_scenario)
+        assert len(calls) == 1 + bool(line.strip())
 
 
 @st.composite
