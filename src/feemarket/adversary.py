@@ -224,8 +224,9 @@ def policy_to_config(policy: InclusionPolicy) -> dict:
 
 
 def policy_from_config(obj: Mapping) -> InclusionPolicy:
-    """The policy of a JSON config object; a tip key must be a decimal id, a
-    tip a JSON number, and a config of any other shape raises ValueError."""
+    """The policy of a JSON config object; a tip key must be a decimal id
+    that no other key names, a tip a JSON number, and a config of any other
+    shape raises ValueError."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"policy config must be a JSON object, got {obj!r}")
     name = obj.get("policy")
@@ -237,7 +238,13 @@ def policy_from_config(obj: Mapping) -> InclusionPolicy:
             # int() would also read "1_0", " 3 ", "+3" and non-ASCII digits.
             if type(k) is not str or not (k.isascii() and k.isdigit()):
                 raise ValueError(f"tip keys must be decimal transaction ids, got {k!r}")
-        tips = {int(k): _number(v, f"tx {k}: tip") for k, v in raw.items()}
+        tips: dict[int, float] = {}
+        for k, v in raw.items():
+            # "7" and "07" name one id; keeping either tip would drop the other.
+            i = int(k)
+            if i in tips:
+                raise ValueError(f"tip key {k!r} repeats tx {i}")
+            tips[i] = _number(v, f"tx {k}: tip")
         # A NaN tip would make the tip order depend on the input order.
         for i, tip in tips.items():
             if not math.isfinite(tip):

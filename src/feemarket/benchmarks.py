@@ -26,13 +26,13 @@ from functools import lru_cache
 from .core import (
     REL_TOL,
     FeeMarketError,
-    InvalidScheduleError,
     Scenario,
     ScenarioError,
     Schedule,
     ScheduleEntry,
     _avg_block_violations,
     _per_resource,
+    _resolved,
     quantity_curve,
     welfare,
 )
@@ -339,16 +339,10 @@ def check_threshold_dominance(
             f"benchmark violates its declared size constraint in "
             f"{len(pre)} window(s); first: {pre[0].to_json()}"
         )
-    index = scenario.index()
-    try:
-        thetas = sorted(
-            {index[e.tx].unit_value for e in alg.entries}
-            | {index[e.tx].unit_value for e in bench.entries}
-        )
-    except KeyError as exc:
-        raise InvalidScheduleError(
-            f"entry references unknown transaction id {exc.args[0]}"
-        ) from None
+    thetas = sorted(
+        {t_.unit_value for _e, t_ in _resolved(alg, scenario)}
+        | {t_.unit_value for _e, t_ in _resolved(bench, scenario)}
+    )
     bench_q = quantity_curve(bench, scenario, (1, horizon))
     alg_q = quantity_curve(alg, scenario, (1, horizon + gamma))
     retained = math.exp(-eta)

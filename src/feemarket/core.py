@@ -21,11 +21,11 @@ import json
 import math
 import re
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from json import JSONDecodeError
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Callable, Protocol, Union
 
 __all__ = [
@@ -272,11 +272,6 @@ class BlockRecord:
     sizes: tuple[float, ...]
     cumulative_welfare: float
 
-    @property
-    def price(self) -> float:
-        """Posted price on resource 1 in linear space."""
-        return math.exp(self.log_prices[0])
-
 
 @dataclass
 class RunTrace:
@@ -298,19 +293,29 @@ class RunTrace:
         return None
 
 
+def _resolved(
+    schedule: Schedule, scenario: Scenario, first: float = -math.inf, last: float = math.inf
+) -> Iterator[tuple[ScheduleEntry, Transaction]]:
+    """(entry, transaction) for each entry with first <= time <= last, in
+    order; InvalidScheduleError at the first unknown id among them."""
+    index = scenario.index()
+    for e in schedule.entries:
+        if first <= e.time <= last:
+            t_ = index.get(e.tx)
+            if t_ is None:
+                raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
+            yield e, t_
+
+
 def validate_schedule(schedule: Schedule, scenario: Scenario) -> None:
     """Raise InvalidScheduleError unless the schedule is well formed.
 
     Checks: known transaction ids, no entry before arrival, fractions in
     (0, 1], per-transaction totals <= 1, and the integral flag's meaning.
     """
-    index = scenario.index()
     totals: dict[int, float] = {}
     seen_integral: set[int] = set()
-    for e in schedule.entries:
-        t_ = index.get(e.tx)
-        if t_ is None:
-            raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
+    for e, t_ in _resolved(schedule, scenario):
         if e.time < t_.arrival:
             raise InvalidScheduleError(
                 f"tx {e.tx} scheduled at {e.time} before arrival {t_.arrival}"
@@ -344,16 +349,10 @@ def welfare(schedule: Schedule, scenario: Scenario, horizon: int) -> float:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    index = scenario.index()
-    terms = []
-    for e in schedule.entries:
-        if e.time > horizon:
-            continue
-        t_ = index.get(e.tx)
-        if t_ is None:
-            raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
-        terms.append(e.fraction * t_.q * t_.value_at(e.time))
-    return math.fsum(terms)
+    return math.fsum(
+        e.fraction * t_.q * t_.value_at(e.time)
+        for e, t_ in _resolved(schedule, scenario, last=horizon)
+    )
 
 
 def quantity_curve(
@@ -371,14 +370,8 @@ def quantity_curve(
     a, b = window
     if a > b:
         raise ValueError(f"window start {a} exceeds end {b}")
-    index = scenario.index()
     groups: dict[float, list[tuple[int, int]]] = {}
-    for e in schedule.entries:
-        if not (a <= e.time <= b):
-            continue
-        t_ = index.get(e.tx)
-        if t_ is None:
-            raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
+    for e, t_ in _resolved(schedule, scenario, a, b):
         groups.setdefault(t_.unit_value, []).append((e.fraction * t_.q).as_integer_ratio())
     values = sorted(groups)
     scale = max((d for group in groups.values() for _n, d in group), default=1)
@@ -418,14 +411,8 @@ def welfare_via_threshold_integral(
     costs O(n log n).  Only defined for patient values; distinct values are
     deduplicated exactly on the float value.
     """
-    index = scenario.index()
     values: set[float] = set()
-    for e in schedule.entries:
-        if e.time > horizon:
-            continue
-        t_ = index.get(e.tx)
-        if t_ is None:
-            raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
+    for _e, t_ in _resolved(schedule, scenario, last=horizon):
         if type(t_.sensitivity) is not Patient:
             raise UnsupportedSensitivityError(
                 "threshold-integral identity holds for patient values only"
@@ -492,13 +479,9 @@ def constant_slack(delta: float) -> float:
 
 def block_sizes(schedule: Schedule, scenario: Scenario) -> dict[int, tuple[float, ...]]:
     """Per-block size vectors Q_t implied by the schedule."""
-    index = scenario.index()
     m = scenario.m
     out: dict[int, list[float]] = {}
-    for e in schedule.entries:
-        t_ = index.get(e.tx)
-        if t_ is None:
-            raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
+    for e, t_ in _resolved(schedule, scenario):
         row = out.setdefault(e.time, [0.0] * m)
         for j in range(m):
             row[j] += e.fraction * t_.size[j]
@@ -514,6 +497,23 @@ def _per_resource(B: float | Iterable[float], m: int) -> tuple[float, ...]:
 # 32 units in the last place of the largest magnitude they handle, several
 # times the rounding error their handful of float operations can add up to.
 _BAND = 2.0**-48
+
+
+def _band(D: list[float], cut: float) -> Iterator[tuple[int, int]]:
+    """Each (i, j), i < j, with D[j] - D[i] >= cut, ordered by j then i.
+
+    One running-minimum pass over D finds the ends j with
+    D[j] - min(D[:j]) >= cut; only their starts are scanned.  A NaN cut
+    admits no pair, a -inf cut every pair.
+    """
+    low = D[0]
+    for j in range(1, len(D)):
+        dj = D[j]
+        if dj - low >= cut:
+            for i in range(j):
+                if dj - D[i] >= cut:
+                    yield i, j
+        low = min(low, dj)
 
 
 def _block_prefix_sums(
@@ -545,10 +545,10 @@ def _window_violations(
     (k + delta) * B_j * (1 + REL_TOL), k = j - i, by resource, then k, then i.
 
     With B' = B_j * (1 + REL_TOL) and D[i] = P[i] - i * B', a window
-    violates about where D[j] - D[i] > delta * B'.  One running-minimum pass
-    over D finds the ends j that come within a rounding band of that; only
-    their windows are tested, with the exact float expression.  A NaN or
-    +inf delta admits no window, -inf every window, as the exact test does.
+    violates about where D[j] - D[i] > delta * B'.  ``_band`` yields the
+    windows within a rounding band of that; only they are tested, with the
+    exact float expression.  A NaN or +inf delta makes the cut NaN and admits
+    no window, -inf every window, as the exact test does.
     """
     scale = 1.0 + REL_TOL
     violations: list[WindowViolation] = []
@@ -558,17 +558,11 @@ def _window_violations(
         D = [p - i * step for i, p in enumerate(P)]
         cut = delta * step - _BAND * (2.0 * max(map(abs, P)) + (n + abs(delta)) * step)
         found = []
-        low = D[0]
-        for j in range(1, n + 1):
-            dj = D[j]
-            if dj - low > cut:
-                for i in range(j):
-                    if dj - D[i] > cut:
-                        total = P[j] - P[i]
-                        bound = (j - i + delta) * bj
-                        if total > bound * scale:
-                            found.append((j - i, i, total, bound))
-            low = min(low, dj)
+        for i, j in _band(D, cut):
+            total = P[j] - P[i]
+            bound = (j - i + delta) * bj
+            if total > bound * scale:
+                found.append((j - i, i, total, bound))
         found.sort()
         violations.extend(
             WindowViolation(resource, lo + i, lo + i + k - 1, total, bound)
@@ -584,8 +578,8 @@ def _max_slackness(columns: list[tuple[float, list[float]]]) -> float:
     With E[i] = P[i] - i * B_j the window's slackness is about
     (E[j] - E[i]) / B_j.  A running-minimum pass finds the largest gap G;
     only windows whose gap lies within a rounding band of G can hold the
-    float maximum, and only they are evaluated.  Where many windows tie
-    (every block exactly B_j) the band holds O(n^2) of them.
+    float maximum, and only they (``_band``) are evaluated.  Where many
+    windows tie (every block exactly B_j) the band holds O(n^2) of them.
     """
     best = 0.0
     for bj, P in columns:
@@ -593,18 +587,9 @@ def _max_slackness(columns: list[tuple[float, list[float]]]) -> float:
         if n == 0:
             continue
         E = [p - i * bj for i, p in enumerate(P)]
-        gaps = [-math.inf] * (n + 1)
-        low = E[0]
-        for j in range(1, n + 1):
-            gaps[j] = E[j] - low
-            low = min(low, E[j])
-        cut = max(gaps) - _BAND * (2.0 * max(map(abs, P)) + n * bj)
-        for j in range(1, n + 1):
-            if gaps[j] >= cut:
-                ej, pj = E[j], P[j]
-                for i in range(j):
-                    if ej - E[i] >= cut:
-                        best = max(best, (pj - P[i]) / bj - (j - i))
+        gap = max(map(sub, E[1:], accumulate(E, min)))
+        for i, j in _band(E, gap - _BAND * (2.0 * max(map(abs, P)) + n * bj)):
+            best = max(best, (P[j] - P[i]) / bj - (j - i))
     return best
 
 
@@ -631,11 +616,11 @@ def check_avg_block_size(
     report (no violations) means pass.  ``B`` is one target for every
     resource or one per resource.
 
-    Both the violations and ``max_slackness`` come from O(n) running-minimum
-    passes over prefix sums.  Only the windows within a rounding band of the
-    bound (or of the maximum) are re-evaluated with the float expression of
-    the direct all-windows check, so the report is the one that check gives,
-    bit for bit.
+    Both the violations and ``max_slackness`` come from one running-minimum
+    band walk (``_band``) over prefix sums each.  Only the windows within a
+    rounding band of the bound (or of the maximum) are re-evaluated with the
+    float expression of the direct all-windows check, so the report is the
+    one that check gives, bit for bit.
     """
     lo, columns = _block_prefix_sums(schedule, scenario, B)
     violations = _window_violations(lo, columns, float(slack))

@@ -282,11 +282,15 @@ def _run_engine(
     # The pool, sorted by _pool_key; an executed transaction leaves it by
     # bisection.  With discounted eligibility on one resource, a transaction
     # whose value can decay waits in ``decaying`` instead and is scanned
-    # every block.  The eligible list's order does not matter: select_block
-    # orders it by a key that is unique per transaction under every policy.
+    # every block, until its value falls below ln p_min - LOG_EPS: values
+    # never rise and no posted log-price is below ln p_min, so it can never
+    # be eligible again.  The eligible list's order does not matter:
+    # select_block orders it by a key that is unique per transaction under
+    # every policy.
     pending: list[tuple[float, int, Transaction]] = []
     decaying: dict[int, Transaction] = {}
     split = m == 1 and aware
+    dead_below = math.log(params_list[0].p_min) - LOG_EPS
 
     entries: list[ScheduleEntry] = []
     records: list[BlockRecord] = []
@@ -304,10 +308,16 @@ def _run_engine(
         if m == 1:
             floor = log_prices[0] - LOG_EPS
             eligible = [e[2] for e in pending[bisect_left(pending, (floor,)) :]]
+            dead = []
             for txn in decaying.values():
                 val = txn.value_at(t)
-                if val > 0.0 and math.log(val) >= floor:
+                lnv = math.log(val) if val > 0.0 else -math.inf
+                if lnv >= floor:
                     eligible.append(txn)
+                elif lnv < dead_below:
+                    dead.append(txn.id)
+            for i in dead:
+                del decaying[i]
         else:
             prices = [math.exp(lp) for lp in log_prices]
             eligible = []

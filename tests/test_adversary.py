@@ -179,3 +179,14 @@ def test_tip_key_must_be_decimal_id(key):
 def test_decimal_tip_keys_accepted():
     config = {"policy": "tip", "tips": {"0": 1.0, "10": 2.0, "12345678901234567890": 0.5}}
     assert policy_from_config(config).tips == {0: 1.0, 10: 2.0, 12345678901234567890: 0.5}
+
+
+@pytest.mark.parametrize("tips,message", [
+    ({"7": 1.0, "07": 2.0}, "tip key '07' repeats tx 7"),
+    ({"000": 1.0, "1": 1.0, "0": 1.0}, "tip key '0' repeats tx 0"),
+])
+def test_tip_keys_naming_one_id_rejected(tips, message):
+    """"7" and "07" both name id 7; one of the two tips would be dropped."""
+    with pytest.raises(ValueError) as exc:
+        policy_from_config({"policy": "tip", "tips": tips})
+    assert str(exc.value) == message

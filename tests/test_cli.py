@@ -164,6 +164,7 @@ def test_run_malformed_mechanism_config_exit_2(tmp_path, scenario_file, config, 
     {"policy": "tip", "tips": {" 3 ": 2.0}},
     {"policy": "tip", "tips": {"+3": 2.0}},
     {"policy": "tip", "tips": {"\u0663": 2.0}},
+    {"policy": "tip", "tips": {"7": 1.0, "07": 2.0}},
 ])
 def test_run_malformed_policy_config_exit_2(tmp_path, scenario_file, mech_file, config, capsys):
     policy = tmp_path / "policy.json"

@@ -15,13 +15,17 @@ from feemarket import (
     Transaction,
     UnsupportedSensitivityError,
     check_avg_block_size,
+    check_threshold_dominance,
+    check_welfare_dominance,
     max_block_size,
     quantity_above,
+    quantity_curve,
     validate_schedule,
     welfare,
     welfare_via_threshold_integral,
 )
 from feemarket.core import (
+    block_sizes,
     measured_slackness,
     scenario_from_jsonl,
     scenario_to_jsonl,
@@ -297,6 +301,58 @@ class TestScheduleValidation:
         validate_schedule(
             Schedule([ScheduleEntry(0, 1, 0.5), ScheduleEntry(0, 3, 0.5)]), scn
         )
+
+
+class TestUnknownIds:
+    """Every schedule verifier names the first unknown id among the entries
+    it reads; an entry outside a verifier's time filter is never looked up."""
+
+    scn = scn_of(Transaction(id=0, arrival=1, size=(10,), unit_value=1.0))
+    ok = full((0, 1))
+
+    @pytest.mark.parametrize("verify", [
+        lambda s, scn: validate_schedule(s, scn),
+        lambda s, scn: welfare(s, scn, 9),
+        lambda s, scn: quantity_curve(s, scn, (1, 9)),
+        lambda s, scn: quantity_above(s, scn, 0.5, (2, 2)),
+        lambda s, scn: welfare_via_threshold_integral(s, scn, 9),
+        lambda s, scn: block_sizes(s, scn),
+        lambda s, scn: max_block_size(s, scn),
+        lambda s, scn: check_avg_block_size(s, scn, 100.0, 0.0),
+        lambda s, scn: measured_slackness(s, scn, 100.0),
+        lambda s, scn: check_threshold_dominance(s, full((0, 1)), scn, 5, 0, 0.1, 100.0),
+        lambda s, scn: check_threshold_dominance(full((0, 1)), s, scn, 5, 0, 0.1, 100.0),
+        lambda s, scn: check_welfare_dominance(s, full((0, 1)), scn, 5, 4, 0.1),
+        lambda s, scn: check_welfare_dominance(full((0, 1)), s, scn, 5, 0, 0.1),
+    ])
+    def test_unknown_id_inside_filter_raises(self, verify):
+        with pytest.raises(InvalidScheduleError) as exc:
+            verify(full((0, 1), (98, 2), (99, 3)), self.scn)
+        assert str(exc.value) == "entry references unknown transaction id 98"
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda s, scn: welfare(s, scn, 2),
+        lambda s, scn: quantity_curve(s, scn, (1, 2))(0.5),
+        lambda s, scn: quantity_above(s, scn, 0.5, (1, 2)),
+        lambda s, scn: welfare_via_threshold_integral(s, scn, 2),
+    ])
+    def test_unknown_id_outside_filter_ignored(self, evaluate):
+        assert evaluate(full((0, 1), (99, 9)), self.scn) == 10.0
+
+    def test_welfare_filter_is_the_horizon(self):
+        s = full((0, 1), (99, 9))
+        assert welfare(s, self.scn, 8) == 10.0
+        with pytest.raises(InvalidScheduleError, match="unknown transaction id 99"):
+            welfare(s, self.scn, 9)
+
+    def test_threshold_check_order(self):
+        """An unknown id in the algorithm's schedule is named; with one in
+        each schedule, the benchmark's comes first, from its size pre-check."""
+        alg, bench = full((0, 1), (98, 2)), full((0, 1), (97, 2))
+        with pytest.raises(InvalidScheduleError, match="unknown transaction id 98"):
+            check_threshold_dominance(alg, self.ok, self.scn, 5, 0, 0.1, 100.0)
+        with pytest.raises(InvalidScheduleError, match="unknown transaction id 97"):
+            check_threshold_dominance(alg, bench, self.scn, 5, 0, 0.1, 100.0)
 
 
 class TestSerialization:

@@ -95,7 +95,10 @@ def block_schedules(draw):
 
 @given(
     block_schedules(),
-    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5]), st.floats(-1.0, 3.0)),
+    st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, math.nan, math.inf, -math.inf]),
+        st.floats(-1.0, 3.0),
+    ),
 )
 @settings(max_examples=200, deadline=None)
 def test_window_check_matches_all_windows(case, delta):

@@ -200,6 +200,20 @@ class TestRunPriceBased:
         assert 1 not in executed_aware
         assert executed_plain.get(1) == 3
 
+    def test_discounted_waits_for_the_price_to_fall(self):
+        # Priced out at arrival, the decaying transaction stays in the scan
+        # (its value is still above the floor) and is taken once the price,
+        # falling by e^-0.125 per empty block, drops below its value.
+        params = MechanismParams(
+            B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=4.0, discounted_eligibility=True
+        )
+        scn = scn_of(
+            Transaction(id=0, arrival=1, size=(10,), unit_value=3.0, sensitivity=Discount(rho=0.05)),
+            B=10.0,
+        )
+        res = run_price_based(scn, params, ValueDescending(), 8)
+        assert [(r.time, i) for r in res.trace.records for i, _ in r.executed] == [(5, 0)]
+
     def test_patience_eligibility_window(self):
         params = MechanismParams(
             B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0, discounted_eligibility=True
