@@ -98,21 +98,18 @@ def rows_to_csv(rows: list[Row]) -> str:
 LOAD_FACTORS = (0.5, 1.0, 2.0, 5.0)
 
 
-def theorem_params(B: int = 100, eta: float = 0.125) -> MechanismParams:
-    return MechanismParams(B=float(B), c=3.0, eta=eta, p_min=1.0, p_1=1.0)
+def theorem_params(B: int = 100) -> MechanismParams:
+    return MechanismParams(B=float(B), c=3.0, eta=0.125, p_min=1.0, p_1=1.0)
 
 
 def run_theorem_case(
-    seed: int,
-    horizon: int = 500,
-    B: int = 100,
-    v_max_mult: float = 1e6,
+    seed: int, horizon: int = 500, B: int = 100
 ) -> tuple[mechanisms.RunResult, core.Schedule, MechanismParams, int, Scenario]:
     """One positive-check instance: random family + mechanism run + fractional
     optimum.  Returns (run, benchmark, params, gamma, scenario)."""
     params = theorem_params(B=B)
     v_lo = math.exp(params.eta) * params.p_min
-    v_hi = v_max_mult * params.p_min
+    v_hi = 1e6 * params.p_min
     load = LOAD_FACTORS[seed % len(LOAD_FACTORS)]
     scn = scenarios.random_family(
         seed=seed,
@@ -134,9 +131,9 @@ def run_theorem_case(
     return run, bench, params, gamma, scn
 
 
-def suite_theorems(seeds: int, horizon: int = 200, B: int = 100) -> list[Row]:
+def suite_theorems(seeds: int, horizon: int = 200) -> list[Row]:
     def one(seed: int) -> list[Row]:
-        run, bench, params, gamma, scn = run_theorem_case(seed, horizon=horizon, B=B)
+        run, bench, params, gamma, scn = run_theorem_case(seed, horizon=horizon)
         v_max = max(
             max((t.unit_value for t in scn.transactions), default=params.p_1),
             params.p_1,
@@ -145,7 +142,7 @@ def suite_theorems(seeds: int, horizon: int = 200, B: int = 100) -> list[Row]:
             run.schedule, bench, scn, horizon, gamma, params.eta
         )
         trep = benchmarks.check_threshold_dominance(
-            run.schedule, bench, scn, horizon, gamma, params.eta, bench_limit=B
+            run.schedule, bench, scn, horizon, gamma, params.eta, bench_limit=params.B
         )
         delta = mechanisms.theorem_slackness(params, v_max)
         srep = core.check_avg_block_size(run.schedule, scn, params.B, delta)
@@ -316,17 +313,29 @@ def suite_lower_bounds(seeds: int) -> list[Row]:
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str):
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return fh.read()
+    except OSError as exc:
+        raise FeeMarketError(f"{path}: {exc}") from exc
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
         raise FeeMarketError(f"{path}: {exc}") from exc
 
 
 def cmd_run(args) -> int:
     out = Path(args.out)
     if args.scenario in BUILTINS:
+        if args.mechanism is not None or args.policy is not None:
+            raise FeeMarketError(
+                f"builtin {args.scenario} runs its own mechanism and policy;"
+                " --mechanism and --policy are for file scenarios"
+            )
         con = BUILTINS[args.scenario]
         seed = 0 if args.seed is None else args.seed
         run = con.run(seed, args.horizon)
@@ -334,17 +343,12 @@ def cmd_run(args) -> int:
         summary = _summarize(result, con.params, run.horizon)
         summary.update(run.score)
     else:
-        try:
-            with open(args.scenario) as fh:
-                scn = core.scenario_from_jsonl(fh.read())
-        except OSError as exc:
-            raise FeeMarketError(f"{args.scenario}: {exc}") from exc
+        scn = core.scenario_from_jsonl(_read(args.scenario))
         if args.seed is not None:
             scn.seed = args.seed
-        cfg = _load_json(args.mechanism) if args.mechanism else None
-        if cfg is None:
+        if not args.mechanism:
             raise FeeMarketError("--mechanism config required for file scenarios")
-        params = params_from_config(cfg)
+        params = params_from_config(_load_json(args.mechanism))
         policy = policy_from_config(_load_json(args.policy)) if args.policy else ValueAscending()
         horizon = args.horizon
         if horizon is None:
@@ -392,22 +396,13 @@ def _summarize(result, params_list: Sequence[MechanismParams], horizon: int) -> 
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.scenario) as fh:
-            scn = core.scenario_from_jsonl(fh.read())
-        with open(args.schedule) as fh:
-            alg = core.schedule_from_json(fh.read())
-    except OSError as exc:
-        raise FeeMarketError(str(exc)) from exc
+    scn = core.scenario_from_jsonl(_read(args.scenario))
+    alg = core.schedule_from_json(_read(args.schedule))
     core.validate_schedule(alg, scn)
     if args.benchmark == "opt_fractional":
         bench = benchmarks.opt_fractional(scn, args.bench_limit, args.horizon)
     else:
-        try:
-            with open(args.benchmark) as fh:
-                bench = core.schedule_from_json(fh.read())
-        except OSError as exc:
-            raise FeeMarketError(str(exc)) from exc
+        bench = core.schedule_from_json(_read(args.benchmark))
         core.validate_schedule(bench, scn)
     trep = benchmarks.check_threshold_dominance(
         alg, bench, scn, args.horizon, args.gamma, args.eta,
@@ -416,15 +411,8 @@ def cmd_verify(args) -> int:
     wrep = benchmarks.check_welfare_dominance(
         alg, bench, scn, args.horizon, args.gamma, args.eta
     )
-    if args.format == "csv":
-        rows = [
-            Row("verify", 0, "threshold_violations", float(len(trep.violations)), 0.0, trep.passed),
-            Row("verify", 0, "welfare_alg", wrep.alg_welfare, wrep.required, wrep.passed),
-        ]
-        text = rows_to_csv(rows)
-    else:
-        report = {"threshold": trep.to_json(), "welfare": wrep.to_json()}
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    report = {"threshold": trep.to_json(), "welfare": wrep.to_json()}
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         _atomic_write(Path(args.out), text)
     print(text, end="")
@@ -443,13 +431,7 @@ def cmd_suite(args) -> int:
     if args.name in ("lower_bounds", "all"):
         # the constructions are deterministic; one pass covers them
         rows.extend(suite_lower_bounds(1 if args.seeds > 0 else 0))
-    if args.format == "json":
-        ordered = sorted(rows, key=lambda r: (r.suite, r.seed, r.metric))
-        text = json.dumps(
-            [dict(zip(CSV_COLUMNS, r.as_list())) for r in ordered], indent=2
-        ) + "\n"
-    else:
-        text = rows_to_csv(rows)
+    text = rows_to_csv(rows)
     if args.out:
         _atomic_write(Path(args.out), text)
     else:
@@ -486,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--eta", type=float, required=True)
     ver_p.add_argument("--bench-limit", type=float, required=True)
     ver_p.add_argument("--bench-slack", type=float, default=0.0)
-    ver_p.add_argument("--format", choices=["json", "csv"], default="json")
     ver_p.add_argument("--out")
     ver_p.set_defaults(fn=cmd_verify)
 
@@ -494,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite_p.add_argument("--name", choices=["theorems", "lower_bounds", "all"], required=True)
     suite_p.add_argument("--seeds", type=int, required=True)
     suite_p.add_argument("--horizon", type=int, default=200)
-    suite_p.add_argument("--format", choices=["json", "csv"], default="csv")
     suite_p.add_argument("--out", help="output path (stdout if omitted)")
     suite_p.set_defaults(fn=cmd_suite)
     return ap

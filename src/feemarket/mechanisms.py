@@ -190,38 +190,47 @@ def eip_next_price(params: MechanismParams, log_price: float, block_size: float)
     return max(floor, log_price + math.log(factor))
 
 
-class _Arrivals:
-    """The arrival ingest both online engines share.
+class _Run:
+    """The run skeleton both online engines share; each engine keeps only
+    its pool, its block choice and its posted price.
 
-    Block t's arrivals come from the static ``arrivals_by_time`` lookup or
-    from the adaptive generator, which sees block t-1's record.  Every
-    arrival is checked (resource count, unique id, and for generators an
-    ``arrival`` equal to t) and kept by id; a generator's arrivals are also
-    kept in order, for the realized-stream export in ``result``.
+    ``at(t)`` ingests block t's arrivals, from the static
+    ``arrivals_by_time`` lookup or from the adaptive generator, which sees
+    block t-1's record.  Every arrival is checked (resource count, unique
+    id, and for generators an ``arrival`` equal to t) and kept by id; a
+    generator's arrivals are also kept in order, for the realized-stream
+    export in ``result``.  ``close`` records block t from the transactions
+    admitted in it, in admission order: sizes summed from 0.0, each executed
+    whole, and the block's ``math.fsum`` of value added to the running
+    welfare.  ``result`` derives the schedule from the records.
     """
 
     def __init__(self, scenario: Scenario, horizon: int) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.scenario = scenario
+        self.m = scenario.m
         self.horizon = horizon
         self.gen = scenario.generator
         self.by_time = scenario.arrivals_by_time() if self.gen is None else {}
         self.txs: dict[int, Transaction] = {}
         self.realized: list[Transaction] = []
+        self.records: list[BlockRecord] = []
+        self.welfare = 0.0
 
-    def at(self, t: int, previous: BlockRecord | None) -> Sequence[Transaction]:
+    def at(self, t: int) -> Sequence[Transaction]:
         gen = self.gen
         if gen is None:
             arrivals = self.by_time.get(t, ())
         else:
+            previous = self.records[-1] if self.records else None
             try:
                 arrivals = gen.arrivals(t, previous)
             except FeeMarketError:
                 raise
             except Exception as exc:  # generator bugs surface as scenario errors
                 raise ScenarioError(f"adaptive generator failed at t={t}: {exc}") from exc
-        m = self.scenario.m
+        m = self.m
         txs = self.txs
         for txn in arrivals:
             if len(txn.size) != m:
@@ -239,7 +248,30 @@ class _Arrivals:
             self.realized.extend(arrivals)
         return arrivals
 
-    def result(self, entries: list[ScheduleEntry], records: list[BlockRecord]) -> RunResult:
+    def close(self, t: int, log_prices, caps, admitted: list[Transaction]) -> BlockRecord:
+        resources = range(self.m)
+        sizes = [0.0] * self.m
+        executed = []
+        terms = []
+        for txn in admitted:
+            size = txn.size
+            executed.append((txn.id, 1.0))
+            for j in resources:
+                sizes[j] += size[j]
+            terms.append(size[0] * txn.value_at(t))
+        self.welfare += math.fsum(terms)
+        record = BlockRecord(
+            time=t,
+            log_prices=log_prices,
+            capacities=caps,
+            executed=tuple(executed),
+            sizes=tuple(sizes),
+            cumulative_welfare=self.welfare,
+        )
+        self.records.append(record)
+        return record
+
+    def result(self) -> RunResult:
         """The run's result; an adaptive run exports its realized stream."""
         scenario = self.scenario
         if self.gen is not None:
@@ -249,9 +281,12 @@ class _Arrivals:
                 horizon_hint=self.horizon,
                 seed=scenario.seed,
             )
+        entries = [
+            ScheduleEntry(i, r.time, f) for r in self.records for i, f in r.executed
+        ]
         return RunResult(
             schedule=Schedule(entries=entries, integral=True),
-            trace=RunTrace(records=records),
+            trace=RunTrace(records=self.records),
             scenario=scenario,
         )
 
@@ -272,8 +307,8 @@ def _run_engine(
     m = scenario.m
     if len(params_list) != m:
         raise ValueError(f"need {m} parameter sets for {m} resources, got {len(params_list)}")
-    ingest = _Arrivals(scenario, horizon)
-    all_txs = ingest.txs
+    run = _Run(scenario, horizon)
+    all_txs = run.txs
 
     caps = tuple(p.c * p.B for p in params_list)
     log_prices = tuple(math.log(p.p_1) for p in params_list)
@@ -292,14 +327,10 @@ def _run_engine(
     split = m == 1 and aware
     dead_below = math.log(params_list[0].p_min) - LOG_EPS
 
-    entries: list[ScheduleEntry] = []
-    records: list[BlockRecord] = []
-    cum = 0.0
-    prev: BlockRecord | None = None
     random_policy = isinstance(policy, SeededRandom)
 
     for t in range(1, horizon + 1):
-        for txn in ingest.at(t, prev):
+        for txn in run.at(t):
             if split and type(txn.sensitivity) is not Patient:
                 decaying[txn.id] = txn
             else:
@@ -332,33 +363,14 @@ def _run_engine(
         rng = block_rng(scenario.seed, t) if random_policy else None
         chosen = select_block(eligible, caps, policy, rng)
 
-        qsums = [0.0] * m
-        executed: list[tuple[int, float]] = []
-        block_terms: list[float] = []
-        for cid in chosen:
-            txn = all_txs[cid]
-            executed.append((cid, 1.0))
-            for j in range(m):
-                qsums[j] += txn.size[j]
-            block_terms.append(txn.size[0] * txn.value_at(t))
-            entries.append(ScheduleEntry(tx=cid, time=t, fraction=1.0))
-            if decaying.pop(cid, None) is None:
+        admitted = [all_txs[cid] for cid in chosen]
+        for txn in admitted:
+            if decaying.pop(txn.id, None) is None:
                 del pending[bisect_left(pending, _pool_key(txn))]
-        cum += math.fsum(block_terms)
+        sizes = run.close(t, log_prices, caps, admitted).sizes
+        log_prices = tuple(map(eip_next_price, params_list, log_prices, sizes))
 
-        rec = BlockRecord(
-            time=t,
-            log_prices=log_prices,
-            capacities=caps,
-            executed=tuple(executed),
-            sizes=tuple(qsums),
-            cumulative_welfare=cum,
-        )
-        records.append(rec)
-        prev = rec
-        log_prices = tuple(map(eip_next_price, params_list, log_prices, qsums))
-
-    return ingest.result(entries, records)
+    return run.result()
 
 
 def run_price_based(
@@ -420,20 +432,16 @@ def greedy_online(
         raise ScenarioError("greedy baseline requires a 1-resource scenario")
     if B <= 0:
         raise ValueError(f"target size must be positive, got {B}")
-    ingest = _Arrivals(scenario, horizon)
+    run = _Run(scenario, horizon)
 
     heap: list[tuple[float, int, int, Transaction]] = []  # (-v, arrival, id, tx)
     min_size_lb = math.inf
-
-    entries: list[ScheduleEntry] = []
-    records: list[BlockRecord] = []
-    cum_welfare = 0.0
     virtual_cum = 0.0  # includes padding up to the running target
-    prev: BlockRecord | None = None
     cap = math.inf if max_block is None else float(max_block)
+    caps = (cap,)
 
     for t in range(1, horizon + 1):
-        for txn in ingest.at(t, prev):
+        for txn in run.at(t):
             if txn.q > B:
                 raise OversizedTransactionError(
                     f"tx {txn.id}: size {txn.q} exceeds target block size {B}"
@@ -443,9 +451,7 @@ def greedy_online(
 
         target = t * B
         used = 0.0
-        executed: list[tuple[int, float]] = []
-        block_terms: list[float] = []
-        lowest_v = math.inf
+        admitted: list[Transaction] = []
         stash: list[tuple[float, int, int, Transaction]] = []
         while virtual_cum < target - 1e-9 and heap:
             if used + min_size_lb > cap + 1e-9:
@@ -457,29 +463,17 @@ def greedy_online(
                 continue
             used += txn.q
             virtual_cum += txn.q
-            executed.append((txn.id, 1.0))
-            block_terms.append(txn.q * txn.value_at(t))
-            entries.append(ScheduleEntry(tx=txn.id, time=t, fraction=1.0))
-            lowest_v = min(lowest_v, txn.unit_value)
+            admitted.append(txn)
         for item in stash:
             heapq.heappush(heap, item)
         if virtual_cum < target:
             virtual_cum = target
-        cum_welfare += math.fsum(block_terms)
 
-        log_p = math.log(lowest_v) if executed else -math.inf
-        rec = BlockRecord(
-            time=t,
-            log_prices=(log_p,),
-            capacities=(cap,),
-            executed=tuple(executed),
-            sizes=(used,),
-            cumulative_welfare=cum_welfare,
-        )
-        records.append(rec)
-        prev = rec
+        # admission runs in descending value order: the last is the lowest
+        log_p = math.log(admitted[-1].unit_value) if admitted else -math.inf
+        run.close(t, (log_p,), caps, admitted)
 
-    return ingest.result(entries, records)
+    return run.result()
 
 
 def theorem_slackness(params: MechanismParams, v_max: float) -> float:

@@ -265,9 +265,7 @@ def _target_and_decay(params: MechanismParams) -> tuple[int, int]:
     return B, math.ceil(math.log(params.p_1 / params.p_min) / params.eta)
 
 
-def eip_c2_failure(
-    params: MechanismParams, eps: float, horizon: int | None = None, seed: int = 0
-) -> ScenarioBundle:
+def eip_c2_failure(params: MechanismParams, eps: float, seed: int = 0) -> ScenarioBundle:
     """Static stream defeating the c = 2 mechanism: once the price sits at
     the floor, each step brings one high transaction (size B, 10x floor) and
     tip-prioritized low demand totaling (1+eps)*B at 2x floor, so blocks
@@ -283,8 +281,7 @@ def eip_c2_failure(
         raise ValueError(f"eps*B must round to at least one gas unit (eps={eps}, B={B})")
     eps_eff = low_size / B - 1.0
     climb = math.ceil(math.log(2.0) / (params.eta * eps_eff))
-    if horizon is None:
-        horizon = decay + climb + 10
+    horizon = decay + climb + 10
     txs: list[Transaction] = []
     tips: dict[int, float] = {}
     for t in range(decay + 1, horizon + 1):
@@ -321,13 +318,7 @@ def measure_t_star(result: RunResult, params: MechanismParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def log_range(
-    params: MechanismParams,
-    H: float,
-    L: float,
-    horizon: int | None = None,
-    seed: int = 0,
-) -> ScenarioBundle:
+def log_range(params: MechanismParams, H: float, L: float, seed: int = 0) -> ScenarioBundle:
     """Unbounded demand at value H and tip-prioritized unbounded demand at
     value L (both times the floor).  While the price is at most L the blocks
     fill to c*B with low demand, so the climb out of the floor takes about
@@ -343,8 +334,7 @@ def log_range(
         )
     chunk = int(chunk)
     expected_climb = math.log(L) / (params.eta * (params.c - 1.0))
-    if horizon is None:
-        horizon = decay + math.ceil(expected_climb) + 20
+    horizon = decay + math.ceil(expected_climb) + 20
     txs: list[Transaction] = []
     tips: dict[int, float] = {}
     for t in range(decay + 1, horizon + 1):
@@ -399,7 +389,6 @@ class _DiscountMixGenerator(_AdaptiveGenerator):
         self.discount = Discount(rho=rho_min)
         self.B = B
         self.p = p
-        self.horizon = 3 * p
 
     def _emit(self, t: int) -> list[Transaction]:
         p, B = self.p, self.B
@@ -465,7 +454,6 @@ class _PatienceGlobalGenerator(_AdaptiveGenerator):
         self.window = Patience(window=p)
         self.p = p
         self.B = B
-        self.horizon = 2 * p
 
     def _emit(self, t: int) -> list[Transaction]:
         p, B, window = self.p, self.B, self.window
@@ -511,7 +499,6 @@ class _ThreeResourceGenerator(_AdaptiveGenerator):
     def __init__(self, t_half: int) -> None:
         super().__init__()
         self.t_half = t_half
-        self.horizon = 2 * t_half
 
     def _emit(self, t: int) -> list[Transaction]:
         out: list[Transaction] = []

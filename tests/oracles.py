@@ -10,9 +10,10 @@ The remaining oracles are the direct forms of the library's fast paths:
 the all-windows block-size check, the threshold-integral identity with one
 full scan per distinct value, block assembly that sorts by tuple keys and
 fit-tests every eligible transaction, a price engine that rescans its whole
-pending pool every block, and JSON(-lines) writers and readers that build
-one dict per record and convert it field by field.  The fast paths must
-match them bit for bit.
+pending pool every block, a greedy baseline that re-sorts its whole pool
+every block, and JSON(-lines) writers and readers that build one dict per
+record and convert it field by field.  The fast paths must match them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from feemarket.core import (
     ScheduleEntry,
     Transaction,
 )
-from feemarket.mechanisms import eip_next_price
+from feemarket.mechanisms import OversizedTransactionError, eip_next_price
 
 
 def brute_force_welfare(schedule: Schedule, scenario: Scenario, horizon: int) -> float:
@@ -275,6 +276,53 @@ def rescanning_engine(scenario: Scenario, params_list, policy, horizon: int) -> 
         for j in range(m):
             log_prices[j] = eip_next_price(params_list[j], log_prices[j], sizes[j])
     return RunTrace(records)
+
+
+def reference_greedy_online(
+    scenario: Scenario, B: float, horizon: int, max_block: float | None = None
+) -> tuple[RunTrace, Schedule]:
+    """The greedy baseline on a static scenario, re-sorting the whole pending
+    pool by (-v, arrival, id) every block and fit-testing every transaction
+    in that order until the running target is met."""
+    cap = math.inf if max_block is None else float(max_block)
+    pool: list[Transaction] = []
+    records = []
+    entries = []
+    cum = 0.0
+    virtual_cum = 0.0
+    for t in range(1, horizon + 1):
+        for txn in scenario.transactions:
+            if txn.arrival == t:
+                if txn.q > B:
+                    raise OversizedTransactionError(f"tx {txn.id} exceeds {B}")
+                pool.append(txn)
+        target = t * B
+        used = 0.0
+        chosen = []
+        for txn in sorted(pool, key=lambda x: (-x.unit_value, x.arrival, x.id)):
+            if virtual_cum >= target - 1e-9:
+                break
+            if used + txn.q <= cap + 1e-9:
+                used += txn.q
+                virtual_cum += txn.q
+                chosen.append(txn)
+        virtual_cum = max(virtual_cum, target)
+        done = {txn.id for txn in chosen}
+        pool = [txn for txn in pool if txn.id not in done]
+        cum += math.fsum(txn.q * txn.value_at(t) for txn in chosen)
+        lowest = min((txn.unit_value for txn in chosen), default=None)
+        records.append(
+            BlockRecord(
+                time=t,
+                log_prices=(-math.inf if lowest is None else math.log(lowest),),
+                capacities=(cap,),
+                executed=tuple((txn.id, 1.0) for txn in chosen),
+                sizes=(used,),
+                cumulative_welfare=cum,
+            )
+        )
+        entries += [ScheduleEntry(txn.id, t, 1.0) for txn in chosen]
+    return RunTrace(records), Schedule(entries, integral=True)
 
 
 def _reference_sens_to_json(s) -> dict:

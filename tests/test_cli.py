@@ -89,6 +89,67 @@ def test_run_empty_scenario(tmp_path):
     assert json.loads((out / "summary.json").read_text())["welfare"] == 0.0
 
 
+@pytest.mark.parametrize("flag", ["--mechanism", "--policy"])
+def test_run_builtin_rejects_file_flags_exit_2(tmp_path, mech_file, flag, capsys):
+    """A builtin runs its own mechanism and policy, so a config file for
+    either is an error, not silently ignored; even a valid one."""
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"policy": "value_asc"}))
+    config = mech_file if flag == "--mechanism" else policy
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "log_range", flag, str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: builtin log_range ")
+    assert "--mechanism and --policy are for file scenarios" in err[0]
+    assert not out.exists()
+
+
+def test_run_null_mechanism_config_exit_2(tmp_path, scenario_file, capsys):
+    mech = tmp_path / "mech.json"
+    mech.write_text("null")
+    rc = main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech),
+               "--horizon", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: mechanism config must be a JSON object, got None\n"
+    )
+
+
+def test_run_without_mechanism_exit_2(tmp_path, scenario_file, capsys):
+    rc = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --mechanism config required for file scenarios\n"
+
+
+@pytest.mark.parametrize("role", ["scenario", "schedule", "benchmark"])
+def test_verify_missing_file_names_path_first_exit_2(
+    tmp_path, scenario_file, mech_file, role, capsys
+):
+    out = tmp_path / "out"
+    main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+          "--horizon", "40", "--out", str(out)])
+    capsys.readouterr()
+    missing = tmp_path / "missing.json"
+    files = {"scenario": scenario_file, "schedule": out / "schedule.json"}
+    files["benchmark"] = files["schedule"]
+    files[role] = missing
+    assert main(_verify_args(files["scenario"], files["schedule"], files["benchmark"])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {missing}: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--scenario", "s", "--schedule", "s", "--benchmark", "opt_fractional",
+     "--horizon", "1", "--gamma", "0", "--eta", "0.1", "--bench-limit", "1"],
+    ["suite", "--name", "theorems", "--seeds", "0"],
+])
+def test_format_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
 def test_run_malformed_scenario_exit_2(tmp_path, mech_file, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"m": 1, "B": [100.0], "seed": 0}\n{oops\n')
@@ -334,10 +395,9 @@ def test_run_non_finite_capacity_exit_2(tmp_path, mech_file, capsys):
 
 @pytest.mark.parametrize("horizon", ["0", "-1"])
 def test_run_non_positive_horizon_exit_2(tmp_path, scenario_file, mech_file, horizon, capsys):
-    for scenario in ("log_range", str(scenario_file)):
+    for scenario, mech in (("log_range", []), (str(scenario_file), ["--mechanism", str(mech_file)])):
         out = tmp_path / horizon / Path(scenario).name
-        rc = main(["run", "--scenario", scenario, "--mechanism", str(mech_file),
-                   "--horizon", horizon, "--out", str(out)])
+        rc = main(["run", "--scenario", scenario, *mech, "--horizon", horizon, "--out", str(out)])
         assert rc == 2
         assert "horizon must be >= 1" in capsys.readouterr().err
         assert not out.exists()
@@ -370,15 +430,19 @@ def test_run_seed_keeps_file_scenario_seed_unless_given(tmp_path, scenario_file,
     assert run(tmp_path / "zero", "--seed", "0")[0] == 0
 
 
-@pytest.mark.parametrize("name", ["c_below_two", "discount_mix", "patience_global"])
+@pytest.mark.parametrize(
+    "name", ["eip_c2_failure", "log_range", "c_below_two", "discount_mix", "patience_global"]
+)
 def test_adaptive_export_reruns_as_file_scenario(tmp_path, name, capsys):
-    """An adaptive run's exported stream, run again as a file scenario with
-    the builtin's mechanism, policy and block count, gives the same bytes."""
+    """A builtin run's exported stream (an adaptive one's realized stream),
+    run again as a file scenario with the builtin's mechanism, effective
+    policy and block count, gives the same bytes."""
     con = BUILTINS[name]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--scenario", name, "--out", str(a)]) == 0
+    policy = con.policy or con.build(0).policy
     (tmp_path / "mech.json").write_text(json.dumps(params_to_config(con.params[0])))
-    (tmp_path / "policy.json").write_text(json.dumps(policy_to_config(con.policy)))
+    (tmp_path / "policy.json").write_text(json.dumps(policy_to_config(policy)))
     blocks = json.loads((a / "summary.json").read_text())["blocks"]
     assert main([
         "run", "--scenario", str(a / "scenario.jsonl"),

@@ -1,7 +1,7 @@
 """The fast paths against their direct forms in ``oracles``, bit for bit:
 the O(n) window check, the O(n log n) welfare identity, block assembly, the
-engine's bisected pending pool, and the template JSON writers and per-line
-readers."""
+engine's bisected pending pool, the greedy baseline's heap, and the template
+JSON writers and per-line readers."""
 
 import json
 import math
@@ -28,6 +28,7 @@ from feemarket import (
     ValueAscending,
     ValueDescending,
     check_avg_block_size,
+    greedy_online,
     multi_resource_mechanism,
     welfare_via_threshold_integral,
 )
@@ -40,11 +41,12 @@ from feemarket.core import (
     schedule_to_json,
     trace_to_jsonl,
 )
-from feemarket.mechanisms import _pool_key, replay_log_prices
+from feemarket.mechanisms import OversizedTransactionError, _pool_key, replay_log_prices
 
 from oracles import (
     all_windows_block_check,
     per_value_identity,
+    reference_greedy_online,
     reference_scenario_from_jsonl,
     reference_scenario_to_jsonl,
     reference_schedule_from_json,
@@ -169,7 +171,7 @@ def test_identity_matches_per_value_scan(case):
 @st.composite
 def engine_cases(draw):
     """Overloaded static streams: shared values, every sensitivity, one to
-    three resources, every inclusion policy."""
+    three resources, every inclusion policy, p_1 at or above the floor."""
     m = draw(st.sampled_from([1, 1, 2, 3]))
     B = draw(st.sampled_from([10, 50]))
     horizon = draw(st.integers(1, 12))
@@ -193,8 +195,10 @@ def engine_cases(draw):
         )
     c = draw(st.sampled_from([1.5, 2.0, 3.0]))
     aware = draw(st.booleans())
+    # p_1 above the floor lets the price fall onto a priced-out decaying tx
+    p_1 = draw(st.sampled_from([1.0, 1.25, 1.5, 3.0]))
     params = [
-        MechanismParams(B=float(B), c=c, eta=0.125, p_min=1.0, p_1=1.0, discounted_eligibility=aware)
+        MechanismParams(B=float(B), c=c, eta=0.125, p_min=1.0, p_1=p_1, discounted_eligibility=aware)
         for _ in range(m)
     ]
     policy = draw(
@@ -221,6 +225,56 @@ def test_engine_matches_rescanning_engine(case):
         (cid, rec.time) for rec in run.trace.records for cid, _f in rec.executed
     ]
     assert replay_log_prices(params, run.trace, scn) == [r.log_prices for r in run.trace.records]
+
+
+@st.composite
+def greedy_cases(draw):
+    """Static one-resource streams with tied values, every sensitivity, now
+    and then an oversized transaction, uncapped or capped blocks.  With
+    B = 100 the caps 0.29 * B and 1.15 * B round just below 29 and 115,
+    which sizes sum to and only the fit tolerance admits."""
+    B = draw(st.sampled_from([10, 100]))
+    quantity = st.sampled_from([q for q in (1, 2, 5, 14, 15, 29, 54, 61, 100) if q <= B])
+    horizon = draw(st.integers(1, 12))
+    value = st.sampled_from([0.5, 1.0, 1.2, 2.0, 1.0 / 3.0, 40.0])
+    sensitivity = st.one_of(
+        st.just(PATIENT),
+        st.builds(Discount, st.sampled_from([0.05, 0.3])),
+        st.builds(Patience, st.integers(0, 3)),
+    )
+    txs = []
+    for i in range(draw(st.integers(0, 20))):
+        size = B + 1 if draw(st.integers(0, 49)) == 0 else draw(quantity)
+        txs.append(
+            Transaction(
+                id=i,
+                arrival=draw(st.integers(1, horizon)),
+                size=(size,),
+                unit_value=draw(value),
+                sensitivity=draw(sensitivity),
+            )
+        )
+    cap = draw(st.sampled_from([None, None, 0.29 * B, 1.15 * B, 1.5 * B, 2.0 * B]))
+    scn = Scenario(capacities=(float(B),), transactions=txs)
+    return scn, float(B), horizon + draw(st.integers(0, 4)), cap
+
+
+@given(greedy_cases())
+@settings(max_examples=200, deadline=None)
+def test_greedy_matches_resorting_greedy(case):
+    scn, B, horizon, cap = case
+    try:
+        trace, schedule = reference_greedy_online(scn, B, horizon, cap)
+    except OversizedTransactionError:
+        with pytest.raises(OversizedTransactionError):
+            greedy_online(scn, B, horizon, max_block=cap)
+        return
+    run = greedy_online(scn, B, horizon, max_block=cap)
+    assert run.trace.records == trace.records
+    assert [bits(r.cumulative_welfare) for r in run.trace.records] == [
+        bits(r.cumulative_welfare) for r in trace.records
+    ]
+    assert run.schedule == schedule
 
 
 # Adjacent floats whose logs are equal, so the engine's (ln v, id) pool
