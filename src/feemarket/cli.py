@@ -350,9 +350,7 @@ def cmd_run(args) -> int:
             raise FeeMarketError("--mechanism config required for file scenarios")
         params = params_from_config(_load_json(args.mechanism))
         policy = policy_from_config(_load_json(args.policy)) if args.policy else ValueAscending()
-        horizon = args.horizon
-        if horizon is None:
-            horizon = scn.horizon_hint or 100
+        horizon = 100 if args.horizon is None else args.horizon
         result = mechanisms.run_price_based(scn, params, policy, horizon)
         summary = _summarize(result, [params], horizon)
 
@@ -377,9 +375,7 @@ def _summarize(result, params_list: Sequence[MechanismParams], horizon: int) -> 
         )
         bounds.append(mechanisms.theorem_slackness(p, v_max))
     bound = max(bounds)
-    measured = core.measured_slackness(
-        result.schedule, scn, targets[0] if len(targets) == 1 else targets
-    )
+    measured = core.measured_slackness(result.schedule, scn, targets)
     return {
         "blocks": horizon,
         "welfare": sw,

@@ -458,14 +458,6 @@ class BlockSizeReport:
     violations: list[WindowViolation]
     max_slackness: float
 
-    def to_json(self) -> dict:
-        return {
-            "check": "avg_block_size",
-            "pass": self.passed,
-            "violations": [v.to_json() for v in self.violations],
-            "max_slackness": self.max_slackness,
-        }
-
 
 def constant_slack(delta: float) -> float:
     """The constant slackness delta, as ``check_avg_block_size`` takes it.

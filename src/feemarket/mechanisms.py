@@ -291,11 +291,15 @@ class _Run:
         )
 
 
+def _ln(v: float) -> float:
+    """ln v, with ln 0 = -inf (values are never negative)."""
+    return math.log(v) if v > 0.0 else -math.inf
+
+
 def _pool_key(txn: Transaction) -> tuple[float, int]:
-    """The pending pool's sort key (ln v, id); ln 0 is -inf.  Ids are unique,
-    so the key locates one entry."""
-    v = txn.unit_value
-    return (math.log(v) if v > 0 else -math.inf, txn.id)
+    """The pending pool's sort key (ln v, id).  Ids are unique, so the key
+    locates one entry."""
+    return (_ln(txn.unit_value), txn.id)
 
 
 def _run_engine(
@@ -341,8 +345,7 @@ def _run_engine(
             eligible = [e[2] for e in pending[bisect_left(pending, (floor,)) :]]
             dead = []
             for txn in decaying.values():
-                val = txn.value_at(t)
-                lnv = math.log(val) if val > 0.0 else -math.inf
+                lnv = _ln(txn.value_at(t))
                 if lnv >= floor:
                     eligible.append(txn)
                 elif lnv < dead_below:
@@ -470,7 +473,7 @@ def greedy_online(
             virtual_cum = target
 
         # admission runs in descending value order: the last is the lowest
-        log_p = math.log(admitted[-1].unit_value) if admitted else -math.inf
+        log_p = _ln(admitted[-1].unit_value) if admitted else -math.inf
         run.close(t, (log_p,), caps, admitted)
 
     return run.result()

@@ -59,7 +59,10 @@ __all__ = [
 
 @dataclass
 class ScenarioBundle:
-    """A scenario plus the inclusion policy it requires and builder notes."""
+    """A scenario plus the inclusion policy it requires and the builder notes
+    its callers read (for example ``decay`` and ``expected_climb``).  The
+    horizon is ``scenario.horizon_hint``; an adaptive construction's branch
+    and reference optimum are in ``audit()``."""
 
     scenario: Scenario
     policy: InclusionPolicy | None = None
@@ -134,12 +137,12 @@ class _AdaptiveGenerator:
     ``executed[tag]``, so ``_emit(t)`` sees the counts over blocks 1..t-1
     exactly.  A construction that branches on how many of its tagged
     transactions executed by block k reads the count once, at block k+1,
-    and so needs no cutoff of its own.  The branch decision goes in
-    ``branch`` and, with the reference optimum, in ``audit``.
+    and so needs no cutoff of its own.  The branch decision and the
+    reference optimum go in ``audit``, which stays empty until the branch
+    is decided.
     """
 
     def __init__(self) -> None:
-        self.branch: str | None = None
         self.audit: dict = {}
         self.tags: dict[int, str] = {}
         self.emitted: Counter[str] = Counter()
@@ -211,16 +214,16 @@ class _CBelowTwoGenerator(_AdaptiveGenerator):
             return [red, self._tx(t, (self.green_size,), 2.0, tag="green")]
         if t > self.horizon:
             return []
-        if self.branch is None:
+        if not self.audit:
             g = self.executed["green"]
-            self.branch = "I" if g <= self.quarter else "II"
-            optimum = (2.0 if self.branch == "I" else 1.5) * self.horizon * B
+            branch = "I" if g <= self.quarter else "II"
+            optimum = (2.0 if branch == "I" else 1.5) * self.horizon * B
             self.audit = {
                 "greens_first_half": g,
-                "branch": self.branch,
+                "branch": branch,
                 "optimum": optimum,
             }
-        if self.branch == "I":
+        if self.audit["branch"] == "I":
             return [self._tx(t, (B,), 2.0)]
         out = []
         while self.emitted["dust"] - self.executed["dust"] < self.dust_target:
@@ -241,11 +244,7 @@ def c_below_two(horizon: int, c: float, B: int, eps: float, seed: int = 0) -> Sc
     scenario = Scenario(
         capacities=(float(B),), generator=gen, horizon_hint=horizon, seed=seed
     )
-    return ScenarioBundle(
-        scenario=scenario,
-        policy=None,
-        notes={"half": horizon // 2, "green_size": gen.green_size, "c": c},
-    )
+    return ScenarioBundle(scenario=scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,6 @@ def eip_c2_failure(params: MechanismParams, eps: float, seed: int = 0) -> Scenar
         notes={
             "decay": decay,
             "expected_climb": math.log(2.0) / (params.eta * eps_eff),
-            "eps_effective": eps_eff,
             "optimum_per_block": 10.0 * params.p_min * B,
             "low_size": low_size,
         },
@@ -353,7 +351,6 @@ def log_range(params: MechanismParams, H: float, L: float, seed: int = 0) -> Sce
             "decay": decay,
             "expected_climb": expected_climb,
             "optimum_per_block": H * params.p_min * B,
-            "chunk": chunk,
         },
     )
 
@@ -396,16 +393,16 @@ class _DiscountMixGenerator(_AdaptiveGenerator):
         if t <= p:
             out.append(self._tx(t, (B,), 1.0, self.discount, tag="hasty"))
         elif t <= 2 * p:
-            if self.branch is None:
+            if not self.audit:
                 h = self.executed["hasty"]
-                self.branch = "I" if 2 * h >= p else "II"
-                optimum = (6.0 if self.branch == "I" else 4.0) * p * B
+                branch = "I" if 2 * h >= p else "II"
+                optimum = (6.0 if branch == "I" else 4.0) * p * B
                 self.audit = {
                     "hasty_executed": h,
-                    "branch": self.branch,
+                    "branch": branch,
                     "optimum": optimum,
                 }
-            if self.branch == "II":
+            if self.audit["branch"] == "II":
                 out.append(self._tx(t, (B,), 1.0, self.discount))
             elif t == p + 1:
                 out.extend(self._tx(t, (B,), 2.0) for _ in range(2 * p))
@@ -432,9 +429,7 @@ def discount_mix(
     scenario = Scenario(
         capacities=(float(B),), generator=gen, horizon_hint=3 * p, seed=seed
     )
-    return ScenarioBundle(
-        scenario=scenario, policy=None, notes={"p": p, "horizon": 3 * p, "rho": rho_min}
-    )
+    return ScenarioBundle(scenario=scenario, notes={"p": p})
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +458,10 @@ class _PatienceGlobalGenerator(_AdaptiveGenerator):
             return [self._tx(t, (B,), 2.0, window, tag="red")]
         if t == p + 1:
             r = self.executed["red"]
-            self.branch = "I" if 2 * r >= p else "II"
-            optimum = (3.0 * p - 2.0) * B if self.branch == "I" else (4.0 * p - 1.0) * B
-            self.audit = {"reds_executed": r, "branch": self.branch, "optimum": optimum}
-            if self.branch == "II":
+            branch = "I" if 2 * r >= p else "II"
+            optimum = (3.0 * p - 2.0) * B if branch == "I" else (4.0 * p - 1.0) * B
+            self.audit = {"reds_executed": r, "branch": branch, "optimum": optimum}
+            if branch == "II":
                 return [self._tx(t, (B,), 2.0, window) for _ in range(p)]
         return []
 
@@ -480,7 +475,7 @@ def patience_global(p: int, B: int, seed: int = 0) -> ScenarioBundle:
     scenario = Scenario(
         capacities=(float(B),), generator=gen, horizon_hint=2 * p, seed=seed
     )
-    return ScenarioBundle(scenario=scenario, policy=None, notes={"p": p, "horizon": 2 * p})
+    return ScenarioBundle(scenario=scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +503,7 @@ class _ThreeResourceGenerator(_AdaptiveGenerator):
                 out.append(self._tx(1, (1, 0, 1, 1), 1.0, tag="yz"))
         elif t == self.t_half + 1:
             xz, yz = self.executed["xz"], self.executed["yz"]
-            self.branch = starved = "X" if xz <= yz else "Y"
+            starved = "X" if xz <= yz else "Y"
             self.audit = {
                 "alloc_xz": xz,
                 "alloc_yz": yz,
@@ -533,9 +528,7 @@ def three_resources(t_half: int, seed: int = 0) -> ScenarioBundle:
         horizon_hint=2 * t_half,
         seed=seed,
     )
-    return ScenarioBundle(
-        scenario=scenario, policy=None, notes={"t": t_half, "horizon": 2 * t_half}
-    )
+    return ScenarioBundle(scenario=scenario)
 
 
 def three_resources_params(eta: float = 0.125) -> list[MechanismParams]:
@@ -555,27 +548,12 @@ def three_resources_params(eta: float = 0.125) -> list[MechanismParams]:
 @dataclass
 class PriceAdversaryReport:
     r: float
-    T: int
-    R: int
     m: int
     m_prime: int
     fraction: float
     bound: float
     passed: bool
-    alg_welfare: float
-    optimum: float
     price_transcripts_identical: bool
-
-    def to_json(self) -> dict:
-        return {
-            "check": "price_adversary",
-            "pass": self.passed,
-            "r": self.r,
-            "m": self.m,
-            "m_prime": self.m_prime,
-            "ratio": self.fraction,
-            "bound": self.bound,
-        }
 
 
 def adaptive_price_adversary(
@@ -650,14 +628,10 @@ def adaptive_price_adversary(
     bound = 2.0 / r
     return PriceAdversaryReport(
         r=r,
-        T=T,
-        R=R,
         m=m_low,
         m_prime=m_high,
         fraction=fraction,
         bound=bound,
         passed=fraction <= bound * (1.0 + 1e-9) and prices_equal,
-        alg_welfare=sw,
-        optimum=optimum,
         price_transcripts_identical=prices_equal,
     )

@@ -314,7 +314,8 @@ def reference_greedy_online(
         records.append(
             BlockRecord(
                 time=t,
-                log_prices=(-math.inf if lowest is None else math.log(lowest),),
+                # ln 0 = -inf, for an empty block and for a lowest value 0.0
+                log_prices=(math.log(lowest) if lowest else -math.inf,),
                 capacities=(cap,),
                 executed=tuple((txn.id, 1.0) for txn in chosen),
                 sizes=(used,),

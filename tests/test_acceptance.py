@@ -352,11 +352,11 @@ def test_criterion_12_partial_patience():
         B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0, discounted_eligibility=True
     )
     bundle = discount_mix(rho_min=0.01, B=1, K=8)
-    T = bundle.notes["horizon"]
+    T = bundle.scenario.horizon_hint
     res = run_price_based(bundle.scenario, mp, ValueDescending(), T)
     loss_d = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
     bundle = patience_global(p=60, B=1)
-    T = bundle.notes["horizon"]
+    T = bundle.scenario.horizon_hint
     res = run_price_based(bundle.scenario, mp, ValueDescending(), T)
     loss_p = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
 
@@ -364,7 +364,7 @@ def test_criterion_12_partial_patience():
     dp_ok = True
     bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
     gen = bundle.scenario.generator
-    Tm = bundle.notes["horizon"]
+    Tm = bundle.scenario.horizon_hint
     scn, audit = drive(bundle, Tm, lambda t, pending: {
         x.id for x in pending if gen.tags.get(x.id) == "hasty"
     })
@@ -375,7 +375,7 @@ def test_criterion_12_partial_patience():
     for picker in ("reds", "none"):
         bundle = patience_global(p=5, B=1)
         gen = bundle.scenario.generator
-        Tm = bundle.notes["horizon"]
+        Tm = bundle.scenario.horizon_hint
         pick = (
             (lambda t, pending: {x.id for x in pending if gen.tags.get(x.id) == "red"})
             if picker == "reds"
@@ -393,7 +393,7 @@ def test_criterion_12_partial_patience():
 
 def test_criterion_13_three_resources():
     bundle = three_resources(300)
-    T = bundle.notes["horizon"]
+    T = bundle.scenario.horizon_hint
     res = multi_resource_mechanism(
         bundle.scenario, three_resources_params(ETA), ValueAscending(), T
     )

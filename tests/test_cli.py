@@ -55,6 +55,15 @@ def test_run_file_scenario(tmp_path, scenario_file, mech_file, capsys):
     assert summary["slackness_ok"]
 
 
+def test_run_file_scenario_default_horizon_is_100(tmp_path, scenario_file, mech_file):
+    # a file scenario carries no horizon, so without --horizon the run is 100 blocks
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["blocks"] == 100
+    assert len((out / "trace.jsonl").read_text().splitlines()) == 100
+
+
 def test_run_reproducible_byte_identical(tmp_path, scenario_file, mech_file):
     args = lambda o: [
         "run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),

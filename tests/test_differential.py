@@ -236,7 +236,7 @@ def greedy_cases(draw):
     B = draw(st.sampled_from([10, 100]))
     quantity = st.sampled_from([q for q in (1, 2, 5, 14, 15, 29, 54, 61, 100) if q <= B])
     horizon = draw(st.integers(1, 12))
-    value = st.sampled_from([0.5, 1.0, 1.2, 2.0, 1.0 / 3.0, 40.0])
+    value = st.sampled_from([0.0, 0.5, 1.0, 1.2, 2.0, 1.0 / 3.0, 40.0])
     sensitivity = st.one_of(
         st.just(PATIENT),
         st.builds(Discount, st.sampled_from([0.05, 0.3])),

@@ -17,6 +17,7 @@ from feemarket import (
     ValueAscending,
     ValueDescending,
     eip_next_price,
+    greedy_dominance_check,
     greedy_online,
     max_block_size,
     multi_resource_mechanism,
@@ -321,6 +322,14 @@ class TestGreedy:
         scn = scn_of(*txs, B=10.0)
         res = greedy_online(scn, 10.0, 1)
         assert math.exp(res.trace.records[0].log_prices[0]) == pytest.approx(4.0)
+
+    def test_zero_value_block_posts_log_zero(self):
+        # a block whose lowest admitted value is 0.0 posts ln 0 = -inf
+        scn = scn_of(Transaction(id=0, arrival=1, size=(5,), unit_value=0.0), B=10.0)
+        res = greedy_online(scn, 10.0, 2)
+        assert res.trace.records[0].executed == ((0, 1.0),)
+        assert res.trace.records[0].log_prices == (-math.inf,)
+        assert greedy_dominance_check(scn, 10.0, 2)
 
     def test_oversized_rejected_with_diagnostic(self):
         scn = scn_of(Transaction(id=7, arrival=1, size=(11,), unit_value=1.0), B=10.0)

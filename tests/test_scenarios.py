@@ -132,6 +132,33 @@ class TestCBelowTwo:
         assert dp >= audit["optimum"] * 0.9
 
 
+@pytest.mark.parametrize(
+    "build, branch_block, key, tag",
+    [
+        (lambda: c_below_two(8, 1.5, 64, 0.01), 5, "greens_first_half", "green"),
+        (lambda: discount_mix(0.2, 1, 1, 12), 5, "hasty_executed", "hasty"),
+    ],
+)
+def test_audit_empty_until_branch_then_fixed(build, branch_block, key, tag):
+    # Every tagged transaction executes as soon as it can, except that the
+    # block before the branch executes none: the branch block sees one
+    # tagged execution fewer than the block after it, and the audit must
+    # not follow the later count.
+    bundle = build()
+    gen = bundle.scenario.generator
+    audits = []
+
+    def pick(t, pending):
+        audits.append(dict(gen.audit))
+        return set() if t == branch_block - 1 else {x.id for x in pending if x.id in gen.tags}
+
+    drive(bundle, bundle.scenario.horizon_hint, pick)
+    first = audits[branch_block - 1]
+    assert audits[: branch_block - 1] == [{}] * (branch_block - 1)
+    assert first and all(a == first for a in audits[branch_block:])
+    assert first[key] == branch_block - 2 < gen.executed[tag]
+
+
 class TestC2Failure:
     def setup_method(self):
         self.params = MechanismParams(B=6400.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
@@ -212,7 +239,7 @@ class TestDiscountMix:
         # both branches, driven synthetically, against the exact solver
         bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
         gen = bundle.scenario.generator
-        T = bundle.notes["horizon"]
+        T = bundle.scenario.horizon_hint
 
         def pick_hasty(t, pending):
             return set(x.id for x in pending if gen.tags.get(x.id) == "hasty")
@@ -223,7 +250,7 @@ class TestDiscountMix:
         assert dp == pytest.approx(audit["optimum"], rel=1e-9)
 
         bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
-        scn, audit = drive(bundle, bundle.notes["horizon"], lambda t, p: set())
+        scn, audit = drive(bundle, bundle.scenario.horizon_hint, lambda t, p: set())
         assert audit["branch"] == "II"
         dp = welfare(opt_integral_small(scn, 1.0, T), scn, T)
         assert dp == pytest.approx(audit["optimum"], rel=1e-9)
@@ -233,7 +260,7 @@ class TestPatienceGlobal:
     def test_branch_optima_match_dp_miniatures(self):
         bundle = patience_global(p=5, B=1)
         gen = bundle.scenario.generator
-        T = bundle.notes["horizon"]
+        T = bundle.scenario.horizon_hint
 
         def pick_red(t, pending):
             return set(x.id for x in pending if gen.tags.get(x.id) == "red")
@@ -252,7 +279,7 @@ class TestPatienceGlobal:
     def test_expired_green_contributes_nothing(self):
         bundle = patience_global(p=3, B=1)
         gen = bundle.scenario.generator
-        T = bundle.notes["horizon"]
+        T = bundle.scenario.horizon_hint
         scn, _ = drive(bundle, T, lambda t, p: set())
         green = next(t for t in scn.transactions if t.unit_value == 1.0)
         assert green.value_at(1 + 3) == 1.0
@@ -262,7 +289,7 @@ class TestPatienceGlobal:
 class TestThreeResources:
     def test_pigeonhole_on_trace(self):
         bundle = three_resources(60)
-        T = bundle.notes["horizon"]
+        T = bundle.scenario.horizon_hint
         res = multi_resource_mechanism(
             bundle.scenario, three_resources_params(ETA), ValueAscending(), T
         )
@@ -276,7 +303,7 @@ class TestThreeResources:
     def test_miniature_optimum_matches_dp(self):
         bundle = three_resources(4)
         gen = bundle.scenario.generator
-        T = bundle.notes["horizon"]
+        T = bundle.scenario.horizon_hint
 
         def pick_xz(t, pending):
             xz = [x.id for x in pending if gen.tags.get(x.id) == "xz"]
