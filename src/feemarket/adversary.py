@@ -133,24 +133,25 @@ def _ordered(
     raise TypeError(f"unknown inclusion policy {policy!r}")
 
 
-def _first_fit(order: list[Transaction], sizes: list[int], residual: float) -> list[int]:
-    """The one-resource pass, jumping from one admission to the next: the
-    entries that do not fit are skipped inside ``filter`` and ``list.index``."""
+def _first_fit(sizes: list[int], residual: float) -> list[int]:
+    """The one-resource pass: the positions in ``sizes`` admitted in order
+    while the residual is at least 1.  Python code runs only per admission;
+    the entries that do not fit are skipped inside ``filter`` and
+    ``list.index``."""
     chosen: list[int] = []
     rest = iter(sizes)
     pos = 0
-    while True:
+    while residual >= 1.0:
         q = next(filter((residual + 1e-9).__ge__, rest), None)
         if q is None:
-            return chosen
+            break
         # Every entry between ``pos`` and the fit was too large, so the first
         # entry equal to ``q`` is the fit itself.
         pos = sizes.index(q, pos)
-        chosen.append(order[pos].id)
+        chosen.append(pos)
         pos += 1
         residual -= q
-        if residual < 1.0:
-            return chosen
+    return chosen
 
 
 def select_block(
@@ -174,10 +175,14 @@ def select_block(
 
     Cost: the value orders and the random order's pre-shuffle sort use
     C-level keys (the tip order keeps a Python key), and the resource-count
-    check runs in C.  With one resource the pass runs Python code only per
-    admitted transaction; the ones that do not fit are skipped inside
-    ``filter`` and ``list.index``.  With several resources the pass scans in
-    Python until the block fills, one C-level fit test per transaction.
+    check runs in C.  With one resource the pass is ``_first_fit``, which
+    runs Python code only per admitted transaction.  With several resources
+    the pass scans in Python until the block fills, one C-level fit test per
+    transaction.  The price-posting engine keeps its pending pool in the
+    value policy's own order, so for a one-resource value-order block it
+    skips this function and runs ``_first_fit`` on the eligible pool slice
+    directly; it calls this function, and so sorts, only for the tip order,
+    the random order, several resources and discounted eligibility.
     """
     order = _ordered(eligible, policy, rng)
     residual = [float(c) for c in capacity]
@@ -190,7 +195,8 @@ def select_block(
     if max(residual) < 1.0:
         return chosen
     if m == 1:
-        return _first_fit(order, list(map(itemgetter(0), sizes)), residual[0])
+        fits = _first_fit(list(map(itemgetter(0), sizes)), residual[0])
+        return [order[i].id for i in fits]
     lims = [r + 1e-9 for r in residual]
     for t, size in zip(order, sizes):
         if all(map(le, size, lims)):

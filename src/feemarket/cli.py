@@ -447,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mechanism", help="mechanism config JSON file")
     run_p.add_argument("--policy", help="inclusion policy config JSON file")
     run_p.add_argument(
-        "--horizon", type=int, help="blocks to run (default: the scenario's own)"
+        "--horizon",
+        type=int,
+        help="blocks to run (default: a builtin's own horizon, or 100 for a file scenario)",
     )
     run_p.add_argument(
         "--seed", type=int, help="run seed (default: a file scenario's own, else 0)"

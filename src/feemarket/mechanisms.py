@@ -27,9 +27,18 @@ import heapq
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .adversary import InclusionPolicy, SeededRandom, block_rng, select_block
+from .adversary import (
+    InclusionPolicy,
+    SeededRandom,
+    ValueAscending,
+    ValueDescending,
+    _first_fit,
+    block_rng,
+    select_block,
+)
 from .core import (
     LOG_EPS,
     BlockRecord,
@@ -296,10 +305,17 @@ def _ln(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _pool_key(txn: Transaction) -> tuple[float, int]:
-    """The pending pool's sort key (ln v, id).  Ids are unique, so the key
-    locates one entry."""
-    return (_ln(txn.unit_value), txn.id)
+def _pool_key(txn: Transaction, descending: bool) -> tuple[float, float, int]:
+    """The pending pool's sort key: (ln v, v, id), or (-ln v, -v, id) for
+    the ``ValueDescending`` policy.  ln is non-decreasing, so the first is
+    the (v, id) order of ``ValueAscending`` and the second the order of
+    ``ValueDescending`` (descending v, ties in ascending id), also where
+    adjacent values share one ln.  Ids are unique, so the key locates one
+    entry."""
+    v = txn.unit_value
+    if descending:
+        return (-_ln(v), -v, txn.id)
+    return (_ln(v), v, txn.id)
 
 
 def _run_engine(
@@ -318,19 +334,27 @@ def _run_engine(
     log_prices = tuple(math.log(p.p_1) for p in params_list)
     aware = params_list[0].discounted_eligibility
 
-    # The pool, sorted by _pool_key; an executed transaction leaves it by
-    # bisection.  With discounted eligibility on one resource, a transaction
-    # whose value can decay waits in ``decaying`` instead and is scanned
-    # every block, until its value falls below ln p_min - LOG_EPS: values
-    # never rise and no posted log-price is below ln p_min, so it can never
-    # be eligible again.  The eligible list's order does not matter:
-    # select_block orders it by a key that is unique per transaction under
-    # every policy.
-    pending: list[tuple[float, int, Transaction]] = []
+    # The pool: entries (*_pool_key, q, txn) in one list sorted by
+    # _pool_key; an executed transaction leaves it by bisection.  On one
+    # resource the eligible entries are a slice: the prefix above the floor
+    # for ValueDescending, else the suffix.  With a value order and without
+    # discounted eligibility that slice already is the admission order, so
+    # _first_fit fills the block from its sizes directly.  Otherwise
+    # select_block orders the eligible transactions by a key that is unique
+    # per transaction under every policy.  With discounted eligibility on
+    # one resource, a transaction whose value can decay waits in
+    # ``decaying`` instead and is scanned every block, until its value falls
+    # below ln p_min - LOG_EPS: values never rise and no posted log-price is
+    # below ln p_min, so it can never be eligible again.
+    pending: list[tuple[float, float, int, int, Transaction]] = []
     decaying: dict[int, Transaction] = {}
     split = m == 1 and aware
     dead_below = math.log(params_list[0].p_min) - LOG_EPS
 
+    descending = isinstance(policy, ValueDescending)
+    presorted = (
+        m == 1 and not aware and isinstance(policy, (ValueAscending, ValueDescending))
+    )
     random_policy = isinstance(policy, SeededRandom)
 
     for t in range(1, horizon + 1):
@@ -338,38 +362,45 @@ def _run_engine(
             if split and type(txn.sensitivity) is not Patient:
                 decaying[txn.id] = txn
             else:
-                insort(pending, (*_pool_key(txn), txn))
+                insort(pending, (*_pool_key(txn, descending), txn.q, txn))
 
         if m == 1:
             floor = log_prices[0] - LOG_EPS
-            eligible = [e[2] for e in pending[bisect_left(pending, (floor,)) :]]
-            dead = []
-            for txn in decaying.values():
-                lnv = _ln(txn.value_at(t))
-                if lnv >= floor:
-                    eligible.append(txn)
-                elif lnv < dead_below:
-                    dead.append(txn.id)
-            for i in dead:
-                del decaying[i]
+            if descending:
+                window = pending[: bisect_left(pending, (-floor, math.inf))]
+            else:
+                window = pending[bisect_left(pending, (floor,)) :]
+            if presorted:
+                fits = _first_fit(list(map(itemgetter(3), window)), caps[0])
+                admitted = [window[i][4] for i in fits]
+            else:
+                eligible = list(map(itemgetter(4), window))
+                dead = []
+                for txn in decaying.values():
+                    lnv = _ln(txn.value_at(t))
+                    if lnv >= floor:
+                        eligible.append(txn)
+                    elif lnv < dead_below:
+                        dead.append(txn.id)
+                for i in dead:
+                    del decaying[i]
         else:
             prices = [math.exp(lp) for lp in log_prices]
             eligible = []
-            for _lnv, _id, txn in pending:
+            for txn in map(itemgetter(4), pending):
                 val = txn.value_at(t) if aware else txn.unit_value
                 cost = 0.0
                 for j in range(m):
                     cost += prices[j] * txn.size[j]
                 if val * txn.size[0] >= cost * (1.0 - LOG_EPS):
                     eligible.append(txn)
+        if not presorted:
+            rng = block_rng(scenario.seed, t) if random_policy else None
+            admitted = [all_txs[cid] for cid in select_block(eligible, caps, policy, rng)]
 
-        rng = block_rng(scenario.seed, t) if random_policy else None
-        chosen = select_block(eligible, caps, policy, rng)
-
-        admitted = [all_txs[cid] for cid in chosen]
         for txn in admitted:
             if decaying.pop(txn.id, None) is None:
-                del pending[bisect_left(pending, _pool_key(txn))]
+                del pending[bisect_left(pending, _pool_key(txn, descending))]
         sizes = run.close(t, log_prices, caps, admitted).sizes
         log_prices = tuple(map(eip_next_price, params_list, log_prices, sizes))
 

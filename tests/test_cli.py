@@ -64,6 +64,17 @@ def test_run_file_scenario_default_horizon_is_100(tmp_path, scenario_file, mech_
     assert len((out / "trace.jsonl").read_text().splitlines()) == 100
 
 
+def test_run_horizon_help_names_both_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert (
+        "--horizon HORIZON blocks to run"
+        " (default: a builtin's own horizon, or 100 for a file scenario)"
+    ) in text
+
+
 def test_run_reproducible_byte_identical(tmp_path, scenario_file, mech_file):
     args = lambda o: [
         "run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
@@ -510,6 +521,16 @@ def test_lower_bounds_suite_csv_pinned(tmp_path):
     assert main(["suite", "--name", "lower_bounds", "--seeds", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "f27d9896e582cb0ec2d0fbca82ca154d2fc9057233886b3d1d91a737df752bb3"
+    )
+
+
+def test_acceptance_suite_csv_pinned(tmp_path):
+    # the acceptance command; the same digest pins perfbench's suite_all workload
+    out = tmp_path / "suite.csv"
+    args = ["suite", "--name", "all", "--seeds", "2", "--horizon", "60", "--out", str(out)]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "621dfcafe17d5fcc57ab3d2d4867ca705c855cab1456531366cbeb41b57367af"
     )
 
 

@@ -35,6 +35,7 @@ from feemarket import (
 from feemarket import core
 from feemarket.adversary import SeededRandom, block_rng, select_block
 from feemarket.core import (
+    LOG_EPS,
     scenario_from_jsonl,
     scenario_to_jsonl,
     schedule_from_json,
@@ -168,14 +169,41 @@ def test_identity_matches_per_value_scan(case):
     )
 
 
+# Adjacent floats whose logs are equal: the engine's pool key must order
+# them by value, as select_block does.
+_TIED_VALUES = [1e6, math.nextafter(1e6, math.inf), 12345.678, math.nextafter(12345.678, math.inf)]
+assert math.log(_TIED_VALUES[0]) == math.log(_TIED_VALUES[1])
+
+
+def _value_on_floor(p: float) -> float:
+    """The least value still eligible at posted price p: its ln is exactly
+    the floor ln p - LOG_EPS, and the next float down is priced out."""
+    floor = math.log(p) - LOG_EPS
+    v = math.exp(floor)
+    while math.log(v) >= floor:
+        v = math.nextafter(v, -math.inf)
+    v = math.nextafter(v, math.inf)
+    assert math.log(v) == floor
+    return v
+
+
+# Block 1 posts p_1 = 2.0, which puts the eligibility floor exactly on
+# ln _ON_FLOOR: the bisects must keep that value and drop _BELOW_FLOOR.
+_ON_FLOOR = _value_on_floor(2.0)
+_BELOW_FLOOR = math.nextafter(_ON_FLOOR, -math.inf)
+
+
 @st.composite
 def engine_cases(draw):
-    """Overloaded static streams: shared values, every sensitivity, one to
-    three resources, every inclusion policy, p_1 at or above the floor."""
+    """Overloaded static streams: shared, log-tied and floor-edge values,
+    every sensitivity, one to three resources, every inclusion policy, p_1
+    at or above the floor."""
     m = draw(st.sampled_from([1, 1, 2, 3]))
     B = draw(st.sampled_from([10, 50]))
     horizon = draw(st.integers(1, 12))
-    value = st.sampled_from([0.0, 1.0, 1.2, 2.0, 5.0, 40.0])
+    value = st.sampled_from(
+        [0.0, 1.0, 1.2, 2.0, 2.0, 5.0, 5.0, 40.0, *_TIED_VALUES, _ON_FLOOR, _BELOW_FLOOR]
+    )
     sensitivity = st.one_of(
         st.just(PATIENT),
         st.builds(Discount, st.sampled_from([0.05, 0.3])),
@@ -196,7 +224,7 @@ def engine_cases(draw):
     c = draw(st.sampled_from([1.5, 2.0, 3.0]))
     aware = draw(st.booleans())
     # p_1 above the floor lets the price fall onto a priced-out decaying tx
-    p_1 = draw(st.sampled_from([1.0, 1.25, 1.5, 3.0]))
+    p_1 = draw(st.sampled_from([1.0, 1.25, 1.5, 2.0, 2.0, 3.0]))
     params = [
         MechanismParams(B=float(B), c=c, eta=0.125, p_min=1.0, p_1=p_1, discounted_eligibility=aware)
         for _ in range(m)
@@ -225,6 +253,21 @@ def test_engine_matches_rescanning_engine(case):
         (cid, rec.time) for rec in run.trace.records for cid, _f in rec.executed
     ]
     assert replay_log_prices(params, run.trace, scn) == [r.log_prices for r in run.trace.records]
+
+
+@pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending()])
+def test_floor_on_a_value_keeps_it_eligible(policy):
+    """Posting p_1 = 2.0 puts the floor exactly on ln _ON_FLOOR: the suffix
+    (ascending) and prefix (descending) pool slices keep that transaction
+    and drop the next value down."""
+    values = [_BELOW_FLOOR, _ON_FLOOR, 2.0, 5.0, 1.0]
+    txs = [Transaction(id=i, arrival=1, size=(1,), unit_value=v) for i, v in enumerate(values)]
+    scn = Scenario(capacities=(10.0,), transactions=txs)
+    params = [MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=2.0)]
+    run = multi_resource_mechanism(scn, params, policy, 1)
+    assert run.trace.records == rescanning_engine(scn, params, policy, 1).records
+    executed = [i for i, _f in run.trace.records[0].executed]
+    assert executed == ([3, 2, 1] if isinstance(policy, ValueDescending) else [1, 2, 3])
 
 
 @st.composite
@@ -277,12 +320,6 @@ def test_greedy_matches_resorting_greedy(case):
     assert run.schedule == schedule
 
 
-# Adjacent floats whose logs are equal, so the engine's (ln v, id) pool
-# order differs from (v, id) order on them.
-_TIED_VALUES = [1e6, math.nextafter(1e6, math.inf), 12345.678, math.nextafter(12345.678, math.inf)]
-assert math.log(_TIED_VALUES[0]) == math.log(_TIED_VALUES[1])
-
-
 @st.composite
 def block_cases(draw):
     """Eligible sets for one block: tie-heavy values, sizes around and above
@@ -300,10 +337,6 @@ def block_cases(draw):
         txs.append(
             Transaction(id=i, arrival=1, size=(draw(quantity), *extra), unit_value=draw(value))
         )
-    if draw(st.booleans()):
-        txs = draw(st.permutations(txs))
-    else:
-        txs.sort(key=_pool_key)
     policy = draw(
         st.sampled_from(
             [
@@ -314,6 +347,11 @@ def block_cases(draw):
             ]
         )
     )
+    if draw(st.booleans()):
+        txs = draw(st.permutations(txs))
+    else:
+        descending = isinstance(policy, ValueDescending)
+        txs.sort(key=lambda t: _pool_key(t, descending))
     return txs, caps, policy, draw(st.integers(0, 3))
 
 
@@ -325,6 +363,27 @@ def test_select_block_matches_reference(case):
     got = select_block(txs, caps, policy, block_rng(seed, 7) if shuffled else None)
     want = reference_select_block(txs, caps, policy, block_rng(seed, 7) if shuffled else None)
     assert got == want
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 2.0, 1.7976931348623157e308, *_TIED_VALUES]),
+            st.floats(0.0, 1e308),
+        ),
+        max_size=30,
+    ),
+    st.sampled_from([ValueAscending(), ValueDescending()]),
+)
+@settings(max_examples=300, deadline=None)
+def test_pool_order_is_value_policy_order(values, policy):
+    """The engine fills a one-resource value-order block straight from its
+    pool slice, so the pool key must sort into the policy's own order: the
+    reference's admission order under an unbounded capacity."""
+    txs = [Transaction(id=i, arrival=1, size=(1,), unit_value=v) for i, v in enumerate(values)]
+    descending = isinstance(policy, ValueDescending)
+    pool = sorted(txs, key=lambda t: _pool_key(t, descending))
+    assert [t.id for t in pool] == reference_select_block(txs, (math.inf,), policy)
 
 
 # Floats at the edges of the format: zero, the smallest subnormal, the
