@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, le
 from typing import Mapping, Sequence, Union
 
-from .core import Transaction, _number
+from .core import Transaction, _known_keys, _number
 
 __all__ = [
     "PRNG_NAME",
@@ -109,28 +109,20 @@ class SeededRandom:
 InclusionPolicy = Union[TipPriority, ValueAscending, ValueDescending, SeededRandom]
 
 
-def _ordered(
-    eligible: Sequence[Transaction],
-    policy: InclusionPolicy,
-    rng: SplitMix64 | None,
-) -> list[Transaction]:
-    if isinstance(policy, ValueAscending):
-        return sorted(eligible, key=attrgetter("unit_value", "id"))
-    if isinstance(policy, ValueDescending):
-        # A stable descending sort keeps equal values in ascending id.
-        xs = sorted(eligible, key=attrgetter("unit_value", "id"))
-        xs.sort(key=attrgetter("unit_value"), reverse=True)
-        return xs
-    if isinstance(policy, TipPriority):
-        tips = policy.tips
-        return sorted(eligible, key=lambda t: (-tips.get(t.id, 0.0), t.id))
-    if isinstance(policy, SeededRandom):
-        if rng is None:
-            raise ValueError("SeededRandom policy requires a block RNG")
-        xs = sorted(eligible, key=attrgetter("id"))
-        rng.shuffle(xs)
-        return xs
-    raise TypeError(f"unknown inclusion policy {policy!r}")
+def _ln(v: float) -> float:
+    """ln v, with ln 0 = -inf (values are never negative)."""
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _pool_key(txn: Transaction, descending: bool) -> tuple[float, float, int]:
+    """The key of a pool entry ``(*key, q, txn)``: (ln v, v, id), or
+    (-ln v, -v, id) under ``ValueDescending``.  ln is non-decreasing, so
+    this is the policy's own (v, id) order (descending v, ties in ascending
+    id), also where adjacent values share one ln."""
+    v = txn.unit_value
+    if descending:
+        return (-_ln(v), -v, txn.id)
+    return (_ln(v), v, txn.id)
 
 
 def _first_fit(sizes: list[int], residual: float) -> list[int]:
@@ -154,6 +146,45 @@ def _first_fit(sizes: list[int], residual: float) -> list[int]:
     return chosen
 
 
+def _assemble(
+    entries: list[tuple],
+    capacity: Sequence[float],
+    policy: InclusionPolicy,
+    rng: SplitMix64 | None,
+) -> list[tuple]:
+    """The one fill pass: the admitted ``entries``, in admission order.  They
+    come in ``_pool_key`` order, which both value policies admit in; the tip
+    order re-sorts them by (-tip, id), the random order by id, then shuffles."""
+    if isinstance(policy, TipPriority):
+        tips = policy.tips
+        entries = sorted(entries, key=lambda e: (-tips.get(e[2], 0.0), e[2]))
+    elif isinstance(policy, SeededRandom):
+        if rng is None:
+            raise ValueError("SeededRandom policy requires a block RNG")
+        entries = sorted(entries, key=itemgetter(2))
+        rng.shuffle(entries)
+    elif not isinstance(policy, (ValueAscending, ValueDescending)):
+        raise TypeError(f"unknown inclusion policy {policy!r}")
+    if len(capacity) == 1:
+        fits = _first_fit(list(map(itemgetter(3), entries)), float(capacity[0]))
+        return [entries[i] for i in fits]
+    residual = [float(c) for c in capacity]
+    chosen: list[tuple] = []
+    if max(residual) < 1.0:
+        return chosen
+    lims = [r + 1e-9 for r in residual]
+    for entry in entries:
+        size = entry[4].size
+        if all(map(le, size, lims)):
+            for j in range(len(residual)):
+                residual[j] -= size[j]
+            chosen.append(entry)
+            if max(residual) < 1.0:
+                break
+            lims = [r + 1e-9 for r in residual]
+    return chosen
+
+
 def select_block(
     eligible: Sequence[Transaction],
     capacity: Sequence[float],
@@ -173,40 +204,22 @@ def select_block(
     Every transaction has a positive integer size on some resource, so once
     every residual drops below 1 the block is full and scanning stops.
 
-    Cost: the value orders and the random order's pre-shuffle sort use
-    C-level keys (the tip order keeps a Python key), and the resource-count
-    check runs in C.  With one resource the pass is ``_first_fit``, which
-    runs Python code only per admitted transaction.  With several resources
-    the pass scans in Python until the block fills, one C-level fit test per
-    transaction.  The price-posting engine keeps its pending pool in the
-    value policy's own order, so for a one-resource value-order block it
-    skips this function and runs ``_first_fit`` on the eligible pool slice
-    directly; it calls this function, and so sorts, only for the tip order,
-    the random order, several resources and discounted eligibility.
+    Cost: the eligible transactions become pool entries sorted by
+    ``_pool_key``, and ``_assemble`` runs the pass on them, as the
+    price-posting engine does for every block on its own pool entries.  With
+    one resource the pass is ``_first_fit``, which runs Python code only per
+    admitted transaction; with several it scans in Python until the block
+    fills, one C-level fit test per transaction.  The resource-count check
+    runs in C.
     """
-    order = _ordered(eligible, policy, rng)
-    residual = [float(c) for c in capacity]
-    m = len(residual)
-    sizes = list(map(attrgetter("size"), order))
-    if set(map(len, sizes)) - {m}:
-        bad = next(t for t in order if len(t.size) != m)
+    m = len(capacity)
+    if set(map(len, map(attrgetter("size"), eligible))) - {m}:
+        bad = next(t for t in eligible if len(t.size) != m)
         raise ValueError(f"tx {bad.id} has {len(bad.size)} resources, capacity has {m}")
-    chosen: list[int] = []
-    if max(residual) < 1.0:
-        return chosen
-    if m == 1:
-        fits = _first_fit(list(map(itemgetter(0), sizes)), residual[0])
-        return [order[i].id for i in fits]
-    lims = [r + 1e-9 for r in residual]
-    for t, size in zip(order, sizes):
-        if all(map(le, size, lims)):
-            for j in range(m):
-                residual[j] -= size[j]
-            chosen.append(t.id)
-            if max(residual) < 1.0:
-                break
-            lims = [r + 1e-9 for r in residual]
-    return chosen
+    descending = isinstance(policy, ValueDescending)
+    entries = [(*_pool_key(t, descending), t.q, t) for t in eligible]
+    entries.sort(key=itemgetter(0, 1, 2))  # a repeated id keeps its input order
+    return [e[2] for e in _assemble(entries, capacity, policy, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +244,12 @@ def policy_to_config(policy: InclusionPolicy) -> dict:
 
 def policy_from_config(obj: Mapping) -> InclusionPolicy:
     """The policy of a JSON config object; a tip key must be a decimal id
-    that no other key names, a tip a JSON number, and a config of any other
-    shape raises ValueError."""
+    that no other key names, a tip a JSON number, ``tips`` appears only with
+    the tip policy, and a config of any other shape raises ValueError."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"policy config must be a JSON object, got {obj!r}")
     name = obj.get("policy")
+    _known_keys(obj, ("policy", "tips") if name == "tip" else ("policy",), "policy config")
     if name == "tip":
         raw = obj.get("tips", {})
         if not isinstance(raw, Mapping):

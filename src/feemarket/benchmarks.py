@@ -77,8 +77,8 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
     """
     if scenario.m != 1:
         raise ScenarioError("fractional benchmark requires a 1-resource scenario")
-    if B <= 0:
-        raise ValueError(f"cap must be positive, got {B}")
+    if not 0 < B < math.inf:
+        raise ValueError(f"cap must be positive and finite, got {B}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     import heapq

@@ -699,6 +699,13 @@ def _number(x, name: str) -> float:
         raise ValueError(f"{name} is out of range") from None
 
 
+def _known_keys(obj, keys, what: str) -> None:
+    """Raise ValueError naming the first key of ``obj`` not in ``keys``."""
+    for k in obj:
+        if k not in keys:
+            raise ValueError(f"{what} has unknown key {k!r}")
+
+
 def _sens_to_json(s: Sensitivity) -> dict:
     if type(s) is Patient:
         return {"kind": "patient"}

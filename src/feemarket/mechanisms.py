@@ -27,17 +27,16 @@ import heapq
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .adversary import (
     InclusionPolicy,
     SeededRandom,
-    ValueAscending,
     ValueDescending,
-    _first_fit,
+    _assemble,
+    _ln,
+    _pool_key,
     block_rng,
-    select_block,
 )
 from .core import (
     LOG_EPS,
@@ -50,6 +49,7 @@ from .core import (
     Schedule,
     ScheduleEntry,
     Transaction,
+    _known_keys,
     _number,
 )
 
@@ -153,11 +153,13 @@ def params_to_config(params: MechanismParams) -> dict:
 def params_from_config(obj: Mapping) -> MechanismParams:
     """The parameters of a JSON config object.  ``B``, ``c``, ``eta``,
     ``p_min`` and ``p_1`` must be JSON numbers and ``discounted_eligibility``
-    (default false) a boolean; a config of any other shape raises
-    ValueError."""
+    (default false) a boolean; a config of any other shape, or with any
+    other key, raises ValueError."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"mechanism config must be a JSON object, got {obj!r}")
-    missing = [name for name in ("B", "c", "eta", "p_min", "p_1") if name not in obj]
+    required = ("B", "c", "eta", "p_min", "p_1")
+    _known_keys(obj, (*required, "update_rule", "discounted_eligibility"), "mechanism config")
+    missing = [name for name in required if name not in obj]
     if missing:
         raise ValueError(f"mechanism config lacks {', '.join(missing)}")
     discounted = obj.get("discounted_eligibility", False)
@@ -300,24 +302,6 @@ class _Run:
         )
 
 
-def _ln(v: float) -> float:
-    """ln v, with ln 0 = -inf (values are never negative)."""
-    return math.log(v) if v > 0.0 else -math.inf
-
-
-def _pool_key(txn: Transaction, descending: bool) -> tuple[float, float, int]:
-    """The pending pool's sort key: (ln v, v, id), or (-ln v, -v, id) for
-    the ``ValueDescending`` policy.  ln is non-decreasing, so the first is
-    the (v, id) order of ``ValueAscending`` and the second the order of
-    ``ValueDescending`` (descending v, ties in ascending id), also where
-    adjacent values share one ln.  Ids are unique, so the key locates one
-    entry."""
-    v = txn.unit_value
-    if descending:
-        return (-_ln(v), -v, txn.id)
-    return (_ln(v), v, txn.id)
-
-
 def _run_engine(
     scenario: Scenario,
     params_list: Sequence[MechanismParams],
@@ -328,80 +312,70 @@ def _run_engine(
     if len(params_list) != m:
         raise ValueError(f"need {m} parameter sets for {m} resources, got {len(params_list)}")
     run = _Run(scenario, horizon)
-    all_txs = run.txs
 
     caps = tuple(p.c * p.B for p in params_list)
     log_prices = tuple(math.log(p.p_1) for p in params_list)
     aware = params_list[0].discounted_eligibility
 
-    # The pool: entries (*_pool_key, q, txn) in one list sorted by
-    # _pool_key; an executed transaction leaves it by bisection.  On one
-    # resource the eligible entries are a slice: the prefix above the floor
-    # for ValueDescending, else the suffix.  With a value order and without
-    # discounted eligibility that slice already is the admission order, so
-    # _first_fit fills the block from its sizes directly.  Otherwise
-    # select_block orders the eligible transactions by a key that is unique
-    # per transaction under every policy.  With discounted eligibility on
-    # one resource, a transaction whose value can decay waits in
-    # ``decaying`` instead and is scanned every block, until its value falls
-    # below ln p_min - LOG_EPS: values never rise and no posted log-price is
-    # below ln p_min, so it can never be eligible again.
+    # The pool: entries (*_pool_key, q, txn) in one list in _pool_key order,
+    # which _assemble takes the eligible entries in; an executed entry leaves
+    # by bisection.  On one resource they are a slice: the prefix above the
+    # floor for ValueDescending, else the suffix.  With discounted
+    # eligibility on one resource, an entry whose value can decay waits in
+    # ``decaying``, is scanned every block and, if eligible, sorted into the
+    # slice.  It is dropped once its value is below ln p_min - LOG_EPS: values
+    # never rise and no posted log-price is below ln p_min.
     pending: list[tuple[float, float, int, int, Transaction]] = []
-    decaying: dict[int, Transaction] = {}
+    decaying: dict[int, tuple[float, float, int, int, Transaction]] = {}
     split = m == 1 and aware
     dead_below = math.log(params_list[0].p_min) - LOG_EPS
 
     descending = isinstance(policy, ValueDescending)
-    presorted = (
-        m == 1 and not aware and isinstance(policy, (ValueAscending, ValueDescending))
-    )
     random_policy = isinstance(policy, SeededRandom)
 
     for t in range(1, horizon + 1):
         for txn in run.at(t):
+            entry = (*_pool_key(txn, descending), txn.q, txn)
             if split and type(txn.sensitivity) is not Patient:
-                decaying[txn.id] = txn
+                decaying[txn.id] = entry
             else:
-                insort(pending, (*_pool_key(txn, descending), txn.q, txn))
+                insort(pending, entry)
 
         if m == 1:
             floor = log_prices[0] - LOG_EPS
             if descending:
-                window = pending[: bisect_left(pending, (-floor, math.inf))]
+                eligible = pending[: bisect_left(pending, (-floor, math.inf))]
             else:
-                window = pending[bisect_left(pending, (floor,)) :]
-            if presorted:
-                fits = _first_fit(list(map(itemgetter(3), window)), caps[0])
-                admitted = [window[i][4] for i in fits]
-            else:
-                eligible = list(map(itemgetter(4), window))
+                eligible = pending[bisect_left(pending, (floor,)) :]
+            if split:
                 dead = []
-                for txn in decaying.values():
-                    lnv = _ln(txn.value_at(t))
+                for entry in decaying.values():
+                    lnv = _ln(entry[4].value_at(t))
                     if lnv >= floor:
-                        eligible.append(txn)
+                        eligible.append(entry)
                     elif lnv < dead_below:
-                        dead.append(txn.id)
+                        dead.append(entry[2])
                 for i in dead:
                     del decaying[i]
+                eligible.sort()
         else:
             prices = [math.exp(lp) for lp in log_prices]
             eligible = []
-            for txn in map(itemgetter(4), pending):
+            for entry in pending:
+                txn = entry[4]
                 val = txn.value_at(t) if aware else txn.unit_value
                 cost = 0.0
                 for j in range(m):
                     cost += prices[j] * txn.size[j]
                 if val * txn.size[0] >= cost * (1.0 - LOG_EPS):
-                    eligible.append(txn)
-        if not presorted:
-            rng = block_rng(scenario.seed, t) if random_policy else None
-            admitted = [all_txs[cid] for cid in select_block(eligible, caps, policy, rng)]
+                    eligible.append(entry)
+        rng = block_rng(scenario.seed, t) if random_policy else None
+        admitted = _assemble(eligible, caps, policy, rng)
 
-        for txn in admitted:
-            if decaying.pop(txn.id, None) is None:
-                del pending[bisect_left(pending, _pool_key(txn, descending))]
-        sizes = run.close(t, log_prices, caps, admitted).sizes
+        for entry in admitted:
+            if decaying.pop(entry[2], None) is None:
+                del pending[bisect_left(pending, entry)]
+        sizes = run.close(t, log_prices, caps, [e[4] for e in admitted]).sizes
         log_prices = tuple(map(eip_next_price, params_list, log_prices, sizes))
 
     return run.result()
@@ -457,21 +431,23 @@ def greedy_online(
     consecutive blocks total less than (Z+1)*B.  With sizes at most B the max
     block size is at most 2B.  ``max_block`` optionally caps each block (used
     to study capped variants); transactions larger than B are rejected at
-    ingestion.
+    ingestion.  ``B`` must be positive and finite, ``max_block`` positive.
 
     The trace's posted price for each block is the bookkeeping value: the
     lowest per-unit value scheduled in it (log 0 for empty blocks).
     """
     if scenario.m != 1:
         raise ScenarioError("greedy baseline requires a 1-resource scenario")
-    if B <= 0:
-        raise ValueError(f"target size must be positive, got {B}")
+    if not 0 < B < math.inf:
+        raise ValueError(f"target size must be positive and finite, got {B}")
+    cap = math.inf if max_block is None else float(max_block)
+    if not cap > 0:
+        raise ValueError(f"max_block must be positive, got {max_block}")
     run = _Run(scenario, horizon)
 
     heap: list[tuple[float, int, int, Transaction]] = []  # (-v, arrival, id, tx)
     min_size_lb = math.inf
     virtual_cum = 0.0  # includes padding up to the running target
-    cap = math.inf if max_block is None else float(max_block)
     caps = (cap,)
 
     for t in range(1, horizon + 1):

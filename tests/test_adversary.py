@@ -145,13 +145,15 @@ def test_policy_config_roundtrip():
 
 
 def test_nan_tip_config_rejected():
-    """A NaN tip makes the tip order depend on the input order: three equal
-    transactions of size 10 in a block of 10 admit [0] in id order and [2]
-    reversed.  A config carrying one (json reads NaN) is rejected."""
-    eligible = txs((10, 1.0), (10, 1.0), (10, 1.0))
+    """A NaN tip makes the tip order depend on the values, which it must
+    ignore: three transactions of size 10 in a block of 10 admit [0] when
+    their values tie and [2] when the values fall with the id, in any input
+    order.  A config carrying one (json reads NaN) is rejected."""
     nan_order = TipPriority({0: math.nan, 1: 1.0, 2: 2.0})
-    assert select_block(eligible, (10.0,), nan_order) == [0]
-    assert select_block(eligible[::-1], (10.0,), nan_order) == [2]
+    for values, want in (((1.0, 1.0, 1.0), [0]), ((3.0, 2.0, 1.0), [2])):
+        eligible = txs(*((10, v) for v in values))
+        assert select_block(eligible, (10.0,), nan_order) == want
+        assert select_block(eligible[::-1], (10.0,), nan_order) == want
     config = json.loads(json.dumps(policy_to_config(nan_order)))
     with pytest.raises(ValueError, match="tx 0: tip must be finite, got nan"):
         policy_from_config(config)

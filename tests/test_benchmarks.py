@@ -67,6 +67,16 @@ class TestOptFractional:
         assert [(e.time, e.fraction) for e in s.entries] == [(1, 0.5), (2, 0.5)]
         assert welfare(s, scn, 2) == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_cap_rejected(self, B):
+        # an infinite cap would give an empty schedule, and a NaN cap would
+        # pass greedy_dominance_check with nothing scheduled on either side
+        scn = scn_of(Transaction(id=0, arrival=1, size=(10,), unit_value=5.0), B=10.0)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            opt_fractional(scn, B, 3)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            greedy_dominance_check(scn, B, 3)
+
     def test_matches_exhaustive_on_micro_instances(self):
         rng = random.Random(7)
         for _ in range(120):

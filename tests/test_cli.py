@@ -258,6 +258,28 @@ def test_run_malformed_policy_config_exit_2(tmp_path, scenario_file, mech_file, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag, config, key", [
+    ("--mechanism", {**_MECH, "discounted_eligibilty": True}, "discounted_eligibilty"),
+    ("--policy", {"policy": "tip", "tip": {"3": 1.0}}, "tip"),
+    ("--policy", {"policy": "value_asc", "tips": {"3": 1.0}}, "tips"),
+])
+def test_run_unknown_config_key_exit_2(tmp_path, scenario_file, mech_file, flag, config, key,
+                                       capsys):
+    """A misspelled or misplaced key would otherwise run on its default."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    if flag == "--mechanism":
+        args = ["--mechanism", str(path)]
+    else:
+        args = ["--mechanism", str(mech_file), "--policy", str(path)]
+    rc = main(["run", "--scenario", str(scenario_file), *args,
+               "--horizon", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {flag[2:]} config has unknown key {key!r}"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_pass_and_fail(tmp_path, scenario_file, mech_file):
     out = tmp_path / "out"
     main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
@@ -355,6 +377,7 @@ def test_verify_malformed_schedule_exit_2(tmp_path, scenario_file, mech_file, ho
 
 @pytest.mark.parametrize("flag,value", [
     ("eta", "inf"), ("eta", "nan"), ("eta", "-1"), ("gamma", "-100"), ("bench-slack", "nan"),
+    ("bench-limit", "nan"), ("bench-limit", "inf"), ("bench-limit", "0"),
 ])
 def test_verify_bad_numeric_flag_exit_2(tmp_path, scenario_file, mech_file, flag, value, capsys):
     out = tmp_path / "out"

@@ -33,7 +33,7 @@ from feemarket import (
     welfare_via_threshold_integral,
 )
 from feemarket import core
-from feemarket.adversary import SeededRandom, block_rng, select_block
+from feemarket.adversary import SeededRandom, _pool_key, block_rng, select_block
 from feemarket.core import (
     LOG_EPS,
     scenario_from_jsonl,
@@ -42,7 +42,7 @@ from feemarket.core import (
     schedule_to_json,
     trace_to_jsonl,
 )
-from feemarket.mechanisms import OversizedTransactionError, _pool_key, replay_log_prices
+from feemarket.mechanisms import OversizedTransactionError, replay_log_prices
 
 from oracles import (
     all_windows_block_check,

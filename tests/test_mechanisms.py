@@ -361,6 +361,19 @@ class TestGreedy:
         res = greedy_online(scn, 100.0, 2, max_block=1.15 * 100)
         assert res.trace.records[0].executed == ((0, 1.0), (1, 1.0))
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_target_rejected(self, B):
+        scn = scn_of(Transaction(id=0, arrival=1, size=(5,), unit_value=1.0), B=10.0)
+        with pytest.raises(ValueError, match="target size must be positive and finite"):
+            greedy_online(scn, B, 1)
+
+    @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
+    def test_bad_max_block_rejected(self, cap):
+        # every comparison with a NaN cap is false, so the run would be uncapped
+        scn = scn_of(Transaction(id=0, arrival=1, size=(5,), unit_value=1.0), B=10.0)
+        with pytest.raises(ValueError, match="max_block must be positive"):
+            greedy_online(scn, 10.0, 1, max_block=cap)
+
     def test_deficit_persists_no_catch_up(self):
         # one small tx at t=1, nothing else until a flood at t=3: the early
         # shortfall is never made up, so block 3 stays around B, not 2B+.
