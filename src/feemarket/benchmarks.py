@@ -333,11 +333,11 @@ def check_threshold_dominance(
     _check_extension(gamma, eta)
     if not (math.isfinite(bench_slack) and bench_slack >= 0):
         raise ValueError(f"bench_slack must be finite and >= 0, got {bench_slack}")
-    pre = _avg_block_violations(bench, scenario, bench_limit, bench_slack)
-    if pre:
+    count, first = _avg_block_violations(bench, scenario, bench_limit, bench_slack)
+    if count:
         raise BenchmarkConstraintError(
             f"benchmark violates its declared size constraint in "
-            f"{len(pre)} window(s); first: {pre[0].to_json()}"
+            f"{count} window(s); first: {first.to_json()}"
         )
     thetas = sorted(
         {t_.unit_value for _e, t_ in _resolved(alg, scenario)}

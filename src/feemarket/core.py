@@ -454,9 +454,13 @@ class WindowViolation:
 
 @dataclass
 class BlockSizeReport:
-    passed: bool
-    violations: list[WindowViolation]
+    violation_count: int
+    first_violation: WindowViolation | None
     max_slackness: float
+
+    @property
+    def passed(self) -> bool:
+        return self.violation_count == 0
 
 
 def constant_slack(delta: float) -> float:
@@ -532,35 +536,34 @@ def _block_prefix_sums(
 
 def _window_violations(
     lo: int, columns: list[tuple[float, list[float]]], delta: float
-) -> list[WindowViolation]:
-    """Every window (i, j] of every resource whose total P[j] - P[i] exceeds
-    (k + delta) * B_j * (1 + REL_TOL), k = j - i, by resource, then k, then i.
+) -> tuple[int, WindowViolation | None]:
+    """(count, first) of the windows (i, j] of every resource whose total
+    P[j] - P[i] exceeds (k + delta) * B_j * (1 + REL_TOL), k = j - i; first
+    by resource, then k, then i, or None.
 
     With B' = B_j * (1 + REL_TOL) and D[i] = P[i] - i * B', a window
     violates about where D[j] - D[i] > delta * B'.  ``_band`` yields the
-    windows within a rounding band of that; only they are tested, with the
-    exact float expression.  A NaN or +inf delta makes the cut NaN and admits
-    no window, -inf every window, as the exact test does.
+    windows within a rounding band of that, by j then i (so a k's first has
+    the least i); only they get the exact float test.  A NaN or +inf delta
+    makes the cut NaN and admits no window, -inf every window, as that test does.
     """
     scale = 1.0 + REL_TOL
-    violations: list[WindowViolation] = []
+    count, first = 0, None
     for resource, (bj, P) in enumerate(columns):
         n = len(P) - 1
         step = bj * scale
         D = [p - i * step for i, p in enumerate(P)]
         cut = delta * step - _BAND * (2.0 * max(map(abs, P)) + (n + abs(delta)) * step)
-        found = []
+        shortest = math.inf if first is None else 0  # an earlier resource's stays first
         for i, j in _band(D, cut):
             total = P[j] - P[i]
             bound = (j - i + delta) * bj
             if total > bound * scale:
-                found.append((j - i, i, total, bound))
-        found.sort()
-        violations.extend(
-            WindowViolation(resource, lo + i, lo + i + k - 1, total, bound)
-            for k, i, total, bound in found
-        )
-    return violations
+                count += 1
+                if j - i < shortest:
+                    shortest = j - i
+                    first = WindowViolation(resource, lo + i, lo + j - 1, total, bound)
+    return count, first
 
 
 def _max_slackness(columns: list[tuple[float, list[float]]]) -> float:
@@ -587,11 +590,10 @@ def _max_slackness(columns: list[tuple[float, list[float]]]) -> float:
 
 def _avg_block_violations(
     schedule: Schedule, scenario: Scenario, B: float | Iterable[float], slack: float
-) -> list[WindowViolation]:
-    """The violations ``check_avg_block_size`` reports, without its
-    max-slackness pass."""
-    lo, columns = _block_prefix_sums(schedule, scenario, B)
-    return _window_violations(lo, columns, float(slack))
+) -> tuple[int, WindowViolation | None]:
+    """The count and first violation ``check_avg_block_size`` reports,
+    without its max-slackness pass."""
+    return _window_violations(*_block_prefix_sums(schedule, scenario, B), float(slack))
 
 
 def check_avg_block_size(
@@ -604,21 +606,19 @@ def check_avg_block_size(
 
     For every window [t0, t1] within the schedule's support and every
     resource j, checks sum_t Q_{t,j} <= (k + delta) * B_j with
-    k = t1 - t0 + 1; equality is a pass, with 1e-9 relative slack.  An empty
-    report (no violations) means pass.  ``B`` is one target for every
-    resource or one per resource.
+    k = t1 - t0 + 1; equality is a pass, with 1e-9 relative slack.  The report
+    counts the violating windows and keeps the first (by resource, k, t0).
+    ``B`` is one target for every resource or one per resource.
 
-    Both the violations and ``max_slackness`` come from one running-minimum
-    band walk (``_band``) over prefix sums each.  Only the windows within a
-    rounding band of the bound (or of the maximum) are re-evaluated with the
-    float expression of the direct all-windows check, so the report is the
-    one that check gives, bit for bit.
+    Count, first window and ``max_slackness`` come from ``_band`` walks over
+    prefix sums; only windows in a rounding band of the bound (or maximum)
+    get the all-windows check's float expression, so all match it bit for
+    bit.  Memory is O(n) for n blocks; time is O(n) plus the windows in the
+    band, which is O(n^2) when many windows fail or tie at B.
     """
     lo, columns = _block_prefix_sums(schedule, scenario, B)
-    violations = _window_violations(lo, columns, float(slack))
-    return BlockSizeReport(
-        passed=not violations, violations=violations, max_slackness=_max_slackness(columns)
-    )
+    count, first = _window_violations(lo, columns, float(slack))
+    return BlockSizeReport(count, first, _max_slackness(columns))
 
 
 def measured_slackness(

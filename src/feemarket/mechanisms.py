@@ -486,10 +486,20 @@ def greedy_online(
     return run.result()
 
 
+def _require_exponential(params: MechanismParams) -> None:
+    """The closed-form bounds hold for the exponential rule only: under the
+    linear rule the measured slackness grows with the horizon."""
+    if params.update_rule != EXPONENTIAL:
+        raise InfeasibleParametersError(
+            f"no closed-form bound covers the {params.update_rule} update rule"
+        )
+
+
 def theorem_slackness(params: MechanismParams, v_max: float) -> float:
     """Windowed-average slackness every run of the mechanism satisfies:
     (1/eta) * ln(v_max / p_min) + (c - 1), where v_max upper-bounds every
-    per-unit value in the input as well as p_1."""
+    per-unit value in the input as well as p_1.  Exponential rule only."""
+    _require_exponential(params)
     if v_max < params.p_min:
         raise ValueError(f"v_max {v_max} below price floor {params.p_min}")
     return math.log(v_max / params.p_min) / params.eta + (params.c - 1.0)
@@ -510,8 +520,10 @@ def theorem_gamma(
 
     which is the extension granted to the mechanism when compared against any
     fractional schedule with windowed-average size limit B and slackness
-    delta'.  Requires c > 1 + q_max/B and v_max >= e^eta * p_min.
+    delta'.  Requires the exponential rule, c > 1 + q_max/B and
+    v_max >= e^eta * p_min.
     """
+    _require_exponential(params)
     if delta_prime < 0:
         raise ValueError(f"slackness must be >= 0, got {delta_prime}")
     c_prime = params.c - q_max / params.B

@@ -127,7 +127,7 @@ def test_criterion_3_slackness_everywhere(theorem_runs):
         )
         delta = theorem_slackness(params, v_max)
         rep = check_avg_block_size(sched, scn, params.B, delta)
-        bad_windows += len(rep.violations)
+        bad_windows += rep.violation_count
         checked += 1
     report(
         "3 slackness bound on every trace",

@@ -322,6 +322,46 @@ def test_verify_insufficient_gamma_fails_with_violations(tmp_path, capsys):
     assert report["threshold"]["violations"]
 
 
+def test_run_linear_rule_has_no_slackness_verdict(tmp_path):
+    # three size-50 txs a block at B=100: the linear rule drifts above the
+    # target, and no closed-form bound covers it, so the summary gives none
+    scn = Scenario(capacities=(100.0,), transactions=[
+        Transaction(id=i, arrival=1 + i // 3, size=(50,), unit_value=100.0) for i in range(150)
+    ])
+    (tmp_path / "scenario.jsonl").write_text(scenario_to_jsonl(scn))
+    summaries = {}
+    for rule in ("exponential", "linear"):
+        params = MechanismParams(B=100.0, c=3.0, eta=0.125, p_min=1.0, p_1=1.0, update_rule=rule)
+        (tmp_path / f"{rule}.json").write_text(json.dumps(params_to_config(params)))
+        out = tmp_path / rule
+        assert main(["run", "--scenario", str(tmp_path / "scenario.jsonl"), "--mechanism",
+                     str(tmp_path / f"{rule}.json"), "--horizon", "50", "--out", str(out)]) == 0
+        summaries[rule] = json.loads((out / "summary.json").read_text())
+    assert summaries["exponential"]["slackness_bound"] == pytest.approx(8 * math.log(100) + 2)
+    assert summaries["exponential"]["slackness_ok"] is True
+    assert summaries["linear"]["slackness_measured"] > 0
+    assert summaries["linear"]["slackness_bound"] is None
+    assert summaries["linear"]["slackness_ok"] is None
+
+
+def test_verify_over_limit_benchmark_exit_2(tmp_path, capsys):
+    # two blocks of 150 over a limit of 100 fail in [1, 1], [2, 2] and [1, 2]
+    scn = Scenario(capacities=(100.0,), transactions=[
+        Transaction(id=i, arrival=1, size=(75,), unit_value=2.0) for i in range(4)
+    ])
+    (tmp_path / "scenario.jsonl").write_text(scenario_to_jsonl(scn))
+    (tmp_path / "bench.json").write_text(json.dumps({"integral": True, "entries": [
+        {"id": i, "t": 1 + i // 2, "frac": 1.0} for i in range(4)
+    ]}))
+    args = _verify_args(tmp_path / "scenario.jsonl", tmp_path / "bench.json",
+                        tmp_path / "bench.json", gamma="0")
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: benchmark violates its declared size constraint in 3 window(s); first: "
+        "{'resource': 0, 'window': [1, 1], 'lhs': 150.0, 'rhs': 100.0}\n"
+    )
+
+
 def _verify_args(scenario, schedule, benchmark="opt_fractional", **flags):
     opts = {"horizon": "8", "gamma": "32", "eta": "0.125", "bench-limit": "100"}
     opts.update(flags)

@@ -1,6 +1,11 @@
 """Core accounting: welfare, threshold quantities, size verifiers, serialization."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,7 +218,8 @@ class TestAvgBlockSize:
         sched, scn = self.make([20])
         report = check_avg_block_size(sched, scn, 10.0, 0)
         assert not report.passed
-        assert (report.violations[0].start, report.violations[0].end) == (1, 1)
+        assert report.violation_count == 1
+        assert (report.first_violation.start, report.first_violation.end) == (1, 1)
 
     def test_empty_passes(self):
         sched, scn = self.make([0, 0])
@@ -228,8 +234,11 @@ class TestAvgBlockSize:
             oracle = brute_window_check(
                 {t: float(q) for t, q in enumerate(sizes, 1)}, 10.0, slack, 1, 7
             )
-            got = sorted((v.start, v.end) for v in mine.violations)
-            assert got == sorted(oracle)
+            assert mine.violation_count == len(oracle)
+            first = mine.first_violation
+            assert (first and (first.start, first.end)) == min(
+                oracle, key=lambda w: (w[1] - w[0], w[0]), default=None
+            )
 
     @pytest.mark.parametrize("B", [0.0, -10.0, float("inf"), float("nan"), [10.0, 10.0]])
     def test_bad_targets_rejected(self, B):
@@ -250,6 +259,28 @@ class TestAvgBlockSize:
         assert not check_avg_block_size(sched, scn, 10.0, 0).passed
         sched, scn = self.make([10, 10, 10, 10, 10, 1])
         assert check_avg_block_size(sched, scn, 10.0, 0).passed
+
+    def test_every_window_failing_checks_in_linear_memory(self):
+        # n blocks of 101 against B=100 fail in all n(n+1)/2 windows; one
+        # object per window would need about 400 MiB, over the child's cap
+        n = 1500
+        code = f"""
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from feemarket import Scenario, Schedule, ScheduleEntry, Transaction, check_avg_block_size
+txs = [Transaction(id=t, arrival=t, size=(101,), unit_value=1.0) for t in range(1, {n} + 1)]
+sched = Schedule([ScheduleEntry(t, t, 1.0) for t in range(1, {n} + 1)], integral=True)
+rep = check_avg_block_size(sched, Scenario(capacities=(100.0,), transactions=txs), 100.0, 0.0)
+print(json.dumps([rep.violation_count, rep.first_violation.to_json()]))
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert json.loads(out.stdout) == [
+            n * (n + 1) // 2, {"resource": 0, "window": [1, 1], "lhs": 101.0, "rhs": 100.0}
+        ]
 
 
 class TestMaxBlockSize:

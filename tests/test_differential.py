@@ -109,9 +109,11 @@ def test_window_check_matches_all_windows(case, delta):
     report = check_avg_block_size(sched, scn, B, delta)
     passed, violations, max_slack = all_windows_block_check(sched, scn, B, delta)
     assert report.passed == passed
+    assert report.violation_count == len(violations)
+    first = [report.first_violation] if report.first_violation else []
     assert [
-        (v.resource, v.start, v.end, bits(v.total), bits(v.bound)) for v in report.violations
-    ] == [(j, s, e, bits(total), bits(bound)) for j, s, e, total, bound in violations]
+        (v.resource, v.start, v.end, bits(v.total), bits(v.bound)) for v in first
+    ] == [(j, s, e, bits(total), bits(bound)) for j, s, e, total, bound in violations[:1]]
     assert bits(report.max_slackness) == bits(max_slack)
 
 

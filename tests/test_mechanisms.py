@@ -422,6 +422,14 @@ class TestClosedForms:
         with pytest.raises(InfeasibleParametersError):
             theorem_gamma(p, v_max=math.e, q_max=1.0)
 
+    def test_linear_rule_has_no_closed_form(self):
+        # under the linear rule the measured slackness grows with T
+        p = MechanismParams(B=1.0, c=3.0, eta=1.0, p_min=1.0, p_1=1.0, update_rule="linear")
+        with pytest.raises(InfeasibleParametersError):
+            theorem_slackness(p, math.e)
+        with pytest.raises(InfeasibleParametersError):
+            theorem_gamma(p, v_max=math.e, q_max=1.0)
+
     def test_slackness_worked_examples(self):
         p = MechanismParams(B=1.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
         assert theorem_slackness(p, math.e) == pytest.approx(9.0)
