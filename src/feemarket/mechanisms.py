@@ -3,7 +3,7 @@
 The price-posting engine runs the multiplicative base-fee update family: each
 block posts a per-unit price and a capacity, an adversarial builder assembles
 a maximal-by-inclusion subset of the eligible pending transactions, and the
-price moves by ``exp(eta * (Q_t - B) / B)`` (or its linear approximation)
+price moves by ``exp(eta * (Q_t - B) / B)``
 clamped at a floor.  Prices are stored and updated in log-space so the
 multiplicative telescoping is exact up to additive float error, and
 eligibility compares ln-values with a 1e-12 absolute tolerance, inclusive on
@@ -83,13 +83,9 @@ class InfeasibleParametersError(FeeMarketError):
     """Closed-form bound undefined for these parameters."""
 
 
-EXPONENTIAL = "exponential"
-LINEAR = "linear"
-
-
 @dataclass(frozen=True)
 class MechanismParams:
-    """The five price-update parameters plus variant flags.
+    """The five price-update parameters plus a variant flag.
 
     B: target block size; c: max-size multiplier (capacity is c*B);
     eta: step size; p_min: price floor; p_1: initial price.
@@ -102,7 +98,6 @@ class MechanismParams:
     eta: float
     p_min: float
     p_1: float
-    update_rule: str = EXPONENTIAL
     discounted_eligibility: bool = False
 
     def __post_init__(self) -> None:
@@ -119,8 +114,6 @@ class MechanismParams:
             raise ValueError(f"price floor must be positive, got {self.p_min}")
         if self.p_1 < self.p_min:
             raise ValueError(f"initial price {self.p_1} below floor {self.p_min}")
-        if self.update_rule not in (EXPONENTIAL, LINEAR):
-            raise ValueError(f"unknown update rule {self.update_rule!r}")
 
     @property
     def max_block(self) -> float:
@@ -145,7 +138,6 @@ def params_to_config(params: MechanismParams) -> dict:
         "eta": params.eta,
         "p_min": params.p_min,
         "p_1": params.p_1,
-        "update_rule": params.update_rule,
         "discounted_eligibility": params.discounted_eligibility,
     }
 
@@ -158,7 +150,7 @@ def params_from_config(obj: Mapping) -> MechanismParams:
     if not isinstance(obj, Mapping):
         raise ValueError(f"mechanism config must be a JSON object, got {obj!r}")
     required = ("B", "c", "eta", "p_min", "p_1")
-    _known_keys(obj, (*required, "update_rule", "discounted_eligibility"), "mechanism config")
+    _known_keys(obj, (*required, "discounted_eligibility"), "mechanism config")
     missing = [name for name in required if name not in obj]
     if missing:
         raise ValueError(f"mechanism config lacks {', '.join(missing)}")
@@ -173,18 +165,13 @@ def params_from_config(obj: Mapping) -> MechanismParams:
         eta=_number(obj["eta"], "eta"),
         p_min=_number(obj["p_min"], "p_min"),
         p_1=_number(obj["p_1"], "p_1"),
-        update_rule=str(obj.get("update_rule", EXPONENTIAL)),
         discounted_eligibility=discounted,
     )
 
 
 def eip_next_price(params: MechanismParams, log_price: float, block_size: float) -> float:
-    """Next log-price after a block of total size ``block_size``.
-
-    Exponential rule: ln p' = max(ln p_min, ln p + eta*(Q-B)/B).
-    Linear rule: p' = max(p_min, p * (1 + eta*(Q-B)/B)); a nonpositive
-    multiplier clamps to the floor.
-    """
+    """Next log-price after a block of total size ``block_size``:
+    ln p' = max(ln p_min, ln p + eta*(Q-B)/B)."""
     if block_size < 0:
         raise CapacityViolationError(f"negative block size {block_size}")
     if block_size > params.max_block * (1.0 + 1e-9):
@@ -192,13 +179,7 @@ def eip_next_price(params: MechanismParams, log_price: float, block_size: float)
             f"block size {block_size} exceeds capacity {params.max_block}"
         )
     drift = params.eta * (block_size - params.B) / params.B
-    floor = math.log(params.p_min)
-    if params.update_rule == EXPONENTIAL:
-        return max(floor, log_price + drift)
-    factor = 1.0 + drift
-    if factor <= 0.0:
-        return floor
-    return max(floor, log_price + math.log(factor))
+    return max(math.log(params.p_min), log_price + drift)
 
 
 class _Run:
@@ -316,6 +297,8 @@ def _run_engine(
     caps = tuple(p.c * p.B for p in params_list)
     log_prices = tuple(math.log(p.p_1) for p in params_list)
     aware = params_list[0].discounted_eligibility
+    if any(p.discounted_eligibility != aware for p in params_list):
+        raise ValueError("discounted_eligibility differs between the resources' parameters")
 
     # The pool: entries (*_pool_key, q, txn) in one list in _pool_key order,
     # which _assemble takes the eligible entries in; an executed entry leaves
@@ -411,7 +394,8 @@ def multi_resource_mechanism(
 
     A transaction is eligible iff its total value covers the posted cost of
     its bundle: v_i * q_{i,1} >= sum_j p_{j,t} * q_{i,j}.  With one resource
-    this reduces exactly to the single-resource mechanism.
+    this reduces exactly to the single-resource mechanism.  Every parameter
+    set must agree on ``discounted_eligibility``.
     """
     return _run_engine(scenario, params_list, policy, horizon)
 
@@ -486,20 +470,10 @@ def greedy_online(
     return run.result()
 
 
-def _require_exponential(params: MechanismParams) -> None:
-    """The closed-form bounds hold for the exponential rule only: under the
-    linear rule the measured slackness grows with the horizon."""
-    if params.update_rule != EXPONENTIAL:
-        raise InfeasibleParametersError(
-            f"no closed-form bound covers the {params.update_rule} update rule"
-        )
-
-
 def theorem_slackness(params: MechanismParams, v_max: float) -> float:
     """Windowed-average slackness every run of the mechanism satisfies:
     (1/eta) * ln(v_max / p_min) + (c - 1), where v_max upper-bounds every
-    per-unit value in the input as well as p_1.  Exponential rule only."""
-    _require_exponential(params)
+    per-unit value in the input as well as p_1."""
     if v_max < params.p_min:
         raise ValueError(f"v_max {v_max} below price floor {params.p_min}")
     return math.log(v_max / params.p_min) / params.eta + (params.c - 1.0)
@@ -520,10 +494,8 @@ def theorem_gamma(
 
     which is the extension granted to the mechanism when compared against any
     fractional schedule with windowed-average size limit B and slackness
-    delta'.  Requires the exponential rule, c > 1 + q_max/B and
-    v_max >= e^eta * p_min.
+    delta'.  Requires c > 1 + q_max/B and v_max >= e^eta * p_min.
     """
-    _require_exponential(params)
     if delta_prime < 0:
         raise ValueError(f"slackness must be >= 0, got {delta_prime}")
     c_prime = params.c - q_max / params.B

@@ -95,6 +95,15 @@ def test_run_builtin_c2_failure(tmp_path):
     assert abs(summary["t_star"] - math.log(2) / (0.01 * 0.125) / 2) <= 1.0
 
 
+def test_run_builtin_c2_failure_one_block_has_no_ratio(tmp_path):
+    # t* = 1 // 2 = 0 leaves no welfare window to score
+    out = tmp_path / "c2"
+    assert main(["run", "--scenario", "eip_c2_failure", "--horizon", "1", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["blocks"] == 1 and summary["t_star"] == 0
+    assert "ratio" not in summary
+
+
 def test_run_empty_scenario(tmp_path):
     scn = Scenario(capacities=(100.0,), transactions=[])
     path = tmp_path / "empty.jsonl"
@@ -262,6 +271,7 @@ def test_run_malformed_policy_config_exit_2(tmp_path, scenario_file, mech_file, 
     ("--mechanism", {**_MECH, "discounted_eligibilty": True}, "discounted_eligibilty"),
     ("--policy", {"policy": "tip", "tip": {"3": 1.0}}, "tip"),
     ("--policy", {"policy": "value_asc", "tips": {"3": 1.0}}, "tips"),
+    ("--mechanism", {**_MECH, "update_rule": "linear"}, "update_rule"),
 ])
 def test_run_unknown_config_key_exit_2(tmp_path, scenario_file, mech_file, flag, config, key,
                                        capsys):
@@ -322,26 +332,21 @@ def test_verify_insufficient_gamma_fails_with_violations(tmp_path, capsys):
     assert report["threshold"]["violations"]
 
 
-def test_run_linear_rule_has_no_slackness_verdict(tmp_path):
-    # three size-50 txs a block at B=100: the linear rule drifts above the
-    # target, and no closed-form bound covers it, so the summary gives none
+def test_run_overfull_stream_slackness_verdict(tmp_path):
+    # three size-50 txs a block at B=100: the summary bounds the average
+    # block size by theorem_slackness and the run stays within it
     scn = Scenario(capacities=(100.0,), transactions=[
         Transaction(id=i, arrival=1 + i // 3, size=(50,), unit_value=100.0) for i in range(150)
     ])
     (tmp_path / "scenario.jsonl").write_text(scenario_to_jsonl(scn))
-    summaries = {}
-    for rule in ("exponential", "linear"):
-        params = MechanismParams(B=100.0, c=3.0, eta=0.125, p_min=1.0, p_1=1.0, update_rule=rule)
-        (tmp_path / f"{rule}.json").write_text(json.dumps(params_to_config(params)))
-        out = tmp_path / rule
-        assert main(["run", "--scenario", str(tmp_path / "scenario.jsonl"), "--mechanism",
-                     str(tmp_path / f"{rule}.json"), "--horizon", "50", "--out", str(out)]) == 0
-        summaries[rule] = json.loads((out / "summary.json").read_text())
-    assert summaries["exponential"]["slackness_bound"] == pytest.approx(8 * math.log(100) + 2)
-    assert summaries["exponential"]["slackness_ok"] is True
-    assert summaries["linear"]["slackness_measured"] > 0
-    assert summaries["linear"]["slackness_bound"] is None
-    assert summaries["linear"]["slackness_ok"] is None
+    params = MechanismParams(B=100.0, c=3.0, eta=0.125, p_min=1.0, p_1=1.0)
+    (tmp_path / "mech.json").write_text(json.dumps(params_to_config(params)))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(tmp_path / "scenario.jsonl"), "--mechanism",
+                 str(tmp_path / "mech.json"), "--horizon", "50", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["slackness_bound"] == pytest.approx(8 * math.log(100) + 2)
+    assert summary["slackness_ok"] is True
 
 
 def test_verify_over_limit_benchmark_exit_2(tmp_path, capsys):
@@ -455,6 +460,19 @@ def test_suite_zero_seeds_header_only(tmp_path, capsys):
     rc = main(["suite", "--name", "theorems", "--seeds", "0"])
     assert rc == 0
     assert capsys.readouterr().out == "suite,seed,metric,value,bound,pass\n"
+
+
+@pytest.mark.parametrize("name", ["theorems", "lower_bounds", "all"])
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "-1"], "error: seeds must be >= 0, got -1"),
+    (["--seeds", "1", "--horizon", "-5"], "error: horizon must be >= 1, got -5"),
+])
+def test_suite_bad_seeds_or_horizon_exit_2(tmp_path, name, flags, message, capsys):
+    out = tmp_path / "suite.csv"
+    assert main(["suite", "--name", name, *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message] and captured.out == ""
+    assert not out.exists()
 
 
 def test_run_non_finite_parameter_exit_2(tmp_path, scenario_file, capsys):

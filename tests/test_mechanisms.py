@@ -54,14 +54,6 @@ class TestNextPrice:
         with pytest.raises(CapacityViolationError):
             eip_next_price(std_params, 0.0, 201)
 
-    def test_linear_rule_tracks_taylor(self):
-        p = MechanismParams(B=100.0, c=2.0, eta=0.125, p_min=1e-9, p_1=1.0, update_rule="linear")
-        lp = eip_next_price(p, math.log(4.0), 150)
-        assert math.exp(lp) == pytest.approx(4.0 * (1 + 0.125 * 0.5), rel=1e-12)
-        # a nonpositive multiplier clamps to the floor
-        p2 = MechanismParams(B=100.0, c=2.0, eta=1.5, p_min=1e-9, p_1=1.0, update_rule="linear")
-        assert eip_next_price(p2, math.log(4.0), 0) == math.log(1e-9)
-
     def test_ethereum_parameters_accepted(self):
         MechanismParams(B=15e6, c=2.0, eta=0.125, p_min=1e-18, p_1=1e-9)
 
@@ -295,6 +287,18 @@ class TestMultiResource:
         with pytest.raises(ScenarioError):
             multi_resource_mechanism(scn, params, ValueAscending(), 1)
 
+    def test_discounted_eligibility_must_agree(self):
+        # the engine reads one eligibility rule for every resource
+        params = [
+            MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0),
+            MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0,
+                            discounted_eligibility=True),
+        ]
+        scn = Scenario(capacities=(10.0, 10.0))
+        for ordered in (params, params[::-1]):
+            with pytest.raises(ValueError, match="discounted_eligibility differs"):
+                multi_resource_mechanism(scn, ordered, ValueAscending(), 1)
+
 
 class TestGreedy:
     def test_exact_fit_stream(self):
@@ -419,14 +423,6 @@ class TestClosedForms:
 
     def test_gamma_infeasible(self):
         p = MechanismParams(B=1.0, c=2.0, eta=1.0, p_min=1.0, p_1=1.0)
-        with pytest.raises(InfeasibleParametersError):
-            theorem_gamma(p, v_max=math.e, q_max=1.0)
-
-    def test_linear_rule_has_no_closed_form(self):
-        # under the linear rule the measured slackness grows with T
-        p = MechanismParams(B=1.0, c=3.0, eta=1.0, p_min=1.0, p_1=1.0, update_rule="linear")
-        with pytest.raises(InfeasibleParametersError):
-            theorem_slackness(p, math.e)
         with pytest.raises(InfeasibleParametersError):
             theorem_gamma(p, v_max=math.e, q_max=1.0)
 

@@ -1,7 +1,12 @@
-"""The README's library quick-start runs against the current API."""
+"""The README's library quick-start runs against the current API, and its
+config examples parse."""
 
+import json
 import re
 from pathlib import Path
+
+from feemarket.adversary import TipPriority, policy_from_config, policy_to_config
+from feemarket.mechanisms import MechanismParams, params_from_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +16,26 @@ def test_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert "WelfareReport(passed=True" in capsys.readouterr().out
+
+
+def _file_format(name: str) -> str:
+    """The text of the "File formats" bullet for ``name``."""
+    section = README.read_text().split("### File formats", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"^- \*\*{re.escape(name)}\*\*(.*?)(?=^- |\Z)", section, re.S | re.M)[1]
+
+
+def test_readme_mechanism_config_example_parses():
+    example = re.search(r"`(\{.*?\})`", _file_format("Mechanism config"), re.S)[1]
+    assert params_from_config(json.loads(example)) == MechanismParams(
+        B=100.0, c=2.0, eta=0.125, p_min=1e-18, p_1=1e-9, discounted_eligibility=False
+    )
+
+
+def test_readme_policy_config_examples_parse():
+    text = _file_format("Policy config")
+    example = re.search(r"`(\{.*?\})`", text, re.S)[1]
+    assert policy_from_config(json.loads(example)) == TipPriority(tips={7: 1.0})
+    names = re.findall(r"`(\w+)`", re.search(r"`\s+or\s+(.*?)\.", text, re.S)[1])
+    assert names == ["value_asc", "value_desc", "random"]
+    for name in names:
+        assert policy_to_config(policy_from_config({"policy": name})) == {"policy": name}
