@@ -61,6 +61,14 @@ class BenchmarkConstraintError(FeeMarketError):
     """The supplied benchmark schedule violates its declared size constraint."""
 
 
+def _require_static(scenario: Scenario) -> None:
+    if scenario.generator is not None:
+        raise ScenarioError(
+            "offline optima need a static stream; pass an adaptive run's"
+            " realized stream, RunResult.scenario"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Fractional optimum (per-block cap)
 # ---------------------------------------------------------------------------
@@ -75,6 +83,7 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
     stay pending.  Time sensitivities are ignored: this is the patient-value
     benchmark.
     """
+    _require_static(scenario)
     if scenario.m != 1:
         raise ScenarioError("fractional benchmark requires a 1-resource scenario")
     if not 0 < B < math.inf:
@@ -133,6 +142,7 @@ def opt_integral_small(
     total size <= 10^4 and horizon <= 12, otherwise TooLargeError.  Ties
     break toward the lexicographically smallest scheduled id set.
     """
+    _require_static(scenario)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if horizon > _MAX_HORIZON:

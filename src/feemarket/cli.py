@@ -31,7 +31,6 @@ from . import benchmarks, core, mechanisms, scenarios
 from .adversary import (
     InclusionPolicy,
     ValueAscending,
-    ValueDescending,
     TipPriority,
     policy_from_config,
 )
@@ -192,10 +191,10 @@ def _optimum_ratio(bundle, result, horizon: int) -> dict:
 
 def _t_star_ratio(bundle, result, horizon: int) -> dict:
     """Welfare over [1, 2 t*] against the high demand's value over t* blocks
-    (no ratio when t* is 0, as on a one-block run)."""
+    (neither field when the run ends before the price doubles)."""
     t_star = scenarios.measure_t_star(result, C2_PARAMS)
-    if t_star == 0:
-        return {"t_star": 0}
+    if not t_star:
+        return {}
     sw = core.welfare(result.schedule, result.scenario, 2 * t_star)
     return {"t_star": t_star, "ratio": sw / (bundle.notes["optimum_per_block"] * t_star)}
 
@@ -210,25 +209,19 @@ class BuiltinRun(NamedTuple):
 @dataclass(frozen=True)
 class Construction:
     """A builtin construction: its mechanism parameters (one set per
-    resource), its bundle for a seed, its inclusion policy (None: the
-    bundle's own), its horizon (None: the scenario's hint) and the
-    summary fields that score a run of it."""
+    resource), its bundle (whose policy and horizon hint define the run)
+    and the summary fields that score a run of it."""
 
     params: tuple[MechanismParams, ...]
-    build: Callable[[int], scenarios.ScenarioBundle]
-    policy: InclusionPolicy | None = None
-    horizon: Callable[[scenarios.ScenarioBundle], int] | None = None
+    build: Callable[[], scenarios.ScenarioBundle]
     score: Callable[..., dict] = _optimum_ratio
 
-    def run(self, seed: int, horizon: int | None = None) -> BuiltinRun:
-        bundle = self.build(seed)
+    def run(self, horizon: int | None = None) -> BuiltinRun:
+        bundle = self.build()
         if horizon is None:
-            horizon = (
-                bundle.scenario.horizon_hint if self.horizon is None else self.horizon(bundle)
-            )
-        policy = bundle.policy if self.policy is None else self.policy
+            horizon = bundle.scenario.horizon_hint
         result = mechanisms.multi_resource_mechanism(
-            bundle.scenario, self.params, policy, horizon
+            bundle.scenario, self.params, bundle.policy, horizon
         )
         return BuiltinRun(bundle, result, horizon, self.score(bundle, result, horizon))
 
@@ -237,78 +230,71 @@ def c_below_two(c: float) -> Construction:
     """The c < 2 construction against the mechanism capped at c * B."""
     return Construction(
         params=(_params(LARGE_B, c),),
-        build=lambda seed: scenarios.c_below_two(1200, c, LARGE_B, eps=0.005, seed=seed),
-        policy=ValueDescending(),
+        build=lambda: scenarios.c_below_two(1200, c, LARGE_B, eps=0.005),
     )
 
 
 BUILTINS: dict[str, Construction] = {
     "eip_c2_failure": Construction(
         params=(C2_PARAMS,),
-        build=lambda seed: scenarios.eip_c2_failure(C2_PARAMS, eps=0.01, seed=seed),
-        horizon=lambda b: b.notes["decay"] + math.ceil(b.notes["expected_climb"]) + 5,
+        build=lambda: scenarios.eip_c2_failure(C2_PARAMS, eps=0.01),
         score=_t_star_ratio,
     ),
     "log_range": Construction(
         params=(C2_PARAMS,),
-        build=lambda seed: scenarios.log_range(C2_PARAMS, H=100.0, L=LOG_RANGE_L, seed=seed),
+        build=lambda: scenarios.log_range(C2_PARAMS, H=100.0, L=LOG_RANGE_L),
     ),
     "c_below_two": c_below_two(1.5),
     "discount_mix": Construction(
         params=(PARTIAL_PATIENCE_PARAMS,),
-        build=lambda seed: scenarios.discount_mix(rho_min=0.01, B=1, K=8, seed=seed),
-        policy=ValueDescending(),
+        build=lambda: scenarios.discount_mix(rho_min=0.01, B=1, K=8),
     ),
     "patience_global": Construction(
         params=(PARTIAL_PATIENCE_PARAMS,),
-        build=lambda seed: scenarios.patience_global(p=60, B=1, seed=seed),
-        policy=ValueDescending(),
+        build=lambda: scenarios.patience_global(p=60, B=1),
     ),
     "three_resources": Construction(
         params=tuple(scenarios.three_resources_params(ETA)),
-        build=lambda seed: scenarios.three_resources(300, seed=seed),
-        policy=ValueAscending(),
+        build=lambda: scenarios.three_resources(300),
     ),
 }
 
 
-def suite_lower_bounds(seeds: int) -> list[Row]:
-    def one(seed: int) -> list[Row]:
-        rows: list[Row] = []
+def suite_lower_bounds() -> list[Row]:
+    """One pass over the deterministic constructions; every row has seed 0."""
+    rows: list[Row] = []
 
-        def add(metric: str, value: float, bound: float, passed: bool) -> None:
-            rows.append(Row("lower_bounds", seed, metric, value, bound, passed))
+    def add(metric: str, value: float, bound: float, passed: bool) -> None:
+        rows.append(Row("lower_bounds", 0, metric, value, bound, passed))
 
-        # c < 2 family against the capped mechanism
-        for c in (1.25, 1.5, 1.75):
-            loss = 1.0 - c_below_two(c).run(seed).score["ratio"]
-            bound = min(1.0 / 8.0, (2.0 - c) / 3.0) - 0.01
-            add(f"c_below_two_loss_c{c}", loss, bound, loss >= bound)
-        # c = 2 failure
-        ratio = BUILTINS["eip_c2_failure"].run(seed).score["ratio"]
-        add("c2_failure_ratio", ratio, 0.5, ratio < 0.5)
-        # log range
-        run = BUILTINS["log_range"].run(seed)
-        notes = run.bundle.notes
-        climb = scenarios.measure_climb(run.result, C2_PARAMS, LOG_RANGE_L, notes["decay"])
-        expected = notes["expected_climb"]
-        add("log_range_climb", float(climb), expected + 1.0, abs(climb - expected) <= 1.0)
-        # partially patient constructions (modified mechanism)
-        loss = 1.0 - BUILTINS["discount_mix"].run(seed).score["ratio"]
-        add("discount_mix_loss", loss, 1 / 20 - 0.01, loss >= 1 / 20 - 0.01)
-        loss = 1.0 - BUILTINS["patience_global"].run(seed).score["ratio"]
-        add("patience_global_loss", loss, 1 / 10 - 0.02, loss >= 1 / 10 - 0.02)
-        # three resources
-        ratio = BUILTINS["three_resources"].run(seed).score["ratio"]
-        add("three_resources_ratio", ratio, 5 / 6 + 0.05, ratio <= 5 / 6 + 0.05)
-        # interactive price adversary
-        rep = scenarios.adaptive_price_adversary(
-            _params(1, 2.0), gamma=2, delta=1, H=2.0**64
-        )
-        add("price_adversary_fraction", rep.fraction, rep.bound, rep.passed)
-        return rows
-
-    return [row for seed in range(seeds) for row in one(seed)]
+    # c < 2 family against the capped mechanism
+    for c in (1.25, 1.5, 1.75):
+        loss = 1.0 - c_below_two(c).run().score["ratio"]
+        bound = min(1.0 / 8.0, (2.0 - c) / 3.0) - 0.01
+        add(f"c_below_two_loss_c{c}", loss, bound, loss >= bound)
+    # c = 2 failure
+    ratio = BUILTINS["eip_c2_failure"].run().score["ratio"]
+    add("c2_failure_ratio", ratio, 0.5, ratio < 0.5)
+    # log range
+    run = BUILTINS["log_range"].run()
+    notes = run.bundle.notes
+    climb = scenarios.measure_climb(run.result, C2_PARAMS, LOG_RANGE_L, notes["decay"])
+    expected = notes["expected_climb"]
+    add("log_range_climb", float(climb), expected + 1.0, abs(climb - expected) <= 1.0)
+    # partially patient constructions (modified mechanism)
+    loss = 1.0 - BUILTINS["discount_mix"].run().score["ratio"]
+    add("discount_mix_loss", loss, 1 / 20 - 0.01, loss >= 1 / 20 - 0.01)
+    loss = 1.0 - BUILTINS["patience_global"].run().score["ratio"]
+    add("patience_global_loss", loss, 1 / 10 - 0.02, loss >= 1 / 10 - 0.02)
+    # three resources
+    ratio = BUILTINS["three_resources"].run().score["ratio"]
+    add("three_resources_ratio", ratio, 5 / 6 + 0.05, ratio <= 5 / 6 + 0.05)
+    # interactive price adversary
+    rep = scenarios.adaptive_price_adversary(
+        _params(1, 2.0), gamma=2, delta=1, H=2.0**64
+    )
+    add("price_adversary_fraction", rep.fraction, rep.bound, rep.passed)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +320,13 @@ def _load_json(path: str):
 def cmd_run(args) -> int:
     out = Path(args.out)
     if args.scenario in BUILTINS:
-        if args.mechanism is not None or args.policy is not None:
+        if args.mechanism is not None or args.policy is not None or args.seed is not None:
             raise FeeMarketError(
-                f"builtin {args.scenario} runs its own mechanism and policy;"
-                " --mechanism and --policy are for file scenarios"
+                f"builtin {args.scenario} runs its own mechanism and policy and takes no seed;"
+                " --mechanism, --policy and --seed are for file scenarios"
             )
         con = BUILTINS[args.scenario]
-        seed = 0 if args.seed is None else args.seed
-        run = con.run(seed, args.horizon)
+        run = con.run(args.horizon)
         result = run.result
         summary = _summarize(result, con.params, run.horizon)
         summary.update(run.score)
@@ -426,9 +411,8 @@ def cmd_suite(args) -> int:
     rows: list[Row] = []
     if args.name in ("theorems", "all"):
         rows.extend(suite_theorems(args.seeds, horizon=args.horizon))
-    if args.name in ("lower_bounds", "all"):
-        # the constructions are deterministic; one pass covers them
-        rows.extend(suite_lower_bounds(1 if args.seeds > 0 else 0))
+    if args.name in ("lower_bounds", "all") and args.seeds > 0:
+        rows.extend(suite_lower_bounds())
     text = rows_to_csv(rows)
     if args.out:
         _atomic_write(Path(args.out), text)
@@ -454,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="blocks to run (default: a builtin's own horizon, or 100 for a file scenario)",
     )
     run_p.add_argument(
-        "--seed", type=int, help="run seed (default: a file scenario's own, else 0)"
+        "--seed", type=int, help="run seed, file scenarios only (default: the scenario's own)"
     )
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.set_defaults(fn=cmd_run)

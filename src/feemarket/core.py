@@ -201,6 +201,8 @@ class Scenario:
         caps = self.capacities
         if not caps or any(not math.isfinite(b) or b <= 0 for b in caps):
             raise ScenarioError(f"capacities must be positive and finite, got {caps}")
+        if self.transactions and self.generator is not None:
+            raise ScenarioError("a scenario takes transactions or a generator, not both")
         self.capacities = tuple(float(b) for b in caps)
 
     @property

@@ -189,7 +189,7 @@ class _Run:
     ``at(t)`` ingests block t's arrivals, from the static
     ``arrivals_by_time`` lookup or from the adaptive generator, which sees
     block t-1's record.  Every arrival is checked (resource count, unique
-    id, and for generators an ``arrival`` equal to t) and kept by id; a
+    id, and for generators an ``arrival`` equal to t) and its id recorded; a
     generator's arrivals are also kept in order, for the realized-stream
     export in ``result``.  ``close`` records block t from the transactions
     admitted in it, in admission order: sizes summed from 0.0, each executed
@@ -205,7 +205,7 @@ class _Run:
         self.horizon = horizon
         self.gen = scenario.generator
         self.by_time = scenario.arrivals_by_time() if self.gen is None else {}
-        self.txs: dict[int, Transaction] = {}
+        self.ids: set[int] = set()
         self.realized: list[Transaction] = []
         self.records: list[BlockRecord] = []
         self.welfare = 0.0
@@ -223,19 +223,19 @@ class _Run:
             except Exception as exc:  # generator bugs surface as scenario errors
                 raise ScenarioError(f"adaptive generator failed at t={t}: {exc}") from exc
         m = self.m
-        txs = self.txs
+        ids = self.ids
         for txn in arrivals:
             if len(txn.size) != m:
                 raise ScenarioError(
                     f"tx {txn.id}: size has {len(txn.size)} resources, scenario has {m}"
                 )
-            if txn.id in txs:
+            if txn.id in ids:
                 raise ScenarioError(f"duplicate transaction id {txn.id}")
             if gen is not None and txn.arrival != t:
                 raise ScenarioError(
                     f"generator emitted tx {txn.id} with arrival {txn.arrival} at block {t}"
                 )
-            txs[txn.id] = txn
+            ids.add(txn.id)
         if gen is not None:
             self.realized.extend(arrivals)
         return arrivals

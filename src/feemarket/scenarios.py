@@ -10,8 +10,8 @@ also carries the construction's reference optimum for ratio reporting.
 Constructions stated at unit target size are generated at a configurable
 integer target ``B`` by scaling sizes; values are multiples of the price
 floor where the construction normalizes it to 1.  All generators are
-deterministic functions of their arguments and seed; adaptive generators are
-single-run objects.
+deterministic functions of their arguments (only ``random_family`` takes a
+seed); adaptive generators are single-run objects.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .adversary import InclusionPolicy, TipPriority, ValueAscending
+from .adversary import InclusionPolicy, TipPriority, ValueAscending, ValueDescending
 from .core import (
     PATIENT,
     BlockRecord,
@@ -59,13 +59,14 @@ __all__ = [
 
 @dataclass
 class ScenarioBundle:
-    """A scenario plus the inclusion policy it requires and the builder notes
-    its callers read (for example ``decay`` and ``expected_climb``).  The
-    horizon is ``scenario.horizon_hint``; an adaptive construction's branch
-    and reference optimum are in ``audit()``."""
+    """A construction's canonical run: the scenario, run for
+    ``scenario.horizon_hint`` blocks under ``policy``, plus the builder notes
+    its callers read (for example ``decay`` and ``expected_climb``).  An
+    adaptive construction's branch and reference optimum are in
+    ``audit()``."""
 
     scenario: Scenario
-    policy: InclusionPolicy | None = None
+    policy: InclusionPolicy
     notes: dict = field(default_factory=dict)
 
     def audit(self) -> dict:
@@ -231,7 +232,7 @@ class _CBelowTwoGenerator(_AdaptiveGenerator):
         return out
 
 
-def c_below_two(horizon: int, c: float, B: int, eps: float, seed: int = 0) -> ScenarioBundle:
+def c_below_two(horizon: int, c: float, B: int, eps: float) -> ScenarioBundle:
     """Adaptive construction forcing a loss on any max-block-size c*B
     scheduler with c < 2; reports the branch optimum (2*T*B or 1.5*T*B)."""
     if not (1.0 < c < 2.0):
@@ -241,10 +242,8 @@ def c_below_two(horizon: int, c: float, B: int, eps: float, seed: int = 0) -> Sc
     if eps <= 0 or eps >= 1.0 - c / 2.0:
         raise ValueError(f"eps must be in (0, {1.0 - c / 2.0}), got {eps}")
     gen = _CBelowTwoGenerator(horizon, c, B, eps)
-    scenario = Scenario(
-        capacities=(float(B),), generator=gen, horizon_hint=horizon, seed=seed
-    )
-    return ScenarioBundle(scenario=scenario)
+    scenario = Scenario(capacities=(float(B),), generator=gen, horizon_hint=horizon)
+    return ScenarioBundle(scenario=scenario, policy=ValueDescending())
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +263,13 @@ def _target_and_decay(params: MechanismParams) -> tuple[int, int]:
     return B, math.ceil(math.log(params.p_1 / params.p_min) / params.eta)
 
 
-def eip_c2_failure(params: MechanismParams, eps: float, seed: int = 0) -> ScenarioBundle:
+def eip_c2_failure(params: MechanismParams, eps: float) -> ScenarioBundle:
     """Static stream defeating the c = 2 mechanism: once the price sits at
     the floor, each step brings one high transaction (size B, 10x floor) and
     tip-prioritized low demand totaling (1+eps)*B at 2x floor, so blocks
     close at (1+eps)*B, the high transaction never fits, and the price climbs
-    only at rate eta*eps per block."""
+    only at rate eta*eps per block.  The stream ends 5 blocks after the
+    expected climb to twice the floor."""
     if abs(params.c - 2.0) > 1e-9:
         raise ValueError(f"requires c = 2, got c = {params.c}")
     if eps <= 0:
@@ -280,16 +280,14 @@ def eip_c2_failure(params: MechanismParams, eps: float, seed: int = 0) -> Scenar
         raise ValueError(f"eps*B must round to at least one gas unit (eps={eps}, B={B})")
     eps_eff = low_size / B - 1.0
     climb = math.ceil(math.log(2.0) / (params.eta * eps_eff))
-    horizon = decay + climb + 10
+    horizon = decay + climb + 5
     txs: list[Transaction] = []
     tips: dict[int, float] = {}
     for t in range(decay + 1, horizon + 1):
         txs.append(Transaction(len(txs), t, (B,), 10.0 * params.p_min))
         tips[len(txs)] = 1.0  # the low transaction's id
         txs.append(Transaction(len(txs), t, (low_size,), 2.0 * params.p_min))
-    scenario = Scenario(
-        capacities=(float(B),), transactions=txs, horizon_hint=horizon, seed=seed
-    )
+    scenario = Scenario(capacities=(float(B),), transactions=txs, horizon_hint=horizon)
     return ScenarioBundle(
         scenario=scenario,
         policy=TipPriority(tips=tips),
@@ -302,13 +300,14 @@ def eip_c2_failure(params: MechanismParams, eps: float, seed: int = 0) -> Scenar
     )
 
 
-def measure_t_star(result: RunResult, params: MechanismParams) -> int:
-    """Half the time for the posted price to exceed twice the floor."""
+def measure_t_star(result: RunResult, params: MechanismParams) -> int | None:
+    """Half the time for the posted price to exceed twice the floor; None
+    when the run ends before it does."""
     threshold = math.log(2.0 * params.p_min)
     for rec in result.trace.records:
         if rec.log_prices[0] > threshold + 1e-12:
             return rec.time // 2
-    return result.trace.records[-1].time // 2
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def measure_t_star(result: RunResult, params: MechanismParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def log_range(params: MechanismParams, H: float, L: float, seed: int = 0) -> ScenarioBundle:
+def log_range(params: MechanismParams, H: float, L: float) -> ScenarioBundle:
     """Unbounded demand at value H and tip-prioritized unbounded demand at
     value L (both times the floor).  While the price is at most L the blocks
     fill to c*B with low demand, so the climb out of the floor takes about
@@ -341,9 +340,7 @@ def log_range(params: MechanismParams, H: float, L: float, seed: int = 0) -> Sce
         for _ in range(n_chunks):
             tips[len(txs)] = 1.0
             txs.append(Transaction(len(txs), t, (chunk,), L * params.p_min))
-    scenario = Scenario(
-        capacities=(float(B),), transactions=txs, horizon_hint=horizon, seed=seed
-    )
+    scenario = Scenario(capacities=(float(B),), transactions=txs, horizon_hint=horizon)
     return ScenarioBundle(
         scenario=scenario,
         policy=TipPriority(tips=tips),
@@ -414,7 +411,6 @@ def discount_mix(
     B: int,
     K: int,
     gamma_delta: int = 24,
-    seed: int = 0,
 ) -> ScenarioBundle:
     """Adaptive mixed-patience construction over horizon 3p; p satisfies both
     (1 - rho_min)^p <= 1/2 and 3p >= K * gamma_delta (headroom over the
@@ -426,10 +422,8 @@ def discount_mix(
     p_rho = math.ceil(math.log(2.0) / -math.log1p(-rho_min))
     p = max(p_rho, math.ceil(K * gamma_delta / 3.0), 2)
     gen = _DiscountMixGenerator(rho_min, B, p)
-    scenario = Scenario(
-        capacities=(float(B),), generator=gen, horizon_hint=3 * p, seed=seed
-    )
-    return ScenarioBundle(scenario=scenario, notes={"p": p})
+    scenario = Scenario(capacities=(float(B),), generator=gen, horizon_hint=3 * p)
+    return ScenarioBundle(scenario=scenario, policy=ValueDescending(), notes={"p": p})
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +460,14 @@ class _PatienceGlobalGenerator(_AdaptiveGenerator):
         return []
 
 
-def patience_global(p: int, B: int, seed: int = 0) -> ScenarioBundle:
+def patience_global(p: int, B: int) -> ScenarioBundle:
     """Adaptive construction showing a fixed shared patience window still
     forces a constant welfare loss; horizon is 2p."""
     if p < 2:
         raise ValueError(f"patience level must be >= 2, got {p}")
     gen = _PatienceGlobalGenerator(p, B)
-    scenario = Scenario(
-        capacities=(float(B),), generator=gen, horizon_hint=2 * p, seed=seed
-    )
-    return ScenarioBundle(scenario=scenario)
+    scenario = Scenario(capacities=(float(B),), generator=gen, horizon_hint=2 * p)
+    return ScenarioBundle(scenario=scenario, policy=ValueDescending())
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +507,7 @@ class _ThreeResourceGenerator(_AdaptiveGenerator):
         return out
 
 
-def three_resources(t_half: int, seed: int = 0) -> ScenarioBundle:
+def three_resources(t_half: int) -> ScenarioBundle:
     """Adaptive three-resource construction (plus a non-binding anchor
     resource carrying the value units); reference optimum is 3*t_half."""
     if t_half < 2:
@@ -526,9 +518,8 @@ def three_resources(t_half: int, seed: int = 0) -> ScenarioBundle:
         capacities=(anchor_cap, 1.0, 1.0, 1.0),
         generator=gen,
         horizon_hint=2 * t_half,
-        seed=seed,
     )
-    return ScenarioBundle(scenario=scenario)
+    return ScenarioBundle(scenario=scenario, policy=ValueAscending())
 
 
 def three_resources_params(eta: float = 0.125) -> list[MechanismParams]:

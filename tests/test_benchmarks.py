@@ -9,6 +9,7 @@ from feemarket import (
     BenchmarkConstraintError,
     InvalidScheduleError,
     Scenario,
+    ScenarioError,
     Schedule,
     ScheduleEntry,
     TooLargeError,
@@ -281,3 +282,15 @@ class TestGreedyDominance:
 
         bundle = c_below_two(200, 1.9, 64, eps=0.01)
         assert greedy_dominance_check(bundle.scenario, 64.0, 200)
+
+
+def test_offline_optima_reject_adaptive_scenario():
+    # an adaptive scenario has no static list to optimize over; an empty
+    # benchmark would pass every dominance check against it
+    from feemarket.scenarios import c_below_two
+
+    scn = c_below_two(40, 1.5, 64, 0.01).scenario
+    with pytest.raises(ScenarioError, match="RunResult.scenario"):
+        opt_fractional(scn, 64.0, 40)
+    with pytest.raises(ScenarioError, match="RunResult.scenario"):
+        opt_integral_small(scn, 64.0, 8)

@@ -95,13 +95,26 @@ def test_run_builtin_c2_failure(tmp_path):
     assert abs(summary["t_star"] - math.log(2) / (0.01 * 0.125) / 2) <= 1.0
 
 
-def test_run_builtin_c2_failure_one_block_has_no_ratio(tmp_path):
-    # t* = 1 // 2 = 0 leaves no welfare window to score
+@pytest.mark.parametrize("horizon", [1, 50, 200])
+def test_run_builtin_c2_failure_short_run_has_no_t_star(tmp_path, horizon):
+    # the price doubles near block 555, so a shorter run has not measured t*
     out = tmp_path / "c2"
-    assert main(["run", "--scenario", "eip_c2_failure", "--horizon", "1", "--out", str(out)]) == 0
+    assert main(["run", "--scenario", "eip_c2_failure", "--horizon", str(horizon),
+                 "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["blocks"] == 1 and summary["t_star"] == 0
-    assert "ratio" not in summary
+    assert summary["blocks"] == horizon
+    assert "t_star" not in summary and "ratio" not in summary
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_runs_its_bundle_horizon(tmp_path, name):
+    """A builtin's default run is its bundle's horizon hint, and a static
+    stream has no arrival past it."""
+    scn = BUILTINS[name].build().scenario
+    assert main(["run", "--scenario", name, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["blocks"] == scn.horizon_hint
+    if name == "eip_c2_failure":
+        assert max(t.arrival for t in scn.transactions) == scn.horizon_hint
 
 
 def test_run_empty_scenario(tmp_path):
@@ -118,18 +131,19 @@ def test_run_empty_scenario(tmp_path):
     assert json.loads((out / "summary.json").read_text())["welfare"] == 0.0
 
 
-@pytest.mark.parametrize("flag", ["--mechanism", "--policy"])
+@pytest.mark.parametrize("flag", ["--mechanism", "--policy", "--seed"])
 def test_run_builtin_rejects_file_flags_exit_2(tmp_path, mech_file, flag, capsys):
-    """A builtin runs its own mechanism and policy, so a config file for
-    either is an error, not silently ignored; even a valid one."""
+    """A builtin runs its own mechanism and policy and takes no seed, so
+    either config file or a seed is an error, not silently ignored; even a
+    valid one."""
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"policy": "value_asc"}))
-    config = mech_file if flag == "--mechanism" else policy
+    value = {"--mechanism": str(mech_file), "--policy": str(policy), "--seed": "1"}[flag]
     out = tmp_path / "o"
-    assert main(["run", "--scenario", "log_range", flag, str(config), "--out", str(out)]) == 2
+    assert main(["run", "--scenario", "log_range", flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: builtin log_range ")
-    assert "--mechanism and --policy are for file scenarios" in err[0]
+    assert "--mechanism, --policy and --seed are for file scenarios" in err[0]
     assert not out.exists()
 
 
@@ -541,7 +555,7 @@ def test_adaptive_export_reruns_as_file_scenario(tmp_path, name, capsys):
     con = BUILTINS[name]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--scenario", name, "--out", str(a)]) == 0
-    policy = con.policy or con.build(0).policy
+    policy = con.build().policy
     (tmp_path / "mech.json").write_text(json.dumps(params_to_config(con.params[0])))
     (tmp_path / "policy.json").write_text(json.dumps(policy_to_config(policy)))
     blocks = json.loads((a / "summary.json").read_text())["blocks"]

@@ -453,6 +453,15 @@ class TestAdaptiveInterface:
         with pytest.raises(ScenarioError, match="t=1"):
             run_price_based(scn, std_params, ValueAscending(), 2)
 
+    def test_scenario_takes_one_stream_source(self):
+        # a run would read the generator and silently drop the static list
+        from feemarket.scenarios import patience_global
+
+        gen = patience_global(p=4, B=1).scenario.generator
+        txs = [Transaction(id=0, arrival=1, size=(1,), unit_value=2.0)]
+        with pytest.raises(ScenarioError, match="not both"):
+            Scenario(capacities=(1.0,), transactions=txs, generator=gen)
+
     @pytest.mark.parametrize(
         "engine",
         [
