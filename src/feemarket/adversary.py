@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
+from itertools import chain
 from operator import attrgetter, itemgetter, le
 from typing import Mapping, Sequence, Union
 
@@ -147,24 +149,35 @@ def _first_fit(sizes: list[int], residual: float) -> list[int]:
 
 
 def _assemble(
-    entries: list[tuple],
+    runs: list[tuple[list[tuple], int, int]],
     capacity: Sequence[float],
     policy: InclusionPolicy,
     rng: SplitMix64 | None,
 ) -> list[tuple]:
-    """The one fill pass: the admitted ``entries``, in admission order.  They
-    come in ``_pool_key`` order, which both value policies admit in; the tip
-    order re-sorts them by (-tip, id), the random order by id, then shuffles."""
+    """The one fill pass: the admitted pool entries, in admission order.
+
+    ``runs`` are ranges ``(entries, lo, hi)`` of entries in ``_pool_key``
+    order, the order both value policies admit in.  With several resources
+    the value policies merge the runs by a heap on their heads; every entry
+    of a run then has one size vector, so a run leaves the merge once its
+    head does not fit: its later entries have the same size and residuals
+    only shrink.  Otherwise the runs are concatenated; the tip order
+    re-sorts them by (-tip, id), the random order by id, then shuffles.
+    """
+    value_order = isinstance(policy, (ValueAscending, ValueDescending))
+    if not value_order and not isinstance(policy, (TipPriority, SeededRandom)):
+        raise TypeError(f"unknown inclusion policy {policy!r}")
+    if len(capacity) > 1 and value_order:
+        return _merge_fill(runs, capacity)
+    entries = list(chain.from_iterable(src[lo:hi] for src, lo, hi in runs))
     if isinstance(policy, TipPriority):
         tips = policy.tips
-        entries = sorted(entries, key=lambda e: (-tips.get(e[2], 0.0), e[2]))
+        entries.sort(key=lambda e: (-tips.get(e[2], 0.0), e[2]))
     elif isinstance(policy, SeededRandom):
         if rng is None:
             raise ValueError("SeededRandom policy requires a block RNG")
-        entries = sorted(entries, key=itemgetter(2))
+        entries.sort(key=itemgetter(2))
         rng.shuffle(entries)
-    elif not isinstance(policy, (ValueAscending, ValueDescending)):
-        raise TypeError(f"unknown inclusion policy {policy!r}")
     if len(capacity) == 1:
         fits = _first_fit(list(map(itemgetter(3), entries)), float(capacity[0]))
         return [entries[i] for i in fits]
@@ -182,6 +195,42 @@ def _assemble(
             if max(residual) < 1.0:
                 break
             lims = [r + 1e-9 for r in residual]
+    return chosen
+
+
+def _merge_fill(
+    runs: list[tuple[list[tuple], int, int]], capacity: Sequence[float]
+) -> list[tuple]:
+    """The several-resource value-order pass of ``_assemble``: it visits the
+    runs' entries in ``_pool_key`` order, as one scan of their union would,
+    but only the entries it admits and one more per run."""
+    residual = [float(c) for c in capacity]
+    chosen: list[tuple] = []
+    if max(residual) < 1.0:
+        return chosen
+    lims = [r + 1e-9 for r in residual]
+    # (*key of the run's head, run, head position)
+    heap = [(*src[lo][:3], k, lo) for k, (src, lo, hi) in enumerate(runs) if lo < hi]
+    heapify(heap)
+    while heap:
+        k, pos = heap[0][3:]
+        src, _, hi = runs[k]
+        entry = src[pos]
+        size = entry[4].size
+        if not all(map(le, size, lims)):
+            heappop(heap)
+            continue
+        for j in range(len(residual)):
+            residual[j] -= size[j]
+        chosen.append(entry)
+        if max(residual) < 1.0:
+            break
+        lims = [r + 1e-9 for r in residual]
+        pos += 1
+        if pos < hi:
+            heapreplace(heap, (*src[pos][:3], k, pos))
+        else:
+            heappop(heap)
     return chosen
 
 
@@ -208,9 +257,11 @@ def select_block(
     ``_pool_key``, and ``_assemble`` runs the pass on them, as the
     price-posting engine does for every block on its own pool entries.  With
     one resource the pass is ``_first_fit``, which runs Python code only per
-    admitted transaction; with several it scans in Python until the block
-    fills, one C-level fit test per transaction.  The resource-count check
-    runs in C.
+    admitted transaction.  With several, the value orders split the entries
+    into one run per size vector and merge the runs by a heap, so a block
+    costs O((G + admitted) log G) for G distinct sizes after the sort; the
+    tip and random orders scan in Python until the block fills, one C-level
+    fit test per transaction.  The resource-count check runs in C.
     """
     m = len(capacity)
     if set(map(len, map(attrgetter("size"), eligible))) - {m}:
@@ -219,7 +270,16 @@ def select_block(
     descending = isinstance(policy, ValueDescending)
     entries = [(*_pool_key(t, descending), t.q, t) for t in eligible]
     entries.sort(key=itemgetter(0, 1, 2))  # a repeated id keeps its input order
-    return [e[2] for e in _assemble(entries, capacity, policy, rng)]
+    if m > 1 and isinstance(policy, (ValueAscending, ValueDescending)):
+        # The merge orders runs' heads by the first three key fields, so the
+        # sorted rank takes the id's place there: repeated ids stay in order.
+        groups: dict[tuple[int, ...], list[tuple]] = {}
+        for rank, (a, b, _, q, txn) in enumerate(entries):
+            groups.setdefault(txn.size, []).append((a, b, rank, q, txn))
+        runs = [(group, 0, len(group)) for group in groups.values()]
+    else:
+        runs = [(entries, 0, len(entries))]
+    return [e[4].id for e in _assemble(runs, capacity, policy, rng)]
 
 
 # ---------------------------------------------------------------------------

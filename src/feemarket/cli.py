@@ -375,6 +375,8 @@ def _summarize(result, params_list: Sequence[MechanismParams], horizon: int) -> 
 
 
 def cmd_verify(args) -> int:
+    if args.horizon < 1:
+        raise FeeMarketError(f"horizon must be >= 1, got {args.horizon}")
     scn = core.scenario_from_jsonl(_read(args.scenario))
     alg = core.schedule_from_json(_read(args.schedule))
     core.validate_schedule(alg, scn)

@@ -182,6 +182,15 @@ def eip_next_price(params: MechanismParams, log_price: float, block_size: float)
     return max(math.log(params.p_min), log_price + drift)
 
 
+def _eligibility_bar(prices: Sequence[float], size: Sequence[int]) -> float:
+    """The posted cost of a bundle less the eligibility tolerance: a
+    several-resource transaction is eligible iff v * q_0 reaches it."""
+    cost = 0.0
+    for p, q in zip(prices, size):
+        cost += p * q
+    return cost * (1.0 - LOG_EPS)
+
+
 class _Run:
     """The run skeleton both online engines share; each engine keeps only
     its pool, its block choice and its posted price.
@@ -300,18 +309,24 @@ def _run_engine(
     if any(p.discounted_eligibility != aware for p in params_list):
         raise ValueError("discounted_eligibility differs between the resources' parameters")
 
-    # The pool: entries (*_pool_key, q, txn) in one list in _pool_key order,
-    # which _assemble takes the eligible entries in; an executed entry leaves
-    # by bisection.  On one resource they are a slice: the prefix above the
-    # floor for ValueDescending, else the suffix.  With discounted
-    # eligibility on one resource, an entry whose value can decay waits in
-    # ``decaying``, is scanned every block and, if eligible, sorted into the
-    # slice.  It is dropped once its value is below ln p_min - LOG_EPS: values
-    # never rise and no posted log-price is below ln p_min.
+    # The pool: entries (*_pool_key, q, txn) in _pool_key order, the order
+    # _assemble takes each run of eligible entries in; an executed entry
+    # leaves by bisection.  On one resource the pool is one list and the
+    # eligible entries are a slice of it: the prefix above the floor for
+    # ValueDescending, else the suffix.  On several, ``groups`` keeps one
+    # list per size vector.  Each block prices each size once, and the test
+    # v * q_0 >= cost * (1 - LOG_EPS) is monotone in v, so a group's eligible
+    # entries are again a prefix or a suffix, found by bisection; a group
+    # emptied by execution is deleted.  With discounted eligibility, an
+    # entry whose value can decay waits in ``decaying`` instead, is tested
+    # every block and, if eligible, joins the block's runs.  It is dropped
+    # once it fails the test at the floor prices, the least that can be
+    # posted: values never rise and no posted log-price is below ln p_min.
     pending: list[tuple[float, float, int, int, Transaction]] = []
+    groups: dict[tuple[int, ...], list[tuple[float, float, int, int, Transaction]]] = {}
     decaying: dict[int, tuple[float, float, int, int, Transaction]] = {}
-    split = m == 1 and aware
     dead_below = math.log(params_list[0].p_min) - LOG_EPS
+    floor_prices = [math.exp(math.log(p.p_min)) for p in params_list]
 
     descending = isinstance(policy, ValueDescending)
     random_policy = isinstance(policy, SeededRandom)
@@ -319,45 +334,62 @@ def _run_engine(
     for t in range(1, horizon + 1):
         for txn in run.at(t):
             entry = (*_pool_key(txn, descending), txn.q, txn)
-            if split and type(txn.sensitivity) is not Patient:
+            if aware and type(txn.sensitivity) is not Patient:
                 decaying[txn.id] = entry
-            else:
+            elif m == 1:
                 insort(pending, entry)
+            else:
+                insort(groups.setdefault(txn.size, []), entry)
 
+        dead = []
         if m == 1:
             floor = log_prices[0] - LOG_EPS
             if descending:
-                eligible = pending[: bisect_left(pending, (-floor, math.inf))]
+                lo, hi = 0, bisect_left(pending, (-floor, math.inf))
             else:
-                eligible = pending[bisect_left(pending, (floor,)) :]
-            if split:
-                dead = []
+                lo, hi = bisect_left(pending, (floor,)), len(pending)
+            runs = [(pending, lo, hi)]
+            if decaying:
+                eligible = pending[lo:hi]
                 for entry in decaying.values():
                     lnv = _ln(entry[4].value_at(t))
                     if lnv >= floor:
                         eligible.append(entry)
                     elif lnv < dead_below:
                         dead.append(entry[2])
-                for i in dead:
-                    del decaying[i]
                 eligible.sort()
+                runs = [(eligible, 0, len(eligible))]
         else:
             prices = [math.exp(lp) for lp in log_prices]
-            eligible = []
-            for entry in pending:
+            runs = []
+            for size, group in groups.items():
+                q0, bar = size[0], _eligibility_bar(prices, size)
+                if descending:
+                    hi = bisect_left(group, True, key=lambda e: e[4].unit_value * q0 < bar)
+                    runs.append((group, 0, hi))
+                else:
+                    lo = bisect_left(group, True, key=lambda e: e[4].unit_value * q0 >= bar)
+                    runs.append((group, lo, len(group)))
+            for entry in decaying.values():
                 txn = entry[4]
-                val = txn.value_at(t) if aware else txn.unit_value
-                cost = 0.0
-                for j in range(m):
-                    cost += prices[j] * txn.size[j]
-                if val * txn.size[0] >= cost * (1.0 - LOG_EPS):
-                    eligible.append(entry)
+                size = txn.size
+                value = txn.value_at(t) * size[0]
+                if value >= _eligibility_bar(prices, size):
+                    runs.append(([entry], 0, 1))
+                elif value < _eligibility_bar(floor_prices, size):
+                    dead.append(entry[2])
+        for i in dead:
+            del decaying[i]
         rng = block_rng(scenario.seed, t) if random_policy else None
-        admitted = _assemble(eligible, caps, policy, rng)
+        admitted = _assemble(runs, caps, policy, rng)
 
         for entry in admitted:
-            if decaying.pop(entry[2], None) is None:
-                del pending[bisect_left(pending, entry)]
+            if decaying.pop(entry[2], None) is not None:
+                continue
+            pool = pending if m == 1 else groups[entry[4].size]
+            del pool[bisect_left(pool, entry)]
+            if m > 1 and not pool:
+                del groups[entry[4].size]
         sizes = run.close(t, log_prices, caps, [e[4] for e in admitted]).sizes
         log_prices = tuple(map(eip_next_price, params_list, log_prices, sizes))
 
@@ -396,6 +428,13 @@ def multi_resource_mechanism(
     its bundle: v_i * q_{i,1} >= sum_j p_{j,t} * q_{i,j}.  With one resource
     this reduces exactly to the single-resource mechanism.  Every parameter
     set must agree on ``discounted_eligibility``.
+
+    Cost: with several resources the pending pool is kept per size vector.
+    Each block prices each of the G distinct sizes once and bisects for its
+    eligible entries, and a value-order block is filled by a heap merge of
+    those ranges, so a block costs O((G + admitted) log G) besides the sort
+    the tip and random orders need.  Under ``discounted_eligibility`` the
+    transactions whose value can decay are tested one by one every block.
     """
     return _run_engine(scenario, params_list, policy, horizon)
 

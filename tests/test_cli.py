@@ -181,6 +181,15 @@ def test_verify_missing_file_names_path_first_exit_2(
     assert len(err) == 1 and err[0].startswith(f"error: {missing}: ")
 
 
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_verify_non_positive_horizon_exit_2_before_reading(tmp_path, horizon, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(_verify_args(missing, missing, missing, horizon=horizon)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: horizon must be >= 1, got {horizon}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [
     ["verify", "--scenario", "s", "--schedule", "s", "--benchmark", "opt_fractional",
      "--horizon", "1", "--gamma", "0", "--eta", "0.1", "--bench-limit", "1"],

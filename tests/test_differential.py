@@ -199,10 +199,16 @@ _BELOW_FLOOR = math.nextafter(_ON_FLOOR, -math.inf)
 def engine_cases(draw):
     """Overloaded static streams: shared, log-tied and floor-edge values,
     every sensitivity, one to three resources, every inclusion policy, p_1
-    at or above the floor."""
+    at or above the floor.  With several resources the sizes come from a
+    small shared set, so each size's pool holds several entries; a size may
+    be 0 on any resource, resource 0 included, and now and then resource 0
+    is an anchor whose capacity never binds."""
     m = draw(st.sampled_from([1, 1, 2, 3]))
     B = draw(st.sampled_from([10, 50]))
     horizon = draw(st.integers(1, 12))
+    vector = st.tuples(*[st.integers(0, B)] * m).filter(any)
+    shapes = draw(st.lists(vector, min_size=1, max_size=4))
+    anchor = m > 1 and draw(st.booleans())
     value = st.sampled_from(
         [0.0, 1.0, 1.2, 2.0, 2.0, 5.0, 5.0, 40.0, *_TIED_VALUES, _ON_FLOOR, _BELOW_FLOOR]
     )
@@ -213,7 +219,7 @@ def engine_cases(draw):
     )
     txs = []
     for i in range(draw(st.integers(0, 40))):
-        size = tuple(draw(st.integers(1 if j == 0 else 0, B)) for j in range(m))
+        size = (draw(st.integers(1, B)),) if m == 1 else draw(st.sampled_from(shapes))
         txs.append(
             Transaction(
                 id=i,
@@ -227,9 +233,10 @@ def engine_cases(draw):
     aware = draw(st.booleans())
     # p_1 above the floor lets the price fall onto a priced-out decaying tx
     p_1 = draw(st.sampled_from([1.0, 1.25, 1.5, 2.0, 2.0, 3.0]))
+    targets = [1000.0 if anchor and j == 0 else float(B) for j in range(m)]
     params = [
-        MechanismParams(B=float(B), c=c, eta=0.125, p_min=1.0, p_1=p_1, discounted_eligibility=aware)
-        for _ in range(m)
+        MechanismParams(B=b, c=c, eta=0.125, p_min=1.0, p_1=p_1, discounted_eligibility=aware)
+        for b in targets
     ]
     policy = draw(
         st.sampled_from(
@@ -241,7 +248,7 @@ def engine_cases(draw):
             ]
         )
     )
-    scn = Scenario(capacities=(float(B),) * m, transactions=txs, seed=draw(st.integers(0, 5)))
+    scn = Scenario(capacities=tuple(targets), transactions=txs, seed=draw(st.integers(0, 5)))
     return scn, params, policy, horizon + draw(st.integers(0, 4))
 
 
@@ -270,6 +277,56 @@ def test_floor_on_a_value_keeps_it_eligible(policy):
     assert run.trace.records == rescanning_engine(scn, params, policy, 1).records
     executed = [i for i, _f in run.trace.records[0].executed]
     assert executed == ([3, 2, 1] if isinstance(policy, ValueDescending) else [1, 2, 3])
+
+
+def _bundle_bar(p_1s, size):
+    """The posted cost of ``size`` at block 1 less the tolerance, as the
+    rescanning engine computes it."""
+    cost = 0.0
+    for p, q in zip(p_1s, size):
+        cost += math.exp(math.log(p)) * q
+    return cost * (1.0 - LOG_EPS)
+
+
+@pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending()])
+def test_bundle_cost_on_a_value_keeps_it_eligible(policy):
+    """With several resources, block 1 puts the bar exactly on v * q_0 of
+    ``on``: the bisected suffix (ascending) and prefix (descending) of its
+    size's pool keep it and drop the next value down."""
+    p_1s, size = (2.0, 3.0), (2, 1)
+    on = _bundle_bar(p_1s, size) / 2
+    below = math.nextafter(on, -math.inf)
+    assert on * 2 == _bundle_bar(p_1s, size) > below * 2
+    values = [below, on, 5.0, 1.0]
+    txs = [Transaction(id=i, arrival=1, size=size, unit_value=v) for i, v in enumerate(values)]
+    txs.append(Transaction(id=4, arrival=1, size=(1, 2), unit_value=9.0))
+    scn = Scenario(capacities=(10.0, 10.0), transactions=txs)
+    params = [MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=p) for p in p_1s]
+    run = multi_resource_mechanism(scn, params, policy, 1)
+    assert run.trace.records == rescanning_engine(scn, params, policy, 1).records
+    executed = [i for i, _f in run.trace.records[0].executed]
+    assert executed == ([4, 2, 1] if isinstance(policy, ValueDescending) else [1, 2, 4])
+
+
+@pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending()])
+def test_several_resources_decaying_entries(policy):
+    """Discounted eligibility on two resources: tx 0 is priced out at
+    arrival and taken once the prices fall below its decayed value; tx 1
+    fails even at the floor prices and tx 3's patience runs out first."""
+    params = [
+        MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=4.0, discounted_eligibility=True)
+        for _ in range(2)
+    ]
+    txs = [
+        Transaction(id=0, arrival=1, size=(5, 5), unit_value=7.0, sensitivity=Discount(0.05)),
+        Transaction(id=1, arrival=1, size=(5, 5), unit_value=1.5, sensitivity=Discount(0.3)),
+        Transaction(id=2, arrival=1, size=(5, 5), unit_value=9.0),
+        Transaction(id=3, arrival=1, size=(5, 5), unit_value=5.0, sensitivity=Patience(2)),
+    ]
+    scn = Scenario(capacities=(10.0, 10.0), transactions=txs)
+    run = multi_resource_mechanism(scn, params, policy, 10)
+    assert run.trace.records == rescanning_engine(scn, params, policy, 10).records
+    assert [(r.time, i) for r in run.trace.records for i, _f in r.executed] == [(1, 2), (4, 0)]
 
 
 @st.composite
@@ -325,7 +382,9 @@ def test_greedy_matches_resorting_greedy(case):
 @st.composite
 def block_cases(draw):
     """Eligible sets for one block: tie-heavy values, sizes around and above
-    non-integer caps, up to four resources, shuffled or in pool order."""
+    non-integer caps, up to four resources, shuffled or in pool order.  With
+    several resources the sizes sometimes come from a small shared set, so
+    that many transactions repeat one size vector."""
     m = draw(st.sampled_from([1, 1, 2, 3, 4]))
     caps = tuple(
         draw(st.sampled_from([1.15 * 100, 0.29 * 100, 100.0, 61.0, 7.5, 0.5, 1.0]))
@@ -333,12 +392,12 @@ def block_cases(draw):
     )
     value = st.sampled_from([0.0, 1.0, 2.0, 2.0, 1.0 / 3.0, *_TIED_VALUES])
     quantity = st.sampled_from([1, 2, 14, 15, 29, 54, 61, 100, 115, 130])
+    vector = st.tuples(quantity, *[st.one_of(st.just(0), quantity)] * (m - 1))
+    if m > 1 and draw(st.booleans()):
+        vector = st.sampled_from(draw(st.lists(vector, min_size=1, max_size=3)))
     txs = []
     for i in range(draw(st.integers(0, 30))):
-        extra = tuple(draw(st.one_of(st.just(0), quantity)) for _ in range(m - 1))
-        txs.append(
-            Transaction(id=i, arrival=1, size=(draw(quantity), *extra), unit_value=draw(value))
-        )
+        txs.append(Transaction(id=i, arrival=1, size=draw(vector), unit_value=draw(value)))
     policy = draw(
         st.sampled_from(
             [
@@ -365,6 +424,17 @@ def test_select_block_matches_reference(case):
     got = select_block(txs, caps, policy, block_rng(seed, 7) if shuffled else None)
     want = reference_select_block(txs, caps, policy, block_rng(seed, 7) if shuffled else None)
     assert got == want
+
+
+def test_select_block_repeated_id_keeps_input_order():
+    """Several resources split the entries by size, and the merge must still
+    take tx 1's equal-valued copies in input order: (2, 1) fills the block
+    before (1, 1) is reached."""
+    specs = [((2, 1), 1.0), ((1, 0), 2.0), ((1, 0), 2.0), ((1, 1), 1.0)]
+    txs = [Transaction(id=1, arrival=1, size=q, unit_value=v) for q, v in specs]
+    txs.insert(3, Transaction(id=0, arrival=1, size=(1, 1), unit_value=1.0))
+    got = select_block(txs, (3.0, 2.0), ValueAscending())
+    assert got == reference_select_block(txs, (3.0, 2.0), ValueAscending()) == [0, 1]
 
 
 @given(
