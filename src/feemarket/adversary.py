@@ -127,6 +127,17 @@ def _pool_key(txn: Transaction, descending: bool) -> tuple[float, float, int]:
     return (_ln(v), v, txn.id)
 
 
+def _pool_entry(
+    txn: Transaction, descending: bool, tips: Mapping[int, float] | None
+) -> tuple:
+    """A pool entry ``(*_pool_key, q, txn)``.  Under ``TipPriority``
+    (``tips`` not None) it also carries the tip order's key ``(-tip, id)``,
+    so that each block sorts by a field instead of calling a key function."""
+    if tips is None:
+        return (*_pool_key(txn, descending), txn.q, txn)
+    return (*_pool_key(txn, descending), txn.q, txn, (-tips.get(txn.id, 0.0), txn.id))
+
+
 def _first_fit(sizes: list[int], residual: float) -> list[int]:
     """The one-resource pass: the positions in ``sizes`` admitted in order
     while the residual is at least 1.  Python code runs only per admission;
@@ -157,23 +168,23 @@ def _assemble(
     """The one fill pass: the admitted pool entries, in admission order.
 
     ``runs`` are ranges ``(entries, lo, hi)`` of entries in ``_pool_key``
-    order, the order both value policies admit in.  With several resources
-    the value policies merge the runs by a heap on their heads; every entry
-    of a run then has one size vector, so a run leaves the merge once its
-    head does not fit: its later entries have the same size and residuals
-    only shrink.  Otherwise the runs are concatenated; the tip order
-    re-sorts them by (-tip, id), the random order by id, then shuffles.
+    order, the order both value policies admit in.  The value policies
+    merge the runs by a heap on their heads; every entry of a run has one
+    size, so a run leaves the merge once its head does not fit: its later
+    entries have the same size and residuals only shrink.  Otherwise the
+    runs are concatenated; the tip order re-sorts them by the entries' own
+    (-tip, id) field, the random order by id, then shuffles.
     """
-    value_order = isinstance(policy, (ValueAscending, ValueDescending))
-    if not value_order and not isinstance(policy, (TipPriority, SeededRandom)):
-        raise TypeError(f"unknown inclusion policy {policy!r}")
-    if len(capacity) > 1 and value_order:
+    if isinstance(policy, (ValueAscending, ValueDescending)):
+        if len(capacity) == 1:
+            return _merge_fill_one(runs, float(capacity[0]))
         return _merge_fill(runs, capacity)
+    if not isinstance(policy, (TipPriority, SeededRandom)):
+        raise TypeError(f"unknown inclusion policy {policy!r}")
     entries = list(chain.from_iterable(src[lo:hi] for src, lo, hi in runs))
     if isinstance(policy, TipPriority):
-        tips = policy.tips
-        entries.sort(key=lambda e: (-tips.get(e[2], 0.0), e[2]))
-    elif isinstance(policy, SeededRandom):
+        entries.sort(key=itemgetter(5))
+    else:
         if rng is None:
             raise ValueError("SeededRandom policy requires a block RNG")
         entries.sort(key=itemgetter(2))
@@ -234,6 +245,44 @@ def _merge_fill(
     return chosen
 
 
+def _merge_fill_one(runs: list[tuple[list[tuple], int, int]], residual: float) -> list[tuple]:
+    """``_merge_fill`` on one resource, with a scalar residual; once a single
+    run is left, its entries are admitted by a plain loop."""
+    chosen: list[tuple] = []
+    if residual < 1.0:
+        return chosen
+    heap = [(*src[lo][:3], k, lo) for k, (src, lo, hi) in enumerate(runs) if lo < hi]
+    heapify(heap)
+    while len(heap) > 1:
+        k, pos = heap[0][3:]
+        src, _, hi = runs[k]
+        entry = src[pos]
+        q = entry[3]
+        if q > residual + 1e-9:
+            heappop(heap)
+            continue
+        residual -= q
+        chosen.append(entry)
+        if residual < 1.0:
+            return chosen
+        pos += 1
+        if pos < hi:
+            heapreplace(heap, (*src[pos][:3], k, pos))
+        else:
+            heappop(heap)
+    if heap:
+        k, pos = heap[0][3:]
+        src, _, hi = runs[k]
+        q = src[pos][3]  # the size of every entry of the run
+        while pos < hi and q <= residual + 1e-9:
+            chosen.append(src[pos])
+            residual -= q
+            if residual < 1.0:
+                break
+            pos += 1
+    return chosen
+
+
 def select_block(
     eligible: Sequence[Transaction],
     capacity: Sequence[float],
@@ -255,22 +304,25 @@ def select_block(
 
     Cost: the eligible transactions become pool entries sorted by
     ``_pool_key``, and ``_assemble`` runs the pass on them, as the
-    price-posting engine does for every block on its own pool entries.  With
-    one resource the pass is ``_first_fit``, which runs Python code only per
-    admitted transaction.  With several, the value orders split the entries
-    into one run per size vector and merge the runs by a heap, so a block
-    costs O((G + admitted) log G) for G distinct sizes after the sort; the
-    tip and random orders scan in Python until the block fills, one C-level
-    fit test per transaction.  The resource-count check runs in C.
+    price-posting engine does for every block on its own pool entries.  The
+    value orders split the entries into one run per size and merge the runs
+    by a heap, so after the sort the pass costs O((G + admitted) log G) for
+    G distinct sizes, on any number of resources.  The tip order sorts by
+    the (-tip, id) key each entry carries from its construction, the random
+    order by id before its shuffle.  With one resource their pass is
+    ``_first_fit``, which runs Python code only per admitted transaction;
+    with several it scans in Python until the block fills, one C-level fit
+    test per transaction.  The resource-count check runs in C.
     """
     m = len(capacity)
     if set(map(len, map(attrgetter("size"), eligible))) - {m}:
         bad = next(t for t in eligible if len(t.size) != m)
         raise ValueError(f"tx {bad.id} has {len(bad.size)} resources, capacity has {m}")
     descending = isinstance(policy, ValueDescending)
-    entries = [(*_pool_key(t, descending), t.q, t) for t in eligible]
+    tips = policy.tips if isinstance(policy, TipPriority) else None
+    entries = [_pool_entry(t, descending, tips) for t in eligible]
     entries.sort(key=itemgetter(0, 1, 2))  # a repeated id keeps its input order
-    if m > 1 and isinstance(policy, (ValueAscending, ValueDescending)):
+    if isinstance(policy, (ValueAscending, ValueDescending)):
         # The merge orders runs' heads by the first three key fields, so the
         # sorted rank takes the id's place there: repeated ids stay in order.
         groups: dict[tuple[int, ...], list[tuple]] = {}

@@ -280,15 +280,23 @@ class ThresholdViolation:
 
 @dataclass
 class ThresholdReport:
-    passed: bool
-    violations: list[ThresholdViolation]
+    """The number of violated thresholds and the lowest one."""
+
+    violation_count: int
+    first_violation: ThresholdViolation | None
     thetas_checked: int
 
+    @property
+    def passed(self) -> bool:
+        return self.violation_count == 0
+
     def to_json(self) -> dict:
+        first = self.first_violation
         return {
             "check": "threshold_dominance",
             "pass": self.passed,
-            "violations": [v.to_json() for v in self.violations],
+            "violation_count": self.violation_count,
+            "first_violation": None if first is None else first.to_json(),
             "thetas_checked": self.thetas_checked,
         }
 
@@ -356,14 +364,14 @@ def check_threshold_dominance(
     bench_q = quantity_curve(bench, scenario, (1, horizon))
     alg_q = quantity_curve(alg, scenario, (1, horizon + gamma))
     retained = math.exp(-eta)
-    violations = []
+    count, first = 0, None
     for theta in thetas:
         lhs, rhs = bench_q(theta), alg_q(theta * retained)
         if lhs > rhs * (1.0 + REL_TOL) + 1e-12:
-            violations.append(ThresholdViolation(theta=theta, lhs=lhs, rhs=rhs))
-    return ThresholdReport(
-        passed=not violations, violations=violations, thetas_checked=len(thetas)
-    )
+            count += 1
+            if first is None:
+                first = ThresholdViolation(theta=theta, lhs=lhs, rhs=rhs)
+    return ThresholdReport(count, first, thetas_checked=len(thetas))
 
 
 def check_welfare_dominance(

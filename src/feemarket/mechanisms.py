@@ -32,10 +32,11 @@ from typing import Mapping, Sequence
 from .adversary import (
     InclusionPolicy,
     SeededRandom,
+    TipPriority,
     ValueDescending,
     _assemble,
     _ln,
-    _pool_key,
+    _pool_entry,
     block_rng,
 )
 from .core import (
@@ -309,59 +310,70 @@ def _run_engine(
     if any(p.discounted_eligibility != aware for p in params_list):
         raise ValueError("discounted_eligibility differs between the resources' parameters")
 
-    # The pool: entries (*_pool_key, q, txn) in _pool_key order, the order
-    # _assemble takes each run of eligible entries in; an executed entry
-    # leaves by bisection.  On one resource the pool is one list and the
-    # eligible entries are a slice of it: the prefix above the floor for
-    # ValueDescending, else the suffix.  On several, ``groups`` keeps one
-    # list per size vector.  Each block prices each size once, and the test
-    # v * q_0 >= cost * (1 - LOG_EPS) is monotone in v, so a group's eligible
-    # entries are again a prefix or a suffix, found by bisection; a group
-    # emptied by execution is deleted.  With discounted eligibility, an
-    # entry whose value can decay waits in ``decaying`` instead, is tested
-    # every block and, if eligible, joins the block's runs.  It is dropped
-    # once it fails the test at the floor prices, the least that can be
-    # posted: values never rise and no posted log-price is below ln p_min.
-    pending: list[tuple[float, float, int, int, Transaction]] = []
-    groups: dict[tuple[int, ...], list[tuple[float, float, int, int, Transaction]]] = {}
-    decaying: dict[int, tuple[float, float, int, int, Transaction]] = {}
+    # The pool: ``groups`` keeps one list of entries per size, in _pool_key
+    # order, the order _assemble takes each run of eligible entries in; an
+    # executed entry leaves by bisection and an emptied group is deleted.  An
+    # entry is (*_pool_key, q, txn), plus (-tip, id) under TipPriority.  The
+    # eligibility test is monotone in v, so a group's eligible entries are a
+    # suffix, or a prefix under ValueDescending, found by bisection.  On one
+    # resource the test is ln v >= ln p - LOG_EPS for every size, and
+    # ``best`` holds each group's most eligible entry (its last, or its
+    # first under ValueDescending) in _pool_key order: one bisection of
+    # ``best`` finds the groups that hold eligible entries, and only those
+    # are visited.  On several, each block prices each size once and tests
+    # v * q_0 >= cost * (1 - LOG_EPS).  With discounted eligibility, an entry
+    # whose value can decay waits in ``decaying`` instead, is tested every
+    # block and, if eligible, joins the block's runs as a run of its own.  It
+    # is dropped once it fails the test at the floor prices, the least that
+    # can be posted: values never rise and no posted log-price is below
+    # ln p_min.
+    groups: dict[tuple[int, ...], list[tuple]] = {}
+    best: list[tuple] = []
+    decaying: dict[int, tuple] = {}
     dead_below = math.log(params_list[0].p_min) - LOG_EPS
     floor_prices = [math.exp(math.log(p.p_min)) for p in params_list]
 
     descending = isinstance(policy, ValueDescending)
+    end = 0 if descending else -1
+    tips = policy.tips if isinstance(policy, TipPriority) else None
     random_policy = isinstance(policy, SeededRandom)
 
     for t in range(1, horizon + 1):
         for txn in run.at(t):
-            entry = (*_pool_key(txn, descending), txn.q, txn)
+            entry = _pool_entry(txn, descending, tips)
             if aware and type(txn.sensitivity) is not Patient:
                 decaying[txn.id] = entry
-            elif m == 1:
-                insort(pending, entry)
-            else:
-                insort(groups.setdefault(txn.size, []), entry)
+                continue
+            group = groups.setdefault(txn.size, [])
+            head = group[end] if group else None
+            insort(group, entry)
+            if m == 1 and group[end] is not head:
+                if head is not None:
+                    del best[bisect_left(best, head)]
+                insort(best, entry)
 
         dead = []
+        runs = []
         if m == 1:
             floor = log_prices[0] - LOG_EPS
             if descending:
-                lo, hi = 0, bisect_left(pending, (-floor, math.inf))
+                cut = (-floor, math.inf)
+                for head in best[: bisect_left(best, cut)]:
+                    group = groups[head[4].size]
+                    runs.append((group, 0, bisect_left(group, cut)))
             else:
-                lo, hi = bisect_left(pending, (floor,)), len(pending)
-            runs = [(pending, lo, hi)]
-            if decaying:
-                eligible = pending[lo:hi]
-                for entry in decaying.values():
-                    lnv = _ln(entry[4].value_at(t))
-                    if lnv >= floor:
-                        eligible.append(entry)
-                    elif lnv < dead_below:
-                        dead.append(entry[2])
-                eligible.sort()
-                runs = [(eligible, 0, len(eligible))]
+                cut = (floor,)
+                for head in best[bisect_left(best, cut) :]:
+                    group = groups[head[4].size]
+                    runs.append((group, bisect_left(group, cut), len(group)))
+            for entry in decaying.values():
+                lnv = _ln(entry[4].value_at(t))
+                if lnv >= floor:
+                    runs.append(([entry], 0, 1))
+                elif lnv < dead_below:
+                    dead.append(entry[2])
         else:
             prices = [math.exp(lp) for lp in log_prices]
-            runs = []
             for size, group in groups.items():
                 q0, bar = size[0], _eligibility_bar(prices, size)
                 if descending:
@@ -386,10 +398,16 @@ def _run_engine(
         for entry in admitted:
             if decaying.pop(entry[2], None) is not None:
                 continue
-            pool = pending if m == 1 else groups[entry[4].size]
-            del pool[bisect_left(pool, entry)]
-            if m > 1 and not pool:
-                del groups[entry[4].size]
+            size = entry[4].size
+            group = groups[size]
+            i = bisect_left(group, entry)
+            del group[i]
+            if m == 1 and i == (0 if descending else len(group)):
+                del best[bisect_left(best, entry)]
+                if group:
+                    insort(best, group[end])
+            if not group:
+                del groups[size]
         sizes = run.close(t, log_prices, caps, [e[4] for e in admitted]).sizes
         log_prices = tuple(map(eip_next_price, params_list, log_prices, sizes))
 
@@ -409,6 +427,17 @@ def run_price_based(
     policy, executed transactions leave the pending pool, and the price
     updates from the realized block size.  The mechanism never terminates on
     its own; the caller supplies the horizon.
+
+    Cost: the pending pool is kept as one sorted list per size, and a sorted
+    list of each size's most eligible entry names the sizes that hold
+    eligible transactions, so a block visits only those.  A value-order
+    block merges their eligible ranges by a heap, dropping a size once its
+    head does not fit, and admits from the last size left by a plain loop:
+    Python code runs per admitted transaction and per visited size, not per
+    eligible one.  The tip order sorts the eligible entries by the
+    ``(-tip, id)`` key each entry carries from its arrival, and the random
+    order shuffles them.  Under ``discounted_eligibility`` the transactions
+    whose value can decay are tested one by one every block.
     """
     if scenario.m != 1:
         raise ScenarioError("single-resource mechanism requires a 1-resource scenario")
@@ -429,12 +458,14 @@ def multi_resource_mechanism(
     this reduces exactly to the single-resource mechanism.  Every parameter
     set must agree on ``discounted_eligibility``.
 
-    Cost: with several resources the pending pool is kept per size vector.
-    Each block prices each of the G distinct sizes once and bisects for its
-    eligible entries, and a value-order block is filled by a heap merge of
-    those ranges, so a block costs O((G + admitted) log G) besides the sort
-    the tip and random orders need.  Under ``discounted_eligibility`` the
-    transactions whose value can decay are tested one by one every block.
+    Cost: the pending pool is kept per size vector, as on one resource (see
+    ``run_price_based``).  With several resources each block prices each of
+    the G distinct sizes once and bisects for its eligible entries, and a
+    value-order block is filled by a heap merge of those ranges, so a block
+    costs O((G + admitted) log G) besides the sort the tip and random orders
+    need; the tip order sorts by the ``(-tip, id)`` key each entry carries.
+    Under ``discounted_eligibility`` the transactions whose value can decay
+    are tested one by one every block.
     """
     return _run_engine(scenario, params_list, policy, horizon)
 

@@ -94,7 +94,7 @@ def test_criterion_2_threshold_dominance(theorem_runs):
         rep = check_threshold_dominance(
             run.schedule, bench, scn, T_THEOREM, gamma, params.eta, bench_limit=B_THEOREM
         )
-        violations += len(rep.violations)
+        violations += rep.violation_count
     report("2 threshold dominance", violations == 0, f"{violations} violations")
 
 

@@ -25,6 +25,7 @@ from feemarket import (
     validate_schedule,
     welfare,
 )
+from feemarket.benchmarks import ThresholdViolation
 from feemarket.scenarios import random_family
 
 from oracles import brute_fractional_opt, brute_knapsack, brute_threshold_quantity
@@ -217,7 +218,8 @@ class TestThresholdDominance:
             alg, bench, tiny_scenario, 1, 0, 0.125, bench_limit=100.0
         )
         assert not rep.passed
-        assert any(v.theta == 5.0 for v in rep.violations)
+        assert rep.violation_count == 1
+        assert rep.first_violation == ThresholdViolation(theta=5.0, lhs=50.0, rhs=0.0)
 
 
 class TestWelfareDominance:

@@ -351,8 +351,11 @@ def test_verify_insufficient_gamma_fails_with_violations(tmp_path, capsys):
     ])
     assert rc == 1
     report = json.loads((tmp_path / "report.json").read_text())
-    assert not report["threshold"]["pass"]
-    assert report["threshold"]["violations"]
+    threshold = report["threshold"]
+    assert not threshold["pass"]
+    assert threshold["violation_count"] >= 1
+    assert set(threshold["first_violation"]) == {"theta", "lhs", "rhs"}
+    assert "violations" not in threshold
 
 
 def test_run_overfull_stream_slackness_verdict(tmp_path):

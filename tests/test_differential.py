@@ -5,6 +5,7 @@ JSON writers and per-line readers."""
 
 import json
 import math
+import random
 from types import SimpleNamespace
 from unittest import mock
 
@@ -198,11 +199,11 @@ _BELOW_FLOOR = math.nextafter(_ON_FLOOR, -math.inf)
 @st.composite
 def engine_cases(draw):
     """Overloaded static streams: shared, log-tied and floor-edge values,
-    every sensitivity, one to three resources, every inclusion policy, p_1
-    at or above the floor.  With several resources the sizes come from a
-    small shared set, so each size's pool holds several entries; a size may
-    be 0 on any resource, resource 0 included, and now and then resource 0
-    is an anchor whose capacity never binds."""
+    every sensitivity, one to three resources, every inclusion policy with
+    distinct and tied tips, p_1 at or above the floor.  The sizes come from
+    a small shared set, so each size's pool holds several entries; with
+    several resources a size may be 0 on any resource, resource 0 included,
+    and now and then resource 0 is an anchor whose capacity never binds."""
     m = draw(st.sampled_from([1, 1, 2, 3]))
     B = draw(st.sampled_from([10, 50]))
     horizon = draw(st.integers(1, 12))
@@ -219,7 +220,7 @@ def engine_cases(draw):
     )
     txs = []
     for i in range(draw(st.integers(0, 40))):
-        size = (draw(st.integers(1, B)),) if m == 1 else draw(st.sampled_from(shapes))
+        size = draw(st.sampled_from(shapes))
         txs.append(
             Transaction(
                 id=i,
@@ -245,6 +246,8 @@ def engine_cases(draw):
                 ValueDescending(),
                 SeededRandom(),
                 TipPriority({i: (i * 37 % 11) / 7.0 for i in range(40)}),
+                TipPriority({i: float(i % 3) for i in range(0, 40, 2)}),
+                TipPriority({}),
             ]
         )
     )
@@ -329,6 +332,67 @@ def test_several_resources_decaying_entries(policy):
     assert [(r.time, i) for r in run.trace.records for i, _f in r.executed] == [(1, 2), (4, 0)]
 
 
+@pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending()])
+def test_one_resource_decaying_entries_mix_sizes(policy):
+    """Discounted eligibility on one resource: decaying entries of sizes 4
+    and 6 join the pool's size runs in value order.  In block 1 the
+    ascending fill takes four entries and leaves decaying tx 0, which no
+    longer fits; the descending fill skips decaying tx 3 and then takes tx 8
+    of size 2.  Tx 1 fails even at the floor and is never taken."""
+    params = [
+        MechanismParams(B=9.0, c=2.0, eta=0.125, p_min=1.0, p_1=3.0, discounted_eligibility=True)
+    ]
+    specs = [
+        (1, 6, 7.0, Discount(0.05)),
+        (1, 4, 1.5, Discount(0.3)),
+        (1, 6, 5.0, PATIENT),
+        (1, 4, 4.0, Patience(2)),
+        (1, 4, 6.0, PATIENT),
+        (2, 4, 3.5, Discount(0.05)),
+        (2, 6, 2.0, PATIENT),
+        (2, 6, 3.2, Discount(0.05)),
+        (1, 2, 3.5, PATIENT),
+    ]
+    txs = [
+        Transaction(id=i, arrival=t, size=(q,), unit_value=v, sensitivity=s)
+        for i, (t, q, v, s) in enumerate(specs)
+    ]
+    scn = Scenario(capacities=(9.0,), transactions=txs)
+    run = multi_resource_mechanism(scn, params, policy, 10)
+    assert run.trace.records == rescanning_engine(scn, params, policy, 10).records
+    executed = [[i for i, _f in r.executed] for r in run.trace.records]
+    if isinstance(policy, ValueDescending):
+        assert executed[:2] == [[0, 4, 2, 8], [3, 5]]
+    else:
+        assert executed[:2] == [[8, 3, 2, 4], [5, 0]]
+    assert [r.time for r in run.trace.records if r.executed] == [1, 2, 5, 8]
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [ValueAscending(), ValueDescending(), TipPriority({i: float(i % 2) for i in range(0, 120, 3)})],
+)
+def test_one_resource_size_runs_follow_the_price(policy):
+    """A seeded one-resource stream of three sizes at 2.5 times the target
+    load: the price climbs and falls, so each size's most eligible entry
+    moves as entries arrive and leave, and the groups holding eligible
+    entries change from block to block.  Under the tip order most tips tie,
+    so the id decides across the size groups."""
+    rng = random.Random(3)
+    values = [1.0, 1.1, 1.3, 1.6, 2.0, 2.5, 4.0]
+    txs = [
+        Transaction(
+            id=i, arrival=1 + i // 4, size=(rng.choice([3, 5, 8]),), unit_value=rng.choice(values)
+        )
+        for i in range(120)
+    ]
+    scn = Scenario(capacities=(8.0,), transactions=txs)
+    params = [MechanismParams(B=8.0, c=2.0, eta=0.25, p_min=1.0, p_1=1.0)]
+    run = multi_resource_mechanism(scn, params, policy, 40)
+    assert run.trace.records == rescanning_engine(scn, params, policy, 40).records
+    assert max(r.log_prices[0] for r in run.trace.records) > math.log(2.0)
+
+
 @st.composite
 def greedy_cases(draw):
     """Static one-resource streams with tied values, every sensitivity, now
@@ -382,9 +446,9 @@ def test_greedy_matches_resorting_greedy(case):
 @st.composite
 def block_cases(draw):
     """Eligible sets for one block: tie-heavy values, sizes around and above
-    non-integer caps, up to four resources, shuffled or in pool order.  With
-    several resources the sizes sometimes come from a small shared set, so
-    that many transactions repeat one size vector."""
+    non-integer caps, up to four resources, distinct and tied tips, shuffled
+    or in pool order.  The sizes sometimes come from a small shared set, so
+    that many transactions repeat one size."""
     m = draw(st.sampled_from([1, 1, 2, 3, 4]))
     caps = tuple(
         draw(st.sampled_from([1.15 * 100, 0.29 * 100, 100.0, 61.0, 7.5, 0.5, 1.0]))
@@ -393,7 +457,7 @@ def block_cases(draw):
     value = st.sampled_from([0.0, 1.0, 2.0, 2.0, 1.0 / 3.0, *_TIED_VALUES])
     quantity = st.sampled_from([1, 2, 14, 15, 29, 54, 61, 100, 115, 130])
     vector = st.tuples(quantity, *[st.one_of(st.just(0), quantity)] * (m - 1))
-    if m > 1 and draw(st.booleans()):
+    if draw(st.booleans()):
         vector = st.sampled_from(draw(st.lists(vector, min_size=1, max_size=3)))
     txs = []
     for i in range(draw(st.integers(0, 30))):
@@ -405,6 +469,8 @@ def block_cases(draw):
                 ValueDescending(),
                 SeededRandom(),
                 TipPriority({i: (i * 37 % 11) / 7.0 for i in range(0, 30, 2)}),
+                TipPriority({i: float(i % 3) for i in range(0, 30, 2)}),
+                TipPriority({}),
             ]
         )
     )
@@ -435,6 +501,32 @@ def test_select_block_repeated_id_keeps_input_order():
     txs.insert(3, Transaction(id=0, arrival=1, size=(1, 1), unit_value=1.0))
     got = select_block(txs, (3.0, 2.0), ValueAscending())
     assert got == reference_select_block(txs, (3.0, 2.0), ValueAscending()) == [0, 1]
+
+
+def test_select_block_one_resource_repeated_id_keeps_input_order():
+    """One resource splits the entries by size too: after tx 0, tx 1's
+    size-2 copy comes first in input order and fills the block, so neither
+    size-1 copy of tx 1 is taken, although tx 0 opened the size-1 run."""
+    specs = [(0, 1, 1.0), (1, 2, 1.0), (1, 1, 1.0), (1, 1, 2.0)]
+    txs = [Transaction(id=i, arrival=1, size=(q,), unit_value=v) for i, q, v in specs]
+    got = select_block(txs, (3.0,), ValueAscending())
+    assert got == reference_select_block(txs, (3.0,), ValueAscending()) == [0, 1]
+
+
+@pytest.mark.parametrize("sizes", [[1], [1, 2]])
+@pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending()])
+def test_full_block_stops_below_one(policy, sizes):
+    """The cap 0.29 * 100 rounds just below 29, so the residual can end just
+    below 1, where the fit tolerance would still pass a size-1 unit: the
+    block is full there.  Both the merge of several size runs and the loop
+    over the last run must stop."""
+    txs = [
+        Transaction(id=i, arrival=1, size=(sizes[i % len(sizes)],), unit_value=1.0 + i % 3)
+        for i in range(40)
+    ]
+    cap = (0.29 * 100,)
+    got = select_block(txs, cap, policy)
+    assert got == reference_select_block(txs, cap, policy)
 
 
 @given(
