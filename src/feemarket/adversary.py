@@ -121,10 +121,7 @@ def _pool_key(txn: Transaction, descending: bool) -> tuple[float, float, int]:
     (-ln v, -v, id) under ``ValueDescending``.  ln is non-decreasing, so
     this is the policy's own (v, id) order (descending v, ties in ascending
     id), also where adjacent values share one ln."""
-    v = txn.unit_value
-    if descending:
-        return (-_ln(v), -v, txn.id)
-    return (_ln(v), v, txn.id)
+    return _pool_entry(txn, descending, None)[:3]
 
 
 def _pool_entry(
@@ -132,10 +129,16 @@ def _pool_entry(
 ) -> tuple:
     """A pool entry ``(*_pool_key, q, txn)``.  Under ``TipPriority``
     (``tips`` not None) it also carries the tip order's key ``(-tip, id)``,
-    so that each block sorts by a field instead of calling a key function."""
+    so that each block sorts by a field instead of calling a key function.
+    The key is computed here, not by a call: this runs once per arrival."""
+    v = txn.unit_value
+    lnv = math.log(v) if v > 0.0 else -math.inf
+    i = txn.id
+    if descending:
+        lnv, v = -lnv, -v
     if tips is None:
-        return (*_pool_key(txn, descending), txn.q, txn)
-    return (*_pool_key(txn, descending), txn.q, txn, (-tips.get(txn.id, 0.0), txn.id))
+        return (lnv, v, i, txn.size[0], txn)
+    return (lnv, v, i, txn.size[0], txn, (-tips.get(i, 0.0), i))
 
 
 def _first_fit(sizes: list[int], residual: float) -> list[int]:

@@ -142,16 +142,23 @@ class Transaction:
     sensitivity: Sensitivity = PATIENT
 
     def __post_init__(self) -> None:
-        # Every check runs in C builtins; bool sizes pass, as ints.
+        # Every check runs in C builtins; bool sizes pass, as ints.  A
+        # positive int 1-tuple passes the first, direct comparisons alone.
         size = self.size
         if self.arrival < 1:
             raise ValueError(f"tx {self.id}: arrival must be >= 1, got {self.arrival}")
-        if not size or not all(map(_is_instance, repeat(int), size)) or min(size) < 0:
-            raise ValueError(
-                f"tx {self.id}: sizes must be nonnegative integer gas units, got {size}"
-            )
-        if max(size) <= 0:
-            raise ValueError(f"tx {self.id}: at least one size entry must be positive")
+        if not (type(size) is tuple and len(size) == 1 and type(size[0]) is int and size[0] > 0):
+            if (
+                not isinstance(size, tuple)
+                or not size
+                or not all(map(_is_instance, repeat(int), size))
+                or min(size) < 0
+            ):
+                raise ValueError(
+                    f"tx {self.id}: sizes must be nonnegative integer gas units, got {size}"
+                )
+            if max(size) <= 0:
+                raise ValueError(f"tx {self.id}: at least one size entry must be positive")
         if not 0.0 <= self.unit_value < math.inf:
             raise ValueError(f"tx {self.id}: unit value must be finite and >= 0")
 
@@ -351,10 +358,20 @@ def welfare(schedule: Schedule, scenario: Scenario, horizon: int) -> float:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return math.fsum(
-        e.fraction * t_.q * t_.value_at(e.time)
-        for e, t_ in _resolved(schedule, scenario, last=horizon)
-    )
+    index = scenario.index()
+
+    def terms() -> Iterator[float]:
+        # _resolved and value_at, inlined: this runs once per scheduled entry.
+        for e in schedule.entries:
+            t = e.time
+            if t <= horizon:
+                t_ = index.get(e.tx)
+                if t_ is None:
+                    raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
+                v = t_.unit_value if type(t_.sensitivity) is Patient else t_.value_at(t)
+                yield e.fraction * t_.size[0] * v
+
+    return math.fsum(terms())
 
 
 def quantity_curve(

@@ -27,6 +27,7 @@ import heapq
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from .adversary import (
@@ -251,23 +252,36 @@ class _Run:
         return arrivals
 
     def close(self, t: int, log_prices, caps, admitted: list[Transaction]) -> BlockRecord:
-        resources = range(self.m)
-        sizes = [0.0] * self.m
         executed = []
         terms = []
-        for txn in admitted:
-            size = txn.size
-            executed.append((txn.id, 1.0))
-            for j in resources:
-                sizes[j] += size[j]
-            terms.append(size[0] * txn.value_at(t))
+        if self.m == 1:
+            size = 0.0
+            for txn in admitted:
+                q = txn.size[0]
+                executed.append((txn.id, 1.0))
+                size += q
+                if type(txn.sensitivity) is Patient:
+                    terms.append(q * txn.unit_value)
+                else:
+                    terms.append(q * txn.value_at(t))
+            sizes = (size,)
+        else:
+            resources = range(self.m)
+            acc = [0.0] * self.m
+            for txn in admitted:
+                size = txn.size
+                executed.append((txn.id, 1.0))
+                for j in resources:
+                    acc[j] += size[j]
+                terms.append(size[0] * txn.value_at(t))
+            sizes = tuple(acc)
         self.welfare += math.fsum(terms)
         record = BlockRecord(
             time=t,
             log_prices=log_prices,
             capacities=caps,
             executed=tuple(executed),
-            sizes=tuple(sizes),
+            sizes=sizes,
             cumulative_welfare=self.welfare,
         )
         self.records.append(record)
@@ -311,22 +325,22 @@ def _run_engine(
         raise ValueError("discounted_eligibility differs between the resources' parameters")
 
     # The pool: ``groups`` keeps one list of entries per size, in _pool_key
-    # order, the order _assemble takes each run of eligible entries in; an
-    # executed entry leaves by bisection and an emptied group is deleted.  An
-    # entry is (*_pool_key, q, txn), plus (-tip, id) under TipPriority.  The
-    # eligibility test is monotone in v, so a group's eligible entries are a
-    # suffix, or a prefix under ValueDescending, found by bisection.  On one
-    # resource the test is ln v >= ln p - LOG_EPS for every size, and
-    # ``best`` holds each group's most eligible entry (its last, or its
-    # first under ValueDescending) in _pool_key order: one bisection of
-    # ``best`` finds the groups that hold eligible entries, and only those
-    # are visited.  On several, each block prices each size once and tests
-    # v * q_0 >= cost * (1 - LOG_EPS).  With discounted eligibility, an entry
-    # whose value can decay waits in ``decaying`` instead, is tested every
-    # block and, if eligible, joins the block's runs as a run of its own.  It
-    # is dropped once it fails the test at the floor prices, the least that
-    # can be posted: values never rise and no posted log-price is below
-    # ln p_min.
+    # order, the order _assemble takes each run of eligible entries in;
+    # entries join and leave per group (see below) and an emptied group is
+    # deleted.  An entry is (*_pool_key, q, txn), plus (-tip, id) under
+    # TipPriority.  The eligibility test is monotone in v, so a group's
+    # eligible entries are a suffix, or a prefix under ValueDescending,
+    # found by bisection.  On one resource the test is ln v >= ln p - LOG_EPS
+    # for every size, and ``best`` holds each group's most eligible entry
+    # (its last, or its first under ValueDescending) in _pool_key order: one
+    # bisection of ``best`` finds the groups that hold eligible entries, and
+    # only those are visited.  On several, each block prices each size once
+    # and tests v * q_0 >= cost * (1 - LOG_EPS).  With discounted
+    # eligibility, an entry whose value can decay waits in ``decaying``
+    # instead, is tested every block and, if eligible, joins the block's
+    # runs as a run of its own.  It is dropped once it fails the test at the
+    # floor prices, the least that can be posted: values never rise and no
+    # posted log-price is below ln p_min.
     groups: dict[tuple[int, ...], list[tuple]] = {}
     best: list[tuple] = []
     decaying: dict[int, tuple] = {}
@@ -339,18 +353,29 @@ def _run_engine(
     random_policy = isinstance(policy, SeededRandom)
 
     for t in range(1, horizon + 1):
-        for txn in run.at(t):
-            entry = _pool_entry(txn, descending, tips)
-            if aware and type(txn.sensitivity) is not Patient:
-                decaying[txn.id] = entry
-                continue
-            group = groups.setdefault(txn.size, [])
+        # Arrivals join the pool per size group: a group's arrivals, sorted,
+        # are appended in one step when they all sort after its last entry,
+        # as a same-valued generator batch usually does, and bisected in
+        # otherwise.  ``best`` changes at most once per group.
+        arriving: dict[tuple[int, ...], list[tuple]] = {}
+        for entry in map(_pool_entry, run.at(t), repeat(descending), repeat(tips)):
+            if aware and type(entry[4].sensitivity) is not Patient:
+                decaying[entry[2]] = entry
+            else:
+                arriving.setdefault(entry[4].size, []).append(entry)
+        for size, chunk in arriving.items():
+            group = groups.setdefault(size, [])
             head = group[end] if group else None
-            insort(group, entry)
+            chunk.sort()
+            if group and chunk[0] < group[-1]:
+                for entry in chunk:
+                    insort(group, entry)
+            else:
+                group += chunk
             if m == 1 and group[end] is not head:
                 if head is not None:
                     del best[bisect_left(best, head)]
-                insort(best, entry)
+                insort(best, group[end])
 
         dead = []
         runs = []
@@ -395,15 +420,27 @@ def _run_engine(
         rng = block_rng(scenario.seed, t) if random_policy else None
         admitted = _assemble(runs, caps, policy, rng)
 
+        # Executed entries leave per size group.  Under the value orders a
+        # group's admitted entries are one contiguous range of it, in pool
+        # order, and leave by one slice; otherwise each leaves by bisection.
+        # ``best`` changes at most once per group.
+        taken: dict[tuple[int, ...], list[tuple]] = {}
         for entry in admitted:
-            if decaying.pop(entry[2], None) is not None:
+            if decaying and decaying.pop(entry[2], None) is not None:
                 continue
-            size = entry[4].size
+            taken.setdefault(entry[4].size, []).append(entry)
+        for size, chunk in taken.items():
             group = groups[size]
-            i = bisect_left(group, entry)
-            del group[i]
-            if m == 1 and i == (0 if descending else len(group)):
-                del best[bisect_left(best, entry)]
+            head = group[end]
+            i = bisect_left(group, chunk[0])
+            k = len(chunk)
+            if group[i : i + k] == chunk:
+                del group[i : i + k]
+            else:
+                for entry in chunk:
+                    del group[bisect_left(group, entry)]
+            if m == 1 and (not group or group[end] is not head):
+                del best[bisect_left(best, head)]
                 if group:
                     insort(best, group[end])
             if not group:
@@ -434,10 +471,16 @@ def run_price_based(
     block merges their eligible ranges by a heap, dropping a size once its
     head does not fit, and admits from the last size left by a plain loop:
     Python code runs per admitted transaction and per visited size, not per
-    eligible one.  The tip order sorts the eligible entries by the
-    ``(-tip, id)`` key each entry carries from its arrival, and the random
-    order shuffles them.  Under ``discounted_eligibility`` the transactions
-    whose value can decay are tested one by one every block.
+    eligible one.  The pool changes per size: a size's arrivals that all
+    sort after its pooled entries are appended in one step, and a size's
+    executed entries leave by one slice where they are one contiguous range
+    of it, as under the value orders they always are; the list of best
+    entries changes at most once per size and block.  The tip order sorts
+    the eligible entries by the ``(-tip, id)`` key each entry carries from
+    its arrival, and the random order shuffles them; their executed entries
+    leave by bisection one at a time where they are not adjacent.  Under
+    ``discounted_eligibility`` the transactions whose value can decay are
+    tested one by one every block.
     """
     if scenario.m != 1:
         raise ScenarioError("single-resource mechanism requires a 1-resource scenario")

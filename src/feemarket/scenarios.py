@@ -20,6 +20,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .adversary import InclusionPolicy, TipPriority, ValueAscending, ValueDescending
 from .core import (
@@ -131,9 +132,12 @@ class _AdaptiveGenerator:
     """A single-run adaptive arrival stream.
 
     A subclass implements only ``_emit(t)``, which returns block t's
-    arrivals, and builds each of them with ``_tx``.  ``_tx`` issues the ids
-    0, 1, 2, ... in call order; a transaction given a ``tag`` is recorded in
-    ``tags[id]`` and counted in ``emitted[tag]``.  Before ``_emit(t)`` runs,
+    arrivals, and builds them with ``_txs``, one call per batch of n
+    same-shaped transactions.  ``_txs`` issues the next n ids of 0, 1, 2,
+    ... in call order, as one ``range``, and builds the batch by one ``map``
+    of ``Transaction``; a batch given a ``tag`` has each id recorded in
+    ``tags[id]`` and is counted n times in ``emitted[tag]``.  A batch of
+    n <= 0 emits nothing and uses no id.  Before ``_emit(t)`` runs,
     ``arrivals`` counts every tagged id in block t-1's executed list into
     ``executed[tag]``, so ``_emit(t)`` sees the counts over blocks 1..t-1
     exactly.  A construction that branches on how many of its tagged
@@ -151,20 +155,24 @@ class _AdaptiveGenerator:
         self._next_id = 0
         self._started = False
 
-    def _tx(
+    def _txs(
         self,
         t: int,
+        n: int,
         size: tuple[int, ...],
         v: float,
         sens: Sensitivity = PATIENT,
         tag: str | None = None,
-    ) -> Transaction:
-        tid = self._next_id
-        self._next_id += 1
+    ) -> list[Transaction]:
+        if n <= 0:
+            return []
+        start = self._next_id
+        self._next_id = start + n
+        ids = range(start, start + n)
         if tag is not None:
-            self.tags[tid] = tag
-            self.emitted[tag] += 1
-        return Transaction(tid, t, size, v, sens)
+            self.tags.update(dict.fromkeys(ids, tag))
+            self.emitted[tag] += n
+        return list(map(Transaction, ids, repeat(t), repeat(size), repeat(v), repeat(sens)))
 
     def arrivals(self, t: int, previous: BlockRecord | None) -> list[Transaction]:
         if t == 1:
@@ -211,8 +219,9 @@ class _CBelowTwoGenerator(_AdaptiveGenerator):
     def _emit(self, t: int) -> list[Transaction]:
         B = self.B
         if t <= self.half:
-            red = self._tx(t, (B,), 1.0)
-            return [red, self._tx(t, (self.green_size,), 2.0, tag="green")]
+            return self._txs(t, 1, (B,), 1.0) + self._txs(
+                t, 1, (self.green_size,), 2.0, tag="green"
+            )
         if t > self.horizon:
             return []
         if not self.audit:
@@ -225,11 +234,9 @@ class _CBelowTwoGenerator(_AdaptiveGenerator):
                 "optimum": optimum,
             }
         if self.audit["branch"] == "I":
-            return [self._tx(t, (B,), 2.0)]
-        out = []
-        while self.emitted["dust"] - self.executed["dust"] < self.dust_target:
-            out.append(self._tx(t, (self.dust_size,), 1.0, tag="dust"))
-        return out
+            return self._txs(t, 1, (B,), 2.0)
+        pending = self.emitted["dust"] - self.executed["dust"]
+        return self._txs(t, self.dust_target - pending, (self.dust_size,), 1.0, tag="dust")
 
 
 def c_below_two(horizon: int, c: float, B: int, eps: float) -> ScenarioBundle:
@@ -386,9 +393,9 @@ class _DiscountMixGenerator(_AdaptiveGenerator):
 
     def _emit(self, t: int) -> list[Transaction]:
         p, B = self.p, self.B
-        out = [self._tx(1, (B,), 2.0) for _ in range(p)] if t == 1 else []
+        out = self._txs(1, p, (B,), 2.0) if t == 1 else []
         if t <= p:
-            out.append(self._tx(t, (B,), 1.0, self.discount, tag="hasty"))
+            out += self._txs(t, 1, (B,), 1.0, self.discount, tag="hasty")
         elif t <= 2 * p:
             if not self.audit:
                 h = self.executed["hasty"]
@@ -400,9 +407,9 @@ class _DiscountMixGenerator(_AdaptiveGenerator):
                     "optimum": optimum,
                 }
             if self.audit["branch"] == "II":
-                out.append(self._tx(t, (B,), 1.0, self.discount))
+                out += self._txs(t, 1, (B,), 1.0, self.discount)
             elif t == p + 1:
-                out.extend(self._tx(t, (B,), 2.0) for _ in range(2 * p))
+                out += self._txs(t, 2 * p, (B,), 2.0)
         return out
 
 
@@ -447,16 +454,16 @@ class _PatienceGlobalGenerator(_AdaptiveGenerator):
     def _emit(self, t: int) -> list[Transaction]:
         p, B, window = self.p, self.B, self.window
         if t == 1:
-            return [self._tx(1, (B,), 1.0, window) for _ in range(p)]
+            return self._txs(1, p, (B,), 1.0, window)
         if t <= p:
-            return [self._tx(t, (B,), 2.0, window, tag="red")]
+            return self._txs(t, 1, (B,), 2.0, window, tag="red")
         if t == p + 1:
             r = self.executed["red"]
             branch = "I" if 2 * r >= p else "II"
             optimum = (3.0 * p - 2.0) * B if branch == "I" else (4.0 * p - 1.0) * B
             self.audit = {"reds_executed": r, "branch": branch, "optimum": optimum}
             if branch == "II":
-                return [self._tx(t, (B,), 2.0, window) for _ in range(p)]
+                return self._txs(t, p, (B,), 2.0, window)
         return []
 
 
@@ -490,9 +497,9 @@ class _ThreeResourceGenerator(_AdaptiveGenerator):
     def _emit(self, t: int) -> list[Transaction]:
         out: list[Transaction] = []
         if t == 1:
-            for _ in range(self.t_half):
-                out.append(self._tx(1, (1, 1, 0, 1), 1.0, tag="xz"))
-                out.append(self._tx(1, (1, 0, 1, 1), 1.0, tag="yz"))
+            for _ in range(self.t_half):  # the two bundles alternate
+                out += self._txs(1, 1, (1, 1, 0, 1), 1.0, tag="xz")
+                out += self._txs(1, 1, (1, 0, 1, 1), 1.0, tag="yz")
         elif t == self.t_half + 1:
             xz, yz = self.executed["xz"], self.executed["yz"]
             starved = "X" if xz <= yz else "Y"
@@ -503,7 +510,7 @@ class _ThreeResourceGenerator(_AdaptiveGenerator):
                 "optimum": 3.0 * self.t_half,
             }
             size = (1, 1, 0, 0) if starved == "X" else (1, 0, 1, 0)
-            out.extend(self._tx(t, size, 1.0) for _ in range(self.t_half))
+            out += self._txs(t, self.t_half, size, 1.0)
         return out
 
 

@@ -91,6 +91,9 @@ class TestTransaction:
         ({"unit_value": math.nan}, "tx 7: unit value must be finite and >= 0"),
         ({"unit_value": math.inf}, "tx 7: unit value must be finite and >= 0"),
         ({"unit_value": -1.0}, "tx 7: unit value must be finite and >= 0"),
+        ({"size": [5]}, "tx 7: sizes must be nonnegative integer gas units, got [5]"),
+        ({"size": (0,)}, "tx 7: at least one size entry must be positive"),
+        ({"size": (-3,)}, "tx 7: sizes must be nonnegative integer gas units, got (-3,)"),
     ])
     def test_rejection_messages(self, fields, message):
         with pytest.raises(ValueError) as exc:
@@ -99,6 +102,7 @@ class TestTransaction:
 
     def test_bool_sizes_accepted(self):
         assert Transaction(id=7, arrival=1, size=(True, False), unit_value=0.0).size == (True, False)
+        assert Transaction(id=7, arrival=1, size=(True,), unit_value=0.0).size == (True,)
 
 
 class TestWelfare:

@@ -393,6 +393,137 @@ def test_one_resource_size_runs_follow_the_price(policy):
     assert max(r.log_prices[0] for r in run.trace.records) > math.log(2.0)
 
 
+def pool_events(run, scn, policy):
+    """What each block's executions did to the pending pool, in the
+    engine's per-size ``_pool_key`` order: the blocks in which some size's
+    executed entries are not one contiguous range of its pending entries
+    (``scattered``), in which a size's every pending entry executed
+    (``emptied``), and in which a size's most eligible entry executed while
+    others of its size stayed pending (``best_left``).  The most eligible
+    entry is a size's last in that order, or its first under
+    ValueDescending."""
+    descending = isinstance(policy, ValueDescending)
+    index = scn.index()
+    pending: set[int] = set()
+    events = {"scattered": [], "emptied": [], "best_left": []}
+    for rec in run.trace.records:
+        pending |= {t.id for t in scn.transactions if t.arrival == rec.time}
+        taken = {i for i, _f in rec.executed}
+        by_size: dict = {}
+        for i in sorted(pending, key=lambda i: _pool_key(index[i], descending)):
+            by_size.setdefault(index[i].size, []).append(i in taken)
+        for flags in by_size.values():
+            hits = [k for k, hit in enumerate(flags) if hit]
+            if not hits:
+                continue
+            if hits[-1] - hits[0] + 1 != len(hits):
+                events["scattered"].append(rec.time)
+            if len(hits) == len(flags):
+                events["emptied"].append(rec.time)
+            elif flags[0 if descending else -1]:
+                events["best_left"].append(rec.time)
+        pending -= taken
+    return events
+
+
+def run_against_rescanning(scn, params, policy, horizon):
+    run = multi_resource_mechanism(scn, params, policy, horizon)
+    assert run.trace.records == rescanning_engine(scn, params, policy, horizon).records
+    return run, pool_events(run, scn, policy)
+
+
+@pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending()])
+def test_one_resource_block_takes_a_long_run_of_one_size(policy):
+    """Over a hundred entries of one size execute in one block, as in the
+    c < 2 construction's dust phase; under the ascending order the range
+    starts past the priced-out entries at 1.0, under the descending order
+    at the size's head.  A second, rarer size shares the blocks.  Under
+    either value order each size's executed entries are one contiguous
+    range of its pending entries."""
+    values = [1.0, 1.3, 1.3, 1.6, 2.0]
+    txs = [
+        Transaction(
+            id=i,
+            arrival=1 + i // 250,
+            size=(30,) if i % 13 == 0 else (10,),
+            unit_value=values[i % 5],
+        )
+        for i in range(750)
+    ]
+    scn = Scenario(capacities=(1000.0,), transactions=txs)
+    params = [MechanismParams(B=1000.0, c=1.5, eta=0.125, p_min=1.0, p_1=1.2)]
+    run, events = run_against_rescanning(scn, params, policy, 10)
+    index = scn.index()
+    dust = [sum(index[i].size == (10,) for i, _f in r.executed) for r in run.trace.records]
+    assert dust[:2] == [120, 120] and sum(n >= 100 for n in dust) >= 4
+    assert events["scattered"] == []
+
+
+@pytest.mark.parametrize(
+    "policy, seed",
+    [(TipPriority({1: 3.0, 6: 2.0, 10: 1.0, 17: 4.0, 13: 0.5}), 0), (SeededRandom(), 4)],
+)
+def test_one_resource_scattered_admissions_leave_one_by_one(policy, seed):
+    """Under the tip and random orders a block may take entries of one size
+    that are not adjacent in the pool (block 1 of the tip order takes ids
+    1, 6 and 10, all of size 5), so they leave one by one; later blocks
+    take adjacent ones, which leave by one slice."""
+    txs = [
+        Transaction(
+            id=i, arrival=1 + i // 12, size=(5,) if i % 4 else (4,), unit_value=1.0 + i / 10
+        )
+        for i in range(24)
+    ]
+    scn = Scenario(capacities=(10.0,), transactions=txs, seed=seed)
+    params = [MechanismParams(B=10.0, c=1.5, eta=0.125, p_min=1.0, p_1=1.0)]
+    run, events = run_against_rescanning(scn, params, policy, 14)
+    assert 1 in events["scattered"]
+    assert len(events["scattered"]) < sum(1 for r in run.trace.records if r.executed)
+
+
+@pytest.mark.parametrize(
+    "policy", [ValueAscending(), ValueDescending(), TipPriority({3: 1.0, 8: 2.0})]
+)
+def test_one_resource_block_empties_a_size(policy):
+    """Block 2 takes every pending entry of one size while another size
+    stays pending; the size is pooled again when its next entries arrive at
+    block 3."""
+    specs = [
+        (1, 6, 2.0), (1, 6, 2.5), (1, 9, 1.5), (1, 9, 1.1), (1, 9, 3.0),
+        (3, 6, 1.8), (3, 6, 4.0), (3, 9, 2.2), (5, 6, 1.2), (5, 6, 1.4),
+    ]
+    txs = [
+        Transaction(id=i, arrival=t, size=(q,), unit_value=v)
+        for i, (t, q, v) in enumerate(specs)
+    ]
+    scn = Scenario(capacities=(12.0,), transactions=txs)
+    params = [MechanismParams(B=12.0, c=1.5, eta=0.125, p_min=1.0, p_1=1.0)]
+    _run, events = run_against_rescanning(scn, params, policy, 10)
+    assert events["emptied"][0] == 2
+
+
+@pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending()])
+def test_one_resource_block_takes_a_sizes_best_entry(policy):
+    """A block takes a size's most eligible entry and leaves others of its
+    size pending: under the ascending order the rest are priced out, under
+    the descending order they do not fit.  The size's next most eligible
+    entry must then stand for it, also once a later arrival outranks it
+    and while another size holds eligible entries."""
+    specs = [
+        (1, 4, 1.05), (1, 4, 1.5), (1, 4, 3.0), (1, 4, 1.0),
+        (1, 7, 2.0), (1, 7, 1.2), (2, 4, 5.0), (2, 7, 1.02),
+        (3, 4, 1.3), (4, 7, 6.0), (4, 4, 1.01), (6, 4, 2.5),
+    ]
+    txs = [
+        Transaction(id=i, arrival=t, size=(q,), unit_value=v)
+        for i, (t, q, v) in enumerate(specs)
+    ]
+    scn = Scenario(capacities=(6.0,), transactions=txs)
+    params = [MechanismParams(B=6.0, c=1.5, eta=0.5, p_min=1.0, p_1=1.1)]
+    _run, events = run_against_rescanning(scn, params, policy, 16)
+    assert len(events["best_left"]) >= 2
+
+
 @st.composite
 def greedy_cases(draw):
     """Static one-resource streams with tied values, every sensitivity, now

@@ -16,8 +16,9 @@ from feemarket import (
     run_price_based,
     welfare,
 )
-from feemarket.core import BlockRecord
+from feemarket.core import PATIENT, BlockRecord
 from feemarket.scenarios import (
+    _AdaptiveGenerator,
     adaptive_price_adversary,
     c_below_two,
     discount_mix,
@@ -340,6 +341,118 @@ class TestPriceAdversary:
         params = MechanismParams(B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
         rep = adaptive_price_adversary(params, gamma=1, delta=1, H=2.0**16)
         assert rep.price_transcripts_identical
+
+
+def per_call_txs(self, t, n, size, v, sens=PATIENT, tag=None):
+    """The per-transaction emission a batch replaces: one id, one tag
+    record and one count per transaction."""
+    out = []
+    for _ in range(n):
+        tid = self._next_id
+        self._next_id += 1
+        if tag is not None:
+            self.tags[tid] = tag
+            self.emitted[tag] += 1
+        out.append(Transaction(tid, t, size, v, sens))
+    return out
+
+
+PARTIAL = MechanismParams(B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0, discounted_eligibility=True)
+
+
+def generator_state(gen):
+    return gen._next_id, gen.tags, gen.emitted, gen.executed, gen.audit
+
+
+class TestBatchedEmission:
+    def test_batch_equals_single_emissions(self):
+        batch, single = _AdaptiveGenerator(), _AdaptiveGenerator()
+        for gen in (batch, single):
+            gen._next_id = 5
+        out = batch._txs(3, 4, (7,), 1.5, tag="dust")
+        ref = [tx for _ in range(4) for tx in per_call_txs(single, 3, 1, (7,), 1.5, tag="dust")]
+        assert out == ref and [tx.id for tx in out] == [5, 6, 7, 8]
+        assert batch._txs(3, 2, (1,), 2.0) == per_call_txs(single, 3, 2, (1,), 2.0)
+        executed = BlockRecord(3, (0.0,), (10.0,), ((6, 1.0), (9, 1.0), (8, 1.0)), (14.0,), 0.0)
+        for gen in (batch, single):
+            gen._started = True
+            gen._emit = lambda t: []
+            gen.arrivals(4, executed)
+        assert generator_state(batch) == generator_state(single)
+        assert batch.tags == dict.fromkeys([5, 6, 7, 8], "dust")
+        assert batch.emitted == {"dust": 4} and batch.executed == {"dust": 2}
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_batch_uses_no_id(self, n):
+        gen = _AdaptiveGenerator()
+        assert gen._txs(1, n, (1,), 1.0, tag="dust") == []
+        assert generator_state(gen) == (0, {}, {}, {}, {})
+        assert [tx.id for tx in gen._txs(1, 1, (1,), 1.0)] == [0]
+
+    @pytest.mark.parametrize(
+        "make, params",
+        [
+            pytest.param(
+                lambda: c_below_two(40, 1.5, 64, 0.01),
+                [MechanismParams(B=64.0, c=1.5, eta=ETA, p_min=1.0, p_1=1.0)],
+                id="c_below_two",
+            ),
+            pytest.param(
+                lambda: discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12),
+                [PARTIAL],
+                id="discount_mix",
+            ),
+            pytest.param(lambda: patience_global(p=6, B=1), [PARTIAL], id="patience_global"),
+            pytest.param(
+                lambda: three_resources(4), three_resources_params(ETA), id="three_resources"
+            ),
+        ],
+    )
+    def test_runs_match_per_call_emission(self, make, params):
+        """Each construction's run emits the same transactions in the same
+        blocks, and ends with the same ids, tags, counts and audit, when
+        every batch is emitted one transaction at a time."""
+        runs = []
+        for per_call in (False, True):
+            bundle = make()
+            gen = bundle.scenario.generator
+            if per_call:
+                gen._txs = per_call_txs.__get__(gen)
+            horizon = bundle.scenario.horizon_hint
+            res = multi_resource_mechanism(bundle.scenario, params, bundle.policy, horizon)
+            runs.append((res.scenario.transactions, res.trace.records, generator_state(gen)))
+        assert runs[0] == runs[1]
+        assert runs[0][0]
+
+    def test_dust_count_follows_the_per_transaction_loop(self):
+        """Once branch II is taken each block brings dust until the dust
+        emitted but not executed reaches the target, as emitting one at a
+        time while it is below the target would."""
+        bundle = c_below_two(40, 1.5, 64, 0.01)
+        gen = bundle.scenario.generator
+
+        def loop_count(pending):
+            n = 0
+            while pending + n < gen.dust_target:
+                n += 1
+            return n
+
+        counts = []
+
+        def pick(t, pending):
+            if t > 20:
+                dust = [x.id for x in pending if gen.tags.get(x.id) == "dust"]
+                counts.append(len(dust))
+                return set(dust[: t % 7])
+            return {x.id for x in pending if gen.tags.get(x.id) == "green"}
+
+        scn, audit = drive(bundle, 40, pick)
+        assert audit["branch"] == "II"
+        arrived = [sum(1 for x in scn.transactions if x.arrival == t) for t in range(21, 41)]
+        # block t's pool holds what block t-1 left pending plus block t's arrivals
+        left = [0] + [max(0, c - t % 7) for t, c in zip(range(21, 41), counts)]
+        assert arrived == [loop_count(p) for p in left[:-1]]
+        assert arrived[0] == gen.dust_target and 0 in arrived
 
 
 class TestAdaptiveReuseGuard:
