@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -358,11 +359,12 @@ def _summarize(result, params_list: Sequence[MechanismParams], horizon: int) -> 
     targets = [p.B for p in params_list]
     top = max((t.unit_value for t in scn.transactions), default=-math.inf)
     bound = max(mechanisms.theorem_slackness(p, max(top, p.p_1)) for p in params_list)
-    measured = core.measured_slackness(result.schedule, scn, targets)
+    sizes = core.block_sizes(result.schedule, scn)
+    measured = core.measured_slackness(result.schedule, scn, targets, sizes=sizes)
     return {
         "blocks": horizon,
         "welfare": sw,
-        "max_block": max(core.max_block_size(result.schedule, scn)),
+        "max_block": max(core.max_block_size(result.schedule, scn, sizes=sizes)),
         "slackness_measured": measured,
         "slackness_bound": bound,
         "slackness_ok": measured <= bound * (1 + 1e-9),
@@ -467,8 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  The cyclic collector is paused while it runs and
+    restored afterwards: a run builds one acyclic record per transaction,
+    entry and block, which reference counting frees, so collections would
+    only rescan them."""
     ap = build_parser()
     args = ap.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except FeeMarketError as exc:
@@ -477,6 +485,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

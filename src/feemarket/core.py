@@ -22,7 +22,7 @@ import math
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, repeat
 from json import JSONDecodeError
 from operator import attrgetter, sub
@@ -125,7 +125,14 @@ Sensitivity = Union[Patient, Discount, Patience]
 PATIENT = Patient()
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    """Each field's slot setter, in field order, for a frozen slots
+    dataclass's own ``__init__``: the slot's member descriptor stores a
+    value without the frozen ``__setattr__``."""
+    return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction:
     """One transaction: arrival block, per-resource size, per-unit value.
 
@@ -141,12 +148,18 @@ class Transaction:
     unit_value: float
     sensitivity: Sensitivity = PATIENT
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        id: int,
+        arrival: int,
+        size: tuple[int, ...],
+        unit_value: float,
+        sensitivity: Sensitivity = PATIENT,
+    ) -> None:
         # Every check runs in C builtins; bool sizes pass, as ints.  A
         # positive int 1-tuple passes the first, direct comparisons alone.
-        size = self.size
-        if self.arrival < 1:
-            raise ValueError(f"tx {self.id}: arrival must be >= 1, got {self.arrival}")
+        if arrival < 1:
+            raise ValueError(f"tx {id}: arrival must be >= 1, got {arrival}")
         if not (type(size) is tuple and len(size) == 1 and type(size[0]) is int and size[0] > 0):
             if (
                 not isinstance(size, tuple)
@@ -155,12 +168,18 @@ class Transaction:
                 or min(size) < 0
             ):
                 raise ValueError(
-                    f"tx {self.id}: sizes must be nonnegative integer gas units, got {size}"
+                    f"tx {id}: sizes must be nonnegative integer gas units, got {size}"
                 )
             if max(size) <= 0:
-                raise ValueError(f"tx {self.id}: at least one size entry must be positive")
-        if not 0.0 <= self.unit_value < math.inf:
-            raise ValueError(f"tx {self.id}: unit value must be finite and >= 0")
+                raise ValueError(f"tx {id}: at least one size entry must be positive")
+        if not 0.0 <= unit_value < math.inf:
+            raise ValueError(f"tx {id}: unit value must be finite and >= 0")
+        set_id, set_arrival, set_size, set_unit_value, set_sensitivity = _TRANSACTION_SLOTS
+        set_id(self, id)
+        set_arrival(self, arrival)
+        set_size(self, size)
+        set_unit_value(self, unit_value)
+        set_sensitivity(self, sensitivity)
 
     @property
     def q(self) -> int:
@@ -176,6 +195,9 @@ class Transaction:
             return self.unit_value * (1.0 - sens.rho) ** (t - self.arrival)
         # Patience
         return self.unit_value if t <= self.arrival + sens.window else 0.0
+
+
+_TRANSACTION_SLOTS = _slot_setters(Transaction)
 
 
 class ArrivalGenerator(Protocol):
@@ -239,11 +261,20 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScheduleEntry:
     tx: int
     time: int
     fraction: float
+
+    def __init__(self, tx: int, time: int, fraction: float) -> None:
+        set_tx, set_time, set_fraction = _SCHEDULE_ENTRY_SLOTS
+        set_tx(self, tx)
+        set_time(self, time)
+        set_fraction(self, fraction)
+
+
+_SCHEDULE_ENTRY_SLOTS = _slot_setters(ScheduleEntry)
 
 
 @dataclass
@@ -266,7 +297,7 @@ class Schedule:
         return min(times), max(times)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BlockRecord:
     """Per-block trace row: posted log-prices, capacities, executions.
 
@@ -280,6 +311,28 @@ class BlockRecord:
     executed: tuple[tuple[int, float], ...]
     sizes: tuple[float, ...]
     cumulative_welfare: float
+
+    def __init__(
+        self,
+        time: int,
+        log_prices: tuple[float, ...],
+        capacities: tuple[float, ...],
+        executed: tuple[tuple[int, float], ...],
+        sizes: tuple[float, ...],
+        cumulative_welfare: float,
+    ) -> None:
+        set_time, set_prices, set_capacities, set_executed, set_sizes, set_welfare = (
+            _BLOCK_RECORD_SLOTS
+        )
+        set_time(self, time)
+        set_prices(self, log_prices)
+        set_capacities(self, capacities)
+        set_executed(self, executed)
+        set_sizes(self, sizes)
+        set_welfare(self, cumulative_welfare)
+
+
+_BLOCK_RECORD_SLOTS = _slot_setters(BlockRecord)
 
 
 @dataclass
@@ -532,16 +585,21 @@ def _band(D: list[float], cut: float) -> Iterator[tuple[int, int]]:
 
 
 def _block_prefix_sums(
-    schedule: Schedule, scenario: Scenario, B: float | Iterable[float]
+    schedule: Schedule,
+    scenario: Scenario,
+    B: float | Iterable[float],
+    sizes: dict[int, tuple[float, ...]] | None = None,
 ) -> tuple[int, list[tuple[float, list[float]]]]:
     """(first block of the support, per resource j the pair (B_j, P)), where
-    P[i] is the total size of the support's first i blocks, P[0] = 0."""
+    P[i] is the total size of the support's first i blocks, P[0] = 0.
+    ``sizes`` is the schedule's ``block_sizes``, built here if not given."""
     targets = _per_resource(B, scenario.m)
     if len(targets) != scenario.m:
         raise ValueError(f"expected {scenario.m} targets, got {len(targets)}")
     if not all(0.0 < b < math.inf for b in targets):
         raise ValueError(f"targets must be positive and finite, got {targets}")
-    sizes = block_sizes(schedule, scenario)
+    if sizes is None:
+        sizes = block_sizes(schedule, scenario)
     if not sizes:
         return 0, [(b, [0.0]) for b in targets]
     lo, hi = min(sizes), max(sizes)
@@ -641,19 +699,30 @@ def check_avg_block_size(
 
 
 def measured_slackness(
-    schedule: Schedule, scenario: Scenario, B: float | Iterable[float]
+    schedule: Schedule,
+    scenario: Scenario,
+    B: float | Iterable[float],
+    *,
+    sizes: dict[int, tuple[float, ...]] | None = None,
 ) -> float:
     """Smallest constant slackness the schedule satisfies: max over windows of
-    (window total / B_j) - k."""
-    return _max_slackness(_block_prefix_sums(schedule, scenario, B)[1])
+    (window total / B_j) - k.  A caller that holds the schedule's
+    ``block_sizes`` passes them as ``sizes``."""
+    return _max_slackness(_block_prefix_sums(schedule, scenario, B, sizes)[1])
 
 
-def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
-    """Component-wise maximum block size over all times."""
-    sizes = block_sizes(schedule, scenario).values()
-    if not sizes:
+def max_block_size(
+    schedule: Schedule,
+    scenario: Scenario,
+    *,
+    sizes: dict[int, tuple[float, ...]] | None = None,
+) -> tuple[float, ...]:
+    """Component-wise maximum block size over all times.  A caller that
+    holds the schedule's ``block_sizes`` passes them as ``sizes``."""
+    rows = (block_sizes(schedule, scenario) if sizes is None else sizes).values()
+    if not rows:
         return (0.0,) * scenario.m
-    return tuple(max(row[j] for row in sizes) for j in range(scenario.m))
+    return tuple(max(row[j] for row in rows) for j in range(scenario.m))
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +855,8 @@ def scenario_to_jsonl(scenario: Scenario) -> str:
 
 def scenario_from_jsonl(text: str) -> Scenario:
     """Parse ``scenario_to_jsonl`` output.  Blank lines are skipped but
-    counted, so an error names the line of the text it comes from."""
+    counted, so an error names the line of the text it comes from.  Every
+    event's size has the header's ``m`` entries."""
     rows = enumerate(text.splitlines(), start=1)
     for no, ln in rows:
         if ln.strip():
@@ -802,6 +872,8 @@ def scenario_from_jsonl(text: str) -> Scenario:
         capacities = tuple(_number(b, "B") for b in header["B"])
         m = _integer(header["m"], "m")
         seed = _integer(header["seed"], "seed")
+        if m != len(capacities):
+            raise ScenarioError(f"line {no}: header resource count does not match capacities")
     except JSONDecodeError as exc:
         raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
     except (ValueError, TypeError, OverflowError) as exc:
@@ -815,8 +887,10 @@ def scenario_from_jsonl(text: str) -> Scenario:
             if hit is not None:
                 t, i, q, v = hit.groups()
                 # Converted in line order, as json.loads would.
-                t = int(t)
-                append(Transaction(int(i), t, (int(q),), float(v), PATIENT))
+                t, i, q = int(t), int(i), int(q)
+                if m != 1:
+                    raise ValueError(f"tx {i}: size has 1 resources, scenario has {m}")
+                append(Transaction(i, t, (q,), float(v), PATIENT))
                 continue
             if not ln.strip():
                 continue
@@ -827,6 +901,8 @@ def scenario_from_jsonl(text: str) -> Scenario:
                 raise ValueError(
                     f"t, id and q must be integers, got t={t!r}, id={i!r}, q={q!r}"
                 )
+            if len(size) != m:
+                raise ValueError(f"tx {ii}: size has {len(size)} resources, scenario has {m}")
             sens = obj.get("sens", _PATIENT_JSON)
             append(
                 Transaction(
@@ -842,8 +918,6 @@ def scenario_from_jsonl(text: str) -> Scenario:
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
     scn = Scenario(capacities=capacities, transactions=txs, seed=seed)
-    if scn.m != m:
-        raise ScenarioError("header resource count does not match capacities")
     scn.index()  # validates id uniqueness
     return scn
 

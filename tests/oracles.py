@@ -445,6 +445,10 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
                 seed = _reference_integer(obj["seed"], "seed")
             except (ValueError, TypeError, OverflowError) as exc:
                 raise ScenarioError(f"line {header_no}: bad header ({exc})") from exc
+            if m != len(capacities):
+                raise ScenarioError(
+                    f"line {header_no}: header resource count does not match capacities"
+                )
             continue
         try:
             i, t, q = obj["id"], obj["t"], obj["q"]
@@ -453,6 +457,8 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
                 raise ValueError(
                     f"t, id and q must be integers, got t={t!r}, id={i!r}, q={q!r}"
                 )
+            if len(size) != m:
+                raise ValueError(f"tx {ii}: size has {len(size)} resources, scenario has {m}")
             txs.append(
                 Transaction(
                     id=ii,
@@ -467,8 +473,6 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
     if header is None:
         raise ScenarioError("line 1: missing scenario header")
     scn = Scenario(capacities=capacities, transactions=txs, seed=seed)
-    if scn.m != m:
-        raise ScenarioError("header resource count does not match capacities")
     scn.index()
     return scn
 

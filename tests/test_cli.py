@@ -1,5 +1,6 @@
 """CLI: exit codes, file formats, determinism of outputs."""
 
+import gc
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from feemarket import MechanismParams, Scenario, Transaction
+from feemarket import cli
 from feemarket.cli import BUILTINS, main, theorem_params
 from feemarket.core import scenario_to_jsonl
 from feemarket.adversary import SeededRandom, policy_to_config
@@ -230,6 +232,17 @@ def test_run_bad_scenario_line_exit_2(tmp_path, mech_file, text, line, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: line {line}: ")
+
+
+def test_verify_event_size_not_matching_m_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5, 7], "v": 2.0}\n')
+    sched = tmp_path / "sched.json"
+    sched.write_text('{"integral": true, "entries": []}')
+    assert main(_verify_args(bad, sched)) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: bad event record (tx 0: size has 2 resources, scenario has 1)\n"
+    )
 
 
 def test_run_nan_tip_policy_exit_2(tmp_path, scenario_file, mech_file, capsys):
@@ -693,3 +706,84 @@ def test_overloaded_run_bytes_pinned(tmp_path, policy, capsys):
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in OVERLOADED_RUN_DIGESTS[policy]}
     assert digests == OVERLOADED_RUN_DIGESTS[policy]
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state the test found."""
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("outcome", [0, 1, 2, "raise"])
+def test_main_pauses_and_restores_collector(collecting, outcome, collector, monkeypatch, capsys):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if outcome == "raise":
+            raise RuntimeError("boom")
+        if outcome == 2:
+            raise cli.FeeMarketError("bad input")
+        return outcome
+
+    monkeypatch.setattr(cli, "cmd_suite", command)
+    gc.enable() if collecting else gc.disable()
+    argv = ["suite", "--name", "theorems", "--seeds", "0"]
+    if outcome == "raise":
+        with pytest.raises(RuntimeError, match="boom"):
+            main(argv)
+    else:
+        assert main(argv) == outcome
+    assert seen == [False]
+    assert gc.isenabled() is collecting
+
+
+def test_main_restores_collector_after_real_commands(tmp_path, scenario_file, collector, capsys):
+    gc.enable()
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"integral": true, "entries": []}')
+    assert main(["suite", "--name", "theorems", "--seeds", "0"]) == 0
+    assert gc.isenabled()
+    assert main(_verify_args(scenario_file, empty, gamma="0")) == 1
+    assert gc.isenabled()
+    assert main(_verify_args(scenario_file, empty, horizon="0")) == 2
+    assert gc.isenabled()
+    gc.disable()
+    assert main(_verify_args(scenario_file, empty, gamma="0")) == 1
+    assert not gc.isenabled()
+
+
+def test_cyclic_garbage_does_not_grow_with_input(tmp_path, collector, capsys):
+    """With the collector off, run and verify leave the same cyclic garbage
+    (argparse's parser) on 200 and on 2,000 transactions: the records they
+    build per transaction form no cycles, so pausing the collector while a
+    command runs costs no memory that grows with the input."""
+    params = theorem_params()
+    (tmp_path / "mech.json").write_text(json.dumps(params_to_config(params)))
+
+    def garbage(horizon):
+        scn = random_family(
+            seed=1, horizon=horizon, value_range=(math.exp(params.eta), 1e6), q_max=100,
+            load_factor=2.5, B=100, eta=params.eta,
+        )
+        path = tmp_path / f"scenario{horizon}.jsonl"
+        path.write_text(scenario_to_jsonl(scn))
+        out = tmp_path / f"out{horizon}"
+        gc.collect()
+        assert main(["run", "--scenario", str(path), "--mechanism", str(tmp_path / "mech.json"),
+                     "--horizon", str(2 * horizon), "--out", str(out)]) == 0
+        assert main(_verify_args(path, out / "schedule.json", horizon=str(horizon),
+                                 gamma=str(horizon))) in (0, 1)
+        return len(scn.transactions), gc.collect()
+
+    gc.disable()
+    garbage(40)  # first calls fill caches, once
+    (small, small_garbage), (large, large_garbage) = garbage(40), garbage(400)
+    assert (small, large) == (200, 2000)
+    assert small_garbage == large_garbage

@@ -1,5 +1,6 @@
 """Core accounting: welfare, threshold quantities, size verifiers, serialization."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from feemarket import (
+    PATIENT,
+    BlockRecord,
     Discount,
     InvalidScheduleError,
     Patience,
@@ -103,6 +106,59 @@ class TestTransaction:
     def test_bool_sizes_accepted(self):
         assert Transaction(id=7, arrival=1, size=(True, False), unit_value=0.0).size == (True, False)
         assert Transaction(id=7, arrival=1, size=(True,), unit_value=0.0).size == (True,)
+
+
+# One instance of each frozen record: its field values in field order, and
+# a second valid value for each field.
+RECORDS = [
+    (Transaction, (7, 2, (5, 3), 1.5, Discount(rho=0.25)), (8, 3, (5, 4), 2.5, PATIENT)),
+    (ScheduleEntry, (7, 3, 0.5), (8, 4, 1.0)),
+    (
+        BlockRecord,
+        (3, (0.5,), (100.0,), ((7, 1.0),), (5.0,), 7.5),
+        (4, (0.25,), (50.0,), (), (0.0,), 0.0),
+    ),
+]
+
+
+class TestRecords:
+    """Transaction, ScheduleEntry and BlockRecord store their fields through
+    their slots; they must behave as the generated dataclass methods would."""
+
+    @pytest.mark.parametrize("cls,values,others", RECORDS)
+    def test_fields_are_frozen(self, cls, values, others):
+        record = cls(*values)
+        for f, other in zip(dataclasses.fields(cls), others):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, other)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+        assert tuple(getattr(record, f.name) for f in dataclasses.fields(cls)) == values
+
+    @pytest.mark.parametrize("cls,values,others", RECORDS)
+    def test_eq_hash_and_repr_are_field_wise(self, cls, values, others):
+        names = [f.name for f in dataclasses.fields(cls)]
+        record = cls(*values)
+        same = cls(**dict(zip(names, values)))
+        assert record == same and hash(record) == hash(same) == hash(values)
+        assert record != values
+        assert repr(record) == (
+            f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+        )
+        for name, other in zip(names, others):
+            assert record != dataclasses.replace(record, **{name: other})
+
+    def test_replace_runs_the_checks(self):
+        t = Transaction(7, 2, (5,), 1.5)
+        assert dataclasses.replace(t, arrival=4) == Transaction(7, 4, (5,), 1.5)
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(t, arrival=0)
+        assert str(exc.value) == "tx 7: arrival must be >= 1, got 0"
+
+    def test_sensitivity_defaults_to_patient(self):
+        assert dataclasses.fields(Transaction)[4].default is PATIENT
+        assert Transaction(7, 2, (5,), 1.5).sensitivity is PATIENT
+        assert Transaction(id=7, arrival=2, size=(5,), unit_value=1.5).sensitivity is PATIENT
 
 
 class TestWelfare:
@@ -451,6 +507,35 @@ class TestSerialization:
         text = '{"m": 1, "B": [100.0], "seed": 0}\n\n' + line + "\n"
         with pytest.raises(ScenarioError, match=f"^line 3: bad event record .*{match}"):
             scenario_from_jsonl(text)
+
+    @pytest.mark.parametrize("text,message", [
+        # the writer's one-resource template line under a two-resource header
+        (
+            '{"m": 2, "B": [100.0, 50.0], "seed": 0}\n\n'
+            '{"t": 1, "id": 4, "q": [5], "v": 2.5, "sens": {"kind": "patient"}}\n',
+            "line 3: bad event record (tx 4: size has 1 resources, scenario has 2)",
+        ),
+        # a line read through json.loads, after a good one
+        (
+            '{"m": 1, "B": [100.0], "seed": 0}\n'
+            '{"t": 1, "id": 0, "q": [5], "v": 2.5, "sens": {"kind": "patient"}}\n'
+            '{"t": 1, "id": 1, "q": [5, 7], "v": 2.5}\n',
+            "line 3: bad event record (tx 1: size has 2 resources, scenario has 1)",
+        ),
+        (
+            '{"m": 2, "B": [100.0, 50.0], "seed": 0}\n'
+            '{"t": 1, "id": 0, "q": [5, 7, 1], "v": 2.5, "sens": {"kind": "patient"}}\n',
+            "line 2: bad event record (tx 0: size has 3 resources, scenario has 2)",
+        ),
+        (
+            '\n{"m": 2, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": 2.5}\n',
+            "line 2: header resource count does not match capacities",
+        ),
+    ])
+    def test_event_size_must_match_header(self, text, message):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_jsonl(text)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("header,match", [
         ("[1, 2]", "expected header"),
