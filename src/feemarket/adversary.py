@@ -14,13 +14,15 @@ platforms and runs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter, le
 from typing import Mapping, Sequence, Union
 
-from .core import Transaction, _known_keys, _number
+from .core import LOG_EPS, Patient, Transaction, _known_keys, _number
 
 __all__ = [
     "PRNG_NAME",
@@ -116,21 +118,15 @@ def _ln(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _pool_key(txn: Transaction, descending: bool) -> tuple[float, float, int]:
-    """The key of a pool entry ``(*key, q, txn)``: (ln v, v, id), or
-    (-ln v, -v, id) under ``ValueDescending``.  ln is non-decreasing, so
-    this is the policy's own (v, id) order (descending v, ties in ascending
-    id), also where adjacent values share one ln."""
-    return _pool_entry(txn, descending, None)[:3]
-
-
-def _pool_entry(
-    txn: Transaction, descending: bool, tips: Mapping[int, float] | None
-) -> tuple:
-    """A pool entry ``(*_pool_key, q, txn)``.  Under ``TipPriority``
-    (``tips`` not None) it also carries the tip order's key ``(-tip, id)``,
-    so that each block sorts by a field instead of calling a key function.
-    The key is computed here, not by a call: this runs once per arrival."""
+def _pool_entry(txn: Transaction, descending: bool, tips: Mapping[int, float] | None) -> tuple:
+    """A pool entry ``(ln v, v, id, q, txn)``, or ``(-ln v, -v, id, q, txn)``
+    under ``ValueDescending``.  Its first three fields are the pool key: ln
+    is non-decreasing, so the key sorts into the policy's own (v, id) order
+    (descending v, ties in ascending id), also where adjacent values share
+    one ln.  Under ``TipPriority`` (``tips`` not None) the entry also
+    carries the tip order's key ``(-tip, id)``, so that each block sorts by
+    a field instead of calling a key function.  The key is computed here,
+    not by a call: this runs once per arrival."""
     v = txn.unit_value
     lnv = math.log(v) if v > 0.0 else -math.inf
     i = txn.id
@@ -170,13 +166,13 @@ def _assemble(
 ) -> list[tuple]:
     """The one fill pass: the admitted pool entries, in admission order.
 
-    ``runs`` are ranges ``(entries, lo, hi)`` of entries in ``_pool_key``
-    order, the order both value policies admit in.  The value policies
-    merge the runs by a heap on their heads; every entry of a run has one
-    size, so a run leaves the merge once its head does not fit: its later
-    entries have the same size and residuals only shrink.  Otherwise the
-    runs are concatenated; the tip order re-sorts them by the entries' own
-    (-tip, id) field, the random order by id, then shuffles.
+    ``runs`` are ranges ``(entries, lo, hi)`` of entries in pool-key order
+    (``_pool_entry``), the order both value policies admit in.  The value
+    policies merge the runs by a heap on their heads; every entry of a run
+    has one size, so a run leaves the merge once its head does not fit: its
+    later entries have the same size and residuals only shrink.  Otherwise
+    the runs are concatenated; the tip order re-sorts them by the entries'
+    own (-tip, id) field, the random order by id, then shuffles.
     """
     if isinstance(policy, (ValueAscending, ValueDescending)):
         if len(capacity) == 1:
@@ -216,7 +212,7 @@ def _merge_fill(
     runs: list[tuple[list[tuple], int, int]], capacity: Sequence[float]
 ) -> list[tuple]:
     """The several-resource value-order pass of ``_assemble``: it visits the
-    runs' entries in ``_pool_key`` order, as one scan of their union would,
+    runs' entries in pool-key order, as one scan of their union would,
     but only the entries it admits and one more per run."""
     residual = [float(c) for c in capacity]
     chosen: list[tuple] = []
@@ -286,6 +282,177 @@ def _merge_fill_one(runs: list[tuple[list[tuple], int, int]], residual: float) -
     return chosen
 
 
+def _eligibility_bar(prices: Sequence[float], size: Sequence[int]) -> float:
+    """The posted cost of a bundle less the eligibility tolerance: a
+    several-resource transaction is eligible iff v * q_0 reaches it."""
+    cost = 0.0
+    for p, q in zip(prices, size):
+        cost += p * q
+    return cost * (1.0 - LOG_EPS)
+
+
+class _Pool:
+    """The pending pool of a price-posting run: its transactions, kept so
+    that each block finds its eligible ones without a scan.  ``block`` runs
+    one block of it.
+
+    ``groups`` keeps one list of entries (``_pool_entry``) per size, in
+    pool-key order, the order ``_assemble`` takes each run of eligible
+    entries in; entries join and leave per group and an emptied group is
+    deleted.  The eligibility test is monotone in v, so a group's eligible
+    entries are a suffix, or a prefix under ValueDescending, found by
+    bisection.  On one resource the test is ln v >= ln p - LOG_EPS for every
+    size, and ``best`` holds each group's most eligible entry (its last, or
+    its first under ValueDescending) in pool-key order: one bisection of
+    ``best`` finds the groups that hold eligible entries, and only those are
+    visited.  On several, each block prices each size once and tests
+    v * q_0 >= cost * (1 - LOG_EPS) (``_eligibility_bar``).  With discounted
+    eligibility (``aware``), an entry whose value can decay waits in
+    ``decaying`` instead, is tested every block and, if eligible, joins the
+    block's runs as a run of its own.  It is dropped once it fails the test
+    at the floor prices (``log_floors``), the least that can be posted:
+    values never rise and no posted log-price is below its floor.
+
+    Cost: a value-order block merges the eligible ranges by a heap, dropping
+    a size once its head does not fit, and on one resource admits from the
+    last size left by a plain loop, so it costs O((G + admitted) log G) for
+    the G sizes it visits: Python code runs per admitted transaction and per
+    visited size, not per eligible one.  The tip order sorts the eligible
+    entries by the ``(-tip, id)`` key each carries from its arrival, and the
+    random order sorts them by id and shuffles them; on one resource their
+    pass is ``_first_fit``, which runs Python code only per admission, and
+    on several it scans until the block fills, one C-level fit test per
+    entry.  A size's arrivals that all sort after its pooled entries are
+    appended in one step; a size's admitted entries leave by one slice where
+    they are one contiguous range of it, as under the value orders they
+    always are, and by bisection one at a time otherwise; ``best`` changes
+    at most once per size and block.  The transactions in ``decaying`` are
+    tested one by one every block.
+
+    Entries compare by their key, so the ids in one pool must be distinct.
+    """
+
+    def __init__(
+        self, policy: InclusionPolicy, caps: Sequence[float], aware: bool, log_floors: list[float]
+    ) -> None:
+        self.policy, self.caps, self.aware = policy, caps, aware
+        self.groups: dict[tuple[int, ...], list[tuple]] = {}
+        self.best: list[tuple] = []
+        self.decaying: dict[int, tuple] = {}
+        self.dead_below = log_floors[0] - LOG_EPS
+        self.floor_prices = [math.exp(f) for f in log_floors]
+        self.descending = isinstance(policy, ValueDescending)
+        self.tips = policy.tips if isinstance(policy, TipPriority) else None
+
+    def block(
+        self,
+        t: int,
+        arrivals: Sequence[Transaction],
+        log_prices: Sequence[float],
+        rng: SplitMix64 | None,
+    ) -> list[Transaction]:
+        """Block t: ``arrivals`` join the pool, the entries eligible at
+        ``log_prices`` fill the block (``_assemble``) and leave the pool.
+        Returns the admitted transactions in admission order."""
+        groups, best, decaying = self.groups, self.best, self.decaying
+        descending, aware = self.descending, self.aware
+        m = len(log_prices)
+        end = 0 if descending else -1
+
+        # Arrivals join the pool per size group: a group's arrivals, sorted,
+        # are appended in one step when they all sort after its last entry,
+        # as a same-valued generator batch usually does, and bisected in
+        # otherwise.  ``best`` changes at most once per group.
+        arriving: dict[tuple[int, ...], list[tuple]] = {}
+        for entry in map(_pool_entry, arrivals, repeat(descending), repeat(self.tips)):
+            if aware and type(entry[4].sensitivity) is not Patient:
+                decaying[entry[2]] = entry
+            else:
+                arriving.setdefault(entry[4].size, []).append(entry)
+        for size, chunk in arriving.items():
+            group = groups.setdefault(size, [])
+            head = group[end] if group else None
+            chunk.sort()
+            if group and chunk[0] < group[-1]:
+                for entry in chunk:
+                    insort(group, entry)
+            else:
+                group += chunk
+            if m == 1 and group[end] is not head:
+                if head is not None:
+                    del best[bisect_left(best, head)]
+                insort(best, group[end])
+
+        dead = []
+        runs = []
+        if m == 1:
+            floor = log_prices[0] - LOG_EPS
+            if descending:
+                cut = (-floor, math.inf)
+                for head in best[: bisect_left(best, cut)]:
+                    group = groups[head[4].size]
+                    runs.append((group, 0, bisect_left(group, cut)))
+            else:
+                cut = (floor,)
+                for head in best[bisect_left(best, cut) :]:
+                    group = groups[head[4].size]
+                    runs.append((group, bisect_left(group, cut), len(group)))
+            for entry in decaying.values():
+                lnv = _ln(entry[4].value_at(t))
+                if lnv >= floor:
+                    runs.append(([entry], 0, 1))
+                elif lnv < self.dead_below:
+                    dead.append(entry[2])
+        else:
+            prices = [math.exp(lp) for lp in log_prices]
+            for size, group in groups.items():
+                q0, bar = size[0], _eligibility_bar(prices, size)
+                if descending:
+                    hi = bisect_left(group, True, key=lambda e: e[4].unit_value * q0 < bar)
+                    runs.append((group, 0, hi))
+                else:
+                    lo = bisect_left(group, True, key=lambda e: e[4].unit_value * q0 >= bar)
+                    runs.append((group, lo, len(group)))
+            for entry in decaying.values():
+                txn = entry[4]
+                size = txn.size
+                value = txn.value_at(t) * size[0]
+                if value >= _eligibility_bar(prices, size):
+                    runs.append(([entry], 0, 1))
+                elif value < _eligibility_bar(self.floor_prices, size):
+                    dead.append(entry[2])
+        for i in dead:
+            del decaying[i]
+        admitted = _assemble(runs, self.caps, self.policy, rng)
+
+        # Admitted entries leave per size group.  Under the value orders a
+        # group's admitted entries are one contiguous range of it, in pool
+        # order, and leave by one slice; otherwise each leaves by bisection.
+        # ``best`` changes at most once per group.
+        taken: dict[tuple[int, ...], list[tuple]] = {}
+        for entry in admitted:
+            if decaying and decaying.pop(entry[2], None) is not None:
+                continue
+            taken.setdefault(entry[4].size, []).append(entry)
+        for size, chunk in taken.items():
+            group = groups[size]
+            head = group[end]
+            i = bisect_left(group, chunk[0])
+            k = len(chunk)
+            if group[i : i + k] == chunk:
+                del group[i : i + k]
+            else:
+                for entry in chunk:
+                    del group[bisect_left(group, entry)]
+            if m == 1 and (not group or group[end] is not head):
+                del best[bisect_left(best, head)]
+                if group:
+                    insort(best, group[end])
+            if not group:
+                del groups[size]
+        return [e[4] for e in admitted]
+
+
 def select_block(
     eligible: Sequence[Transaction],
     capacity: Sequence[float],
@@ -300,41 +467,28 @@ def select_block(
     alone is maximal.  Transactions larger than the full capacity are skipped
     silently (they stay pending).  Returns admitted ids in admission order.
     Raises ValueError if any eligible transaction's resource count differs
-    from the capacity's.
+    from the capacity's, or if an id repeats: the returned ids could not say
+    which copy was admitted.
 
     Every transaction has a positive integer size on some resource, so once
     every residual drops below 1 the block is full and scanning stops.
 
-    Cost: the eligible transactions become pool entries sorted by
-    ``_pool_key``, and ``_assemble`` runs the pass on them, as the
-    price-posting engine does for every block on its own pool entries.  The
-    value orders split the entries into one run per size and merge the runs
-    by a heap, so after the sort the pass costs O((G + admitted) log G) for
-    G distinct sizes, on any number of resources.  The tip order sorts by
-    the (-tip, id) key each entry carries from its construction, the random
-    order by id before its shuffle.  With one resource their pass is
-    ``_first_fit``, which runs Python code only per admitted transaction;
-    with several it scans in Python until the block fills, one C-level fit
-    test per transaction.  The resource-count check runs in C.
+    Cost: the eligible transactions join a fresh ``_Pool`` and fill one
+    block of it at price zero, where every one is eligible, as the
+    price-posting engine fills each block from its own pool; ``_Pool`` gives
+    the cost of the pass.  The two input checks run in C.
     """
     m = len(capacity)
+    if m == 0:
+        raise ValueError("capacity must have at least one resource")
     if set(map(len, map(attrgetter("size"), eligible))) - {m}:
         bad = next(t for t in eligible if len(t.size) != m)
         raise ValueError(f"tx {bad.id} has {len(bad.size)} resources, capacity has {m}")
-    descending = isinstance(policy, ValueDescending)
-    tips = policy.tips if isinstance(policy, TipPriority) else None
-    entries = [_pool_entry(t, descending, tips) for t in eligible]
-    entries.sort(key=itemgetter(0, 1, 2))  # a repeated id keeps its input order
-    if isinstance(policy, (ValueAscending, ValueDescending)):
-        # The merge orders runs' heads by the first three key fields, so the
-        # sorted rank takes the id's place there: repeated ids stay in order.
-        groups: dict[tuple[int, ...], list[tuple]] = {}
-        for rank, (a, b, _, q, txn) in enumerate(entries):
-            groups.setdefault(txn.size, []).append((a, b, rank, q, txn))
-        runs = [(group, 0, len(group)) for group in groups.values()]
-    else:
-        runs = [(entries, 0, len(entries))]
-    return [e[4].id for e in _assemble(runs, capacity, policy, rng)]
+    counts = Counter(map(attrgetter("id"), eligible))
+    if len(counts) != len(eligible):
+        raise ValueError(f"duplicate transaction id {max(counts, key=counts.get)}")
+    pool = _Pool(policy, capacity, False, [0.0] * m)
+    return [t.id for t in pool.block(1, eligible, [-math.inf] * m, rng)]
 
 
 # ---------------------------------------------------------------------------

@@ -359,12 +359,12 @@ def _summarize(result, params_list: Sequence[MechanismParams], horizon: int) -> 
     targets = [p.B for p in params_list]
     top = max((t.unit_value for t in scn.transactions), default=-math.inf)
     bound = max(mechanisms.theorem_slackness(p, max(top, p.p_1)) for p in params_list)
-    sizes = core.block_sizes(result.schedule, scn)
-    measured = core.measured_slackness(result.schedule, scn, targets, sizes=sizes)
+    measured = core.measured_slackness(result.schedule, scn, targets)
     return {
         "blocks": horizon,
         "welfare": sw,
-        "max_block": max(core.max_block_size(result.schedule, scn, sizes=sizes)),
+        # A record's sizes are the schedule's block sizes, summed alike.
+        "max_block": max(max(r.sizes) for r in result.trace.records),
         "slackness_measured": measured,
         "slackness_bound": bound,
         "slackness_ok": measured <= bound * (1 + 1e-9),

@@ -156,8 +156,11 @@ class Transaction:
         unit_value: float,
         sensitivity: Sensitivity = PATIENT,
     ) -> None:
-        # Every check runs in C builtins; bool sizes pass, as ints.  A
-        # positive int 1-tuple passes the first, direct comparisons alone.
+        # Every check runs in C builtins; bool sizes and arrivals pass, as
+        # ints.  A positive int 1-tuple passes the first, direct comparisons
+        # alone.
+        if type(arrival) is not int and not isinstance(arrival, int):
+            raise ValueError(f"tx {id}: arrival must be an integer, got {arrival!r}")
         if arrival < 1:
             raise ValueError(f"tx {id}: arrival must be >= 1, got {arrival}")
         if not (type(size) is tuple and len(size) == 1 and type(size[0]) is int and size[0] > 0):
@@ -174,6 +177,8 @@ class Transaction:
                 raise ValueError(f"tx {id}: at least one size entry must be positive")
         if not 0.0 <= unit_value < math.inf:
             raise ValueError(f"tx {id}: unit value must be finite and >= 0")
+        if type(unit_value) is bool:
+            raise ValueError(f"tx {id}: unit value must be a number, got {unit_value}")
         set_id, set_arrival, set_size, set_unit_value, set_sensitivity = _TRANSACTION_SLOTS
         set_id(self, id)
         set_arrival(self, arrival)
@@ -239,10 +244,17 @@ class Scenario:
         return len(self.capacities)
 
     def index(self) -> dict[int, Transaction]:
-        """id -> transaction map over the (realized) static stream."""
+        """id -> transaction map over the (realized) static stream.  Raises
+        ScenarioError on a repeated id or on a size whose resource count is
+        not the scenario's."""
         if self._index is None or len(self._index) != len(self.transactions):
+            m = len(self.capacities)
             idx: dict[int, Transaction] = {}
             for t_ in self.transactions:
+                if len(t_.size) != m:
+                    raise ScenarioError(
+                        f"tx {t_.id}: size has {len(t_.size)} resources, scenario has {m}"
+                    )
                 if t_.id in idx:
                     raise ScenarioError(f"duplicate transaction id {t_.id}")
                 idx[t_.id] = t_
@@ -585,21 +597,16 @@ def _band(D: list[float], cut: float) -> Iterator[tuple[int, int]]:
 
 
 def _block_prefix_sums(
-    schedule: Schedule,
-    scenario: Scenario,
-    B: float | Iterable[float],
-    sizes: dict[int, tuple[float, ...]] | None = None,
+    schedule: Schedule, scenario: Scenario, B: float | Iterable[float]
 ) -> tuple[int, list[tuple[float, list[float]]]]:
     """(first block of the support, per resource j the pair (B_j, P)), where
-    P[i] is the total size of the support's first i blocks, P[0] = 0.
-    ``sizes`` is the schedule's ``block_sizes``, built here if not given."""
+    P[i] is the total size of the support's first i blocks, P[0] = 0."""
     targets = _per_resource(B, scenario.m)
     if len(targets) != scenario.m:
         raise ValueError(f"expected {scenario.m} targets, got {len(targets)}")
     if not all(0.0 < b < math.inf for b in targets):
         raise ValueError(f"targets must be positive and finite, got {targets}")
-    if sizes is None:
-        sizes = block_sizes(schedule, scenario)
+    sizes = block_sizes(schedule, scenario)
     if not sizes:
         return 0, [(b, [0.0]) for b in targets]
     lo, hi = min(sizes), max(sizes)
@@ -699,30 +706,19 @@ def check_avg_block_size(
 
 
 def measured_slackness(
-    schedule: Schedule,
-    scenario: Scenario,
-    B: float | Iterable[float],
-    *,
-    sizes: dict[int, tuple[float, ...]] | None = None,
+    schedule: Schedule, scenario: Scenario, B: float | Iterable[float]
 ) -> float:
     """Smallest constant slackness the schedule satisfies: max over windows of
-    (window total / B_j) - k.  A caller that holds the schedule's
-    ``block_sizes`` passes them as ``sizes``."""
-    return _max_slackness(_block_prefix_sums(schedule, scenario, B, sizes)[1])
+    (window total / B_j) - k."""
+    return _max_slackness(_block_prefix_sums(schedule, scenario, B)[1])
 
 
-def max_block_size(
-    schedule: Schedule,
-    scenario: Scenario,
-    *,
-    sizes: dict[int, tuple[float, ...]] | None = None,
-) -> tuple[float, ...]:
-    """Component-wise maximum block size over all times.  A caller that
-    holds the schedule's ``block_sizes`` passes them as ``sizes``."""
-    rows = (block_sizes(schedule, scenario) if sizes is None else sizes).values()
-    if not rows:
+def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
+    """Component-wise maximum block size over all times."""
+    sizes = block_sizes(schedule, scenario).values()
+    if not sizes:
         return (0.0,) * scenario.m
-    return tuple(max(row[j] for row in rows) for j in range(scenario.m))
+    return tuple(max(row[j] for row in sizes) for j in range(scenario.m))
 
 
 # ---------------------------------------------------------------------------
@@ -855,8 +851,10 @@ def scenario_to_jsonl(scenario: Scenario) -> str:
 
 def scenario_from_jsonl(text: str) -> Scenario:
     """Parse ``scenario_to_jsonl`` output.  Blank lines are skipped but
-    counted, so an error names the line of the text it comes from.  Every
-    event's size has the header's ``m`` entries."""
+    counted, so an error names the line of the text it comes from.  The
+    capacities are positive and finite, every event's size has the header's
+    ``m`` entries, and an id repeated on a later line is an error of that
+    line.  The id index built while reading becomes the scenario's own."""
     rows = enumerate(text.splitlines(), start=1)
     for no, ln in rows:
         if ln.strip():
@@ -874,13 +872,14 @@ def scenario_from_jsonl(text: str) -> Scenario:
         seed = _integer(header["seed"], "seed")
         if m != len(capacities):
             raise ScenarioError(f"line {no}: header resource count does not match capacities")
+        if not capacities or not all(0.0 < b < math.inf for b in capacities):
+            raise ValueError(f"capacities must be positive and finite, got {capacities}")
     except JSONDecodeError as exc:
         raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
     except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"line {no}: bad header ({exc})") from exc
     loads, template = json.loads, _TEMPLATE_EVENT
-    txs: list[Transaction] = []
-    append = txs.append
+    index: dict[int, Transaction] = {}  # in line order
     for no, ln in rows:
         try:
             hit = template(ln)
@@ -890,7 +889,10 @@ def scenario_from_jsonl(text: str) -> Scenario:
                 t, i, q = int(t), int(i), int(q)
                 if m != 1:
                     raise ValueError(f"tx {i}: size has 1 resources, scenario has {m}")
-                append(Transaction(i, t, (q,), float(v), PATIENT))
+                txn = Transaction(i, t, (q,), float(v), PATIENT)
+                if i in index:
+                    raise ValueError(f"duplicate transaction id {i}")
+                index[i] = txn
                 continue
             if not ln.strip():
                 continue
@@ -904,22 +906,23 @@ def scenario_from_jsonl(text: str) -> Scenario:
             if len(size) != m:
                 raise ValueError(f"tx {ii}: size has {len(size)} resources, scenario has {m}")
             sens = obj.get("sens", _PATIENT_JSON)
-            append(
-                Transaction(
-                    ii,
-                    tt,
-                    size,
-                    _number(obj["v"], "v"),
-                    PATIENT if sens == _PATIENT_JSON else _sens_from_json(sens),
-                )
+            txn = Transaction(
+                ii,
+                tt,
+                size,
+                _number(obj["v"], "v"),
+                PATIENT if sens == _PATIENT_JSON else _sens_from_json(sens),
             )
+            if ii in index:
+                raise ValueError(f"duplicate transaction id {ii}")
+            index[ii] = txn
         except JSONDecodeError as exc:
             raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
-    scn = Scenario(capacities=capacities, transactions=txs, seed=seed)
-    scn.index()  # validates id uniqueness
-    return scn
+    return Scenario(
+        capacities=capacities, transactions=list(index.values()), seed=seed, _index=index
+    )
 
 
 def schedule_to_json(schedule: Schedule) -> str:

@@ -25,23 +25,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Mapping, Sequence
 
-from .adversary import (
-    InclusionPolicy,
-    SeededRandom,
-    TipPriority,
-    ValueDescending,
-    _assemble,
-    _ln,
-    _pool_entry,
-    block_rng,
-)
+from .adversary import InclusionPolicy, SeededRandom, _ln, _Pool, block_rng
 from .core import (
-    LOG_EPS,
     BlockRecord,
     FeeMarketError,
     Patient,
@@ -184,15 +172,6 @@ def eip_next_price(params: MechanismParams, log_price: float, block_size: float)
     return max(math.log(params.p_min), log_price + drift)
 
 
-def _eligibility_bar(prices: Sequence[float], size: Sequence[int]) -> float:
-    """The posted cost of a bundle less the eligibility tolerance: a
-    several-resource transaction is eligible iff v * q_0 reaches it."""
-    cost = 0.0
-    for p, q in zip(prices, size):
-        cost += p * q
-    return cost * (1.0 - LOG_EPS)
-
-
 class _Run:
     """The run skeleton both online engines share; each engine keeps only
     its pool, its block choice and its posted price.
@@ -324,129 +303,12 @@ def _run_engine(
     if any(p.discounted_eligibility != aware for p in params_list):
         raise ValueError("discounted_eligibility differs between the resources' parameters")
 
-    # The pool: ``groups`` keeps one list of entries per size, in _pool_key
-    # order, the order _assemble takes each run of eligible entries in;
-    # entries join and leave per group (see below) and an emptied group is
-    # deleted.  An entry is (*_pool_key, q, txn), plus (-tip, id) under
-    # TipPriority.  The eligibility test is monotone in v, so a group's
-    # eligible entries are a suffix, or a prefix under ValueDescending,
-    # found by bisection.  On one resource the test is ln v >= ln p - LOG_EPS
-    # for every size, and ``best`` holds each group's most eligible entry
-    # (its last, or its first under ValueDescending) in _pool_key order: one
-    # bisection of ``best`` finds the groups that hold eligible entries, and
-    # only those are visited.  On several, each block prices each size once
-    # and tests v * q_0 >= cost * (1 - LOG_EPS).  With discounted
-    # eligibility, an entry whose value can decay waits in ``decaying``
-    # instead, is tested every block and, if eligible, joins the block's
-    # runs as a run of its own.  It is dropped once it fails the test at the
-    # floor prices, the least that can be posted: values never rise and no
-    # posted log-price is below ln p_min.
-    groups: dict[tuple[int, ...], list[tuple]] = {}
-    best: list[tuple] = []
-    decaying: dict[int, tuple] = {}
-    dead_below = math.log(params_list[0].p_min) - LOG_EPS
-    floor_prices = [math.exp(math.log(p.p_min)) for p in params_list]
-
-    descending = isinstance(policy, ValueDescending)
-    end = 0 if descending else -1
-    tips = policy.tips if isinstance(policy, TipPriority) else None
+    block = _Pool(policy, caps, aware, [math.log(p.p_min) for p in params_list]).block
     random_policy = isinstance(policy, SeededRandom)
-
     for t in range(1, horizon + 1):
-        # Arrivals join the pool per size group: a group's arrivals, sorted,
-        # are appended in one step when they all sort after its last entry,
-        # as a same-valued generator batch usually does, and bisected in
-        # otherwise.  ``best`` changes at most once per group.
-        arriving: dict[tuple[int, ...], list[tuple]] = {}
-        for entry in map(_pool_entry, run.at(t), repeat(descending), repeat(tips)):
-            if aware and type(entry[4].sensitivity) is not Patient:
-                decaying[entry[2]] = entry
-            else:
-                arriving.setdefault(entry[4].size, []).append(entry)
-        for size, chunk in arriving.items():
-            group = groups.setdefault(size, [])
-            head = group[end] if group else None
-            chunk.sort()
-            if group and chunk[0] < group[-1]:
-                for entry in chunk:
-                    insort(group, entry)
-            else:
-                group += chunk
-            if m == 1 and group[end] is not head:
-                if head is not None:
-                    del best[bisect_left(best, head)]
-                insort(best, group[end])
-
-        dead = []
-        runs = []
-        if m == 1:
-            floor = log_prices[0] - LOG_EPS
-            if descending:
-                cut = (-floor, math.inf)
-                for head in best[: bisect_left(best, cut)]:
-                    group = groups[head[4].size]
-                    runs.append((group, 0, bisect_left(group, cut)))
-            else:
-                cut = (floor,)
-                for head in best[bisect_left(best, cut) :]:
-                    group = groups[head[4].size]
-                    runs.append((group, bisect_left(group, cut), len(group)))
-            for entry in decaying.values():
-                lnv = _ln(entry[4].value_at(t))
-                if lnv >= floor:
-                    runs.append(([entry], 0, 1))
-                elif lnv < dead_below:
-                    dead.append(entry[2])
-        else:
-            prices = [math.exp(lp) for lp in log_prices]
-            for size, group in groups.items():
-                q0, bar = size[0], _eligibility_bar(prices, size)
-                if descending:
-                    hi = bisect_left(group, True, key=lambda e: e[4].unit_value * q0 < bar)
-                    runs.append((group, 0, hi))
-                else:
-                    lo = bisect_left(group, True, key=lambda e: e[4].unit_value * q0 >= bar)
-                    runs.append((group, lo, len(group)))
-            for entry in decaying.values():
-                txn = entry[4]
-                size = txn.size
-                value = txn.value_at(t) * size[0]
-                if value >= _eligibility_bar(prices, size):
-                    runs.append(([entry], 0, 1))
-                elif value < _eligibility_bar(floor_prices, size):
-                    dead.append(entry[2])
-        for i in dead:
-            del decaying[i]
         rng = block_rng(scenario.seed, t) if random_policy else None
-        admitted = _assemble(runs, caps, policy, rng)
-
-        # Executed entries leave per size group.  Under the value orders a
-        # group's admitted entries are one contiguous range of it, in pool
-        # order, and leave by one slice; otherwise each leaves by bisection.
-        # ``best`` changes at most once per group.
-        taken: dict[tuple[int, ...], list[tuple]] = {}
-        for entry in admitted:
-            if decaying and decaying.pop(entry[2], None) is not None:
-                continue
-            taken.setdefault(entry[4].size, []).append(entry)
-        for size, chunk in taken.items():
-            group = groups[size]
-            head = group[end]
-            i = bisect_left(group, chunk[0])
-            k = len(chunk)
-            if group[i : i + k] == chunk:
-                del group[i : i + k]
-            else:
-                for entry in chunk:
-                    del group[bisect_left(group, entry)]
-            if m == 1 and (not group or group[end] is not head):
-                del best[bisect_left(best, head)]
-                if group:
-                    insort(best, group[end])
-            if not group:
-                del groups[size]
-        sizes = run.close(t, log_prices, caps, [e[4] for e in admitted]).sizes
-        log_prices = tuple(map(eip_next_price, params_list, log_prices, sizes))
+        record = run.close(t, log_prices, caps, block(t, run.at(t), log_prices, rng))
+        log_prices = tuple(map(eip_next_price, params_list, log_prices, record.sizes))
 
     return run.result()
 
@@ -465,22 +327,8 @@ def run_price_based(
     updates from the realized block size.  The mechanism never terminates on
     its own; the caller supplies the horizon.
 
-    Cost: the pending pool is kept as one sorted list per size, and a sorted
-    list of each size's most eligible entry names the sizes that hold
-    eligible transactions, so a block visits only those.  A value-order
-    block merges their eligible ranges by a heap, dropping a size once its
-    head does not fit, and admits from the last size left by a plain loop:
-    Python code runs per admitted transaction and per visited size, not per
-    eligible one.  The pool changes per size: a size's arrivals that all
-    sort after its pooled entries are appended in one step, and a size's
-    executed entries leave by one slice where they are one contiguous range
-    of it, as under the value orders they always are; the list of best
-    entries changes at most once per size and block.  The tip order sorts
-    the eligible entries by the ``(-tip, id)`` key each entry carries from
-    its arrival, and the random order shuffles them; their executed entries
-    leave by bisection one at a time where they are not adjacent.  Under
-    ``discounted_eligibility`` the transactions whose value can decay are
-    tested one by one every block.
+    Cost: one ``adversary._Pool`` keeps the pending pool and builds every
+    block; its docstring gives the cost of a block.
     """
     if scenario.m != 1:
         raise ScenarioError("single-resource mechanism requires a 1-resource scenario")
@@ -501,14 +349,8 @@ def multi_resource_mechanism(
     this reduces exactly to the single-resource mechanism.  Every parameter
     set must agree on ``discounted_eligibility``.
 
-    Cost: the pending pool is kept per size vector, as on one resource (see
-    ``run_price_based``).  With several resources each block prices each of
-    the G distinct sizes once and bisects for its eligible entries, and a
-    value-order block is filled by a heap merge of those ranges, so a block
-    costs O((G + admitted) log G) besides the sort the tip and random orders
-    need; the tip order sorts by the ``(-tip, id)`` key each entry carries.
-    Under ``discounted_eligibility`` the transactions whose value can decay
-    are tested one by one every block.
+    Cost: as on one resource, one ``adversary._Pool`` keeps the pending pool
+    per size vector and builds every block; its docstring gives the cost.
     """
     return _run_engine(scenario, params_list, policy, horizon)
 

@@ -449,6 +449,11 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
                 raise ScenarioError(
                     f"line {header_no}: header resource count does not match capacities"
                 )
+            if not capacities or any(not math.isfinite(b) or b <= 0 for b in capacities):
+                raise ScenarioError(
+                    f"line {header_no}: bad header (capacities must be positive and"
+                    f" finite, got {capacities})"
+                )
             continue
         try:
             i, t, q = obj["id"], obj["t"], obj["q"]
@@ -459,22 +464,21 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
                 )
             if len(size) != m:
                 raise ValueError(f"tx {ii}: size has {len(size)} resources, scenario has {m}")
-            txs.append(
-                Transaction(
-                    id=ii,
-                    arrival=tt,
-                    size=size,
-                    unit_value=_reference_number(obj["v"], "v"),
-                    sensitivity=_reference_sens_from_json(obj.get("sens", {"kind": "patient"})),
-                )
+            txn = Transaction(
+                id=ii,
+                arrival=tt,
+                size=size,
+                unit_value=_reference_number(obj["v"], "v"),
+                sensitivity=_reference_sens_from_json(obj.get("sens", {"kind": "patient"})),
             )
+            if any(other.id == ii for other in txs):
+                raise ValueError(f"duplicate transaction id {ii}")
+            txs.append(txn)
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
     if header is None:
         raise ScenarioError("line 1: missing scenario header")
-    scn = Scenario(capacities=capacities, transactions=txs, seed=seed)
-    scn.index()
-    return scn
+    return Scenario(capacities=capacities, transactions=txs, seed=seed)
 
 
 def reference_schedule_from_json(text: str) -> Schedule:

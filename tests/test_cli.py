@@ -223,6 +223,11 @@ def test_run_malformed_scenario_exit_2(tmp_path, mech_file, capsys):
     ('{"m": 1, "B": [true], "seed": 0}\n', 1),
     ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": "1.5"}\n', 2),
     ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": true}\n', 2),
+    ('{"m": 1, "B": [-5.0], "seed": 0}\n', 1),
+    ('{"m": 1, "B": [NaN], "seed": 0}\n', 1),
+    ('{"m": 0, "B": [], "seed": 0}\n', 1),
+    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n\n'
+     '{"t": 2, "id": 0, "q": [5], "v": 2.0}\n', 4),
 ])
 def test_run_bad_scenario_line_exit_2(tmp_path, mech_file, text, line, capsys):
     bad = tmp_path / "bad.jsonl"
@@ -243,6 +248,26 @@ def test_verify_event_size_not_matching_m_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 2: bad event record (tx 0: size has 2 resources, scenario has 1)\n"
     )
+
+
+@pytest.mark.parametrize("text,message", [
+    (
+        '{"m": 1, "B": [-5.0], "seed": 0}\n',
+        "line 1: bad header (capacities must be positive and finite, got (-5.0,))",
+    ),
+    (
+        '{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n'
+        '{"t": 1, "id": 0, "q": [5], "v": 2.0}\n',
+        "line 3: bad event record (duplicate transaction id 0)",
+    ),
+])
+def test_verify_bad_scenario_names_its_line_exit_2(tmp_path, text, message, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text)
+    sched = tmp_path / "sched.json"
+    sched.write_text('{"integral": true, "entries": []}')
+    assert main(_verify_args(bad, sched)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_nan_tip_policy_exit_2(tmp_path, scenario_file, mech_file, capsys):

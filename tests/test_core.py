@@ -32,6 +32,7 @@ from feemarket import (
     welfare,
     welfare_via_threshold_integral,
 )
+from feemarket.benchmarks import opt_fractional
 from feemarket.core import (
     block_sizes,
     measured_slackness,
@@ -97,6 +98,13 @@ class TestTransaction:
         ({"size": [5]}, "tx 7: sizes must be nonnegative integer gas units, got [5]"),
         ({"size": (0,)}, "tx 7: at least one size entry must be positive"),
         ({"size": (-3,)}, "tx 7: sizes must be nonnegative integer gas units, got (-3,)"),
+        ({"unit_value": True}, "tx 7: unit value must be a number, got True"),
+        ({"unit_value": False}, "tx 7: unit value must be a number, got False"),
+        ({"arrival": 1.5}, "tx 7: arrival must be an integer, got 1.5"),
+        ({"arrival": 2.0}, "tx 7: arrival must be an integer, got 2.0"),
+        ({"arrival": 0.5}, "tx 7: arrival must be an integer, got 0.5"),
+        ({"arrival": "1"}, "tx 7: arrival must be an integer, got '1'"),
+        ({"arrival": -2}, "tx 7: arrival must be >= 1, got -2"),
     ])
     def test_rejection_messages(self, fields, message):
         with pytest.raises(ValueError) as exc:
@@ -394,6 +402,33 @@ class TestScheduleValidation:
         )
 
 
+class TestResourceCount:
+    """A library scenario whose transaction has another resource count than
+    the scenario is rejected by the id index every verifier reads through,
+    with the message the engine and the reader give."""
+
+    VERIFIERS = [
+        lambda s, scn: welfare(s, scn, 2),
+        lambda s, scn: check_avg_block_size(s, scn, 10.0, 0.0),
+        lambda s, scn: block_sizes(s, scn),
+    ]
+    # opt_fractional rejects a scenario of several resources by itself.
+    ONE_RESOURCE = [lambda s, scn: opt_fractional(scn, 10.0, 2), *VERIFIERS]
+
+    @pytest.mark.parametrize("verify,caps,size,other", [
+        *[(verify, (10.0,), (4, 7), (3,)) for verify in ONE_RESOURCE],
+        *[(verify, (10.0, 10.0), (4,), (3, 3)) for verify in VERIFIERS],
+    ])
+    def test_wrong_resource_count_rejected(self, verify, caps, size, other):
+        scn = Scenario(
+            capacities=caps,
+            transactions=[Transaction(0, 1, size, 2.0), Transaction(1, 1, other, 1.0)],
+        )
+        with pytest.raises(ScenarioError) as exc:
+            verify(full((0, 1), (1, 1)), scn)
+        assert str(exc.value) == f"tx 0: size has {len(size)} resources, scenario has {len(caps)}"
+
+
 class TestUnknownIds:
     """Every schedule verifier names the first unknown id among the entries
     it reads; an entry outside a verifier's time filter is never looked up."""
@@ -536,6 +571,34 @@ class TestSerialization:
         with pytest.raises(ScenarioError) as exc:
             scenario_from_jsonl(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("header,caps", [
+        ('{"m": 1, "B": [-5.0], "seed": 0}', "(-5.0,)"),
+        ('{"m": 1, "B": [NaN], "seed": 0}', "(nan,)"),
+        ('{"m": 2, "B": [100.0, 0], "seed": 0}', "(100.0, 0.0)"),
+        ('{"m": 0, "B": [], "seed": 0}', "()"),
+    ])
+    def test_bad_capacities_name_the_header_line(self, header, caps):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_jsonl("\n" + header + "\n")
+        assert str(exc.value) == (
+            f"line 2: bad header (capacities must be positive and finite, got {caps})"
+        )
+
+    @pytest.mark.parametrize("second", [
+        '{"t": 2, "id": 4, "q": [5], "v": 2.5, "sens": {"kind": "patient"}}',  # template
+        '{"t": 2, "id": 4, "q": [5], "v": 2.5}',  # read by json.loads
+    ])
+    def test_repeated_id_names_its_second_line(self, second):
+        text = (
+            '{"m": 1, "B": [100.0], "seed": 0}\n'
+            '{"t": 1, "id": 4, "q": [3], "v": 1.5, "sens": {"kind": "patient"}}\n'
+            '{"t": 1, "id": 5, "q": [3], "v": 1.5}\n\n' + second + "\n"
+            '{"t": 1, "id": 6, "q": "bad", "v": 1.5}\n'
+        )
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_jsonl(text)
+        assert str(exc.value) == "line 5: bad event record (duplicate transaction id 4)"
 
     @pytest.mark.parametrize("header,match", [
         ("[1, 2]", "expected header"),

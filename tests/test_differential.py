@@ -34,7 +34,7 @@ from feemarket import (
     welfare_via_threshold_integral,
 )
 from feemarket import core
-from feemarket.adversary import SeededRandom, _pool_key, block_rng, select_block
+from feemarket.adversary import SeededRandom, _pool_entry, block_rng, select_block
 from feemarket.core import (
     LOG_EPS,
     scenario_from_jsonl,
@@ -395,9 +395,9 @@ def test_one_resource_size_runs_follow_the_price(policy):
 
 def pool_events(run, scn, policy):
     """What each block's executions did to the pending pool, in the
-    engine's per-size ``_pool_key`` order: the blocks in which some size's
-    executed entries are not one contiguous range of its pending entries
-    (``scattered``), in which a size's every pending entry executed
+    engine's per-size pool-key order (``_pool_entry``): the blocks in which
+    some size's executed entries are not one contiguous range of its pending
+    entries (``scattered``), in which a size's every pending entry executed
     (``emptied``), and in which a size's most eligible entry executed while
     others of its size stayed pending (``best_left``).  The most eligible
     entry is a size's last in that order, or its first under
@@ -410,7 +410,7 @@ def pool_events(run, scn, policy):
         pending |= {t.id for t in scn.transactions if t.arrival == rec.time}
         taken = {i for i, _f in rec.executed}
         by_size: dict = {}
-        for i in sorted(pending, key=lambda i: _pool_key(index[i], descending)):
+        for i in sorted(pending, key=lambda i: _pool_entry(index[i], descending, None)[:3]):
             by_size.setdefault(index[i].size, []).append(i in taken)
         for flags in by_size.values():
             hits = [k for k, hit in enumerate(flags) if hit]
@@ -609,7 +609,7 @@ def block_cases(draw):
         txs = draw(st.permutations(txs))
     else:
         descending = isinstance(policy, ValueDescending)
-        txs.sort(key=lambda t: _pool_key(t, descending))
+        txs.sort(key=lambda t: _pool_entry(t, descending, None)[:3])
     return txs, caps, policy, draw(st.integers(0, 3))
 
 
@@ -623,25 +623,40 @@ def test_select_block_matches_reference(case):
     assert got == want
 
 
-def test_select_block_repeated_id_keeps_input_order():
-    """Several resources split the entries by size, and the merge must still
-    take tx 1's equal-valued copies in input order: (2, 1) fills the block
-    before (1, 1) is reached."""
-    specs = [((2, 1), 1.0), ((1, 0), 2.0), ((1, 0), 2.0), ((1, 1), 1.0)]
-    txs = [Transaction(id=1, arrival=1, size=q, unit_value=v) for q, v in specs]
-    txs.insert(3, Transaction(id=0, arrival=1, size=(1, 1), unit_value=1.0))
-    got = select_block(txs, (3.0, 2.0), ValueAscending())
-    assert got == reference_select_block(txs, (3.0, 2.0), ValueAscending()) == [0, 1]
+ALL_POLICIES = [ValueAscending(), ValueDescending(), SeededRandom(), TipPriority({})]
 
 
-def test_select_block_one_resource_repeated_id_keeps_input_order():
-    """One resource splits the entries by size too: after tx 0, tx 1's
-    size-2 copy comes first in input order and fills the block, so neither
-    size-1 copy of tx 1 is taken, although tx 0 opened the size-1 run."""
-    specs = [(0, 1, 1.0), (1, 2, 1.0), (1, 1, 1.0), (1, 1, 2.0)]
-    txs = [Transaction(id=i, arrival=1, size=(q,), unit_value=v) for i, q, v in specs]
-    got = select_block(txs, (3.0,), ValueAscending())
-    assert got == reference_select_block(txs, (3.0,), ValueAscending()) == [0, 1]
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+@pytest.mark.parametrize("m", [1, 2])
+def test_select_block_rejects_repeated_id(policy, m):
+    """The returned ids could not say which copy of a repeated id was
+    admitted, so select_block rejects the input, as the engine does."""
+    txs = [
+        Transaction(id=i, arrival=1, size=(q,) * m, unit_value=v)
+        for i, q, v in [(4, 1, 1.0), (2, 3, 2.0), (4, 2, 1.0)]
+    ]
+    with pytest.raises(ValueError, match="duplicate transaction id 4"):
+        select_block(txs, (10.0,) * m, policy, block_rng(3, 7))
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_select_block_matches_reference_where_it_once_diverged(policy):
+    """Three copies of id 0 once came out [0, 0] under the tip order and [0]
+    under the random one, where the reference scan took [0] and [0, 0]: the
+    value pre-sort and the rank that stood in for the id decided between the
+    copies.  Repeated ids are now rejected; with the ids made distinct,
+    select_block agrees with the reference."""
+    specs = [(6, 3.0), (3, 2.0), (3, 1.0)]
+    same = [Transaction(id=0, arrival=1, size=(q,), unit_value=v) for q, v in specs]
+    with pytest.raises(ValueError, match="duplicate transaction id 0"):
+        select_block(same, (6.0,), policy, block_rng(3, 7))
+    for ids in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
+        txs = [
+            Transaction(id=i, arrival=1, size=t.size, unit_value=t.unit_value)
+            for i, t in zip(ids, same)
+        ]
+        got = select_block(txs, (6.0,), policy, block_rng(3, 7))
+        assert got == reference_select_block(txs, (6.0,), policy, block_rng(3, 7))
 
 
 @pytest.mark.parametrize("sizes", [[1], [1, 2]])
@@ -677,7 +692,7 @@ def test_pool_order_is_value_policy_order(values, policy):
     reference's admission order under an unbounded capacity."""
     txs = [Transaction(id=i, arrival=1, size=(1,), unit_value=v) for i, v in enumerate(values)]
     descending = isinstance(policy, ValueDescending)
-    pool = sorted(txs, key=lambda t: _pool_key(t, descending))
+    pool = sorted(txs, key=lambda t: _pool_entry(t, descending, None)[:3])
     assert [t.id for t in pool] == reference_select_block(txs, (math.inf,), policy)
 
 
