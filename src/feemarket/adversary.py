@@ -90,9 +90,21 @@ def block_rng(seed: int, block_index: int) -> SplitMix64:
 
 @dataclass(frozen=True)
 class TipPriority:
-    """Order by adversary-assigned tips, highest first (missing tip = 0)."""
+    """Order by adversary-assigned tips, highest first (missing tip = 0).
+    Each key is a transaction id (an int) and each tip a finite number."""
 
     tips: Mapping[int, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for i, tip in self.tips.items():
+            # A key of another type would match no transaction's id.
+            if not isinstance(i, int):
+                raise ValueError(f"tip keys must be transaction ids, got {i!r}")
+            if type(tip) is bool or not isinstance(tip, (int, float)):
+                raise ValueError(f"tx {i}: tip must be a number, got {tip!r}")
+            # A NaN tip would make the tip order depend on the pool's layout.
+            if not -math.inf < tip < math.inf:
+                raise ValueError(f"tx {i}: tip must be finite, got {tip}")
 
 
 @dataclass(frozen=True)
@@ -513,8 +525,9 @@ def policy_to_config(policy: InclusionPolicy) -> dict:
 
 def policy_from_config(obj: Mapping) -> InclusionPolicy:
     """The policy of a JSON config object; a tip key must be a decimal id
-    that no other key names, a tip a JSON number, ``tips`` appears only with
-    the tip policy, and a config of any other shape raises ValueError."""
+    that no other key names, a tip a JSON number (``TipPriority`` checks
+    that it is finite), ``tips`` appears only with the tip policy, and a
+    config of any other shape raises ValueError."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"policy config must be a JSON object, got {obj!r}")
     name = obj.get("policy")
@@ -534,10 +547,6 @@ def policy_from_config(obj: Mapping) -> InclusionPolicy:
             if i in tips:
                 raise ValueError(f"tip key {k!r} repeats tx {i}")
             tips[i] = _number(v, f"tx {k}: tip")
-        # A NaN tip would make the tip order depend on the input order.
-        for i, tip in tips.items():
-            if not math.isfinite(tip):
-                raise ValueError(f"tx {i}: tip must be finite, got {tip}")
         return TipPriority(tips=tips)
     if name == "value_asc":
         return ValueAscending()

@@ -143,6 +143,7 @@ def opt_integral_small(
     break toward the lexicographically smallest scheduled id set.
     """
     _require_static(scenario)
+    scenario.index()
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if horizon > _MAX_HORIZON:

@@ -108,6 +108,8 @@ class Discount:
     def __post_init__(self) -> None:
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"discount factor must be in [0, 1), got {self.rho}")
+        if type(self.rho) is bool:
+            raise ValueError(f"rho must be a number, got {self.rho}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,12 +119,15 @@ class Patience:
     window: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.window, int):
+            raise ValueError(f"patience window must be an integer, got {self.window!r}")
         if self.window < 0:
             raise ValueError(f"patience window must be >= 0, got {self.window}")
 
 
 Sensitivity = Union[Patient, Discount, Patience]
 PATIENT = Patient()
+_SENSITIVITIES = (Patient, Discount, Patience)
 
 
 def _slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
@@ -156,9 +161,11 @@ class Transaction:
         unit_value: float,
         sensitivity: Sensitivity = PATIENT,
     ) -> None:
-        # Every check runs in C builtins; bool sizes and arrivals pass, as
-        # ints.  A positive int 1-tuple passes the first, direct comparisons
-        # alone.
+        # Every check runs in C builtins; bool ids, sizes and arrivals pass,
+        # as ints.  A positive int 1-tuple passes the first, direct
+        # comparisons alone, and PATIENT its identity test.
+        if type(id) is not int and not isinstance(id, int):
+            raise ValueError(f"id must be an integer, got {id!r}")
         if type(arrival) is not int and not isinstance(arrival, int):
             raise ValueError(f"tx {id}: arrival must be an integer, got {arrival!r}")
         if arrival < 1:
@@ -179,6 +186,8 @@ class Transaction:
             raise ValueError(f"tx {id}: unit value must be finite and >= 0")
         if type(unit_value) is bool:
             raise ValueError(f"tx {id}: unit value must be a number, got {unit_value}")
+        if sensitivity is not PATIENT and type(sensitivity) not in _SENSITIVITIES:
+            raise ValueError(f"tx {id}: unknown sensitivity {sensitivity!r}")
         set_id, set_arrival, set_size, set_unit_value, set_sensitivity = _TRANSACTION_SLOTS
         set_id(self, id)
         set_arrival(self, arrival)
@@ -221,7 +230,8 @@ class Scenario:
 
     ``capacities`` are the per-resource targets B_j.  Exactly one of
     ``transactions`` (static) or ``generator`` (adaptive) supplies arrivals.
-    Adaptive runs export their realized stream post-hoc via the runner.
+    An adaptive run's realized stream is a static scenario that the run
+    fills block by block (``RunResult.scenario``).
     """
 
     capacities: tuple[float, ...]
@@ -244,22 +254,29 @@ class Scenario:
         return len(self.capacities)
 
     def index(self) -> dict[int, Transaction]:
-        """id -> transaction map over the (realized) static stream.  Raises
-        ScenarioError on a repeated id or on a size whose resource count is
-        not the scenario's."""
+        """id -> transaction map over the static stream, checked and built
+        once by ``_add`` on a fresh dict (which raises ScenarioError), and
+        kept while it covers every transaction.  A file scenario's reader
+        and an adaptive run's realized stream hand theirs over."""
         if self._index is None or len(self._index) != len(self.transactions):
-            m = len(self.capacities)
-            idx: dict[int, Transaction] = {}
-            for t_ in self.transactions:
-                if len(t_.size) != m:
-                    raise ScenarioError(
-                        f"tx {t_.id}: size has {len(t_.size)} resources, scenario has {m}"
-                    )
-                if t_.id in idx:
-                    raise ScenarioError(f"duplicate transaction id {t_.id}")
-                idx[t_.id] = t_
-            self._index = idx
+            self._index = {}
+            self._add(self.transactions)
         return self._index
+
+    def _add(self, txs: Iterable[Transaction]) -> None:
+        """Check each of ``txs`` against the stream indexed so far and index
+        it.  Raises ScenarioError on a size whose resource count is not the
+        scenario's or on an id that an earlier transaction used."""
+        m = len(self.capacities)
+        idx = self._index
+        for t_ in txs:
+            if len(t_.size) != m:
+                raise ScenarioError(
+                    f"tx {t_.id}: size has {len(t_.size)} resources, scenario has {m}"
+                )
+            if t_.id in idx:
+                raise ScenarioError(f"duplicate transaction id {t_.id}")
+            idx[t_.id] = t_
 
     def arrivals_by_time(self) -> dict[int, list[Transaction]]:
         by_t: dict[int, list[Transaction]] = {}

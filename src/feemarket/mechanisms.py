@@ -113,8 +113,9 @@ class MechanismParams:
 @dataclass
 class RunResult:
     """A mechanism run: the schedule, the per-block trace, and the scenario
-    whose arrival stream was realized (for adaptive inputs this is the
-    post-hoc static export; for static inputs it is the input itself)."""
+    whose arrival stream was realized (for adaptive inputs a static scenario
+    the run filled and indexed as the stream arrived; for static inputs the
+    input itself)."""
 
     schedule: Schedule
     trace: RunTrace
@@ -176,12 +177,12 @@ class _Run:
     """The run skeleton both online engines share; each engine keeps only
     its pool, its block choice and its posted price.
 
-    ``at(t)`` ingests block t's arrivals, from the static
-    ``arrivals_by_time`` lookup or from the adaptive generator, which sees
-    block t-1's record.  Every arrival is checked (resource count, unique
-    id, and for generators an ``arrival`` equal to t) and its id recorded; a
-    generator's arrivals are also kept in order, for the realized-stream
-    export in ``result``.  ``close`` records block t from the transactions
+    A static stream is checked once, before block 1, by
+    ``Scenario.index()``; ``at(t)`` then looks block t's arrivals up.  An
+    adaptive run's realized stream is a static ``Scenario`` from block 1:
+    ``at(t)`` asks the generator, which sees block t-1's record, checks the
+    batch through that scenario's ``_add``, checks that each arrival is t,
+    and appends the batch.  ``close`` records block t from the transactions
     admitted in it, in admission order: sizes summed from 0.0, each executed
     whole, and the block's ``math.fsum`` of value added to the running
     welfare.  ``result`` derives the schedule from the records.
@@ -190,44 +191,38 @@ class _Run:
     def __init__(self, scenario: Scenario, horizon: int) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        self.scenario = scenario
         self.m = scenario.m
-        self.horizon = horizon
         self.gen = scenario.generator
-        self.by_time = scenario.arrivals_by_time() if self.gen is None else {}
-        self.ids: set[int] = set()
-        self.realized: list[Transaction] = []
+        if self.gen is None:
+            scenario.index()
+            self.by_time = scenario.arrivals_by_time()
+        else:
+            scenario = Scenario(
+                scenario.capacities, horizon_hint=horizon, seed=scenario.seed, _index={}
+            )
+        self.scenario = scenario
         self.records: list[BlockRecord] = []
         self.welfare = 0.0
 
     def at(self, t: int) -> Sequence[Transaction]:
         gen = self.gen
         if gen is None:
-            arrivals = self.by_time.get(t, ())
-        else:
-            previous = self.records[-1] if self.records else None
-            try:
-                arrivals = gen.arrivals(t, previous)
-            except FeeMarketError:
-                raise
-            except Exception as exc:  # generator bugs surface as scenario errors
-                raise ScenarioError(f"adaptive generator failed at t={t}: {exc}") from exc
-        m = self.m
-        ids = self.ids
+            return self.by_time.get(t, ())
+        previous = self.records[-1] if self.records else None
+        try:
+            arrivals = gen.arrivals(t, previous)
+        except FeeMarketError:
+            raise
+        except Exception as exc:  # generator bugs surface as scenario errors
+            raise ScenarioError(f"adaptive generator failed at t={t}: {exc}") from exc
+        realized = self.scenario
+        realized._add(arrivals)
         for txn in arrivals:
-            if len(txn.size) != m:
-                raise ScenarioError(
-                    f"tx {txn.id}: size has {len(txn.size)} resources, scenario has {m}"
-                )
-            if txn.id in ids:
-                raise ScenarioError(f"duplicate transaction id {txn.id}")
-            if gen is not None and txn.arrival != t:
+            if txn.arrival != t:
                 raise ScenarioError(
                     f"generator emitted tx {txn.id} with arrival {txn.arrival} at block {t}"
                 )
-            ids.add(txn.id)
-        if gen is not None:
-            self.realized.extend(arrivals)
+        realized.transactions.extend(arrivals)
         return arrivals
 
     def close(self, t: int, log_prices, caps, admitted: list[Transaction]) -> BlockRecord:
@@ -267,22 +262,14 @@ class _Run:
         return record
 
     def result(self) -> RunResult:
-        """The run's result; an adaptive run exports its realized stream."""
-        scenario = self.scenario
-        if self.gen is not None:
-            scenario = Scenario(
-                capacities=scenario.capacities,
-                transactions=self.realized,
-                horizon_hint=self.horizon,
-                seed=scenario.seed,
-            )
+        """The run's result, with the static or realized stream it ran."""
         entries = [
             ScheduleEntry(i, r.time, f) for r in self.records for i, f in r.executed
         ]
         return RunResult(
             schedule=Schedule(entries=entries, integral=True),
             trace=RunTrace(records=self.records),
-            scenario=scenario,
+            scenario=self.scenario,
         )
 
 

@@ -145,18 +145,34 @@ def test_policy_config_roundtrip():
 
 
 def test_nan_tip_config_rejected():
-    """A NaN tip makes the tip order depend on the values, which it must
-    ignore: three transactions of size 10 in a block of 10 admit [0] when
-    their values tie and [2] when the values fall with the id, in any input
-    order.  A config carrying one (json reads NaN) is rejected."""
-    nan_order = TipPriority({0: math.nan, 1: 1.0, 2: 2.0})
-    for values, want in (((1.0, 1.0, 1.0), [0]), ((3.0, 2.0, 1.0), [2])):
-        eligible = txs(*((10, v) for v in values))
-        assert select_block(eligible, (10.0,), nan_order) == want
-        assert select_block(eligible[::-1], (10.0,), nan_order) == want
-    config = json.loads(json.dumps(policy_to_config(nan_order)))
+    """A NaN tip would make the tip order depend on the values and the
+    pool's layout, which it must ignore.  A config carrying one (json reads
+    NaN) is rejected, and so is a ``TipPriority`` built with one."""
+    config = json.loads('{"policy": "tip", "tips": {"0": NaN, "1": 1.0, "2": 2.0}}')
     with pytest.raises(ValueError, match="tx 0: tip must be finite, got nan"):
         policy_from_config(config)
+    with pytest.raises(ValueError, match="tx 0: tip must be finite, got nan"):
+        TipPriority({0: math.nan, 1: 1.0, 2: 2.0})
+
+
+@pytest.mark.parametrize("tips,message", [
+    ({"1": 5.0}, "tip keys must be transaction ids, got '1'"),
+    ({1.0: 5.0}, "tip keys must be transaction ids, got 1.0"),
+    ({0: "x"}, "tx 0: tip must be a number, got 'x'"),
+    ({0: True}, "tx 0: tip must be a number, got True"),
+    ({0: None}, "tx 0: tip must be a number, got None"),
+    ({0: 1.0, 1: -math.inf}, "tx 1: tip must be finite, got -inf"),
+])
+def test_tip_priority_checks_its_tips(tips, message):
+    with pytest.raises(ValueError) as exc:
+        TipPriority(tips)
+    assert str(exc.value) == message
+
+
+def test_tip_priority_takes_int_tips_beyond_float_range():
+    # math.isfinite would raise OverflowError on this tip
+    eligible = txs((10, 1.0), (10, 2.0))
+    assert select_block(eligible, (10.0,), TipPriority({0: 10**400})) == [0]
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf])

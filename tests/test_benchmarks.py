@@ -156,6 +156,21 @@ class TestOptIntegralSmall:
         with pytest.raises(TooLargeError):
             opt_integral_small(big, 10.0, 1)
 
+    @pytest.mark.parametrize("txs,message", [
+        (
+            [Transaction(0, 1, (4, 7), 2.0), Transaction(1, 1, (3,), 1.0)],
+            "tx 0: size has 2 resources, scenario has 1",
+        ),
+        (
+            [Transaction(0, 1, (3,), 2.0), Transaction(0, 1, (3,), 2.0)],
+            "duplicate transaction id 0",
+        ),
+    ], ids=["resource-count", "repeated-id"])
+    def test_bad_stream_rejected(self, txs, message):
+        with pytest.raises(ScenarioError) as exc:
+            opt_integral_small(scn_of(*txs, B=10.0), 10.0, 2)
+        assert str(exc.value) == message
+
     def test_lexicographic_tie_break(self):
         txs = [
             Transaction(id=i, arrival=1, size=(5,), unit_value=2.0) for i in (4, 1, 3, 2)

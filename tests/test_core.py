@@ -105,13 +105,33 @@ class TestTransaction:
         ({"arrival": 0.5}, "tx 7: arrival must be an integer, got 0.5"),
         ({"arrival": "1"}, "tx 7: arrival must be an integer, got '1'"),
         ({"arrival": -2}, "tx 7: arrival must be >= 1, got -2"),
+        ({"id": 1.5}, "id must be an integer, got 1.5"),
+        ({"id": "a"}, "id must be an integer, got 'a'"),
+        ({"id": 2.0, "arrival": 0}, "id must be an integer, got 2.0"),
+        ({"sensitivity": "x"}, "tx 7: unknown sensitivity 'x'"),
+        ({"sensitivity": None}, "tx 7: unknown sensitivity None"),
+        ({"sensitivity": 0.5, "unit_value": -1.0}, "tx 7: unit value must be finite and >= 0"),
     ])
     def test_rejection_messages(self, fields, message):
         with pytest.raises(ValueError) as exc:
             Transaction(**{"id": 7, "arrival": 1, "size": (5,), "unit_value": 1.0, **fields})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Patience(window=1.5), "patience window must be an integer, got 1.5"),
+        (lambda: Patience(window="3"), "patience window must be an integer, got '3'"),
+        (lambda: Patience(window=-1), "patience window must be >= 0, got -1"),
+        (lambda: Discount(rho=False), "rho must be a number, got False"),
+        (lambda: Discount(rho=True), "discount factor must be in [0, 1), got True"),
+        (lambda: Discount(rho=1.0), "discount factor must be in [0, 1), got 1.0"),
+    ])
+    def test_sensitivity_rejection_messages(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_bool_sizes_accepted(self):
+        assert Transaction(id=True, arrival=1, size=(1,), unit_value=0.0).id is True
         assert Transaction(id=7, arrival=1, size=(True, False), unit_value=0.0).size == (True, False)
         assert Transaction(id=7, arrival=1, size=(True,), unit_value=0.0).size == (True,)
 

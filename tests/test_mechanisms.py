@@ -434,6 +434,13 @@ class TestClosedForms:
         assert theorem_slackness(eth, 1e-9) == pytest.approx(8 * math.log(1e9) + 1.0)
 
 
+# The two online engines, each run for 3 blocks.
+ENGINES = {
+    "price": lambda scn, p: run_price_based(scn, p, ValueAscending(), 3),
+    "greedy": lambda scn, p: greedy_online(scn, p.B, 3),
+}
+
+
 class TestAdaptiveInterface:
     def test_generator_single_run_guard(self):
         from feemarket.scenarios import patience_global
@@ -462,21 +469,46 @@ class TestAdaptiveInterface:
         with pytest.raises(ScenarioError, match="not both"):
             Scenario(capacities=(1.0,), transactions=txs, generator=gen)
 
-    @pytest.mark.parametrize(
-        "engine",
-        [
-            lambda scn, p: run_price_based(scn, p, ValueAscending(), 3),
-            lambda scn, p: greedy_online(scn, p.B, 3),
-        ],
-        ids=["price", "greedy"],
-    )
-    def test_generator_arrival_must_be_current_block(self, std_params, engine):
-        class Late:
-            def arrivals(self, t, previous):
-                if t == 2:
-                    return [Transaction(id=0, arrival=1, size=(10,), unit_value=2.0)]
-                return []
+    # Each generator emits the listed transactions at their block; a batch's
+    # resource counts and ids are checked before its arrival blocks.
+    GENERATOR_FAULTS = {
+        "": (
+            {2: [Transaction(0, 1, (10,), 2.0)]},
+            "generator emitted tx 0 with arrival 1 at block 2",
+        ),
+        "-repeated-id": (
+            {1: [Transaction(0, 1, (10,), 2.0)], 2: [Transaction(0, 2, (10,), 2.0)]},
+            "duplicate transaction id 0",
+        ),
+        "-resource-count": (
+            {2: [Transaction(0, 2, (10,), 2.0), Transaction(1, 2, (10, 5), 2.0)]},
+            "tx 1: size has 2 resources, scenario has 1",
+        ),
+    }
 
-        scn = Scenario(capacities=(100.0,), generator=Late())
-        with pytest.raises(ScenarioError, match="arrival 1 at block 2"):
+    @pytest.mark.parametrize("engine,emitted,message", [
+        pytest.param(engine, emitted, message, id=name + fault)
+        for fault, (emitted, message) in GENERATOR_FAULTS.items()
+        for name, engine in ENGINES.items()
+    ])
+    def test_generator_arrival_must_be_current_block(self, std_params, engine, emitted, message):
+        class Emit:
+            def arrivals(self, t, previous):
+                return emitted.get(t, [])
+
+        scn = Scenario(capacities=(100.0,), generator=Emit())
+        with pytest.raises(ScenarioError) as exc:
             engine(scn, std_params)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES.keys())
+    @pytest.mark.parametrize("bad,message", [
+        (Transaction(0, 9, (10,), 2.0), "duplicate transaction id 0"),
+        (Transaction(1, 9, (10, 5), 2.0), "tx 1: size has 2 resources, scenario has 1"),
+    ], ids=["repeated-id", "resource-count"])
+    def test_static_stream_checked_before_block_1(self, std_params, engine, bad, message):
+        # the bad transaction arrives at block 9, after the 3-block horizon
+        scn = scn_of(Transaction(0, 1, (10,), 2.0), bad)
+        with pytest.raises(ScenarioError) as exc:
+            engine(scn, std_params)
+        assert str(exc.value) == message
