@@ -22,6 +22,7 @@ from .benchmarks import (
 )
 from .core import (
     PATIENT,
+    AdaptiveScenario,
     BlockRecord,
     Discount,
     FeeMarketError,

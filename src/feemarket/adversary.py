@@ -96,6 +96,8 @@ class TipPriority:
     tips: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tips, Mapping):
+            raise ValueError(f"tips must map transaction ids to tips, got {self.tips!r}")
         for i, tip in self.tips.items():
             # A key of another type would match no transaction's id.
             if not isinstance(i, int):
@@ -535,7 +537,7 @@ def policy_from_config(obj: Mapping) -> InclusionPolicy:
     if name == "tip":
         raw = obj.get("tips", {})
         if not isinstance(raw, Mapping):
-            raise ValueError(f"tips must map transaction ids to tips, got {raw!r}")
+            return TipPriority(tips=raw)  # which names tips that are not a mapping
         for k in raw:
             # int() would also read "1_0", " 3 ", "+3" and non-ASCII digits.
             if type(k) is not str or not (k.isascii() and k.isdigit()):

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from .core import (
     REL_TOL,
+    AdaptiveScenario,
     FeeMarketError,
     Scenario,
     ScenarioError,
@@ -61,14 +62,6 @@ class BenchmarkConstraintError(FeeMarketError):
     """The supplied benchmark schedule violates its declared size constraint."""
 
 
-def _require_static(scenario: Scenario) -> None:
-    if scenario.generator is not None:
-        raise ScenarioError(
-            "offline optima need a static stream; pass an adaptive run's"
-            " realized stream, RunResult.scenario"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Fractional optimum (per-block cap)
 # ---------------------------------------------------------------------------
@@ -83,7 +76,6 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
     stay pending.  Time sensitivities are ignored: this is the patient-value
     benchmark.
     """
-    _require_static(scenario)
     if scenario.m != 1:
         raise ScenarioError("fractional benchmark requires a 1-resource scenario")
     if not 0 < B < math.inf:
@@ -142,8 +134,6 @@ def opt_integral_small(
     total size <= 10^4 and horizon <= 12, otherwise TooLargeError.  Ties
     break toward the lexicographically smallest scheduled id set.
     """
-    _require_static(scenario)
-    scenario.index()
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if horizon > _MAX_HORIZON:
@@ -404,7 +394,9 @@ def check_welfare_dominance(
     )
 
 
-def greedy_dominance_check(scenario: Scenario, B: float, horizon: int) -> bool:
+def greedy_dominance_check(
+    scenario: Scenario | AdaptiveScenario, B: float, horizon: int
+) -> bool:
     """Greedy with one extra block covers the per-block-cap optimum:
     SW(greedy, [1, T+1]) >= SW(opt_fractional, [1, T]) up to 1e-9 relative.
 

@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -334,7 +334,7 @@ def cmd_run(args) -> int:
     else:
         scn = core.scenario_from_jsonl(_read(args.scenario))
         if args.seed is not None:
-            scn.seed = args.seed
+            scn = replace(scn, seed=args.seed)
         if not args.mechanism:
             raise FeeMarketError("--mechanism config required for file scenarios")
         params = params_from_config(_load_json(args.mechanism))

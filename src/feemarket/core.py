@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, repeat
 from json import JSONDecodeError
-from operator import attrgetter, sub
+from operator import attrgetter, is_, sub
 from typing import Callable, Protocol, Union
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "Transaction",
     "ArrivalGenerator",
     "Scenario",
+    "AdaptiveScenario",
     "ScheduleEntry",
     "Schedule",
     "BlockRecord",
@@ -106,10 +107,13 @@ class Discount:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.rho < 1.0):
-            raise ValueError(f"discount factor must be in [0, 1), got {self.rho}")
+        try:
+            if not (0.0 <= self.rho < 1.0):
+                raise ValueError(f"discount factor must be in [0, 1), got {self.rho}")
+        except TypeError:  # a rho that does not compare with floats
+            raise ValueError(f"rho must be a number, got {self.rho!r}") from None
         if type(self.rho) is bool:
-            raise ValueError(f"rho must be a number, got {self.rho}")
+            raise ValueError(f"rho must be a number, got {self.rho!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,10 +186,13 @@ class Transaction:
                 )
             if max(size) <= 0:
                 raise ValueError(f"tx {id}: at least one size entry must be positive")
-        if not 0.0 <= unit_value < math.inf:
-            raise ValueError(f"tx {id}: unit value must be finite and >= 0")
+        try:
+            if not 0.0 <= unit_value < math.inf:
+                raise ValueError(f"tx {id}: unit value must be finite and >= 0")
+        except TypeError:  # a value that does not compare with floats
+            raise ValueError(f"tx {id}: unit value must be a number, got {unit_value!r}") from None
         if type(unit_value) is bool:
-            raise ValueError(f"tx {id}: unit value must be a number, got {unit_value}")
+            raise ValueError(f"tx {id}: unit value must be a number, got {unit_value!r}")
         if sensitivity is not PATIENT and type(sensitivity) not in _SENSITIVITIES:
             raise ValueError(f"tx {id}: unknown sensitivity {sensitivity!r}")
         set_id, set_arrival, set_size, set_unit_value, set_sensitivity = _TRANSACTION_SLOTS
@@ -224,65 +231,84 @@ class ArrivalGenerator(Protocol):
     def arrivals(self, t: int, previous: "BlockRecord | None") -> list[Transaction]: ...
 
 
-@dataclass
-class Scenario:
-    """Resource capacities plus an arrival stream (static or adaptive).
+def _index_stream(index: dict, txs: Iterable[Transaction], m: int) -> dict:
+    """Check each of ``txs`` against the stream in ``index`` so far and add
+    it; return ``index``.  Raises ScenarioError on a size whose resource
+    count is not ``m`` or on an id that an earlier transaction used."""
+    for t_ in txs:
+        if len(t_.size) != m:
+            raise ScenarioError(
+                f"tx {t_.id}: size has {len(t_.size)} resources, scenario has {m}"
+            )
+        if t_.id in index:
+            raise ScenarioError(f"duplicate transaction id {t_.id}")
+        index[t_.id] = t_
+    return index
 
-    ``capacities`` are the per-resource targets B_j.  Exactly one of
-    ``transactions`` (static) or ``generator`` (adaptive) supplies arrivals.
-    An adaptive run's realized stream is a static scenario that the run
-    fills block by block (``RunResult.scenario``).
-    """
+
+@dataclass(frozen=True)
+class _Stream:
+    """Per-resource targets B_j, positive and finite, stored as floats."""
 
     capacities: tuple[float, ...]
-    transactions: list[Transaction] = field(default_factory=list)
-    generator: "ArrivalGenerator | None" = None
-    horizon_hint: int | None = None
-    seed: int = 0
-    _index: dict[int, Transaction] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         caps = self.capacities
         if not caps or any(not math.isfinite(b) or b <= 0 for b in caps):
             raise ScenarioError(f"capacities must be positive and finite, got {caps}")
-        if self.transactions and self.generator is not None:
-            raise ScenarioError("a scenario takes transactions or a generator, not both")
-        self.capacities = tuple(float(b) for b in caps)
+        object.__setattr__(self, "capacities", tuple(float(b) for b in caps))
 
     @property
     def m(self) -> int:
         return len(self.capacities)
 
-    def index(self) -> dict[int, Transaction]:
-        """id -> transaction map over the static stream, checked and built
-        once by ``_add`` on a fresh dict (which raises ScenarioError), and
-        kept while it covers every transaction.  A file scenario's reader
-        and an adaptive run's realized stream hand theirs over."""
-        if self._index is None or len(self._index) != len(self.transactions):
-            self._index = {}
-            self._add(self.transactions)
-        return self._index
 
-    def _add(self, txs: Iterable[Transaction]) -> None:
-        """Check each of ``txs`` against the stream indexed so far and index
-        it.  Raises ScenarioError on a size whose resource count is not the
-        scenario's or on an id that an earlier transaction used."""
-        m = len(self.capacities)
-        idx = self._index
-        for t_ in txs:
-            if len(t_.size) != m:
-                raise ScenarioError(
-                    f"tx {t_.id}: size has {len(t_.size)} resources, scenario has {m}"
-                )
-            if t_.id in idx:
-                raise ScenarioError(f"duplicate transaction id {t_.id}")
-            idx[t_.id] = t_
+@dataclass(frozen=True)
+class Scenario(_Stream):
+    """Resource capacities plus a static arrival stream, checked once.
+
+    Building one checks the stream (ScenarioError on a size whose resource
+    count is not the scenario's or on a repeated id), freezes it as a tuple
+    and indexes it by id, so a scenario that exists is valid.  A file
+    scenario's reader and an adaptive run hand over the checked index they
+    built as ``_index``; one that does not hold exactly ``transactions`` is
+    ignored and the index is rebuilt.
+    """
+
+    transactions: tuple[Transaction, ...] = ()
+    horizon_hint: int | None = None
+    seed: int = 0
+    _index: dict[int, Transaction] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        txs = tuple(self.transactions)
+        index = self._index
+        if index is None or len(index) != len(txs) or not all(map(is_, index.values(), txs)):
+            index = _index_stream({}, txs, len(self.capacities))
+        object.__setattr__(self, "transactions", txs)
+        object.__setattr__(self, "_index", index)
+
+    def index(self) -> dict[int, Transaction]:
+        """id -> transaction map over the stream, in stream order (read only)."""
+        return self._index
 
     def arrivals_by_time(self) -> dict[int, list[Transaction]]:
         by_t: dict[int, list[Transaction]] = {}
         for t_ in self.transactions:
             by_t.setdefault(t_.arrival, []).append(t_)
         return by_t
+
+
+@dataclass(frozen=True)
+class AdaptiveScenario(_Stream):
+    """Resource capacities plus an adaptive arrival generator.  The engines
+    run it; a run's realized stream is a ``Scenario``
+    (``RunResult.scenario``), which the verifiers and offline optima take."""
+
+    generator: ArrivalGenerator
+    horizon_hint: int | None = None
+    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -937,9 +963,7 @@ def scenario_from_jsonl(text: str) -> Scenario:
             raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
-    return Scenario(
-        capacities=capacities, transactions=list(index.values()), seed=seed, _index=index
-    )
+    return Scenario(capacities, tuple(index.values()), seed=seed, _index=index)
 
 
 def schedule_to_json(schedule: Schedule) -> str:

@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 from .adversary import InclusionPolicy, SeededRandom, _ln, _Pool, block_rng
 from .core import (
+    AdaptiveScenario,
     BlockRecord,
     FeeMarketError,
     Patient,
@@ -39,6 +40,7 @@ from .core import (
     Schedule,
     ScheduleEntry,
     Transaction,
+    _index_stream,
     _known_keys,
     _number,
 )
@@ -113,9 +115,9 @@ class MechanismParams:
 @dataclass
 class RunResult:
     """A mechanism run: the schedule, the per-block trace, and the scenario
-    whose arrival stream was realized (for adaptive inputs a static scenario
-    the run filled and indexed as the stream arrived; for static inputs the
-    input itself)."""
+    whose arrival stream was realized (for an ``AdaptiveScenario`` the
+    static ``Scenario`` of the arrivals its generator emitted; for a
+    ``Scenario`` the input itself)."""
 
     schedule: Schedule
     trace: RunTrace
@@ -177,30 +179,26 @@ class _Run:
     """The run skeleton both online engines share; each engine keeps only
     its pool, its block choice and its posted price.
 
-    A static stream is checked once, before block 1, by
-    ``Scenario.index()``; ``at(t)`` then looks block t's arrivals up.  An
-    adaptive run's realized stream is a static ``Scenario`` from block 1:
-    ``at(t)`` asks the generator, which sees block t-1's record, checks the
-    batch through that scenario's ``_add``, checks that each arrival is t,
-    and appends the batch.  ``close`` records block t from the transactions
-    admitted in it, in admission order: sizes summed from 0.0, each executed
-    whole, and the block's ``math.fsum`` of value added to the running
-    welfare.  ``result`` derives the schedule from the records.
+    A static ``Scenario`` was checked when it was built; ``at(t)`` looks
+    block t's arrivals up.  For an ``AdaptiveScenario``, ``at(t)`` asks the
+    generator, which sees block t-1's record, checks the batch and indexes
+    it through ``core._index_stream``, and checks that each arrival is t;
+    the index, in arrival order, is the realized stream, which ``result``
+    freezes into a ``Scenario``.  ``close`` records block t from the
+    transactions admitted in it, in admission order: sizes summed from 0.0,
+    each executed whole, and the block's ``math.fsum`` of value added to the
+    running welfare.  ``result`` derives the schedule from the records.
     """
 
-    def __init__(self, scenario: Scenario, horizon: int) -> None:
+    def __init__(self, scenario: Scenario | AdaptiveScenario, horizon: int) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.m = scenario.m
-        self.gen = scenario.generator
-        if self.gen is None:
-            scenario.index()
-            self.by_time = scenario.arrivals_by_time()
-        else:
-            scenario = Scenario(
-                scenario.capacities, horizon_hint=horizon, seed=scenario.seed, _index={}
-            )
         self.scenario = scenario
+        self.gen = scenario.generator if isinstance(scenario, AdaptiveScenario) else None
+        if self.gen is None:
+            self.by_time = scenario.arrivals_by_time()
+        self.index: dict[int, Transaction] = {}  # an adaptive run's realized stream
         self.records: list[BlockRecord] = []
         self.welfare = 0.0
 
@@ -215,14 +213,12 @@ class _Run:
             raise
         except Exception as exc:  # generator bugs surface as scenario errors
             raise ScenarioError(f"adaptive generator failed at t={t}: {exc}") from exc
-        realized = self.scenario
-        realized._add(arrivals)
+        _index_stream(self.index, arrivals, self.m)
         for txn in arrivals:
             if txn.arrival != t:
                 raise ScenarioError(
                     f"generator emitted tx {txn.id} with arrival {txn.arrival} at block {t}"
                 )
-        realized.transactions.extend(arrivals)
         return arrivals
 
     def close(self, t: int, log_prices, caps, admitted: list[Transaction]) -> BlockRecord:
@@ -266,15 +262,20 @@ class _Run:
         entries = [
             ScheduleEntry(i, r.time, f) for r in self.records for i, f in r.executed
         ]
+        scenario, index = self.scenario, self.index
+        if self.gen is not None:  # one record per block: the horizon is their count
+            scenario = Scenario(
+                scenario.capacities, tuple(index.values()), len(self.records), scenario.seed, index
+            )
         return RunResult(
             schedule=Schedule(entries=entries, integral=True),
             trace=RunTrace(records=self.records),
-            scenario=self.scenario,
+            scenario=scenario,
         )
 
 
 def _run_engine(
-    scenario: Scenario,
+    scenario: Scenario | AdaptiveScenario,
     params_list: Sequence[MechanismParams],
     policy: InclusionPolicy,
     horizon: int,
@@ -301,7 +302,7 @@ def _run_engine(
 
 
 def run_price_based(
-    scenario: Scenario,
+    scenario: Scenario | AdaptiveScenario,
     params: MechanismParams,
     policy: InclusionPolicy,
     horizon: int,
@@ -323,7 +324,7 @@ def run_price_based(
 
 
 def multi_resource_mechanism(
-    scenario: Scenario,
+    scenario: Scenario | AdaptiveScenario,
     params_list: Sequence[MechanismParams],
     policy: InclusionPolicy,
     horizon: int,
@@ -343,7 +344,7 @@ def multi_resource_mechanism(
 
 
 def greedy_online(
-    scenario: Scenario,
+    scenario: Scenario | AdaptiveScenario,
     B: float,
     horizon: int,
     max_block: float | None = None,

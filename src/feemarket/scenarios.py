@@ -25,6 +25,7 @@ from itertools import repeat
 from .adversary import InclusionPolicy, TipPriority, ValueAscending, ValueDescending
 from .core import (
     PATIENT,
+    AdaptiveScenario,
     BlockRecord,
     Discount,
     Patience,
@@ -66,13 +67,13 @@ class ScenarioBundle:
     adaptive construction's branch and reference optimum are in
     ``audit()``."""
 
-    scenario: Scenario
+    scenario: Scenario | AdaptiveScenario
     policy: InclusionPolicy
     notes: dict = field(default_factory=dict)
 
     def audit(self) -> dict:
-        gen = self.scenario.generator
-        return dict(getattr(gen, "audit", {})) if gen is not None else {}
+        gen = getattr(self.scenario, "generator", None)
+        return dict(getattr(gen, "audit", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,7 @@ def c_below_two(horizon: int, c: float, B: int, eps: float) -> ScenarioBundle:
     if eps <= 0 or eps >= 1.0 - c / 2.0:
         raise ValueError(f"eps must be in (0, {1.0 - c / 2.0}), got {eps}")
     gen = _CBelowTwoGenerator(horizon, c, B, eps)
-    scenario = Scenario(capacities=(float(B),), generator=gen, horizon_hint=horizon)
+    scenario = AdaptiveScenario(capacities=(float(B),), generator=gen, horizon_hint=horizon)
     return ScenarioBundle(scenario=scenario, policy=ValueDescending())
 
 
@@ -429,7 +430,7 @@ def discount_mix(
     p_rho = math.ceil(math.log(2.0) / -math.log1p(-rho_min))
     p = max(p_rho, math.ceil(K * gamma_delta / 3.0), 2)
     gen = _DiscountMixGenerator(rho_min, B, p)
-    scenario = Scenario(capacities=(float(B),), generator=gen, horizon_hint=3 * p)
+    scenario = AdaptiveScenario(capacities=(float(B),), generator=gen, horizon_hint=3 * p)
     return ScenarioBundle(scenario=scenario, policy=ValueDescending(), notes={"p": p})
 
 
@@ -473,7 +474,7 @@ def patience_global(p: int, B: int) -> ScenarioBundle:
     if p < 2:
         raise ValueError(f"patience level must be >= 2, got {p}")
     gen = _PatienceGlobalGenerator(p, B)
-    scenario = Scenario(capacities=(float(B),), generator=gen, horizon_hint=2 * p)
+    scenario = AdaptiveScenario(capacities=(float(B),), generator=gen, horizon_hint=2 * p)
     return ScenarioBundle(scenario=scenario, policy=ValueDescending())
 
 
@@ -521,7 +522,7 @@ def three_resources(t_half: int) -> ScenarioBundle:
         raise ValueError(f"t must be >= 2, got {t_half}")
     gen = _ThreeResourceGenerator(t_half)
     anchor_cap = 8.0  # block demand on the anchor never exceeds a few units
-    scenario = Scenario(
+    scenario = AdaptiveScenario(
         capacities=(anchor_cap, 1.0, 1.0, 1.0),
         generator=gen,
         horizon_hint=2 * t_half,

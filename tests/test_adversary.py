@@ -162,6 +162,8 @@ def test_nan_tip_config_rejected():
     ({0: True}, "tx 0: tip must be a number, got True"),
     ({0: None}, "tx 0: tip must be a number, got None"),
     ({0: 1.0, 1: -math.inf}, "tx 1: tip must be finite, got -inf"),
+    ([1.0], "tips must map transaction ids to tips, got [1.0]"),
+    (None, "tips must map transaction ids to tips, got None"),
 ])
 def test_tip_priority_checks_its_tips(tips, message):
     with pytest.raises(ValueError) as exc:

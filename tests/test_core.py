@@ -12,6 +12,7 @@ import pytest
 
 from feemarket import (
     PATIENT,
+    AdaptiveScenario,
     BlockRecord,
     Discount,
     InvalidScheduleError,
@@ -32,7 +33,6 @@ from feemarket import (
     welfare,
     welfare_via_threshold_integral,
 )
-from feemarket.benchmarks import opt_fractional
 from feemarket.core import (
     block_sizes,
     measured_slackness,
@@ -41,6 +41,7 @@ from feemarket.core import (
     schedule_from_json,
     schedule_to_json,
 )
+from feemarket.scenarios import patience_global
 
 from oracles import brute_window_check
 
@@ -111,6 +112,9 @@ class TestTransaction:
         ({"sensitivity": "x"}, "tx 7: unknown sensitivity 'x'"),
         ({"sensitivity": None}, "tx 7: unknown sensitivity None"),
         ({"sensitivity": 0.5, "unit_value": -1.0}, "tx 7: unit value must be finite and >= 0"),
+        ({"unit_value": "2.0"}, "tx 7: unit value must be a number, got '2.0'"),
+        ({"unit_value": None}, "tx 7: unit value must be a number, got None"),
+        ({"unit_value": 1j}, "tx 7: unit value must be a number, got 1j"),
     ])
     def test_rejection_messages(self, fields, message):
         with pytest.raises(ValueError) as exc:
@@ -122,6 +126,8 @@ class TestTransaction:
         (lambda: Patience(window="3"), "patience window must be an integer, got '3'"),
         (lambda: Patience(window=-1), "patience window must be >= 0, got -1"),
         (lambda: Discount(rho=False), "rho must be a number, got False"),
+        (lambda: Discount(rho="0.5"), "rho must be a number, got '0.5'"),
+        (lambda: Discount(rho=None), "rho must be a number, got None"),
         (lambda: Discount(rho=True), "discount factor must be in [0, 1), got True"),
         (lambda: Discount(rho=1.0), "discount factor must be in [0, 1), got 1.0"),
     ])
@@ -310,8 +316,8 @@ class TestAvgBlockSize:
         assert (report.first_violation.start, report.first_violation.end) == (1, 1)
 
     def test_empty_passes(self):
-        sched, scn = self.make([0, 0])
-        scn.transactions.append(Transaction(id=99, arrival=1, size=(1,), unit_value=1.0))
+        sched, _ = self.make([0, 0])
+        scn = scn_of(Transaction(id=99, arrival=1, size=(1,), unit_value=1.0), B=10.0)
         assert check_avg_block_size(sched, scn, 10.0, 0).passed
 
     def test_matches_window_oracle(self):
@@ -423,30 +429,67 @@ class TestScheduleValidation:
 
 
 class TestResourceCount:
-    """A library scenario whose transaction has another resource count than
-    the scenario is rejected by the id index every verifier reads through,
-    with the message the engine and the reader give."""
+    """Building a scenario whose transaction has another resource count than
+    the scenario raises, with the message the engine and the reader give."""
 
-    VERIFIERS = [
-        lambda s, scn: welfare(s, scn, 2),
-        lambda s, scn: check_avg_block_size(s, scn, 10.0, 0.0),
-        lambda s, scn: block_sizes(s, scn),
-    ]
-    # opt_fractional rejects a scenario of several resources by itself.
-    ONE_RESOURCE = [lambda s, scn: opt_fractional(scn, 10.0, 2), *VERIFIERS]
-
-    @pytest.mark.parametrize("verify,caps,size,other", [
-        *[(verify, (10.0,), (4, 7), (3,)) for verify in ONE_RESOURCE],
-        *[(verify, (10.0, 10.0), (4,), (3, 3)) for verify in VERIFIERS],
+    @pytest.mark.parametrize("caps,size,other,bad", [
+        ((10.0,), (4, 7), (3,), 0),
+        ((10.0,), (3,), (4, 7), 1),
+        ((10.0, 10.0), (4,), (3, 3), 0),
+        ((10.0, 10.0), (3, 3), (4, 1, 1), 1),
     ])
-    def test_wrong_resource_count_rejected(self, verify, caps, size, other):
-        scn = Scenario(
-            capacities=caps,
-            transactions=[Transaction(0, 1, size, 2.0), Transaction(1, 1, other, 1.0)],
-        )
+    def test_wrong_resource_count_rejected(self, caps, size, other, bad):
+        txs = [Transaction(0, 1, size, 2.0), Transaction(1, 1, other, 1.0)]
         with pytest.raises(ScenarioError) as exc:
-            verify(full((0, 1), (1, 1)), scn)
-        assert str(exc.value) == f"tx 0: size has {len(size)} resources, scenario has {len(caps)}"
+            Scenario(capacities=caps, transactions=txs)
+        n = len(txs[bad].size)
+        assert str(exc.value) == f"tx {bad}: size has {n} resources, scenario has {len(caps)}"
+
+
+class TestScenarioContract:
+    """A scenario is an immutable, checked stream with its index built once."""
+
+    tx0 = Transaction(0, 1, (5,), 1.0)
+    tx1 = Transaction(1, 1, (5,), 2.0)
+
+    def test_stream_cannot_be_edited(self):
+        # an edit in place would leave an index that names the old tx 0
+        scn = Scenario((10.0,), [self.tx0])
+        assert scn.index() == {0: self.tx0}
+        with pytest.raises(TypeError):
+            scn.transactions[0] = self.tx1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scn.transactions = [self.tx1]
+        assert scn.transactions == (self.tx0,)
+        assert scn.index() == {0: self.tx0}
+
+    def test_replace_keeps_the_index(self):
+        scn = Scenario((10.0,), [self.tx0, self.tx1])
+        moved = dataclasses.replace(scn, seed=5)
+        assert moved.seed == 5
+        assert moved.index() is scn.index()
+
+    def test_replace_with_another_stream_reindexes(self):
+        scn = Scenario((10.0,), [self.tx0])
+        other = dataclasses.replace(scn, transactions=[self.tx1])
+        assert other.index() == {1: self.tx1}
+        assert scn.index() == {0: self.tx0}
+        with pytest.raises(ScenarioError) as exc:
+            dataclasses.replace(scn, transactions=[self.tx0, Transaction(0, 2, (5,), 3.0)])
+        assert str(exc.value) == "duplicate transaction id 0"
+
+    def test_index_that_does_not_hold_the_stream_is_rebuilt(self):
+        scn = Scenario((10.0,), [self.tx0], _index={1: self.tx1})
+        assert scn.index() == {0: self.tx0}
+
+    def test_generator_is_not_a_scenario_field(self):
+        gen = patience_global(p=4, B=1).scenario.generator
+        with pytest.raises(TypeError):
+            Scenario((1.0,), generator=gen)
+        adaptive = AdaptiveScenario((1.0,), gen, horizon_hint=8)
+        assert (adaptive.m, adaptive.horizon_hint, adaptive.seed) == (1, 8, 0)
+        with pytest.raises(ScenarioError, match="capacities must be positive"):
+            AdaptiveScenario((0.0,), gen)
 
 
 class TestUnknownIds:
@@ -515,7 +558,7 @@ class TestSerialization:
         back = scenario_from_jsonl(scenario_to_jsonl(scn))
         assert back.capacities == scn.capacities
         assert back.seed == 42
-        assert back.transactions == sorted(scn.transactions, key=lambda t: (t.arrival, t.id))
+        assert list(back.transactions) == sorted(scn.transactions, key=lambda t: (t.arrival, t.id))
 
     def test_scenario_bad_line_number(self):
         text = scenario_to_jsonl(scn_of(Transaction(id=0, arrival=1, size=(1,), unit_value=1.0)))

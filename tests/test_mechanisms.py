@@ -5,6 +5,7 @@ import math
 import pytest
 
 from feemarket import (
+    AdaptiveScenario,
     CapacityViolationError,
     Discount,
     InfeasibleParametersError,
@@ -279,13 +280,13 @@ class TestMultiResource:
         assert [i for i, _ in res.trace.records[0].executed] == [0]
 
     def test_dimension_mismatch(self):
-        params = [MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)] * 2
-        scn = Scenario(
-            capacities=(10.0, 10.0),
-            transactions=[Transaction(id=0, arrival=1, size=(5,), unit_value=2.0)],
-        )
-        with pytest.raises(ScenarioError):
-            multi_resource_mechanism(scn, params, ValueAscending(), 1)
+        # a 1-resource transaction cannot enter a 2-resource scenario
+        with pytest.raises(ScenarioError) as exc:
+            Scenario(
+                capacities=(10.0, 10.0),
+                transactions=[Transaction(id=0, arrival=1, size=(5,), unit_value=2.0)],
+            )
+        assert str(exc.value) == "tx 0: size has 1 resources, scenario has 2"
 
     def test_discounted_eligibility_must_agree(self):
         # the engine reads one eligibility rule for every resource
@@ -456,18 +457,9 @@ class TestAdaptiveInterface:
             def arrivals(self, t, previous):
                 raise RuntimeError("boom")
 
-        scn = Scenario(capacities=(100.0,), generator=Broken())
+        scn = AdaptiveScenario(capacities=(100.0,), generator=Broken())
         with pytest.raises(ScenarioError, match="t=1"):
             run_price_based(scn, std_params, ValueAscending(), 2)
-
-    def test_scenario_takes_one_stream_source(self):
-        # a run would read the generator and silently drop the static list
-        from feemarket.scenarios import patience_global
-
-        gen = patience_global(p=4, B=1).scenario.generator
-        txs = [Transaction(id=0, arrival=1, size=(1,), unit_value=2.0)]
-        with pytest.raises(ScenarioError, match="not both"):
-            Scenario(capacities=(1.0,), transactions=txs, generator=gen)
 
     # Each generator emits the listed transactions at their block; a batch's
     # resource counts and ids are checked before its arrival blocks.
@@ -496,19 +488,33 @@ class TestAdaptiveInterface:
             def arrivals(self, t, previous):
                 return emitted.get(t, [])
 
-        scn = Scenario(capacities=(100.0,), generator=Emit())
+        scn = AdaptiveScenario(capacities=(100.0,), generator=Emit())
         with pytest.raises(ScenarioError) as exc:
             engine(scn, std_params)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES.keys())
     @pytest.mark.parametrize("bad,message", [
         (Transaction(0, 9, (10,), 2.0), "duplicate transaction id 0"),
         (Transaction(1, 9, (10, 5), 2.0), "tx 1: size has 2 resources, scenario has 1"),
     ], ids=["repeated-id", "resource-count"])
-    def test_static_stream_checked_before_block_1(self, std_params, engine, bad, message):
-        # the bad transaction arrives at block 9, after the 3-block horizon
-        scn = scn_of(Transaction(0, 1, (10,), 2.0), bad)
+    def test_static_stream_checked_when_built(self, bad, message):
+        # no engine is handed the stream: it is checked before any block,
+        # even though the bad transaction arrives after a 3-block horizon
         with pytest.raises(ScenarioError) as exc:
-            engine(scn, std_params)
+            scn_of(Transaction(0, 1, (10,), 2.0), bad)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES.keys())
+    def test_realized_stream_is_a_scenario(self, std_params, engine):
+        emitted = {1: [Transaction(0, 1, (10,), 2.0)], 3: [Transaction(5, 3, (20,), 3.0)]}
+
+        class Emit:
+            def arrivals(self, t, previous):
+                return emitted.get(t, [])
+
+        res = engine(AdaptiveScenario((100.0,), Emit(), seed=4), std_params)
+        realized = res.scenario
+        assert type(realized) is Scenario
+        assert (realized.capacities, realized.horizon_hint, realized.seed) == ((100.0,), 3, 4)
+        assert realized.transactions == (*emitted[1], *emitted[3])
+        assert realized.index() == {0: emitted[1][0], 5: emitted[3][0]}

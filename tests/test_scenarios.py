@@ -60,7 +60,7 @@ def drive(bundle, horizon, pick):
 class TestRandomFamily:
     def test_zero_load_empty(self):
         scn = random_family(1, 50, (2.0, 10.0), 10, 0.0, B=100, eta=ETA)
-        assert scn.transactions == []
+        assert scn.transactions == ()
 
     def test_deterministic(self):
         a = random_family(9, 100, (2.0, 10.0), 50, 2.0, B=100, eta=ETA)
