@@ -87,7 +87,7 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
     by_time = scenario.arrivals_by_time()
     heap: list[tuple[float, int, int]] = []  # (-v, arrival, id)
     remaining: dict[int, float] = {}
-    index = scenario.index()
+    index = scenario._index
     entries: list[ScheduleEntry] = []
 
     for t in range(1, horizon + 1):
@@ -138,7 +138,7 @@ def opt_integral_small(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if horizon > _MAX_HORIZON:
         raise TooLargeError(f"horizon {horizon} exceeds guard {_MAX_HORIZON}")
-    txs = [t for t in scenario.transactions if t.arrival <= horizon]
+    txs = [t for t in scenario._index.values() if t.arrival <= horizon]
     total_size = sum(sum(t.size) for t in txs)
     if total_size > _MAX_TOTAL_SIZE:
         raise TooLargeError(f"total size {total_size} exceeds guard {_MAX_TOTAL_SIZE}")

@@ -181,16 +181,16 @@ C2_PARAMS = _params(LARGE_B, 2.0)
 PARTIAL_PATIENCE_PARAMS = _params(1, 2.0, discounted=True)
 
 
-def _optimum_ratio(bundle, result, horizon: int) -> dict:
-    """Welfare over the horizon against the adaptive construction's optimum."""
+def _optimum_ratio(bundle, result) -> dict:
+    """Welfare over the run against the adaptive construction's optimum."""
     audit = bundle.audit()
     if not audit.get("optimum"):
         return {}
-    sw = core.welfare(result.schedule, result.scenario, horizon)
+    sw = core.welfare(result.schedule, result.scenario, len(result.trace.records))
     return {"ratio": sw / audit["optimum"], "audit": audit}
 
 
-def _t_star_ratio(bundle, result, horizon: int) -> dict:
+def _t_star_ratio(bundle, result) -> dict:
     """Welfare over [1, 2 t*] against the high demand's value over t* blocks
     (neither field when the run ends before the price doubles)."""
     t_star = scenarios.measure_t_star(result, C2_PARAMS)
@@ -203,15 +203,14 @@ def _t_star_ratio(bundle, result, horizon: int) -> dict:
 class BuiltinRun(NamedTuple):
     bundle: scenarios.ScenarioBundle
     result: mechanisms.RunResult
-    horizon: int
     score: dict
 
 
 @dataclass(frozen=True)
 class Construction:
     """A builtin construction: its mechanism parameters (one set per
-    resource), its bundle (whose policy and horizon hint define the run)
-    and the summary fields that score a run of it."""
+    resource), its bundle (whose scenario, policy and horizon define the
+    canonical run) and the summary fields that score a run of it."""
 
     params: tuple[MechanismParams, ...]
     build: Callable[[], scenarios.ScenarioBundle]
@@ -219,12 +218,11 @@ class Construction:
 
     def run(self, horizon: int | None = None) -> BuiltinRun:
         bundle = self.build()
-        if horizon is None:
-            horizon = bundle.scenario.horizon_hint
+        horizon = bundle.horizon if horizon is None else horizon
         result = mechanisms.multi_resource_mechanism(
             bundle.scenario, self.params, bundle.policy, horizon
         )
-        return BuiltinRun(bundle, result, horizon, self.score(bundle, result, horizon))
+        return BuiltinRun(bundle, result, self.score(bundle, result))
 
 
 def c_below_two(c: float) -> Construction:
@@ -329,7 +327,7 @@ def cmd_run(args) -> int:
         con = BUILTINS[args.scenario]
         run = con.run(args.horizon)
         result = run.result
-        summary = _summarize(result, con.params, run.horizon)
+        summary = _summarize(result, con.params)
         summary.update(run.score)
     else:
         scn = core.scenario_from_jsonl(_read(args.scenario))
@@ -341,7 +339,7 @@ def cmd_run(args) -> int:
         policy = policy_from_config(_load_json(args.policy)) if args.policy else ValueAscending()
         horizon = 100 if args.horizon is None else args.horizon
         result = mechanisms.run_price_based(scn, params, policy, horizon)
-        summary = _summarize(result, [params], horizon)
+        summary = _summarize(result, [params])
 
     _atomic_write(out / "trace.jsonl", core.trace_to_jsonl(result.trace))
     _atomic_write(out / "schedule.json", core.schedule_to_json(result.schedule) + "\n")
@@ -353,8 +351,8 @@ def cmd_run(args) -> int:
     return EXIT_PASS
 
 
-def _summarize(result, params_list: Sequence[MechanismParams], horizon: int) -> dict:
-    scn = result.scenario
+def _summarize(result, params_list: Sequence[MechanismParams]) -> dict:
+    scn, horizon = result.scenario, len(result.trace.records)
     sw = core.welfare(result.schedule, scn, horizon)
     targets = [p.B for p in params_list]
     top = max((t.unit_value for t in scn.transactions), default=-math.inf)

@@ -21,12 +21,13 @@ import json
 import math
 import re
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, repeat
 from json import JSONDecodeError
 from operator import attrgetter, is_, sub
-from typing import Callable, Protocol, Union
+from types import MappingProxyType
+from typing import Callable, NoReturn, Protocol, Union
 
 __all__ = [
     "LOG_EPS",
@@ -269,14 +270,17 @@ class Scenario(_Stream):
 
     Building one checks the stream (ScenarioError on a size whose resource
     count is not the scenario's or on a repeated id), freezes it as a tuple
-    and indexes it by id, so a scenario that exists is valid.  A file
-    scenario's reader and an adaptive run hand over the checked index they
-    built as ``_index``; one that does not hold exactly ``transactions`` is
-    ignored and the index is rebuilt.
+    and indexes it by id, so a scenario that exists is valid; ``index()``
+    hands out a read-only view, and only the package's own loops read the
+    dict ``_index``.  A file scenario's reader and an adaptive run hand over
+    the checked index they built as ``_index``; one that does not hold
+    exactly ``transactions`` is ignored and the index is rebuilt.  How many
+    blocks to run it for is the caller's choice (a builtin's is
+    ``ScenarioBundle.horizon``), so a stream in (arrival, id) order equals
+    its file round trip.
     """
 
     transactions: tuple[Transaction, ...] = ()
-    horizon_hint: int | None = None
     seed: int = 0
     _index: dict[int, Transaction] | None = field(default=None, repr=False, compare=False)
 
@@ -289,9 +293,9 @@ class Scenario(_Stream):
         object.__setattr__(self, "transactions", txs)
         object.__setattr__(self, "_index", index)
 
-    def index(self) -> dict[int, Transaction]:
-        """id -> transaction map over the stream, in stream order (read only)."""
-        return self._index
+    def index(self) -> Mapping[int, Transaction]:
+        """Read-only id -> transaction view over the stream, in stream order."""
+        return MappingProxyType(self._index)
 
     def arrivals_by_time(self) -> dict[int, list[Transaction]]:
         by_t: dict[int, list[Transaction]] = {}
@@ -304,11 +308,21 @@ class Scenario(_Stream):
 class AdaptiveScenario(_Stream):
     """Resource capacities plus an adaptive arrival generator.  The engines
     run it; a run's realized stream is a ``Scenario``
-    (``RunResult.scenario``), which the verifiers and offline optima take."""
+    (``RunResult.scenario``), which the verifiers and offline optima take.
+    They all read a stream through ``index``, ``_index`` or
+    ``arrivals_by_time``, which here raise a ScenarioError saying so."""
 
     generator: ArrivalGenerator
-    horizon_hint: int | None = None
     seed: int = 0
+
+    def index(self) -> NoReturn:
+        raise ScenarioError(
+            "an adaptive scenario has no stream until it runs;"
+            " pass the run's realized stream, RunResult.scenario"
+        )
+
+    arrivals_by_time = index
+    _index = property(index)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +429,7 @@ def _resolved(
 ) -> Iterator[tuple[ScheduleEntry, Transaction]]:
     """(entry, transaction) for each entry with first <= time <= last, in
     order; InvalidScheduleError at the first unknown id among them."""
-    index = scenario.index()
+    index = scenario._index
     for e in schedule.entries:
         if first <= e.time <= last:
             t_ = index.get(e.tx)
@@ -466,7 +480,7 @@ def welfare(schedule: Schedule, scenario: Scenario, horizon: int) -> float:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    index = scenario.index()
+    index = scenario._index
 
     def terms() -> Iterator[float]:
         # _resolved and value_at, inlined: this runs once per scheduled entry.

@@ -114,10 +114,12 @@ class MechanismParams:
 
 @dataclass
 class RunResult:
-    """A mechanism run: the schedule, the per-block trace, and the scenario
-    whose arrival stream was realized (for an ``AdaptiveScenario`` the
-    static ``Scenario`` of the arrivals its generator emitted; for a
-    ``Scenario`` the input itself)."""
+    """A mechanism run: the schedule, the per-block trace (one record per
+    block, so the run's horizon is their count), and the scenario whose
+    arrival stream was realized (for an ``AdaptiveScenario`` the static
+    ``Scenario`` of the arrivals its generator emitted; for a ``Scenario``
+    the input itself).  A builtin's canonical run is its ``ScenarioBundle``'s
+    scenario, policy and horizon."""
 
     schedule: Schedule
     trace: RunTrace
@@ -263,9 +265,9 @@ class _Run:
             ScheduleEntry(i, r.time, f) for r in self.records for i, f in r.executed
         ]
         scenario, index = self.scenario, self.index
-        if self.gen is not None:  # one record per block: the horizon is their count
+        if self.gen is not None:
             scenario = Scenario(
-                scenario.capacities, tuple(index.values()), len(self.records), scenario.seed, index
+                scenario.capacities, tuple(index.values()), seed=scenario.seed, _index=index
             )
         return RunResult(
             schedule=Schedule(entries=entries, integral=True),
@@ -470,7 +472,7 @@ def replay_log_prices(
     executions (in admission order), as the engine does; the result must
     match the trace's posted prices bit-exactly.
     """
-    index = scenario.index()
+    index = scenario._index
     log_prices = tuple(math.log(p.p_1) for p in params_list)
     out: list[tuple[float, ...]] = []
     for rec in trace.records:

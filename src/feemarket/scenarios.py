@@ -61,14 +61,14 @@ __all__ = [
 
 @dataclass
 class ScenarioBundle:
-    """A construction's canonical run: the scenario, run for
-    ``scenario.horizon_hint`` blocks under ``policy``, plus the builder notes
-    its callers read (for example ``decay`` and ``expected_climb``).  An
-    adaptive construction's branch and reference optimum are in
-    ``audit()``."""
+    """A construction's canonical run: its scenario, run under ``policy``
+    for ``horizon`` blocks, plus the builder notes its callers read (for
+    example ``decay`` and ``expected_climb``).  An adaptive construction's
+    branch and reference optimum are in ``audit()``."""
 
     scenario: Scenario | AdaptiveScenario
     policy: InclusionPolicy
+    horizon: int
     notes: dict = field(default_factory=dict)
 
     def audit(self) -> dict:
@@ -119,9 +119,7 @@ def random_family(
                 q = rng.randint(1, q_max)
                 v = math.exp(rng.uniform(ln_lo, ln_hi))
                 txs.append(Transaction(len(txs), t, (q,), v))
-    return Scenario(
-        capacities=(float(B),), transactions=txs, horizon_hint=horizon, seed=seed
-    )
+    return Scenario(capacities=(float(B),), transactions=txs, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +247,8 @@ def c_below_two(horizon: int, c: float, B: int, eps: float) -> ScenarioBundle:
         raise ValueError(f"horizon must be even and >= 8, got {horizon}")
     if eps <= 0 or eps >= 1.0 - c / 2.0:
         raise ValueError(f"eps must be in (0, {1.0 - c / 2.0}), got {eps}")
-    gen = _CBelowTwoGenerator(horizon, c, B, eps)
-    scenario = AdaptiveScenario(capacities=(float(B),), generator=gen, horizon_hint=horizon)
-    return ScenarioBundle(scenario=scenario, policy=ValueDescending())
+    scenario = AdaptiveScenario((float(B),), _CBelowTwoGenerator(horizon, c, B, eps))
+    return ScenarioBundle(scenario=scenario, policy=ValueDescending(), horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +292,11 @@ def eip_c2_failure(params: MechanismParams, eps: float) -> ScenarioBundle:
         txs.append(Transaction(len(txs), t, (B,), 10.0 * params.p_min))
         tips[len(txs)] = 1.0  # the low transaction's id
         txs.append(Transaction(len(txs), t, (low_size,), 2.0 * params.p_min))
-    scenario = Scenario(capacities=(float(B),), transactions=txs, horizon_hint=horizon)
+    scenario = Scenario(capacities=(float(B),), transactions=txs)
     return ScenarioBundle(
         scenario=scenario,
         policy=TipPriority(tips=tips),
+        horizon=horizon,
         notes={
             "decay": decay,
             "expected_climb": math.log(2.0) / (params.eta * eps_eff),
@@ -348,10 +346,11 @@ def log_range(params: MechanismParams, H: float, L: float) -> ScenarioBundle:
         for _ in range(n_chunks):
             tips[len(txs)] = 1.0
             txs.append(Transaction(len(txs), t, (chunk,), L * params.p_min))
-    scenario = Scenario(capacities=(float(B),), transactions=txs, horizon_hint=horizon)
+    scenario = Scenario(capacities=(float(B),), transactions=txs)
     return ScenarioBundle(
         scenario=scenario,
         policy=TipPriority(tips=tips),
+        horizon=horizon,
         notes={
             "decay": decay,
             "expected_climb": expected_climb,
@@ -429,9 +428,10 @@ def discount_mix(
         raise ValueError("headroom factors must be >= 1")
     p_rho = math.ceil(math.log(2.0) / -math.log1p(-rho_min))
     p = max(p_rho, math.ceil(K * gamma_delta / 3.0), 2)
-    gen = _DiscountMixGenerator(rho_min, B, p)
-    scenario = AdaptiveScenario(capacities=(float(B),), generator=gen, horizon_hint=3 * p)
-    return ScenarioBundle(scenario=scenario, policy=ValueDescending(), notes={"p": p})
+    scenario = AdaptiveScenario((float(B),), _DiscountMixGenerator(rho_min, B, p))
+    return ScenarioBundle(
+        scenario=scenario, policy=ValueDescending(), horizon=3 * p, notes={"p": p}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +473,8 @@ def patience_global(p: int, B: int) -> ScenarioBundle:
     forces a constant welfare loss; horizon is 2p."""
     if p < 2:
         raise ValueError(f"patience level must be >= 2, got {p}")
-    gen = _PatienceGlobalGenerator(p, B)
-    scenario = AdaptiveScenario(capacities=(float(B),), generator=gen, horizon_hint=2 * p)
-    return ScenarioBundle(scenario=scenario, policy=ValueDescending())
+    scenario = AdaptiveScenario((float(B),), _PatienceGlobalGenerator(p, B))
+    return ScenarioBundle(scenario=scenario, policy=ValueDescending(), horizon=2 * p)
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +521,8 @@ def three_resources(t_half: int) -> ScenarioBundle:
         raise ValueError(f"t must be >= 2, got {t_half}")
     gen = _ThreeResourceGenerator(t_half)
     anchor_cap = 8.0  # block demand on the anchor never exceeds a few units
-    scenario = AdaptiveScenario(
-        capacities=(anchor_cap, 1.0, 1.0, 1.0),
-        generator=gen,
-        horizon_hint=2 * t_half,
-    )
-    return ScenarioBundle(scenario=scenario, policy=ValueAscending())
+    scenario = AdaptiveScenario(capacities=(anchor_cap, 1.0, 1.0, 1.0), generator=gen)
+    return ScenarioBundle(scenario=scenario, policy=ValueAscending(), horizon=2 * t_half)
 
 
 def three_resources_params(eta: float = 0.125) -> list[MechanismParams]:
@@ -598,7 +593,7 @@ def adaptive_price_adversary(
         return run_price_based(build(m_idx), params, ValueAscending(), R)
 
     def executed_history(res: RunResult) -> tuple:
-        index = res.scenario.index()
+        index = res.scenario._index
         return tuple(
             tuple((index[tid].q, index[tid].unit_value) for tid, _f in rec.executed)
             for rec in res.trace.records

@@ -107,7 +107,7 @@ def _trace_registry(theorem_runs):
     res = run_price_based(bundle.scenario, params, bundle.policy, 600)
     out.append((res.schedule, res.scenario, params))
     bundle = log_range(params, H=100.0, L=math.e)
-    res = run_price_based(bundle.scenario, params, bundle.policy, bundle.scenario.horizon_hint)
+    res = run_price_based(bundle.scenario, params, bundle.policy, bundle.horizon)
     out.append((res.schedule, res.scenario, params))
     for c in (1.25, 1.5, 1.75):
         pc = MechanismParams(B=6400.0, c=c, eta=ETA, p_min=1.0, p_1=1.0)
@@ -324,7 +324,7 @@ def test_criterion_10_log_range():
     params = MechanismParams(B=6400.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
     L = math.e
     bundle = log_range(params, H=100.0, L=L)
-    res = run_price_based(bundle.scenario, params, bundle.policy, bundle.scenario.horizon_hint)
+    res = run_price_based(bundle.scenario, params, bundle.policy, bundle.horizon)
     climb = measure_climb(res, params, L, bundle.notes["decay"])
     expected = math.log(L / params.p_min) / ((params.c - 1.0) * ETA)
     sizes = res.trace.sizes()[:climb]
@@ -352,11 +352,11 @@ def test_criterion_12_partial_patience():
         B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0, discounted_eligibility=True
     )
     bundle = discount_mix(rho_min=0.01, B=1, K=8)
-    T = bundle.scenario.horizon_hint
+    T = bundle.horizon
     res = run_price_based(bundle.scenario, mp, ValueDescending(), T)
     loss_d = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
     bundle = patience_global(p=60, B=1)
-    T = bundle.scenario.horizon_hint
+    T = bundle.horizon
     res = run_price_based(bundle.scenario, mp, ValueDescending(), T)
     loss_p = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
 
@@ -364,7 +364,7 @@ def test_criterion_12_partial_patience():
     dp_ok = True
     bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
     gen = bundle.scenario.generator
-    Tm = bundle.scenario.horizon_hint
+    Tm = bundle.horizon
     scn, audit = drive(bundle, Tm, lambda t, pending: {
         x.id for x in pending if gen.tags.get(x.id) == "hasty"
     })
@@ -375,7 +375,7 @@ def test_criterion_12_partial_patience():
     for picker in ("reds", "none"):
         bundle = patience_global(p=5, B=1)
         gen = bundle.scenario.generator
-        Tm = bundle.scenario.horizon_hint
+        Tm = bundle.horizon
         pick = (
             (lambda t, pending: {x.id for x in pending if gen.tags.get(x.id) == "red"})
             if picker == "reds"
@@ -393,7 +393,7 @@ def test_criterion_12_partial_patience():
 
 def test_criterion_13_three_resources():
     bundle = three_resources(300)
-    T = bundle.scenario.horizon_hint
+    T = bundle.horizon
     res = multi_resource_mechanism(
         bundle.scenario, three_resources_params(ETA), ValueAscending(), T
     )

@@ -8,6 +8,7 @@ import pytest
 from feemarket import (
     BenchmarkConstraintError,
     InvalidScheduleError,
+    MechanismParams,
     Scenario,
     ScenarioError,
     Schedule,
@@ -20,6 +21,7 @@ from feemarket import (
     greedy_dominance_check,
     opt_fractional,
     opt_integral_small,
+    replay_log_prices,
     run_price_based,
     theorem_gamma,
     validate_schedule,
@@ -307,7 +309,19 @@ def test_offline_optima_reject_adaptive_scenario():
     from feemarket.scenarios import c_below_two
 
     scn = c_below_two(40, 1.5, 64, 0.01).scenario
-    with pytest.raises(AttributeError):
-        opt_fractional(scn, 64.0, 40)
-    with pytest.raises(AttributeError):
-        opt_integral_small(scn, 64.0, 8)
+    message = (
+        "an adaptive scenario has no stream until it runs;"
+        " pass the run's realized stream, RunResult.scenario"
+    )
+    params = MechanismParams(B=64.0, c=1.5, eta=0.125, p_min=1.0, p_1=1.0)
+    res = run_price_based(scn, params, ValueAscending(), 40)
+    for offline in (
+        lambda: opt_fractional(scn, 64.0, 40),
+        lambda: opt_integral_small(scn, 64.0, 8),
+        lambda: welfare(res.schedule, scn, 40),
+        lambda: validate_schedule(res.schedule, scn),
+        lambda: replay_log_prices([params], res.trace, scn),
+    ):
+        with pytest.raises(ScenarioError) as exc:
+            offline()
+        assert str(exc.value) == message

@@ -14,7 +14,7 @@ import pytest
 from feemarket import MechanismParams, Scenario, Transaction
 from feemarket import cli
 from feemarket.cli import BUILTINS, main, theorem_params
-from feemarket.core import scenario_to_jsonl
+from feemarket.core import scenario_from_jsonl, scenario_to_jsonl
 from feemarket.adversary import SeededRandom, policy_to_config
 from feemarket.mechanisms import params_to_config, theorem_gamma
 from feemarket.scenarios import random_family
@@ -110,13 +110,33 @@ def test_run_builtin_c2_failure_short_run_has_no_t_star(tmp_path, horizon):
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_builtin_runs_its_bundle_horizon(tmp_path, name):
-    """A builtin's default run is its bundle's horizon hint, and a static
-    stream has no arrival past it."""
-    scn = BUILTINS[name].build().scenario
+    """A builtin's default run is its bundle's horizon, and a static stream
+    has no arrival past it."""
+    bundle = BUILTINS[name].build()
     assert main(["run", "--scenario", name, "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "summary.json").read_text())["blocks"] == scn.horizon_hint
+    assert json.loads((tmp_path / "summary.json").read_text())["blocks"] == bundle.horizon
     if name == "eip_c2_failure":
-        assert max(t.arrival for t in scn.transactions) == scn.horizon_hint
+        assert max(t.arrival for t in bundle.scenario.transactions) == bundle.horizon
+
+
+def _stream(name, tmp_path):
+    """A stream the package builds: a random family, a builtin's realized
+    stream, or a family read back from its file."""
+    family = random_family(3, 40, (1.14, 1e3), 20, 2.5, B=100, eta=0.125)
+    if name == "random_family":
+        return family
+    if name == "file":
+        path = tmp_path / "family.jsonl"
+        path.write_text(scenario_to_jsonl(family))
+        return scenario_from_jsonl(path.read_text())
+    return BUILTINS[name].run().result.scenario
+
+
+@pytest.mark.parametrize("name", ["random_family", *sorted(BUILTINS), "file"])
+def test_stream_equals_its_file_round_trip(tmp_path, name):
+    """A stream is plain data: its file holds all of it."""
+    scn = _stream(name, tmp_path)
+    assert scenario_from_jsonl(scenario_to_jsonl(scn)) == scn
 
 
 def test_run_empty_scenario(tmp_path):

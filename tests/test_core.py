@@ -467,7 +467,7 @@ class TestScenarioContract:
         scn = Scenario((10.0,), [self.tx0, self.tx1])
         moved = dataclasses.replace(scn, seed=5)
         assert moved.seed == 5
-        assert moved.index() is scn.index()
+        assert moved._index is scn._index
 
     def test_replace_with_another_stream_reindexes(self):
         scn = Scenario((10.0,), [self.tx0])
@@ -486,10 +486,26 @@ class TestScenarioContract:
         gen = patience_global(p=4, B=1).scenario.generator
         with pytest.raises(TypeError):
             Scenario((1.0,), generator=gen)
-        adaptive = AdaptiveScenario((1.0,), gen, horizon_hint=8)
-        assert (adaptive.m, adaptive.horizon_hint, adaptive.seed) == (1, 8, 0)
+        adaptive = AdaptiveScenario((1.0,), gen)
+        assert (adaptive.m, adaptive.seed) == (1, 0)
         with pytest.raises(ScenarioError, match="capacities must be positive"):
             AdaptiveScenario((0.0,), gen)
+
+    def test_stream_types_carry_no_horizon(self):
+        # how long to run is the run's choice (a builtin's is its bundle's)
+        names = lambda cls: [f.name for f in dataclasses.fields(cls)]
+        assert names(Scenario) == ["capacities", "transactions", "seed", "_index"]
+        assert names(AdaptiveScenario) == ["capacities", "generator", "seed"]
+
+    def test_index_is_read_only(self):
+        # a write through the index would let the verifiers see a tx 5 that
+        # the stream does not hold
+        scn = Scenario((10.0,), [Transaction(0, 1, (5,), 1.0)])
+        with pytest.raises(TypeError):
+            scn.index()[5] = Transaction(5, 1, (5,), 9.0)
+        assert dict(scn.index()) == {0: scn.transactions[0]}
+        with pytest.raises(InvalidScheduleError):
+            validate_schedule(Schedule([ScheduleEntry(5, 1, 1.0)]), scn)
 
 
 class TestUnknownIds:

@@ -153,7 +153,7 @@ def test_audit_empty_until_branch_then_fixed(build, branch_block, key, tag):
         audits.append(dict(gen.audit))
         return set() if t == branch_block - 1 else {x.id for x in pending if x.id in gen.tags}
 
-    drive(bundle, bundle.scenario.horizon_hint, pick)
+    drive(bundle, bundle.horizon, pick)
     first = audits[branch_block - 1]
     assert audits[: branch_block - 1] == [{}] * (branch_block - 1)
     assert first and all(a == first for a in audits[branch_block:])
@@ -198,7 +198,7 @@ class TestLogRange:
         params = MechanismParams(B=6400.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
         bundle = log_range(params, H=100.0, L=math.e)
         res = run_price_based(
-            bundle.scenario, params, bundle.policy, bundle.scenario.horizon_hint
+            bundle.scenario, params, bundle.policy, bundle.horizon
         )
         climb = measure_climb(res, params, math.e, bundle.notes["decay"])
         assert abs(climb - bundle.notes["expected_climb"]) <= 1.0
@@ -212,7 +212,7 @@ class TestLogRange:
         L = math.e
         bundle = log_range(params, H=100.0, L=L)
         res = run_price_based(
-            bundle.scenario, params, bundle.policy, bundle.scenario.horizon_hint
+            bundle.scenario, params, bundle.policy, bundle.horizon
         )
         climb = measure_climb(res, params, L, 0)
         idx = res.scenario.index()
@@ -240,7 +240,7 @@ class TestDiscountMix:
         # both branches, driven synthetically, against the exact solver
         bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
         gen = bundle.scenario.generator
-        T = bundle.scenario.horizon_hint
+        T = bundle.horizon
 
         def pick_hasty(t, pending):
             return set(x.id for x in pending if gen.tags.get(x.id) == "hasty")
@@ -251,7 +251,7 @@ class TestDiscountMix:
         assert dp == pytest.approx(audit["optimum"], rel=1e-9)
 
         bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
-        scn, audit = drive(bundle, bundle.scenario.horizon_hint, lambda t, p: set())
+        scn, audit = drive(bundle, bundle.horizon, lambda t, p: set())
         assert audit["branch"] == "II"
         dp = welfare(opt_integral_small(scn, 1.0, T), scn, T)
         assert dp == pytest.approx(audit["optimum"], rel=1e-9)
@@ -261,7 +261,7 @@ class TestPatienceGlobal:
     def test_branch_optima_match_dp_miniatures(self):
         bundle = patience_global(p=5, B=1)
         gen = bundle.scenario.generator
-        T = bundle.scenario.horizon_hint
+        T = bundle.horizon
 
         def pick_red(t, pending):
             return set(x.id for x in pending if gen.tags.get(x.id) == "red")
@@ -280,7 +280,7 @@ class TestPatienceGlobal:
     def test_expired_green_contributes_nothing(self):
         bundle = patience_global(p=3, B=1)
         gen = bundle.scenario.generator
-        T = bundle.scenario.horizon_hint
+        T = bundle.horizon
         scn, _ = drive(bundle, T, lambda t, p: set())
         green = next(t for t in scn.transactions if t.unit_value == 1.0)
         assert green.value_at(1 + 3) == 1.0
@@ -290,7 +290,7 @@ class TestPatienceGlobal:
 class TestThreeResources:
     def test_pigeonhole_on_trace(self):
         bundle = three_resources(60)
-        T = bundle.scenario.horizon_hint
+        T = bundle.horizon
         res = multi_resource_mechanism(
             bundle.scenario, three_resources_params(ETA), ValueAscending(), T
         )
@@ -304,7 +304,7 @@ class TestThreeResources:
     def test_miniature_optimum_matches_dp(self):
         bundle = three_resources(4)
         gen = bundle.scenario.generator
-        T = bundle.scenario.horizon_hint
+        T = bundle.horizon
 
         def pick_xz(t, pending):
             xz = [x.id for x in pending if gen.tags.get(x.id) == "xz"]
@@ -418,7 +418,7 @@ class TestBatchedEmission:
             gen = bundle.scenario.generator
             if per_call:
                 gen._txs = per_call_txs.__get__(gen)
-            horizon = bundle.scenario.horizon_hint
+            horizon = bundle.horizon
             res = multi_resource_mechanism(bundle.scenario, params, bundle.policy, horizon)
             runs.append((res.scenario.transactions, res.trace.records, generator_state(gen)))
         assert runs[0] == runs[1]
@@ -488,7 +488,7 @@ class TestAdaptiveReuseGuard:
     )
     def test_every_generator_is_single_run(self, make, params):
         bundle = make()
-        horizon = bundle.scenario.horizon_hint
+        horizon = bundle.horizon
         multi_resource_mechanism(bundle.scenario, params, ValueAscending(), horizon)
         with pytest.raises(ScenarioError, match="single-run"):
             multi_resource_mechanism(bundle.scenario, params, ValueAscending(), horizon)
