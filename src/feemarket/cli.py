@@ -29,12 +29,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from . import benchmarks, core, mechanisms, scenarios
-from .adversary import (
-    InclusionPolicy,
-    ValueAscending,
-    TipPriority,
-    policy_from_config,
-)
+from .adversary import ValueAscending, policy_from_config
 from .core import FeeMarketError, Scenario
 from .mechanisms import MechanismParams, params_from_config
 
@@ -122,11 +117,7 @@ def run_theorem_case(
         p_min=params.p_min,
     )
     gamma = mechanisms.theorem_gamma(params, v_max=v_hi, q_max=B, delta_prime=0)
-    if seed % 2 == 0:
-        policy: InclusionPolicy = ValueAscending()
-    else:
-        policy = TipPriority(tips={t.id: 1.0 / t.unit_value for t in scn.transactions})
-    run = mechanisms.run_price_based(scn, params, policy, horizon + gamma)
+    run = mechanisms.run_price_based(scn, params, ValueAscending(), horizon + gamma)
     bench = benchmarks.opt_fractional(scn, B, horizon)
     return run, bench, params, gamma, scn
 

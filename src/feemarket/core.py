@@ -276,8 +276,8 @@ class Scenario(_Stream):
     the checked index they built as ``_index``; one that does not hold
     exactly ``transactions`` is ignored and the index is rebuilt.  How many
     blocks to run it for is the caller's choice (a builtin's is
-    ``ScenarioBundle.horizon``), so a stream in (arrival, id) order equals
-    its file round trip.
+    ``ScenarioBundle.horizon``), and a file keeps the stream's order, so
+    every scenario equals its file round trip.
     """
 
     transactions: tuple[Transaction, ...] = ()
@@ -869,14 +869,14 @@ def _sens_from_json(d: object) -> Sensitivity:
 
 
 def scenario_to_jsonl(scenario: Scenario) -> str:
-    """One header line {m, B, seed} then one line per arrival event, in
-    (arrival, id) order."""
+    """One header line {m, B, seed} then one line per arrival event, in the
+    stream's order, so the file reads back as the same stream."""
     lines = [
         json.dumps(
             {"m": scenario.m, "B": list(scenario.capacities), "seed": scenario.seed}
         )
     ]
-    for t_ in sorted(scenario.transactions, key=attrgetter("arrival", "id")):
+    for t_ in scenario.transactions:
         a, i, size, v = t_.arrival, t_.id, t_.size, t_.unit_value
         # A Transaction's unit value is finite.
         if (
@@ -947,32 +947,30 @@ def scenario_from_jsonl(text: str) -> Scenario:
                 if m != 1:
                     raise ValueError(f"tx {i}: size has 1 resources, scenario has {m}")
                 txn = Transaction(i, t, (q,), float(v), PATIENT)
-                if i in index:
-                    raise ValueError(f"duplicate transaction id {i}")
-                index[i] = txn
+            elif not ln.strip():
                 continue
-            if not ln.strip():
-                continue
-            obj = loads(ln)
-            i, t, q = obj["id"], obj["t"], obj["q"]
-            ii, tt, size = int(i), int(t), tuple(map(int, q))
-            if ii != i or tt != t or list(size) != q:
-                raise ValueError(
-                    f"t, id and q must be integers, got t={t!r}, id={i!r}, q={q!r}"
+            else:
+                obj = loads(ln)
+                i, t, q = obj["id"], obj["t"], obj["q"]
+                ii, tt, size = int(i), int(t), tuple(map(int, q))
+                if ii != i or tt != t or list(size) != q:
+                    raise ValueError(
+                        f"t, id and q must be integers, got t={t!r}, id={i!r}, q={q!r}"
+                    )
+                if len(size) != m:
+                    raise ValueError(f"tx {ii}: size has {len(size)} resources, scenario has {m}")
+                sens = obj.get("sens", _PATIENT_JSON)
+                txn = Transaction(
+                    ii,
+                    tt,
+                    size,
+                    _number(obj["v"], "v"),
+                    PATIENT if sens == _PATIENT_JSON else _sens_from_json(sens),
                 )
-            if len(size) != m:
-                raise ValueError(f"tx {ii}: size has {len(size)} resources, scenario has {m}")
-            sens = obj.get("sens", _PATIENT_JSON)
-            txn = Transaction(
-                ii,
-                tt,
-                size,
-                _number(obj["v"], "v"),
-                PATIENT if sens == _PATIENT_JSON else _sens_from_json(sens),
-            )
-            if ii in index:
-                raise ValueError(f"duplicate transaction id {ii}")
-            index[ii] = txn
+            i = txn.id
+            if i in index:
+                raise ValueError(f"duplicate transaction id {i}")
+            index[i] = txn
         except JSONDecodeError as exc:
             raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
         except (KeyError, ValueError, TypeError, OverflowError) as exc:

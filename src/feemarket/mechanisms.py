@@ -287,7 +287,7 @@ def _run_engine(
         raise ValueError(f"need {m} parameter sets for {m} resources, got {len(params_list)}")
     run = _Run(scenario, horizon)
 
-    caps = tuple(p.c * p.B for p in params_list)
+    caps = tuple(p.max_block for p in params_list)
     log_prices = tuple(math.log(p.p_1) for p in params_list)
     aware = params_list[0].discounted_eligibility
     if any(p.discounted_eligibility != aware for p in params_list):

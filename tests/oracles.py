@@ -335,14 +335,14 @@ def _reference_sens_to_json(s) -> dict:
 
 
 def reference_scenario_to_jsonl(scenario: Scenario) -> str:
-    """One json.dumps per line: the header, then each event in (arrival, id)
+    """One json.dumps per line: the header, then each event in the stream's
     order."""
     lines = [
         json.dumps(
             {"m": scenario.m, "B": list(scenario.capacities), "seed": scenario.seed}
         )
     ]
-    for t_ in sorted(scenario.transactions, key=lambda x: (x.arrival, x.id)):
+    for t_ in scenario.transactions:
         lines.append(
             json.dumps(
                 {

@@ -20,9 +20,10 @@ from feemarket.mechanisms import params_to_config, theorem_gamma
 from feemarket.scenarios import random_family
 
 
-@pytest.fixture
-def scenario_file(tmp_path):
-    scn = Scenario(
+def _id_order_stream():
+    """30 transactions in id order that arrive at blocks 1-5 in turn, so the
+    stream is not in (arrival, id) order."""
+    return Scenario(
         capacities=(100.0,),
         seed=3,
         transactions=[
@@ -30,8 +31,12 @@ def scenario_file(tmp_path):
             for i in range(30)
         ],
     )
+
+
+@pytest.fixture
+def scenario_file(tmp_path):
     path = tmp_path / "scenario.jsonl"
-    path.write_text(scenario_to_jsonl(scn))
+    path.write_text(scenario_to_jsonl(_id_order_stream()))
     return path
 
 
@@ -120,8 +125,9 @@ def test_builtin_runs_its_bundle_horizon(tmp_path, name):
 
 
 def _stream(name, tmp_path):
-    """A stream the package builds: a random family, a builtin's realized
-    stream, or a family read back from its file."""
+    """A stream the package builds (a random family, a builtin's realized
+    stream, or a family read back from its file) or a hand-built one out of
+    (arrival, id) order."""
     family = random_family(3, 40, (1.14, 1e3), 20, 2.5, B=100, eta=0.125)
     if name == "random_family":
         return family
@@ -129,12 +135,18 @@ def _stream(name, tmp_path):
         path = tmp_path / "family.jsonl"
         path.write_text(scenario_to_jsonl(family))
         return scenario_from_jsonl(path.read_text())
+    if name == "id_order":
+        return _id_order_stream()
+    if name == "late_first":
+        return Scenario((10.0,), [Transaction(0, 2, (5,), 1.0), Transaction(1, 1, (5,), 1.0)])
     return BUILTINS[name].run().result.scenario
 
 
-@pytest.mark.parametrize("name", ["random_family", *sorted(BUILTINS), "file"])
+@pytest.mark.parametrize(
+    "name", ["random_family", *sorted(BUILTINS), "file", "id_order", "late_first"]
+)
 def test_stream_equals_its_file_round_trip(tmp_path, name):
-    """A stream is plain data: its file holds all of it."""
+    """A stream is plain data: its file holds all of it, in its order."""
     scn = _stream(name, tmp_path)
     assert scenario_from_jsonl(scenario_to_jsonl(scn)) == scn
 
