@@ -22,7 +22,7 @@ from itertools import chain, repeat
 from operator import attrgetter, itemgetter, le
 from typing import Mapping, Sequence, Union
 
-from .core import LOG_EPS, Patient, Transaction, _known_keys, _number
+from .core import LOG_EPS, Patient, Transaction, _known_keys
 
 __all__ = [
     "PRNG_NAME",
@@ -138,7 +138,7 @@ def _pool_entry(txn: Transaction, descending: bool, tips: Mapping[int, float] | 
     is non-decreasing, so the key sorts into the policy's own (v, id) order
     (descending v, ties in ascending id), also where adjacent values share
     one ln.  Under ``TipPriority`` (``tips`` not None) the entry also
-    carries the tip order's key ``(-tip, id)``, so that each block sorts by
+    carries the tip order's key ``(-tip, id)``, so that the tip merge reads
     a field instead of calling a key function.  The key is computed here,
     not by a call: this runs once per arrival."""
     v = txn.unit_value
@@ -177,31 +177,34 @@ def _assemble(
     capacity: Sequence[float],
     policy: InclusionPolicy,
     rng: SplitMix64 | None,
+    tip_floors: dict[tuple[int, ...], float],
 ) -> list[tuple]:
     """The one fill pass: the admitted pool entries, in admission order.
 
     ``runs`` are ranges ``(entries, lo, hi)`` of entries in pool-key order
-    (``_pool_entry``), the order both value policies admit in.  The value
-    policies merge the runs by a heap on their heads; every entry of a run
-    has one size, so a run leaves the merge once its head does not fit: its
-    later entries have the same size and residuals only shrink.  Otherwise
-    the runs are concatenated; the tip order re-sorts them by the entries'
-    own (-tip, id) field, the random order by id, then shuffles.
+    (``_pool_entry``), the order both value policies admit in.  Every entry
+    of a run has one size, so a run leaves a merge once its head does not
+    fit: its later entries have the same size and residuals only shrink.
+    The value policies merge the runs by a heap on their heads, the tip
+    order by a heap on their (-tip, id) heads (``_tip_fill``, which keeps
+    a lower bound on each size's -tip fields in ``tip_floors``).  The
+    random order concatenates the runs, sorts them by id and shuffles them.
     """
     if isinstance(policy, (ValueAscending, ValueDescending)):
         if len(capacity) == 1:
             return _merge_fill_one(runs, float(capacity[0]))
         return _merge_fill(runs, capacity)
-    if not isinstance(policy, (TipPriority, SeededRandom)):
-        raise TypeError(f"unknown inclusion policy {policy!r}")
-    entries = list(chain.from_iterable(src[lo:hi] for src, lo, hi in runs))
     if isinstance(policy, TipPriority):
-        entries.sort(key=itemgetter(5))
-    else:
-        if rng is None:
-            raise ValueError("SeededRandom policy requires a block RNG")
-        entries.sort(key=itemgetter(2))
-        rng.shuffle(entries)
+        if len(capacity) == 1:
+            return _tip_fill_one(runs, tip_floors, float(capacity[0]))
+        return _tip_fill(runs, tip_floors, capacity)
+    if not isinstance(policy, SeededRandom):
+        raise TypeError(f"unknown inclusion policy {policy!r}")
+    if rng is None:
+        raise ValueError("SeededRandom policy requires a block RNG")
+    entries = list(chain.from_iterable(src[lo:hi] for src, lo, hi in runs))
+    entries.sort(key=itemgetter(2))
+    rng.shuffle(entries)
     if len(capacity) == 1:
         fits = _first_fit(list(map(itemgetter(3), entries)), float(capacity[0]))
         return [entries[i] for i in fits]
@@ -296,6 +299,146 @@ def _merge_fill_one(runs: list[tuple[list[tuple], int, int]], residual: float) -
     return chosen
 
 
+_tip_key = itemgetter(5)
+
+# A run of at most this many entries enters the tip merge at its exact head,
+# found by ``min``; a longer one at its size's bound (``_tip_heap``), which
+# the pool then keeps up to date on every arrival of that size.
+_SHORT_RUN = 8
+
+
+def _tip_heap(runs: list[tuple[list[tuple], int, int]], tip_floors: dict) -> list[tuple]:
+    """The starting heap of the tip-order merge.  A run is in pool-key
+    order, not tip order.  A short run enters at its head's (-tip, id) key,
+    found by one C-level ``min`` over it.  A longer one, a range of its size
+    group, enters at a lower bound on its keys, its size's entry of
+    ``tip_floors`` with id -inf; the first such run of a group finds the
+    bound by one ``min`` over the group and stores it.  Items are ``(-tip,
+    id, run, rank, entry)``, with ``entry`` None while the key only bounds
+    the run's entry of that rank."""
+    heap = []
+    for k, (src, lo, hi) in enumerate(runs):
+        n = hi - lo
+        if n > _SHORT_RUN:
+            size = src[lo][4].size
+            bound = tip_floors.get(size)
+            if bound is None:
+                bound = tip_floors[size] = min(map(_tip_key, src))[0]
+            heap.append((bound, -math.inf, k, 0, None))
+        elif n:
+            entry = src[lo] if n == 1 else min(src[lo:hi], key=_tip_key)
+            heap.append((*entry[5], k, 0, entry))
+    heapify(heap)
+    return heap
+
+
+def _tip_rank(runs: list[tuple[list[tuple], int, int]], k: int, j: int, ranked: dict) -> tuple:
+    """Run k's entry of rank j in (-tip, id) order: its head by one C-level
+    ``min`` over its range, a later one from the range sorted once, into
+    ``ranked[k]``."""
+    src, lo, hi = runs[k]
+    if j == 0:
+        return min(src[lo:hi], key=_tip_key)
+    if k not in ranked:
+        ranked[k] = sorted(src[lo:hi], key=_tip_key)
+    return ranked[k][j]
+
+
+def _tip_fill(
+    runs: list[tuple[list[tuple], int, int]], tip_floors: dict, capacity: Sequence[float]
+) -> list[tuple]:
+    """The several-resource tip-order pass of ``_assemble``: it admits what
+    one first-fit scan of the runs' union in (-tip, id) order would, in
+    that order.  A long run's head is found only once its bound tops the
+    heap (``_tip_heap``) and its size still fits, and a run is sorted only
+    once it tops the heap again after its head is admitted."""
+    residual = [float(c) for c in capacity]
+    chosen: list[tuple] = []
+    if max(residual) < 1.0:
+        return chosen
+    lims = [r + 1e-9 for r in residual]
+    heap = _tip_heap(runs, tip_floors)
+    ranked: dict[int, list[tuple]] = {}
+    while heap:
+        k, j, entry = heap[0][2:]
+        src, lo, hi = runs[k]
+        size = src[lo][4].size
+        if not all(map(le, size, lims)):
+            heappop(heap)
+            continue
+        if entry is None:
+            entry = _tip_rank(runs, k, j, ranked)
+            heapreplace(heap, (*entry[5], k, j, entry))
+            continue
+        for i in range(len(residual)):
+            residual[i] -= size[i]
+        chosen.append(entry)
+        if max(residual) < 1.0:
+            break
+        lims = [r + 1e-9 for r in residual]
+        j += 1
+        if j == hi - lo:
+            heappop(heap)
+        elif k in ranked:
+            entry = ranked[k][j]
+            heapreplace(heap, (*entry[5], k, j, entry))
+        else:  # the admitted head's key bounds the rest of the run
+            heapreplace(heap, (*entry[5], k, j, None))
+    return chosen
+
+
+def _tip_fill_one(
+    runs: list[tuple[list[tuple], int, int]], tip_floors: dict, residual: float
+) -> list[tuple]:
+    """``_tip_fill`` on one resource, with a scalar residual.  Once a single
+    run is left, the number of its entries that fit is counted first, and
+    they are taken without the heap, sorting the run only if two or more
+    fit."""
+    chosen: list[tuple] = []
+    if residual < 1.0:
+        return chosen
+    heap = _tip_heap(runs, tip_floors)
+    ranked: dict[int, list[tuple]] = {}
+    while len(heap) > 1:
+        k, j, entry = heap[0][2:]
+        src, lo, hi = runs[k]
+        q = src[lo][3]
+        if q > residual + 1e-9:
+            heappop(heap)
+            continue
+        if entry is None:
+            entry = _tip_rank(runs, k, j, ranked)
+            heapreplace(heap, (*entry[5], k, j, entry))
+            continue
+        residual -= q
+        chosen.append(entry)
+        if residual < 1.0:
+            return chosen
+        j += 1
+        if j == hi - lo:
+            heappop(heap)
+        elif k in ranked:
+            entry = ranked[k][j]
+            heapreplace(heap, (*entry[5], k, j, entry))
+        else:
+            heapreplace(heap, (*entry[5], k, j, None))
+    if heap:
+        k, j, entry = heap[0][2:]
+        src, lo, hi = runs[k]
+        q = src[lo][3]  # the size of every entry of the run
+        n = 0
+        while j + n < hi - lo and q <= residual + 1e-9:
+            n += 1
+            residual -= q
+            if residual < 1.0:
+                break
+        if n == 1:
+            chosen.append(entry or _tip_rank(runs, k, j, ranked))
+        elif n:
+            chosen += (ranked.get(k) or sorted(src[lo:hi], key=_tip_key))[j : j + n]
+    return chosen
+
+
 def _eligibility_bar(prices: Sequence[float], size: Sequence[int]) -> float:
     """The posted cost of a bundle less the eligibility tolerance: a
     several-resource transaction is eligible iff v * q_0 reaches it."""
@@ -325,17 +468,26 @@ class _Pool:
     ``decaying`` instead, is tested every block and, if eligible, joins the
     block's runs as a run of its own.  It is dropped once it fails the test
     at the floor prices (``log_floors``), the least that can be posted:
-    values never rise and no posted log-price is below its floor.
+    values never rise and no posted log-price is below its floor.  Under
+    TipPriority, ``tip_floors`` holds a lower bound on the -tip fields of
+    each group that a block's tip merge has read as a range of more than
+    ``_SHORT_RUN`` entries: found then (``_tip_heap``), lowered by later
+    arrivals and dropped with the group.  Other groups pay nothing for it.
 
     Cost: a value-order block merges the eligible ranges by a heap, dropping
     a size once its head does not fit, and on one resource admits from the
     last size left by a plain loop, so it costs O((G + admitted) log G) for
     the G sizes it visits: Python code runs per admitted transaction and per
-    visited size, not per eligible one.  The tip order sorts the eligible
-    entries by the ``(-tip, id)`` key each carries from its arrival, and the
-    random order sorts them by id and shuffles them; on one resource their
-    pass is ``_first_fit``, which runs Python code only per admission, and
-    on several it scans until the block fills, one C-level fit test per
+    visited size, not per eligible one.  A tip-order block merges them by
+    (-tip, id) in the same way (``_tip_fill``), a short range entering at
+    its head and a long one at its size's bound.  A long range whose size
+    no longer fits when its bound tops the heap leaves unread, as a pool of
+    entries too large to fit does every block; one that fits costs one
+    C-level ``min`` over it, and a sort only once a second of its entries
+    is admitted.  Only the random order re-sorts: it sorts the eligible
+    entries by id and shuffles them; on one resource its pass is
+    ``_first_fit``, which runs Python code only per admission, and on
+    several it scans until the block fills, one C-level fit test per
     entry.  A size's arrivals that all sort after its pooled entries are
     appended in one step; a size's admitted entries leave by one slice where
     they are one contiguous range of it, as under the value orders they
@@ -351,6 +503,7 @@ class _Pool:
     ) -> None:
         self.policy, self.caps, self.aware = policy, caps, aware
         self.groups: dict[tuple[int, ...], list[tuple]] = {}
+        self.tip_floors: dict[tuple[int, ...], float] = {}
         self.best: list[tuple] = []
         self.decaying: dict[int, tuple] = {}
         self.dead_below = log_floors[0] - LOG_EPS
@@ -369,7 +522,7 @@ class _Pool:
         ``log_prices`` fill the block (``_assemble``) and leave the pool.
         Returns the admitted transactions in admission order."""
         groups, best, decaying = self.groups, self.best, self.decaying
-        descending, aware = self.descending, self.aware
+        descending, aware, tip_floors = self.descending, self.aware, self.tip_floors
         m = len(log_prices)
         end = 0 if descending else -1
 
@@ -396,6 +549,8 @@ class _Pool:
                 if head is not None:
                     del best[bisect_left(best, head)]
                 insort(best, group[end])
+            if tip_floors and size in tip_floors:
+                tip_floors[size] = min(tip_floors[size], min(map(_tip_key, chunk))[0])
 
         dead = []
         runs = []
@@ -437,7 +592,7 @@ class _Pool:
                     dead.append(entry[2])
         for i in dead:
             del decaying[i]
-        admitted = _assemble(runs, self.caps, self.policy, rng)
+        admitted = _assemble(runs, self.caps, self.policy, rng, tip_floors)
 
         # Admitted entries leave per size group.  Under the value orders a
         # group's admitted entries are one contiguous range of it, in pool
@@ -464,6 +619,8 @@ class _Pool:
                     insort(best, group[end])
             if not group:
                 del groups[size]
+                if tip_floors:
+                    tip_floors.pop(size, None)
         return [e[4] for e in admitted]
 
 
@@ -490,7 +647,9 @@ def select_block(
     Cost: the eligible transactions join a fresh ``_Pool`` and fill one
     block of it at price zero, where every one is eligible, as the
     price-posting engine fills each block from its own pool; ``_Pool`` gives
-    the cost of the pass.  The two input checks run in C.
+    the cost of the pass.  Only the random order re-sorts the eligible
+    transactions; the tip and value orders merge them per size.  The two
+    input checks run in C.
     """
     m = len(capacity)
     if m == 0:
@@ -521,15 +680,16 @@ def policy_to_config(policy: InclusionPolicy) -> dict:
     name = _POLICY_NAMES[type(policy)]
     out: dict = {"policy": name}
     if isinstance(policy, TipPriority):
-        out["tips"] = {str(k): v for k, v in policy.tips.items()}
+        # int() writes a bool key as the id it equals, not as "True".
+        out["tips"] = {str(int(k)): v for k, v in policy.tips.items()}
     return out
 
 
 def policy_from_config(obj: Mapping) -> InclusionPolicy:
     """The policy of a JSON config object; a tip key must be a decimal id
-    that no other key names, a tip a JSON number (``TipPriority`` checks
-    that it is finite), ``tips`` appears only with the tip policy, and a
-    config of any other shape raises ValueError."""
+    that no other key names, a tip a finite JSON number, kept as read
+    (``TipPriority`` checks it), ``tips`` appears only with the tip policy,
+    and a config of any other shape raises ValueError."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"policy config must be a JSON object, got {obj!r}")
     name = obj.get("policy")
@@ -540,7 +700,7 @@ def policy_from_config(obj: Mapping) -> InclusionPolicy:
             return TipPriority(tips=raw)  # which names tips that are not a mapping
         for k in raw:
             # int() would also read "1_0", " 3 ", "+3" and non-ASCII digits.
-            if type(k) is not str or not (k.isascii() and k.isdigit()):
+            if type(k) is not str or not (k.isascii() and k.removeprefix("-").isdigit()):
                 raise ValueError(f"tip keys must be decimal transaction ids, got {k!r}")
         tips: dict[int, float] = {}
         for k, v in raw.items():
@@ -548,7 +708,8 @@ def policy_from_config(obj: Mapping) -> InclusionPolicy:
             i = int(k)
             if i in tips:
                 raise ValueError(f"tip key {k!r} repeats tx {i}")
-            tips[i] = _number(v, f"tx {k}: tip")
+            # Kept as read: a float could not hold the int tip 10**400.
+            tips[i] = v
         return TipPriority(tips=tips)
     if name == "value_asc":
         return ValueAscending()

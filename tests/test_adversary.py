@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from feemarket import (
     SeededRandom,
@@ -144,6 +145,26 @@ def test_policy_config_roundtrip():
         policy_from_config({"policy": "nope"})
 
 
+@given(
+    st.dictionaries(
+        st.one_of(st.integers(), st.booleans()),
+        st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+    )
+)
+@example({0: 10**400, 1: -(10**400), 2: 2**53 + 1})
+@example({True: 1.0, False: -2})
+@example({-7: 1.5, 7: 0.0})
+def test_every_tip_priority_round_trips(tips):
+    """Every ``TipPriority`` the library accepts comes back equal from its
+    config, also through JSON text: an int tip beyond float range stays an
+    int, a bool key is written as the id it equals and a negative id is a
+    tip key like any other."""
+    policy = TipPriority(tips)
+    config = policy_to_config(policy)
+    assert policy_from_config(config) == policy
+    assert policy_from_config(json.loads(json.dumps(config))) == policy
+
+
 def test_nan_tip_config_rejected():
     """A NaN tip would make the tip order depend on the values and the
     pool's layout, which it must ignore.  A config carrying one (json reads
@@ -183,26 +204,38 @@ def test_infinite_tip_rejected(bad):
         policy_from_config({"policy": "tip", "tips": {"0": 1.0, "1": bad}})
 
 
+@pytest.mark.parametrize("bad", [True, "1.0", None, [1.0]])
+def test_config_tip_must_be_a_number(bad):
+    with pytest.raises(ValueError) as exc:
+        policy_from_config({"policy": "tip", "tips": {"0": 1.0, "1": bad}})
+    assert str(exc.value) == f"tx 1: tip must be a number, got {bad!r}"
+
+
 def test_tips_must_be_a_mapping():
     with pytest.raises(ValueError, match="tips must map"):
         policy_from_config({"policy": "tip", "tips": [1.0]})
 
 
-@pytest.mark.parametrize("key", ["1_0", " 3 ", "+3", "\u0663", "-1", "3.0", ""])
+@pytest.mark.parametrize(
+    "key", ["1_0", " 3 ", "+3", "\u0663", "-\u0663", "3.0", "", "-", "--1", "1-"]
+)
 def test_tip_key_must_be_decimal_id(key):
     """int() reads "1_0" as 10, " 3 " and "+3" as 3 and an Arabic-Indic
-    three as 3; a tip key must be ASCII digits only."""
+    three as 3; a tip key must be ASCII digits only, after at most one
+    minus sign."""
     with pytest.raises(ValueError, match="tip keys must be decimal transaction ids"):
         policy_from_config({"policy": "tip", "tips": {"0": 1.0, key: 2.0}})
 
 
 def test_decimal_tip_keys_accepted():
-    config = {"policy": "tip", "tips": {"0": 1.0, "10": 2.0, "12345678901234567890": 0.5}}
-    assert policy_from_config(config).tips == {0: 1.0, 10: 2.0, 12345678901234567890: 0.5}
+    config = {"policy": "tip", "tips": {"0": 1.0, "10": 2.0, "12345678901234567890": 0.5, "-3": 4}}
+    tips = {0: 1.0, 10: 2.0, 12345678901234567890: 0.5, -3: 4}
+    assert policy_from_config(config).tips == tips
 
 
 @pytest.mark.parametrize("tips,message", [
     ({"7": 1.0, "07": 2.0}, "tip key '07' repeats tx 7"),
+    ({"0": 1.0, "-0": 2.0}, "tip key '-0' repeats tx 0"),
     ({"000": 1.0, "1": 1.0, "0": 1.0}, "tip key '0' repeats tx 0"),
 ])
 def test_tip_keys_naming_one_id_rejected(tips, message):

@@ -35,6 +35,7 @@ from feemarket import (
 )
 from feemarket import core
 from feemarket.adversary import SeededRandom, _pool_entry, block_rng, select_block
+from feemarket.cli import C2_PARAMS
 from feemarket.core import (
     LOG_EPS,
     scenario_from_jsonl,
@@ -44,6 +45,7 @@ from feemarket.core import (
     trace_to_jsonl,
 )
 from feemarket.mechanisms import OversizedTransactionError, replay_log_prices
+from feemarket.scenarios import eip_c2_failure
 
 from oracles import (
     all_windows_block_check,
@@ -196,19 +198,40 @@ _ON_FLOOR = _value_on_floor(2.0)
 _BELOW_FLOOR = math.nextafter(_ON_FLOOR, -math.inf)
 
 
+def tip_policies(n: int):
+    """Tip orders over ids below n: distinct tips, tied tips, no tips, and
+    tips drawn per id from negative, zero and explicitly default values (an
+    int 0, 0.0 and -0.0 all rank as a missing tip), so that runs of one
+    size and one tip are common."""
+    drawn = st.dictionaries(st.integers(0, n - 1), st.sampled_from([-2.5, -1, 0, 0.0, -0.0, 3.0]))
+    return st.one_of(
+        st.sampled_from(
+            [
+                TipPriority({i: (i * 37 % 11) / 7.0 for i in range(n)}),
+                TipPriority({i: float(i % 3) for i in range(0, n, 2)}),
+                TipPriority({}),
+            ]
+        ),
+        st.builds(TipPriority, drawn),
+    )
+
+
 @st.composite
 def engine_cases(draw):
     """Overloaded static streams: shared, log-tied and floor-edge values,
     every sensitivity, one to three resources, every inclusion policy with
-    distinct and tied tips, p_1 at or above the floor.  The sizes come from
-    a small shared set, so each size's pool holds several entries; with
-    several resources a size may be 0 on any resource, resource 0 included,
-    and now and then resource 0 is an anchor whose capacity never binds."""
+    the tips of ``tip_policies``, p_1 at or above the floor.  The sizes
+    come from a small shared set, so each size's pool holds several
+    entries, and small sizes let one block admit several entries of one
+    size; with several resources a size may be 0 on any resource, resource
+    0 included, and now and then resource 0 is an anchor whose capacity
+    never binds."""
     m = draw(st.sampled_from([1, 1, 2, 3]))
     B = draw(st.sampled_from([10, 50]))
     horizon = draw(st.integers(1, 12))
     vector = st.tuples(*[st.integers(0, B)] * m).filter(any)
-    shapes = draw(st.lists(vector, min_size=1, max_size=4))
+    small = st.tuples(*[st.integers(0, 3)] * m).filter(any)
+    shapes = draw(st.lists(st.one_of(vector, small), min_size=1, max_size=4))
     anchor = m > 1 and draw(st.booleans())
     value = st.sampled_from(
         [0.0, 1.0, 1.2, 2.0, 2.0, 5.0, 5.0, 40.0, *_TIED_VALUES, _ON_FLOOR, _BELOW_FLOOR]
@@ -240,15 +263,9 @@ def engine_cases(draw):
         for b in targets
     ]
     policy = draw(
-        st.sampled_from(
-            [
-                ValueAscending(),
-                ValueDescending(),
-                SeededRandom(),
-                TipPriority({i: (i * 37 % 11) / 7.0 for i in range(40)}),
-                TipPriority({i: float(i % 3) for i in range(0, 40, 2)}),
-                TipPriority({}),
-            ]
+        st.one_of(
+            st.sampled_from([ValueAscending(), ValueDescending(), SeededRandom()]),
+            tip_policies(40),
         )
     )
     scn = Scenario(capacities=tuple(targets), transactions=txs, seed=draw(st.integers(0, 5)))
@@ -265,6 +282,48 @@ def test_engine_matches_rescanning_engine(case):
         (cid, rec.time) for rec in run.trace.records for cid, _f in rec.executed
     ]
     assert replay_log_prices(params, run.trace, scn) == [r.log_prices for r in run.trace.records]
+
+
+def test_tip_order_matches_rescanning_engine_on_the_c2_failure_stream():
+    """Every block of the c = 2 failure stream adds a transaction that never
+    fits to one long run of one size, which the tip order's merge drops on
+    its bound: 1,115 blocks match the rescanning engine, record for record."""
+    bundle = eip_c2_failure(C2_PARAMS, eps=0.005)
+    scn, policy, horizon = bundle.scenario, bundle.policy, bundle.horizon
+    assert horizon == 1115
+    run = multi_resource_mechanism(scn, [C2_PARAMS], policy, horizon)
+    assert run.trace.records == rescanning_engine(scn, [C2_PARAMS], policy, horizon).records
+
+
+@pytest.mark.parametrize(
+    "x_arrival,x_value,y_arrival,block",
+    [(3, 100.0, 3, 3), (1, 1.5, 13, 13)],
+    ids=["arrives", "becomes_eligible"],
+)
+def test_tip_merge_bound_covers_entries_that_join_a_long_run(x_arrival, x_value, y_arrival, block):
+    """Twenty size-8 transactions form a run too long to enter the tip
+    merge at its head, so it enters at a bound on its size's tips, found
+    in block 1.  Tx 20, also of size 8 and tipped 10, joins the run later:
+    by arriving at block 3, or by becoming eligible at block 13 as the
+    price falls.  The bound must cover it, so it comes before tx 21,
+    tipped 5, which arrives in the same block."""
+    txs = [Transaction(id=i, arrival=1, size=(8,), unit_value=100.0) for i in range(20)]
+    txs.append(Transaction(id=20, arrival=x_arrival, size=(8,), unit_value=x_value))
+    txs.append(Transaction(id=21, arrival=y_arrival, size=(7,), unit_value=100.0))
+    scn = Scenario(capacities=(10.0,), transactions=txs)
+    params = [MechanismParams(B=10, c=1.5, eta=0.125, p_min=1.0, p_1=2.0)]
+    policy = TipPriority({20: 10.0, 21: 5.0})
+    run = multi_resource_mechanism(scn, params, policy, block + 1)
+    assert [cid for cid, _f in run.trace.records[block - 1].executed] == [20, 21]
+    assert run.trace.records == rescanning_engine(scn, params, policy, block + 1).records
+
+
+def test_tip_order_takes_a_long_runs_head_when_one_entry_fits():
+    """One run of ten size-5 entries, in value order, and room for one:
+    the tip order admits the run's highest tip, not its first entry."""
+    txs = [Transaction(id=i, arrival=1, size=(5,), unit_value=float(i + 1)) for i in range(10)]
+    policy = TipPriority({6: 3.0})
+    assert select_block(txs, (7.0,), policy) == [6] == reference_select_block(txs, (7.0,), policy)
 
 
 @pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending()])
@@ -577,9 +636,10 @@ def test_greedy_matches_resorting_greedy(case):
 @st.composite
 def block_cases(draw):
     """Eligible sets for one block: tie-heavy values, sizes around and above
-    non-integer caps, up to four resources, distinct and tied tips, shuffled
-    or in pool order.  The sizes sometimes come from a small shared set, so
-    that many transactions repeat one size."""
+    non-integer caps, up to four resources, every inclusion policy with
+    the tips of ``tip_policies``, shuffled or in pool order.  The sizes
+    sometimes come from a small shared set, so that many transactions
+    repeat one size."""
     m = draw(st.sampled_from([1, 1, 2, 3, 4]))
     caps = tuple(
         draw(st.sampled_from([1.15 * 100, 0.29 * 100, 100.0, 61.0, 7.5, 0.5, 1.0]))
@@ -594,15 +654,9 @@ def block_cases(draw):
     for i in range(draw(st.integers(0, 30))):
         txs.append(Transaction(id=i, arrival=1, size=draw(vector), unit_value=draw(value)))
     policy = draw(
-        st.sampled_from(
-            [
-                ValueAscending(),
-                ValueDescending(),
-                SeededRandom(),
-                TipPriority({i: (i * 37 % 11) / 7.0 for i in range(0, 30, 2)}),
-                TipPriority({i: float(i % 3) for i in range(0, 30, 2)}),
-                TipPriority({}),
-            ]
+        st.one_of(
+            st.sampled_from([ValueAscending(), ValueDescending(), SeededRandom()]),
+            tip_policies(30),
         )
     )
     if draw(st.booleans()):
@@ -660,12 +714,14 @@ def test_select_block_matches_reference_where_it_once_diverged(policy):
 
 
 @pytest.mark.parametrize("sizes", [[1], [1, 2]])
-@pytest.mark.parametrize("policy", [ValueAscending(), ValueDescending()])
+@pytest.mark.parametrize(
+    "policy", [ValueAscending(), ValueDescending(), TipPriority({i: i % 3 for i in range(40)})]
+)
 def test_full_block_stops_below_one(policy, sizes):
     """The cap 0.29 * 100 rounds just below 29, so the residual can end just
     below 1, where the fit tolerance would still pass a size-1 unit: the
     block is full there.  Both the merge of several size runs and the loop
-    over the last run must stop."""
+    over the last run must stop, under the value orders and the tip order."""
     txs = [
         Transaction(id=i, arrival=1, size=(sizes[i % len(sizes)],), unit_value=1.0 + i % 3)
         for i in range(40)
