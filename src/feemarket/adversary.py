@@ -7,8 +7,8 @@ the builder is adversarial; the policies here cover tip-ordered, value-ordered
 and seeded-random inclusion orders.
 
 Randomness comes from a named, versioned PRNG (splitmix64-v1, 64-bit,
-re-derived per block index) so adversarial choices replay identically across
-platforms and runs.
+re-derived per block index from the policy's own seed, ``SeededRandom.seed``)
+so adversarial choices replay identically across platforms and runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import chain, repeat
 from operator import attrgetter, itemgetter, le
 from typing import Mapping, Sequence, Union
 
-from .core import LOG_EPS, Patient, Transaction, _known_keys
+from .core import LOG_EPS, Patient, Transaction, _integer, _known_keys
 
 __all__ = [
     "PRNG_NAME",
@@ -79,7 +79,7 @@ class SplitMix64:
 
 
 def block_rng(seed: int, block_index: int) -> SplitMix64:
-    """Per-block stream: split the run seed by block index."""
+    """Per-block stream: split the random order's seed by block index."""
     return SplitMix64(_mix(seed & _MASK) ^ _mix((block_index + 0x1F123BB5) & _MASK))
 
 
@@ -121,7 +121,16 @@ class ValueDescending:
 
 @dataclass(frozen=True)
 class SeededRandom:
-    """Uniformly random order from the per-block splitmix64-v1 stream."""
+    """Uniformly random order from the per-block splitmix64-v1 stream that
+    ``block_rng`` derives from ``seed`` and the block index.  The seed is
+    the adversary's choice, not the stream's, so a run's random order is
+    fixed by its policy alone."""
+
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if type(self.seed) is bool or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 InclusionPolicy = Union[TipPriority, ValueAscending, ValueDescending, SeededRandom]
@@ -149,27 +158,6 @@ def _pool_entry(txn: Transaction, descending: bool, tips: Mapping[int, float] | 
     if tips is None:
         return (lnv, v, i, txn.size[0], txn)
     return (lnv, v, i, txn.size[0], txn, (-tips.get(i, 0.0), i))
-
-
-def _first_fit(sizes: list[int], residual: float) -> list[int]:
-    """The one-resource pass: the positions in ``sizes`` admitted in order
-    while the residual is at least 1.  Python code runs only per admission;
-    the entries that do not fit are skipped inside ``filter`` and
-    ``list.index``."""
-    chosen: list[int] = []
-    rest = iter(sizes)
-    pos = 0
-    while residual >= 1.0:
-        q = next(filter((residual + 1e-9).__ge__, rest), None)
-        if q is None:
-            break
-        # Every entry between ``pos`` and the fit was too large, so the first
-        # entry equal to ``q`` is the fit itself.
-        pos = sizes.index(q, pos)
-        chosen.append(pos)
-        pos += 1
-        residual -= q
-    return chosen
 
 
 def _assemble(
@@ -205,9 +193,6 @@ def _assemble(
     entries = list(chain.from_iterable(src[lo:hi] for src, lo, hi in runs))
     entries.sort(key=itemgetter(2))
     rng.shuffle(entries)
-    if len(capacity) == 1:
-        fits = _first_fit(list(map(itemgetter(3), entries)), float(capacity[0]))
-        return [entries[i] for i in fits]
     residual = [float(c) for c in capacity]
     chosen: list[tuple] = []
     if max(residual) < 1.0:
@@ -485,15 +470,14 @@ class _Pool:
     entries too large to fit does every block; one that fits costs one
     C-level ``min`` over it, and a sort only once a second of its entries
     is admitted.  Only the random order re-sorts: it sorts the eligible
-    entries by id and shuffles them; on one resource its pass is
-    ``_first_fit``, which runs Python code only per admission, and on
-    several it scans until the block fills, one C-level fit test per
-    entry.  A size's arrivals that all sort after its pooled entries are
-    appended in one step; a size's admitted entries leave by one slice where
-    they are one contiguous range of it, as under the value orders they
-    always are, and by bisection one at a time otherwise; ``best`` changes
-    at most once per size and block.  The transactions in ``decaying`` are
-    tested one by one every block.
+    entries by id, shuffles them and scans them until the block fills, one
+    C-level fit test per entry, on any number of resources.  A size's
+    arrivals that all sort after its pooled entries are appended in one
+    step; a size's admitted entries leave by one slice where they are one
+    contiguous range of it, as under the value orders they always are, and
+    by bisection one at a time otherwise; ``best`` changes at most once per
+    size and block.  The transactions in ``decaying`` are tested one by one
+    every block.
 
     Entries compare by their key, so the ids in one pool must be distinct.
     """
@@ -682,6 +666,8 @@ def policy_to_config(policy: InclusionPolicy) -> dict:
     if isinstance(policy, TipPriority):
         # int() writes a bool key as the id it equals, not as "True".
         out["tips"] = {str(int(k)): v for k, v in policy.tips.items()}
+    elif isinstance(policy, SeededRandom):
+        out["seed"] = policy.seed
     return out
 
 
@@ -689,11 +675,13 @@ def policy_from_config(obj: Mapping) -> InclusionPolicy:
     """The policy of a JSON config object; a tip key must be a decimal id
     that no other key names, a tip a finite JSON number, kept as read
     (``TipPriority`` checks it), ``tips`` appears only with the tip policy,
-    and a config of any other shape raises ValueError."""
+    ``seed`` (default 0) only with the random one, as a JSON number equal
+    to an integer, and a config of any other shape raises ValueError."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"policy config must be a JSON object, got {obj!r}")
     name = obj.get("policy")
-    _known_keys(obj, ("policy", "tips") if name == "tip" else ("policy",), "policy config")
+    own = ("tips",) if name == "tip" else ("seed",) if name == "random" else ()
+    _known_keys(obj, ("policy", *own), "policy config")
     if name == "tip":
         raw = obj.get("tips", {})
         if not isinstance(raw, Mapping):
@@ -716,5 +704,5 @@ def policy_from_config(obj: Mapping) -> InclusionPolicy:
     if name == "value_desc":
         return ValueDescending()
     if name == "random":
-        return SeededRandom()
+        return SeededRandom(seed=_integer(obj.get("seed", 0), "seed"))
     raise ValueError(f"unknown policy name {name!r}")

@@ -8,9 +8,11 @@ Subcommands:
   suite   -- run the named check suites across seeds and emit a CSV of
              (suite, seed, metric, value, bound, pass) rows.
 
-Exit codes: 0 pass, 1 check failure, 2 usage or input error.  All randomness
-flows from --seed; reruns with identical flags produce byte-identical output
-files.
+Exit codes: 0 pass, 1 check failure, 2 usage or input error.  Every random
+draw is seeded: suite --seeds numbers its random instances, and the
+random inclusion order's seed is part of its policy config
+({"policy": "random", "seed": 7}).  Reruns with identical inputs produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -310,10 +312,10 @@ def _load_json(path: str):
 def cmd_run(args) -> int:
     out = Path(args.out)
     if args.scenario in BUILTINS:
-        if args.mechanism is not None or args.policy is not None or args.seed is not None:
+        if args.mechanism is not None or args.policy is not None:
             raise FeeMarketError(
-                f"builtin {args.scenario} runs its own mechanism and policy and takes no seed;"
-                " --mechanism, --policy and --seed are for file scenarios"
+                f"builtin {args.scenario} runs its own mechanism and policy;"
+                " --mechanism and --policy are for file scenarios"
             )
         con = BUILTINS[args.scenario]
         run = con.run(args.horizon)
@@ -322,8 +324,6 @@ def cmd_run(args) -> int:
         summary.update(run.score)
     else:
         scn = core.scenario_from_jsonl(_read(args.scenario))
-        if args.seed is not None:
-            scn = replace(scn, seed=args.seed)
         if not args.mechanism:
             raise FeeMarketError("--mechanism config required for file scenarios")
         params = params_from_config(_load_json(args.mechanism))
@@ -429,9 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon",
         type=int,
         help="blocks to run (default: a builtin's own horizon, or 100 for a file scenario)",
-    )
-    run_p.add_argument(
-        "--seed", type=int, help="run seed, file scenarios only (default: the scenario's own)"
     )
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.set_defaults(fn=cmd_run)

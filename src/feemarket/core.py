@@ -124,7 +124,7 @@ class Patience:
     window: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.window, int):
+        if type(self.window) is bool or not isinstance(self.window, int):
             raise ValueError(f"patience window must be an integer, got {self.window!r}")
         if self.window < 0:
             raise ValueError(f"patience window must be >= 0, got {self.window}")
@@ -257,6 +257,8 @@ class _Stream:
         caps = self.capacities
         if not caps or any(not math.isfinite(b) or b <= 0 for b in caps):
             raise ScenarioError(f"capacities must be positive and finite, got {caps}")
+        if bool in map(type, caps):
+            raise ScenarioError(f"capacities must be numbers, got {caps}")
         object.__setattr__(self, "capacities", tuple(float(b) for b in caps))
 
     @property
@@ -281,7 +283,6 @@ class Scenario(_Stream):
     """
 
     transactions: tuple[Transaction, ...] = ()
-    seed: int = 0
     _index: dict[int, Transaction] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -313,7 +314,6 @@ class AdaptiveScenario(_Stream):
     ``arrivals_by_time``, which here raise a ScenarioError saying so."""
 
     generator: ArrivalGenerator
-    seed: int = 0
 
     def index(self) -> NoReturn:
         raise ScenarioError(
@@ -788,13 +788,16 @@ def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
 # type they should (and whose floats are finite) is one f-string.  Any other
 # line goes through json.dumps: several resources, a discount or patience
 # sensitivity, a non-finite float (json writes Infinity), an int or float
-# subclass (json writes a bool as true).
+# subclass.  The scenario and schedule writers write a bool id, arrival,
+# size or time as the int it stands for (``_unbool``), so that it reads back.
 #
 # The readers parse each line with one json.loads (but for the scenario
 # reader's template lines, below) and build its records directly.  An
-# integer field must hold a number equal to an integer: 5.0 reads as 5; 5.5
-# and "5" are rejected.  A float field must hold a number:
-# 5 reads as 5.0; "5" and true are rejected.
+# integer field must hold a number equal to an integer: 5.0 reads as 5; 5.5,
+# "5" and true are rejected.  A float field must hold a number: 5 reads as
+# 5.0; "5" and true are rejected.  A key that the format does not name is
+# rejected, in a header, an event, a sens object, a schedule or one of its
+# entries.
 #
 # scenario_from_jsonl reads the line form scenario_to_jsonl's f-string writes
 # without json.loads: _TEMPLATE_EVENT matches exactly that form, and a
@@ -813,6 +816,7 @@ def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
 # records, errors and line numbers are those of the json.loads path.
 
 _PATIENT_JSON = {"kind": "patient"}
+_EVENT_KEYS = ("t", "id", "q", "v", "sens")
 
 _TEMPLATE_EVENT = re.compile(
     r'\{"t": ([1-9][0-9]*), "id": (-?(?:0|[1-9][0-9]*)), "q": \[([1-9][0-9]*)\], '
@@ -822,11 +826,13 @@ _TEMPLATE_EVENT = re.compile(
 
 
 def _integer(x, name: str) -> int:
-    """``x`` as an int, if it is a number equal to one."""
-    n = int(x)
-    if n != x:
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return n
+    """``x`` as an int, if it is a JSON number equal to one (an int, or a
+    float without a fraction; not a bool, a string or null)."""
+    if type(x) is int:
+        return x
+    if type(x) is float and x.is_integer():
+        return int(x)
+    raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 def _number(x, name: str) -> float:
@@ -838,6 +844,12 @@ def _number(x, name: str) -> float:
         return float(x)
     except OverflowError:
         raise ValueError(f"{name} is out of range") from None
+
+
+def _unbool(x):
+    """A bool as the int it stands for, which the readers accept where they
+    reject JSON true and false; anything else as it is."""
+    return int(x) if type(x) is bool else x
 
 
 def _known_keys(obj, keys, what: str) -> None:
@@ -855,27 +867,27 @@ def _sens_to_json(s: Sensitivity) -> dict:
     return {"kind": "patience", "p": s.window}
 
 
+_SENS_KEYS = {"patient": ("kind",), "discount": ("kind", "rho"), "patience": ("kind", "p")}
+
+
 def _sens_from_json(d: object) -> Sensitivity:
     if type(d) is not dict:
         raise TypeError(f"sens must be an object, got {d!r}")
     kind = d.get("kind")
+    if type(kind) is not str or kind not in _SENS_KEYS:
+        raise ValueError(f"unknown sensitivity kind {kind!r}")
+    _known_keys(d, _SENS_KEYS[kind], "sens")
     if kind == "patient":
         return PATIENT
     if kind == "discount":
         return Discount(rho=_number(d["rho"], "rho"))
-    if kind == "patience":
-        return Patience(window=_integer(d["p"], "patience window"))
-    raise ValueError(f"unknown sensitivity kind {kind!r}")
+    return Patience(window=_integer(d["p"], "patience window"))
 
 
 def scenario_to_jsonl(scenario: Scenario) -> str:
-    """One header line {m, B, seed} then one line per arrival event, in the
+    """One header line {m, B} then one line per arrival event, in the
     stream's order, so the file reads back as the same stream."""
-    lines = [
-        json.dumps(
-            {"m": scenario.m, "B": list(scenario.capacities), "seed": scenario.seed}
-        )
-    ]
+    lines = [json.dumps({"m": scenario.m, "B": list(scenario.capacities)})]
     for t_ in scenario.transactions:
         a, i, size, v = t_.arrival, t_.id, t_.size, t_.unit_value
         # A Transaction's unit value is finite.
@@ -895,9 +907,9 @@ def scenario_to_jsonl(scenario: Scenario) -> str:
             lines.append(
                 json.dumps(
                     {
-                        "t": a,
-                        "id": i,
-                        "q": list(size),
+                        "t": _unbool(a),
+                        "id": _unbool(i),
+                        "q": list(map(_unbool, size)),
                         "v": v,
                         "sens": _sens_to_json(t_.sensitivity),
                     }
@@ -920,13 +932,19 @@ def scenario_from_jsonl(text: str) -> Scenario:
         raise ScenarioError("line 1: missing scenario header")
     try:
         header = json.loads(ln)
-        if type(header) is not dict or not {"m", "B", "seed"} <= header.keys():
-            raise ScenarioError(f"line {no}: expected header with m, B, seed")
+        if type(header) is not dict or not {"m", "B"} <= header.keys():
+            raise ScenarioError(f"line {no}: expected header with m, B")
+        if "seed" in header:
+            # Ignoring it would change an old file's random order silently.
+            raise ValueError(
+                "the random order's seed now goes in the policy config, as"
+                f' {{"policy": "random", "seed": {json.dumps(header["seed"])}}}'
+            )
+        _known_keys(header, ("m", "B"), "header")
         if type(header["B"]) is not list:
             raise TypeError(f"B must be a list, got {header['B']!r}")
         capacities = tuple(_number(b, "B") for b in header["B"])
         m = _integer(header["m"], "m")
-        seed = _integer(header["seed"], "seed")
         if m != len(capacities):
             raise ScenarioError(f"line {no}: header resource count does not match capacities")
         if not capacities or not all(0.0 < b < math.inf for b in capacities):
@@ -952,8 +970,11 @@ def scenario_from_jsonl(text: str) -> Scenario:
             else:
                 obj = loads(ln)
                 i, t, q = obj["id"], obj["t"], obj["q"]
+                _known_keys(obj, _EVENT_KEYS, "event")
                 ii, tt, size = int(i), int(t), tuple(map(int, q))
-                if ii != i or tt != t or list(size) != q:
+                # A bool equals the int it stands for; q is a list once
+                # it equals one.
+                if ii != i or tt != t or list(size) != q or bool in map(type, (i, t, *q)):
                     raise ValueError(
                         f"t, id and q must be integers, got t={t!r}, id={i!r}, q={q!r}"
                     )
@@ -975,7 +996,7 @@ def scenario_from_jsonl(text: str) -> Scenario:
             raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
-    return Scenario(capacities, tuple(index.values()), seed=seed, _index=index)
+    return Scenario(capacities, tuple(index.values()), _index=index)
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -990,7 +1011,10 @@ def schedule_to_json(schedule: Schedule) -> str:
     return json.dumps(
         {
             "integral": integral,
-            "entries": [{"id": e.tx, "t": e.time, "frac": e.fraction} for e in entries],
+            "entries": [
+                {"id": _unbool(e.tx), "t": _unbool(e.time), "frac": e.fraction}
+                for e in entries
+            ],
         }
     )
 
@@ -1000,10 +1024,14 @@ def schedule_from_json(text: str) -> Schedule:
         obj = json.loads(text)
         entries = []
         append = entries.append
-        for e in obj["entries"]:
+        raw = obj["entries"]
+        _known_keys(obj, ("integral", "entries"), "schedule")
+        for e in raw:
             i, t = e["id"], e["t"]
+            if len(e) != 3:  # one C-level test per entry; the key is named on failure
+                _known_keys(e, ("id", "t", "frac"), "schedule entry")
             ii, tt = int(i), int(t)
-            if ii != i or tt != t:
+            if ii != i or tt != t or type(i) is bool or type(t) is bool:
                 raise ValueError(f"entry id and t must be integers, got id={i!r}, t={t!r}")
             append(ScheduleEntry(ii, tt, _number(e["frac"], "frac")))
         integral = obj["integral"]

@@ -94,8 +94,11 @@ class MechanismParams:
 
     def __post_init__(self) -> None:
         for name in ("B", "c", "eta", "p_min", "p_1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            x = getattr(self, name)
+            if type(x) is bool:
+                raise ValueError(f"{name} must be a number, got {x!r}")
+            if not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x}")
         if self.B <= 0:
             raise ValueError(f"target size must be positive, got {self.B}")
         if self.c <= 1:
@@ -266,9 +269,7 @@ class _Run:
         ]
         scenario, index = self.scenario, self.index
         if self.gen is not None:
-            scenario = Scenario(
-                scenario.capacities, tuple(index.values()), seed=scenario.seed, _index=index
-            )
+            scenario = Scenario(scenario.capacities, tuple(index.values()), _index=index)
         return RunResult(
             schedule=Schedule(entries=entries, integral=True),
             trace=RunTrace(records=self.records),
@@ -296,7 +297,7 @@ def _run_engine(
     block = _Pool(policy, caps, aware, [math.log(p.p_min) for p in params_list]).block
     random_policy = isinstance(policy, SeededRandom)
     for t in range(1, horizon + 1):
-        rng = block_rng(scenario.seed, t) if random_policy else None
+        rng = block_rng(policy.seed, t) if random_policy else None
         record = run.close(t, log_prices, caps, block(t, run.at(t), log_prices, rng))
         log_prices = tuple(map(eip_next_price, params_list, log_prices, record.sizes))
 

@@ -96,7 +96,9 @@ def random_family(
 
     The per-step count is chosen so the expected arriving size per step is
     ``load_factor * B``.  Values must respect the dominance hypothesis
-    v >= e^eta * p_min.  Deterministic in ``seed``.
+    v >= e^eta * p_min.  Deterministic in ``seed``, which drives this
+    generator only: the random inclusion order has its own,
+    ``SeededRandom.seed``.
     """
     v_lo, v_hi = value_range
     if v_lo < math.exp(eta) * p_min * (1.0 - 1e-12):
@@ -119,7 +121,7 @@ def random_family(
                 q = rng.randint(1, q_max)
                 v = math.exp(rng.uniform(ln_lo, ln_hi))
                 txs.append(Transaction(len(txs), t, (q,), v))
-    return Scenario(capacities=(float(B),), transactions=txs, seed=seed)
+    return Scenario(capacities=(float(B),), transactions=txs)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +589,7 @@ def adaptive_price_adversary(
             v = (r**i) * params.p_min
             for _ in range(per_value):
                 txs.append(Transaction(len(txs), 1, (B,), v))
-        return Scenario(capacities=(float(B),), transactions=txs, seed=0)
+        return Scenario(capacities=(float(B),), transactions=txs)
 
     def run(m_idx: int) -> RunResult:
         return run_price_based(build(m_idx), params, ValueAscending(), R)

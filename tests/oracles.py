@@ -253,7 +253,7 @@ def rescanning_engine(scenario: Scenario, params_list, policy, horizon: int) -> 
                 ok = val * txn.size[0] >= cost * (1.0 - LOG_EPS)
             if ok:
                 eligible.append(txn)
-        rng = block_rng(scenario.seed, t) if isinstance(policy, SeededRandom) else None
+        rng = block_rng(policy.seed, t) if isinstance(policy, SeededRandom) else None
         chosen = reference_select_block(eligible, caps, policy, rng)
         chosen_ids = set(chosen)
         done = {txn.id: txn for txn in pool if txn.id in chosen_ids}
@@ -334,21 +334,23 @@ def _reference_sens_to_json(s) -> dict:
     return {"kind": "patience", "p": s.window}
 
 
+def _reference_unbool(x):
+    """The readers reject JSON true and false as integers, so the writers
+    write a bool as the int it equals."""
+    return 1 if x is True else 0 if x is False else x
+
+
 def reference_scenario_to_jsonl(scenario: Scenario) -> str:
     """One json.dumps per line: the header, then each event in the stream's
     order."""
-    lines = [
-        json.dumps(
-            {"m": scenario.m, "B": list(scenario.capacities), "seed": scenario.seed}
-        )
-    ]
+    lines = [json.dumps({"m": scenario.m, "B": list(scenario.capacities)})]
     for t_ in scenario.transactions:
         lines.append(
             json.dumps(
                 {
-                    "t": t_.arrival,
-                    "id": t_.id,
-                    "q": list(t_.size),
+                    "t": _reference_unbool(t_.arrival),
+                    "id": _reference_unbool(t_.id),
+                    "q": [_reference_unbool(x) for x in t_.size],
                     "v": t_.unit_value,
                     "sens": _reference_sens_to_json(t_.sensitivity),
                 }
@@ -362,7 +364,8 @@ def reference_schedule_to_json(schedule: Schedule) -> str:
         {
             "integral": schedule.integral,
             "entries": [
-                {"id": e.tx, "t": e.time, "frac": e.fraction} for e in schedule.entries
+                {"id": _reference_unbool(e.tx), "t": _reference_unbool(e.time), "frac": e.fraction}
+                for e in schedule.entries
             ],
         }
     )
@@ -389,10 +392,20 @@ def reference_trace_to_jsonl(trace: RunTrace) -> str:
 
 
 def _reference_integer(x, name: str) -> int:
-    n = int(x)
-    if n != x:
+    if (
+        isinstance(x, bool)
+        or not isinstance(x, (int, float))
+        or (isinstance(x, float) and not math.isfinite(x))
+        or int(x) != x
+    ):
         raise ValueError(f"{name} must be an integer, got {x!r}")
-    return n
+    return int(x)
+
+
+def _reference_known_keys(obj, keys, what: str) -> None:
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}")
 
 
 def _reference_number(x, name: str) -> float:
@@ -408,13 +421,15 @@ def _reference_sens_from_json(d):
     if not isinstance(d, dict):
         raise TypeError(f"sens must be an object, got {d!r}")
     kind = d.get("kind")
+    own = {"patient": [], "discount": ["rho"], "patience": ["p"]}
+    if not isinstance(kind, str) or kind not in own:
+        raise ValueError(f"unknown sensitivity kind {kind!r}")
+    _reference_known_keys(d, ["kind", *own[kind]], "sens")
     if kind == "patient":
         return PATIENT
     if kind == "discount":
         return Discount(rho=_reference_number(d["rho"], "rho"))
-    if kind == "patience":
-        return Patience(window=_reference_integer(d["p"], "patience window"))
-    raise ValueError(f"unknown sensitivity kind {kind!r}")
+    return Patience(window=_reference_integer(d["p"], "patience window"))
 
 
 def reference_scenario_from_jsonl(text: str) -> Scenario:
@@ -434,15 +449,20 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
             what = "bad header" if header is None else "bad event record"
             raise ScenarioError(f"line {no}: {what} ({exc})") from exc
         if header is None:
-            if not isinstance(obj, dict) or not {"m", "B", "seed"} <= obj.keys():
-                raise ScenarioError(f"line {no}: expected header with m, B, seed")
+            if not isinstance(obj, dict) or not {"m", "B"} <= obj.keys():
+                raise ScenarioError(f"line {no}: expected header with m, B")
             header, header_no = obj, no
             try:
+                if "seed" in obj:
+                    raise ValueError(
+                        "the random order's seed now goes in the policy config, as"
+                        ' {"policy": "random", "seed": ' + json.dumps(obj["seed"]) + "}"
+                    )
+                _reference_known_keys(obj, ["m", "B"], "header")
                 if not isinstance(obj["B"], list):
                     raise TypeError(f"B must be a list, got {obj['B']!r}")
                 capacities = tuple(_reference_number(b, "B") for b in obj["B"])
                 m = _reference_integer(obj["m"], "m")
-                seed = _reference_integer(obj["seed"], "seed")
             except (ValueError, TypeError, OverflowError) as exc:
                 raise ScenarioError(f"line {header_no}: bad header ({exc})") from exc
             if m != len(capacities):
@@ -457,8 +477,15 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
             continue
         try:
             i, t, q = obj["id"], obj["t"], obj["q"]
+            _reference_known_keys(obj, ["t", "id", "q", "v", "sens"], "event")
             ii, tt, size = int(i), int(t), tuple(int(x) for x in q)
-            if ii != i or tt != t or not isinstance(q, list) or list(size) != q:
+            if (
+                ii != i
+                or tt != t
+                or not isinstance(q, list)
+                or list(size) != q
+                or any(isinstance(x, bool) for x in (i, t, *q))
+            ):
                 raise ValueError(
                     f"t, id and q must be integers, got t={t!r}, id={i!r}, q={q!r}"
                 )
@@ -478,16 +505,19 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
             raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
     if header is None:
         raise ScenarioError("line 1: missing scenario header")
-    return Scenario(capacities=capacities, transactions=txs, seed=seed)
+    return Scenario(capacities=capacities, transactions=txs)
 
 
 def reference_schedule_from_json(text: str) -> Schedule:
     try:
         obj = json.loads(text)
         entries = []
-        for e in obj["entries"]:
+        raw = obj["entries"]
+        _reference_known_keys(obj, ["integral", "entries"], "schedule")
+        for e in raw:
             i, t = e["id"], e["t"]
-            if int(i) != i or int(t) != t:
+            _reference_known_keys(e, ["id", "t", "frac"], "schedule entry")
+            if int(i) != i or int(t) != t or isinstance(i, bool) or isinstance(t, bool):
                 raise ValueError(f"entry id and t must be integers, got id={i!r}, t={t!r}")
             fraction = _reference_number(e["frac"], "frac")
             entries.append(ScheduleEntry(tx=int(i), time=int(t), fraction=fraction))

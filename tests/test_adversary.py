@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from feemarket import (
+    MechanismParams,
+    Scenario,
     SeededRandom,
     SplitMix64,
     TipPriority,
@@ -14,6 +16,7 @@ from feemarket import (
     ValueAscending,
     ValueDescending,
     block_rng,
+    run_price_based,
     select_block,
 )
 from feemarket.adversary import policy_from_config, policy_to_config
@@ -243,3 +246,64 @@ def test_tip_keys_naming_one_id_rejected(tips, message):
     with pytest.raises(ValueError) as exc:
         policy_from_config({"policy": "tip", "tips": tips})
     assert str(exc.value) == message
+
+
+@given(st.integers(0, 2**64))
+@example(-1)
+@example(2**200)
+def test_every_seeded_random_round_trips(seed):
+    """The random order's seed is its policy's, so the policy config
+    carries it, also through JSON text."""
+    policy = SeededRandom(seed=seed)
+    config = policy_to_config(policy)
+    assert config == {"policy": "random", "seed": seed}
+    assert policy_from_config(config) == policy
+    assert policy_from_config(json.loads(json.dumps(config))) == policy
+
+
+def test_random_config_without_seed_reads_as_seed_0():
+    # seed 0 is what every stream without a seed of its own used to run at
+    assert policy_from_config({"policy": "random"}) == SeededRandom(seed=0)
+    assert policy_from_config({"policy": "random", "seed": 7.0}) == SeededRandom(seed=7)
+    assert type(policy_from_config({"policy": "random", "seed": 7.0}).seed) is int
+
+
+@pytest.mark.parametrize("bad", [True, False, 7.5, "7", None, [7], math.inf, math.nan])
+def test_config_seed_must_be_an_integer(bad):
+    with pytest.raises(ValueError) as exc:
+        policy_from_config({"policy": "random", "seed": bad})
+    assert str(exc.value) == f"seed must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [True, 7.0, "7", None])
+def test_seeded_random_checks_its_seed(bad):
+    with pytest.raises(ValueError) as exc:
+        SeededRandom(seed=bad)
+    assert str(exc.value) == f"seed must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"policy": "value_asc", "seed": 1}, "seed"),
+    ({"policy": "tip", "tips": {}, "seed": 1}, "seed"),
+    ({"policy": "random", "seed": 1, "tips": {}}, "tips"),
+])
+def test_seed_belongs_to_the_random_policy_only(config, key):
+    with pytest.raises(ValueError) as exc:
+        policy_from_config(config)
+    assert str(exc.value) == f"policy config has unknown key {key!r}"
+
+
+def test_policy_seed_drives_the_block_stream():
+    """The engine derives block t's stream from the policy's seed, so two
+    seeds give two orders on one scenario and one seed gives one order."""
+    stream = Scenario((100.0,), txs(*[(30, 1.0 + i / 7) for i in range(40)]))
+    params = MechanismParams(B=100.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
+
+    def executed(seed):
+        run = run_price_based(stream, params, SeededRandom(seed=seed), 8)
+        return [r.executed for r in run.trace.records]
+
+    assert executed(3) == executed(3)
+    assert executed(3) != executed(4)
+    first = select_block(stream.transactions, (200.0,), SeededRandom(), block_rng(3, 1))
+    assert [i for i, _f in executed(3)[0]] == first

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from feemarket import MechanismParams, Scenario, Transaction
+from feemarket import MechanismParams, Scenario, Transaction, run_price_based
 from feemarket import cli
 from feemarket.cli import BUILTINS, main, theorem_params
-from feemarket.core import scenario_from_jsonl, scenario_to_jsonl
+from feemarket.core import scenario_from_jsonl, scenario_to_jsonl, trace_to_jsonl
 from feemarket.adversary import SeededRandom, policy_to_config
 from feemarket.mechanisms import params_to_config, theorem_gamma
 from feemarket.scenarios import random_family
@@ -25,7 +25,6 @@ def _id_order_stream():
     stream is not in (arrival, id) order."""
     return Scenario(
         capacities=(100.0,),
-        seed=3,
         transactions=[
             Transaction(id=i, arrival=1 + i % 5, size=(10 + 7 * (i % 4),), unit_value=1.5 + i % 3)
             for i in range(30)
@@ -165,19 +164,20 @@ def test_run_empty_scenario(tmp_path):
     assert json.loads((out / "summary.json").read_text())["welfare"] == 0.0
 
 
-@pytest.mark.parametrize("flag", ["--mechanism", "--policy", "--seed"])
+@pytest.mark.parametrize("flag", ["--mechanism", "--policy"])
 def test_run_builtin_rejects_file_flags_exit_2(tmp_path, mech_file, flag, capsys):
-    """A builtin runs its own mechanism and policy and takes no seed, so
-    either config file or a seed is an error, not silently ignored; even a
-    valid one."""
+    """A builtin runs its own mechanism and policy, so either config file is
+    an error, not silently ignored; even a valid one."""
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"policy": "value_asc"}))
-    value = {"--mechanism": str(mech_file), "--policy": str(policy), "--seed": "1"}[flag]
+    value = {"--mechanism": str(mech_file), "--policy": str(policy)}[flag]
     out = tmp_path / "o"
     assert main(["run", "--scenario", "log_range", flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: builtin log_range ")
-    assert "--mechanism, --policy and --seed are for file scenarios" in err[0]
+    assert err == [
+        "error: builtin log_range runs its own mechanism and policy;"
+        " --mechanism and --policy are for file scenarios"
+    ]
     assert not out.exists()
 
 
@@ -238,7 +238,7 @@ def test_format_flag_is_gone(command, capsys):
 
 def test_run_malformed_scenario_exit_2(tmp_path, mech_file, capsys):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"m": 1, "B": [100.0], "seed": 0}\n{oops\n')
+    bad.write_text('{"m": 1, "B": [100.0]}\n{oops\n')
     rc = main(["run", "--scenario", str(bad), "--mechanism", str(mech_file),
                "--horizon", "3", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -247,19 +247,25 @@ def test_run_malformed_scenario_exit_2(tmp_path, mech_file, capsys):
 
 @pytest.mark.parametrize("text,line", [
     ("[1, 2]\n", 1),
-    ('{"m": 1, "B": 100, "seed": 0}\n', 1),
-    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": "patient"}\n', 2),
-    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0.7, "q": [5], "v": 2.0}\n', 2),
-    ('{"m": 1, "B": [100.0], "seed": 0}\n\n{"t": 1, "id": 0, "q": [5.9], "v": 2.0}\n', 3),
-    ('{"m": 1, "B": ["100"], "seed": 0}\n', 1),
-    ('{"m": 1, "B": [true], "seed": 0}\n', 1),
-    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": "1.5"}\n', 2),
-    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": true}\n', 2),
-    ('{"m": 1, "B": [-5.0], "seed": 0}\n', 1),
-    ('{"m": 1, "B": [NaN], "seed": 0}\n', 1),
-    ('{"m": 0, "B": [], "seed": 0}\n', 1),
-    ('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n\n'
+    ('{"m": 1, "B": 100}\n', 1),
+    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": "patient"}\n', 2),
+    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0.7, "q": [5], "v": 2.0}\n', 2),
+    ('{"m": 1, "B": [100.0]}\n\n{"t": 1, "id": 0, "q": [5.9], "v": 2.0}\n', 3),
+    ('{"m": 1, "B": ["100"]}\n', 1),
+    ('{"m": 1, "B": [true]}\n', 1),
+    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": "1.5"}\n', 2),
+    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": true}\n', 2),
+    ('{"m": 1, "B": [-5.0]}\n', 1),
+    ('{"m": 1, "B": [NaN]}\n', 1),
+    ('{"m": 0, "B": []}\n', 1),
+    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n\n'
      '{"t": 2, "id": 0, "q": [5], "v": 2.0}\n', 4),
+    ('{"m": true, "B": [100.0]}\n', 1),
+    ('{"m": 1, "B": [100.0], "T": 50}\n', 1),
+    ('{"m": 1, "B": [100.0]}\n{"t": true, "id": 0, "q": [5], "v": 2.0}\n', 2),
+    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.0, "arrival": 3}\n', 2),
+    ('{"m": 1, "B": [100.0]}\n\n'
+     '{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": {"kind": "discount", "rho": 0.5, "p": 2}}\n', 3),
 ])
 def test_run_bad_scenario_line_exit_2(tmp_path, mech_file, text, line, capsys):
     bad = tmp_path / "bad.jsonl"
@@ -273,7 +279,7 @@ def test_run_bad_scenario_line_exit_2(tmp_path, mech_file, text, line, capsys):
 
 def test_verify_event_size_not_matching_m_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5, 7], "v": 2.0}\n')
+    bad.write_text('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5, 7], "v": 2.0}\n')
     sched = tmp_path / "sched.json"
     sched.write_text('{"integral": true, "entries": []}')
     assert main(_verify_args(bad, sched)) == 2
@@ -284,11 +290,11 @@ def test_verify_event_size_not_matching_m_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("text,message", [
     (
-        '{"m": 1, "B": [-5.0], "seed": 0}\n',
+        '{"m": 1, "B": [-5.0]}\n',
         "line 1: bad header (capacities must be positive and finite, got (-5.0,))",
     ),
     (
-        '{"m": 1, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n'
+        '{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n'
         '{"t": 1, "id": 0, "q": [5], "v": 2.0}\n',
         "line 3: bad event record (duplicate transaction id 0)",
     ),
@@ -583,7 +589,7 @@ def test_run_non_finite_parameter_exit_2(tmp_path, scenario_file, capsys):
 
 def test_run_non_finite_capacity_exit_2(tmp_path, mech_file, capsys):
     bad = tmp_path / "nan_b.jsonl"
-    bad.write_text('{"m": 1, "B": [NaN], "seed": 0}\n')
+    bad.write_text('{"m": 1, "B": [NaN]}\n')
     rc = main(["run", "--scenario", str(bad), "--mechanism", str(mech_file),
                "--horizon", "3", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -611,20 +617,67 @@ def test_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_run_seed_keeps_file_scenario_seed_unless_given(tmp_path, scenario_file, mech_file):
-    policy = tmp_path / "random.json"
-    policy.write_text(json.dumps(policy_to_config(SeededRandom())))
+@pytest.mark.parametrize("scenario", ["file", "log_range"])
+def test_run_seed_flag_is_gone(tmp_path, scenario_file, mech_file, scenario, capsys):
+    """The random order's seed is its policy config's; run has no --seed."""
+    args = ["--scenario", "log_range"]
+    if scenario == "file":
+        args = ["--scenario", str(scenario_file), "--mechanism", str(mech_file)]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *args, "--seed", "1", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
-    def run(out, *seed):
+
+def test_run_random_order_seed_comes_from_the_policy_config(tmp_path, scenario_file, mech_file):
+    """A file scenario under {"policy": "random", "seed": s} runs as the
+    library runs it under SeededRandom(seed=s), and the written scenario
+    file is the input, without a seed."""
+    scn = _id_order_stream()
+    params = MechanismParams(B=100.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
+    traces = {}
+    for seed in (0, 7):
+        policy = tmp_path / f"random{seed}.json"
+        policy.write_text(json.dumps(policy_to_config(SeededRandom(seed=seed))))
+        out = tmp_path / f"out{seed}"
         assert main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
-                     "--policy", str(policy), "--horizon", "10", "--out", str(out), *seed]) == 0
-        header = json.loads((out / "scenario.jsonl").read_text().splitlines()[0])
-        return header["seed"], (out / "trace.jsonl").read_bytes()
+                     "--policy", str(policy), "--horizon", "10", "--out", str(out)]) == 0
+        run = run_price_based(scn, params, SeededRandom(seed=seed), 10)
+        traces[seed] = (out / "trace.jsonl").read_text()
+        assert traces[seed] == trace_to_jsonl(run.trace)
+        assert (out / "scenario.jsonl").read_bytes() == scenario_file.read_bytes()
+    assert traces[0] != traces[7]
+    # a config without a seed is seed 0
+    (tmp_path / "bare.json").write_text('{"policy": "random"}')
+    assert main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+                 "--policy", str(tmp_path / "bare.json"), "--horizon", "10",
+                 "--out", str(tmp_path / "bare")]) == 0
+    assert (tmp_path / "bare" / "trace.jsonl").read_text() == traces[0]
 
-    own_seed, own_trace = run(tmp_path / "own")
-    assert own_seed == 3  # the fixture's header seed
-    assert run(tmp_path / "three", "--seed", "3") == (3, own_trace)
-    assert run(tmp_path / "zero", "--seed", "0")[0] == 0
+
+OLD_HEADER_MESSAGE = (
+    "error: line 1: bad header (the random order's seed now goes in the policy config,"
+    ' as {"policy": "random", "seed": 3})\n'
+)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_old_header_with_seed_exit_2(tmp_path, mech_file, command, capsys):
+    """A header that still carries the random order's seed is an error: read
+    silently, it would run the random order at another seed."""
+    old = tmp_path / "old.jsonl"
+    old.write_text('{"m": 1, "B": [100.0], "seed": 3}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n')
+    sched = tmp_path / "sched.json"
+    sched.write_text('{"integral": true, "entries": []}')
+    if command == "run":
+        argv = ["run", "--scenario", str(old), "--mechanism", str(mech_file),
+                "--horizon", "3", "--out", str(tmp_path / "o")]
+    else:
+        argv = _verify_args(old, sched)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == OLD_HEADER_MESSAGE
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -750,6 +803,10 @@ def test_overloaded_run_bytes_pinned(tmp_path, policy, capsys):
     (tmp_path / "scenario.jsonl").write_text(scenario_to_jsonl(scn))
     (tmp_path / "mech.json").write_text(json.dumps(params_to_config(params)))
     policy_config = {"policy": policy}
+    if policy == "random":
+        # the scenario header carried random_family's seed, 1, before the
+        # policy config did
+        policy_config["seed"] = 1
     if policy == "tip":
         policy_config["tips"] = {str(t.id): 1.0 / t.unit_value for t in scn.transactions}
     (tmp_path / "policy.json").write_text(json.dumps(policy_config))

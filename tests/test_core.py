@@ -125,6 +125,7 @@ class TestTransaction:
         (lambda: Patience(window=1.5), "patience window must be an integer, got 1.5"),
         (lambda: Patience(window="3"), "patience window must be an integer, got '3'"),
         (lambda: Patience(window=-1), "patience window must be >= 0, got -1"),
+        (lambda: Patience(window=True), "patience window must be an integer, got True"),
         (lambda: Discount(rho=False), "rho must be a number, got False"),
         (lambda: Discount(rho="0.5"), "rho must be a number, got '0.5'"),
         (lambda: Discount(rho=None), "rho must be a number, got None"),
@@ -465,8 +466,8 @@ class TestScenarioContract:
 
     def test_replace_keeps_the_index(self):
         scn = Scenario((10.0,), [self.tx0, self.tx1])
-        moved = dataclasses.replace(scn, seed=5)
-        assert moved.seed == 5
+        moved = dataclasses.replace(scn, capacities=(20.0,))
+        assert moved.capacities == (20.0,)
         assert moved._index is scn._index
 
     def test_replace_with_another_stream_reindexes(self):
@@ -487,15 +488,24 @@ class TestScenarioContract:
         with pytest.raises(TypeError):
             Scenario((1.0,), generator=gen)
         adaptive = AdaptiveScenario((1.0,), gen)
-        assert (adaptive.m, adaptive.seed) == (1, 0)
+        assert adaptive.m == 1
         with pytest.raises(ScenarioError, match="capacities must be positive"):
             AdaptiveScenario((0.0,), gen)
 
+    @pytest.mark.parametrize("caps", [(True,), (100.0, True)])
+    def test_bool_capacity_rejected(self, caps):
+        # the scenario reader rejects a JSON true in B; the library agrees
+        for make in (lambda: Scenario(caps), lambda: AdaptiveScenario(caps, None)):
+            with pytest.raises(ScenarioError) as exc:
+                make()
+            assert str(exc.value) == f"capacities must be numbers, got {caps}"
+
     def test_stream_types_carry_no_horizon(self):
-        # how long to run is the run's choice (a builtin's is its bundle's)
+        # how long to run is the run's choice (a builtin's is its bundle's),
+        # and the random order's seed is its policy's (SeededRandom.seed)
         names = lambda cls: [f.name for f in dataclasses.fields(cls)]
-        assert names(Scenario) == ["capacities", "transactions", "seed", "_index"]
-        assert names(AdaptiveScenario) == ["capacities", "generator", "seed"]
+        assert names(Scenario) == ["capacities", "transactions", "_index"]
+        assert names(AdaptiveScenario) == ["capacities", "generator"]
 
     def test_index_is_read_only(self):
         # a write through the index would let the verifiers see a tx 5 that
@@ -564,7 +574,6 @@ class TestSerialization:
     def test_scenario_roundtrip(self):
         scn = Scenario(
             capacities=(100.0,),
-            seed=42,
             transactions=[
                 Transaction(id=0, arrival=1, size=(5,), unit_value=1.5),
                 Transaction(id=1, arrival=2, size=(7,), unit_value=2.5, sensitivity=Discount(rho=0.25)),
@@ -573,7 +582,6 @@ class TestSerialization:
         )
         back = scenario_from_jsonl(scenario_to_jsonl(scn))
         assert back.capacities == scn.capacities
-        assert back.seed == 42
         assert list(back.transactions) == sorted(scn.transactions, key=lambda t: (t.arrival, t.id))
 
     def test_scenario_bad_line_number(self):
@@ -590,18 +598,18 @@ class TestSerialization:
     @pytest.mark.parametrize("cap", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_capacity_rejected(self, cap):
         with pytest.raises(ScenarioError, match="finite"):
-            scenario_from_jsonl(f'{{"m": 1, "B": [{cap}], "seed": 0}}\n')
+            scenario_from_jsonl(f'{{"m": 1, "B": [{cap}]}}\n')
 
     def test_schedule_roundtrip(self):
         s = Schedule([ScheduleEntry(3, 1, 0.25), ScheduleEntry(4, 2, 1.0)], integral=False)
         assert schedule_from_json(schedule_to_json(s)) == s
 
     def test_integral_floats_read_as_ints(self):
-        header = '{"m": 1, "B": [100.0], "seed": 2.0}\n'
+        header = '{"m": 1.0, "B": [100.0]}\n'
         scn = scenario_from_jsonl(header + '{"t": 3.0, "id": 4.0, "q": [5.0], "v": 1.0}\n')
         t = scn.transactions[0]
-        assert (t.arrival, t.id, t.size, scn.seed) == (3, 4, (5,), 2)
-        assert all(type(x) is int for x in (t.arrival, t.id, *t.size, scn.seed))
+        assert (t.arrival, t.id, t.size) == (3, 4, (5,))
+        assert all(type(x) is int for x in (t.arrival, t.id, *t.size))
         s = schedule_from_json('{"integral": true, "entries": [{"id": 4.0, "t": 3.0, "frac": 1}]}')
         assert s.entries == [ScheduleEntry(4, 3, 1.0)]
 
@@ -616,33 +624,46 @@ class TestSerialization:
         ('{"t": 1, "id": 0, "q": [5], "v": 1.0, "sens": {"kind": "x"}}', "unknown sensitivity"),
         ('{"t": 1, "id": 0, "q": [5], "v": 1.0, "sens": {"kind": "patience", "p": 1.5}}',
          "patience window must be an integer"),
+        # true and false are not integers, though they equal 1 and 0
+        ('{"t": true, "id": 0, "q": [5], "v": 1.0}', "integers, got t=True"),
+        ('{"t": 1, "id": false, "q": [5], "v": 1.0}', "integers, got t=1, id=False"),
+        ('{"t": 1, "id": 0, "q": [true], "v": 1.0}', r"integers, got .*q=\[True\]"),
+        ('{"t": 1, "id": 0, "q": [5], "v": 1.0, "sens": {"kind": "patience", "p": true}}',
+         "patience window must be an integer, got True"),
+        # a misspelled or misplaced key would otherwise read as its default
+        ('{"t": 1, "id": 0, "q": [5], "v": 2.0, "sense": {"kind": "discount", "rho": 0.5}}',
+         "event has unknown key 'sense'"),
+        ('{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": {"kind": "patience", "p": 3, "rho": 0.2}}',
+         "sens has unknown key 'rho'"),
+        ('{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": {"kind": "patient", "p": 3}}',
+         "sens has unknown key 'p'"),
     ])
     def test_bad_event_names_its_line(self, line, match):
-        text = '{"m": 1, "B": [100.0], "seed": 0}\n\n' + line + "\n"
+        text = '{"m": 1, "B": [100.0]}\n\n' + line + "\n"
         with pytest.raises(ScenarioError, match=f"^line 3: bad event record .*{match}"):
             scenario_from_jsonl(text)
 
     @pytest.mark.parametrize("text,message", [
         # the writer's one-resource template line under a two-resource header
         (
-            '{"m": 2, "B": [100.0, 50.0], "seed": 0}\n\n'
+            '{"m": 2, "B": [100.0, 50.0]}\n\n'
             '{"t": 1, "id": 4, "q": [5], "v": 2.5, "sens": {"kind": "patient"}}\n',
             "line 3: bad event record (tx 4: size has 1 resources, scenario has 2)",
         ),
         # a line read through json.loads, after a good one
         (
-            '{"m": 1, "B": [100.0], "seed": 0}\n'
+            '{"m": 1, "B": [100.0]}\n'
             '{"t": 1, "id": 0, "q": [5], "v": 2.5, "sens": {"kind": "patient"}}\n'
             '{"t": 1, "id": 1, "q": [5, 7], "v": 2.5}\n',
             "line 3: bad event record (tx 1: size has 2 resources, scenario has 1)",
         ),
         (
-            '{"m": 2, "B": [100.0, 50.0], "seed": 0}\n'
+            '{"m": 2, "B": [100.0, 50.0]}\n'
             '{"t": 1, "id": 0, "q": [5, 7, 1], "v": 2.5, "sens": {"kind": "patient"}}\n',
             "line 2: bad event record (tx 0: size has 3 resources, scenario has 2)",
         ),
         (
-            '\n{"m": 2, "B": [100.0], "seed": 0}\n{"t": 1, "id": 0, "q": [5], "v": 2.5}\n',
+            '\n{"m": 2, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.5}\n',
             "line 2: header resource count does not match capacities",
         ),
     ])
@@ -652,10 +673,10 @@ class TestSerialization:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("header,caps", [
-        ('{"m": 1, "B": [-5.0], "seed": 0}', "(-5.0,)"),
-        ('{"m": 1, "B": [NaN], "seed": 0}', "(nan,)"),
-        ('{"m": 2, "B": [100.0, 0], "seed": 0}', "(100.0, 0.0)"),
-        ('{"m": 0, "B": [], "seed": 0}', "()"),
+        ('{"m": 1, "B": [-5.0]}', "(-5.0,)"),
+        ('{"m": 1, "B": [NaN]}', "(nan,)"),
+        ('{"m": 2, "B": [100.0, 0]}', "(100.0, 0.0)"),
+        ('{"m": 0, "B": []}', "()"),
     ])
     def test_bad_capacities_name_the_header_line(self, header, caps):
         with pytest.raises(ScenarioError) as exc:
@@ -670,7 +691,7 @@ class TestSerialization:
     ])
     def test_repeated_id_names_its_second_line(self, second):
         text = (
-            '{"m": 1, "B": [100.0], "seed": 0}\n'
+            '{"m": 1, "B": [100.0]}\n'
             '{"t": 1, "id": 4, "q": [3], "v": 1.5, "sens": {"kind": "patient"}}\n'
             '{"t": 1, "id": 5, "q": [3], "v": 1.5}\n\n' + second + "\n"
             '{"t": 1, "id": 6, "q": "bad", "v": 1.5}\n'
@@ -681,11 +702,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize("header,match", [
         ("[1, 2]", "expected header"),
-        ('{"m": 1, "B": 100, "seed": 0}', "B must be a list"),
-        ('{"m": 1, "B": "1", "seed": 0}', "B must be a list"),
-        ('{"m": 1.5, "B": [100], "seed": 0}', "m must be an integer"),
-        ('{"m": 1, "B": [100], "seed": 0.5}', "seed must be an integer"),
-        ('{"m": 1, "B": [100], "seed": null}', "bad header"),
+        ('{"m": 1, "B": 100}', "B must be a list"),
+        ('{"m": 1, "B": "1"}', "B must be a list"),
+        ('{"m": 1.5, "B": [100]}', "m must be an integer"),
+        ('{"m": true, "B": [100]}', r"m must be an integer, got True\)$"),
+        ('{"m": null, "B": [100]}', r"m must be an integer, got None\)$"),
+        ('{"m": 1, "B": [100], "b": [100]}', r"header has unknown key 'b'\)$"),
+        ('{"m": 1, "B": [100], "seed": 0}', "the random order's seed now goes in the policy"),
     ])
     def test_bad_header_names_its_line(self, header, match):
         with pytest.raises(ScenarioError, match=f"^line 2: .*{match}"):
@@ -697,6 +720,13 @@ class TestSerialization:
         ('{"integral": "no", "entries": []}', "integral must be true or false"),
         ('{"integral": 1, "entries": []}', "integral must be true or false"),
         ('{"integral": false, "entries": [{"id": 1e400, "t": 1, "frac": 1.0}]}', "infinity"),
+        ('{"integral": false, "entries": [{"id": false, "t": 1, "frac": 1.0}]}', "integers"),
+        ('{"integral": false, "entries": [{"id": 1, "t": true, "frac": 1.0}]}', "integers"),
+        ('{"integral": false, "entries": [{"id": 1, "t": 1, "frac": 1.0, "fraction": 0.5}]}',
+         "schedule entry has unknown key 'fraction'"),
+        # in place of frac, the misspelling leaves frac missing
+        ('{"integral": false, "entries": [{"id": 1, "t": 1, "fraction": 0.5}]}', "^bad schedule JSON: 'frac'$"),
+        ('{"integral": false, "entries": [], "horizon": 5}', "schedule has unknown key 'horizon'"),
     ])
     def test_bad_schedule_rejected(self, text, match):
         with pytest.raises(InvalidScheduleError, match=match):

@@ -32,8 +32,8 @@ from feemarket.adversary import SeededRandom
 from feemarket.mechanisms import params_from_config, params_to_config
 
 
-def scn_of(*txs, B=100.0, seed=0, m=1):
-    return Scenario(capacities=(B,) * m if m > 1 else (B,), transactions=list(txs), seed=seed)
+def scn_of(*txs, B=100.0, m=1):
+    return Scenario(capacities=(B,) * m if m > 1 else (B,), transactions=list(txs))
 
 
 class TestNextPrice:
@@ -73,6 +73,15 @@ class TestNextPrice:
         fields[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             MechanismParams(**fields)
+
+    @pytest.mark.parametrize("field", ["B", "c", "eta", "p_min", "p_1"])
+    def test_bool_rejected(self, field):
+        # params_from_config rejects a JSON true; the library agrees
+        fields = dict(B=100.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
+        fields[field] = True
+        with pytest.raises(ValueError) as exc:
+            MechanismParams(**fields)
+        assert str(exc.value) == f"{field} must be a number, got True"
 
     def test_config_roundtrip(self, std_params):
         assert params_from_config(params_to_config(std_params)) == std_params
@@ -144,8 +153,8 @@ class TestRunPriceBased:
             )
             for i in range(200)
         ]
-        scn = scn_of(*txs, seed=5)
-        for policy in (ValueAscending(), ValueDescending(), SeededRandom()):
+        scn = scn_of(*txs)
+        for policy in (ValueAscending(), ValueDescending(), SeededRandom(seed=5)):
             res = run_price_based(scn, std_params, policy, 40)
             replayed = replay_log_prices([std_params], res.trace, scn)
             assert replayed == [r.log_prices for r in res.trace.records]
@@ -159,11 +168,11 @@ class TestRunPriceBased:
                         unit_value=rng.uniform(1.2, 9.0))
             for i in range(60)
         ]
-        a = run_price_based(scn_of(*txs, seed=9), std_params, SeededRandom(), 15)
-        b = run_price_based(scn_of(*txs, seed=9), std_params, SeededRandom(), 15)
+        a = run_price_based(scn_of(*txs), std_params, SeededRandom(seed=9), 15)
+        b = run_price_based(scn_of(*txs), std_params, SeededRandom(seed=9), 15)
         assert a.schedule == b.schedule
         assert a.trace.records == b.trace.records
-        c = run_price_based(scn_of(*txs, seed=10), std_params, SeededRandom(), 15)
+        c = run_price_based(scn_of(*txs), std_params, SeededRandom(seed=10), 15)
         assert a.schedule != c.schedule or a.trace.records != c.trace.records
 
     def test_requires_single_resource(self, std_params):
@@ -246,7 +255,7 @@ class TestMultiResource:
                         unit_value=rng.uniform(1.1, 7.0))
             for i in range(50)
         ]
-        scn = scn_of(*txs, seed=1)
+        scn = scn_of(*txs)
         a = run_price_based(scn, std_params, ValueAscending(), 12)
         b = multi_resource_mechanism(scn, [std_params], ValueAscending(), 12)
         assert a.schedule == b.schedule
@@ -512,10 +521,10 @@ class TestAdaptiveInterface:
             def arrivals(self, t, previous):
                 return emitted.get(t, [])
 
-        res = engine(AdaptiveScenario((100.0,), Emit(), seed=4), std_params)
+        res = engine(AdaptiveScenario((100.0,), Emit()), std_params)
         realized = res.scenario
         assert type(realized) is Scenario
-        assert (realized.capacities, realized.seed) == ((100.0,), 4)
+        assert realized.capacities == (100.0,)
         assert len(res.trace.records) == 3
         assert realized.transactions == (*emitted[1], *emitted[3])
         assert realized.index() == {0: emitted[1][0], 5: emitted[3][0]}

@@ -5,7 +5,8 @@ import json
 import re
 from pathlib import Path
 
-from feemarket.adversary import TipPriority, policy_from_config, policy_to_config
+from feemarket.adversary import SeededRandom, TipPriority, policy_from_config, policy_to_config
+from feemarket.core import Scenario, scenario_from_jsonl
 from feemarket.mechanisms import MechanismParams, params_from_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -38,4 +39,13 @@ def test_readme_policy_config_examples_parse():
     names = re.findall(r"`(\w+)`", re.search(r"`\s+or\s+(.*?)\.", text, re.S)[1])
     assert names == ["value_asc", "value_desc", "random"]
     for name in names:
-        assert policy_to_config(policy_from_config({"policy": name})) == {"policy": name}
+        # the random order's config always carries its seed, 0 when absent
+        seed = {"seed": 0} if name == "random" else {}
+        assert policy_to_config(policy_from_config({"policy": name})) == {"policy": name, **seed}
+    random_example = re.search(r"`(\{\"policy\": \"random\".*?\})`", text, re.S)[1]
+    assert policy_from_config(json.loads(random_example)) == SeededRandom(seed=7)
+
+
+def test_readme_scenario_header_example_parses():
+    header = re.search(r"header `(\{.*?\})`", _file_format("Scenario"), re.S)[1]
+    assert scenario_from_jsonl(header + "\n") == Scenario(capacities=(100.0,))
