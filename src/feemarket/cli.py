@@ -220,9 +220,9 @@ class Construction:
 
 def c_below_two(c: float) -> Construction:
     """The c < 2 construction against the mechanism capped at c * B."""
+    params = _params(LARGE_B, c)
     return Construction(
-        params=(_params(LARGE_B, c),),
-        build=lambda: scenarios.c_below_two(1200, c, LARGE_B, eps=0.005),
+        params=(params,), build=lambda: scenarios.c_below_two(params, 1200, eps=0.005)
     )
 
 
@@ -239,11 +239,11 @@ BUILTINS: dict[str, Construction] = {
     "c_below_two": c_below_two(1.5),
     "discount_mix": Construction(
         params=(PARTIAL_PATIENCE_PARAMS,),
-        build=lambda: scenarios.discount_mix(rho_min=0.01, B=1, K=8),
+        build=lambda: scenarios.discount_mix(PARTIAL_PATIENCE_PARAMS, rho_min=0.01, K=8),
     ),
     "patience_global": Construction(
         params=(PARTIAL_PATIENCE_PARAMS,),
-        build=lambda: scenarios.patience_global(p=60, B=1),
+        build=lambda: scenarios.patience_global(PARTIAL_PATIENCE_PARAMS, p=60),
     ),
     "three_resources": Construction(
         params=tuple(scenarios.three_resources_params(ETA)),

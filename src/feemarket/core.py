@@ -249,26 +249,22 @@ def _index_stream(index: dict, txs: Iterable[Transaction], m: int) -> dict:
 
 @dataclass(frozen=True)
 class _Stream:
-    """Per-resource targets B_j, positive and finite, stored as floats."""
+    """An arrival stream over ``m`` resources, an int of at least 1 given by
+    keyword.  The stream carries no target size: a run's targets are its
+    ``MechanismParams.B``, and an optimum's or a verifier's cap is its own
+    argument."""
 
-    capacities: tuple[float, ...]
+    m: int = field(default=1, kw_only=True)
 
     def __post_init__(self) -> None:
-        caps = self.capacities
-        if not caps or any(not math.isfinite(b) or b <= 0 for b in caps):
-            raise ScenarioError(f"capacities must be positive and finite, got {caps}")
-        if bool in map(type, caps):
-            raise ScenarioError(f"capacities must be numbers, got {caps}")
-        object.__setattr__(self, "capacities", tuple(float(b) for b in caps))
-
-    @property
-    def m(self) -> int:
-        return len(self.capacities)
+        m = self.m
+        if type(m) is not int or m < 1:
+            raise ScenarioError(f"resource count m must be an integer >= 1, got {m!r}")
 
 
 @dataclass(frozen=True)
 class Scenario(_Stream):
-    """Resource capacities plus a static arrival stream, checked once.
+    """A static arrival stream over ``m`` resources, checked once.
 
     Building one checks the stream (ScenarioError on a size whose resource
     count is not the scenario's or on a repeated id), freezes it as a tuple
@@ -276,7 +272,8 @@ class Scenario(_Stream):
     hands out a read-only view, and only the package's own loops read the
     dict ``_index``.  A file scenario's reader and an adaptive run hand over
     the checked index they built as ``_index``; one that does not hold
-    exactly ``transactions`` is ignored and the index is rebuilt.  How many
+    exactly ``transactions``, or was checked against another ``m``, is
+    ignored and the index is rebuilt.  How many
     blocks to run it for is the caller's choice (a builtin's is
     ``ScenarioBundle.horizon``), and a file keeps the stream's order, so
     every scenario equals its file round trip.
@@ -290,7 +287,10 @@ class Scenario(_Stream):
         txs = tuple(self.transactions)
         index = self._index
         if index is None or len(index) != len(txs) or not all(map(is_, index.values(), txs)):
-            index = _index_stream({}, txs, len(self.capacities))
+            index = _index_stream({}, txs, self.m)
+        elif txs and len(txs[0].size) != self.m:
+            # an index checked against another m: every size has that length
+            index = _index_stream({}, txs, self.m)
         object.__setattr__(self, "transactions", txs)
         object.__setattr__(self, "_index", index)
 
@@ -307,7 +307,7 @@ class Scenario(_Stream):
 
 @dataclass(frozen=True)
 class AdaptiveScenario(_Stream):
-    """Resource capacities plus an adaptive arrival generator.  The engines
+    """An adaptive arrival generator over ``m`` resources.  The engines
     run it; a run's realized stream is a ``Scenario``
     (``RunResult.scenario``), which the verifiers and offline optima take.
     They all read a stream through ``index``, ``_index`` or
@@ -885,9 +885,9 @@ def _sens_from_json(d: object) -> Sensitivity:
 
 
 def scenario_to_jsonl(scenario: Scenario) -> str:
-    """One header line {m, B} then one line per arrival event, in the
+    """One header line {m} then one line per arrival event, in the
     stream's order, so the file reads back as the same stream."""
-    lines = [json.dumps({"m": scenario.m, "B": list(scenario.capacities)})]
+    lines = [json.dumps({"m": scenario.m})]
     for t_ in scenario.transactions:
         a, i, size, v = t_.arrival, t_.id, t_.size, t_.unit_value
         # A Transaction's unit value is finite.
@@ -921,9 +921,9 @@ def scenario_to_jsonl(scenario: Scenario) -> str:
 def scenario_from_jsonl(text: str) -> Scenario:
     """Parse ``scenario_to_jsonl`` output.  Blank lines are skipped but
     counted, so an error names the line of the text it comes from.  The
-    capacities are positive and finite, every event's size has the header's
-    ``m`` entries, and an id repeated on a later line is an error of that
-    line.  The id index built while reading becomes the scenario's own."""
+    header's ``m`` is an integer of at least 1, every event's size has ``m``
+    entries, and an id repeated on a later line is an error of that line.
+    The id index built while reading becomes the scenario's own."""
     rows = enumerate(text.splitlines(), start=1)
     for no, ln in rows:
         if ln.strip():
@@ -932,23 +932,20 @@ def scenario_from_jsonl(text: str) -> Scenario:
         raise ScenarioError("line 1: missing scenario header")
     try:
         header = json.loads(ln)
-        if type(header) is not dict or not {"m", "B"} <= header.keys():
-            raise ScenarioError(f"line {no}: expected header with m, B")
+        if type(header) is not dict or "m" not in header:
+            raise ScenarioError(f"line {no}: expected header with m")
+        # Ignoring either would silently run an old file another way.
         if "seed" in header:
-            # Ignoring it would change an old file's random order silently.
             raise ValueError(
                 "the random order's seed now goes in the policy config, as"
                 f' {{"policy": "random", "seed": {json.dumps(header["seed"])}}}'
             )
-        _known_keys(header, ("m", "B"), "header")
-        if type(header["B"]) is not list:
-            raise TypeError(f"B must be a list, got {header['B']!r}")
-        capacities = tuple(_number(b, "B") for b in header["B"])
+        if "B" in header:
+            raise ValueError("the target size B now goes in the mechanism config, not the header")
+        _known_keys(header, ("m",), "header")
         m = _integer(header["m"], "m")
-        if m != len(capacities):
-            raise ScenarioError(f"line {no}: header resource count does not match capacities")
-        if not capacities or not all(0.0 < b < math.inf for b in capacities):
-            raise ValueError(f"capacities must be positive and finite, got {capacities}")
+        if m < 1:
+            raise ValueError(f"m must be at least 1, got {m}")
     except JSONDecodeError as exc:
         raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
     except (ValueError, TypeError, OverflowError) as exc:
@@ -996,7 +993,7 @@ def scenario_from_jsonl(text: str) -> Scenario:
             raise ScenarioError(f"line {no}: invalid JSON ({exc.msg})") from exc
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
-    return Scenario(capacities, tuple(index.values()), _index=index)
+    return Scenario(tuple(index.values()), m=m, _index=index)
 
 
 def schedule_to_json(schedule: Schedule) -> str:

@@ -269,7 +269,7 @@ class _Run:
         ]
         scenario, index = self.scenario, self.index
         if self.gen is not None:
-            scenario = Scenario(scenario.capacities, tuple(index.values()), _index=index)
+            scenario = Scenario(tuple(index.values()), m=self.m, _index=index)
         return RunResult(
             schedule=Schedule(entries=entries, integral=True),
             trace=RunTrace(records=self.records),
@@ -420,8 +420,8 @@ def theorem_slackness(params: MechanismParams, v_max: float) -> float:
     """Windowed-average slackness every run of the mechanism satisfies:
     (1/eta) * ln(v_max / p_min) + (c - 1), where v_max upper-bounds every
     per-unit value in the input as well as p_1."""
-    if v_max < params.p_min:
-        raise ValueError(f"v_max {v_max} below price floor {params.p_min}")
+    if not params.p_min <= v_max < math.inf:
+        raise ValueError(f"v_max must be finite and >= p_min = {params.p_min}, got {v_max}")
     return math.log(v_max / params.p_min) / params.eta + (params.c - 1.0)
 
 
@@ -442,8 +442,11 @@ def theorem_gamma(
     fractional schedule with windowed-average size limit B and slackness
     delta'.  Requires c > 1 + q_max/B and v_max >= e^eta * p_min.
     """
+    for name, x in (("v_max", v_max), ("q_max", q_max), ("delta_prime", delta_prime)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
     if delta_prime < 0:
-        raise ValueError(f"slackness must be >= 0, got {delta_prime}")
+        raise ValueError(f"delta_prime must be >= 0, got {delta_prime}")
     c_prime = params.c - q_max / params.B
     if c_prime <= 1.0:
         raise InfeasibleParametersError(

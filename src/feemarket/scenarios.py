@@ -7,9 +7,12 @@ blocks (only) and branch accordingly, and every branch decision is
 recomputable from the run trace via the generator's ``audit`` dict, which
 also carries the construction's reference optimum for ratio reporting.
 
-Constructions stated at unit target size are generated at a configurable
-integer target ``B`` by scaling sizes; values are multiples of the price
-floor where the construction normalizes it to 1.  All generators are
+Constructions stated at unit target size are generated at the integer
+target ``B`` of the ``MechanismParams`` they are built against (or, for
+``random_family``, of its ``B`` argument) by scaling sizes; values are
+multiples of the price floor where the construction normalizes it to 1.
+A stream holds only its arrivals and its resource count ``m``: the target a
+run posts is that run's ``MechanismParams.B``.  All generators are
 deterministic functions of their arguments (only ``random_family`` takes a
 seed); adaptive generators are single-run objects.
 """
@@ -109,8 +112,8 @@ def random_family(
         raise ValueError(f"empty value range [{v_lo}, {v_hi}]")
     if q_max < 1 or B < 1:
         raise ValueError("sizes are positive integers")
-    if load_factor < 0:
-        raise ValueError(f"load factor must be >= 0, got {load_factor}")
+    if not 0 <= load_factor < math.inf:
+        raise ValueError(f"load_factor must be finite and >= 0, got {load_factor}")
     rng = random.Random(seed)
     txs: list[Transaction] = []
     if load_factor > 0:
@@ -121,7 +124,7 @@ def random_family(
                 q = rng.randint(1, q_max)
                 v = math.exp(rng.uniform(ln_lo, ln_hi))
                 txs.append(Transaction(len(txs), t, (q,), v))
-    return Scenario(capacities=(float(B),), transactions=txs)
+    return Scenario(txs)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +243,18 @@ class _CBelowTwoGenerator(_AdaptiveGenerator):
         return self._txs(t, self.dust_target - pending, (self.dust_size,), 1.0, tag="dust")
 
 
-def c_below_two(horizon: int, c: float, B: int, eps: float) -> ScenarioBundle:
+def c_below_two(params: MechanismParams, horizon: int, eps: float) -> ScenarioBundle:
     """Adaptive construction forcing a loss on any max-block-size c*B
-    scheduler with c < 2; reports the branch optimum (2*T*B or 1.5*T*B)."""
+    scheduler with c < 2, at the target B and multiplier c of ``params``;
+    reports the branch optimum (2*T*B or 1.5*T*B)."""
+    B, c = _target(params), params.c
     if not (1.0 < c < 2.0):
         raise InfeasibleParametersError(f"requires 1 < c < 2, got {c}")
     if horizon % 2 != 0 or horizon < 8:
         raise ValueError(f"horizon must be even and >= 8, got {horizon}")
     if eps <= 0 or eps >= 1.0 - c / 2.0:
         raise ValueError(f"eps must be in (0, {1.0 - c / 2.0}), got {eps}")
-    scenario = AdaptiveScenario((float(B),), _CBelowTwoGenerator(horizon, c, B, eps))
+    scenario = AdaptiveScenario(_CBelowTwoGenerator(horizon, c, B, eps))
     return ScenarioBundle(scenario=scenario, policy=ValueDescending(), horizon=horizon)
 
 
@@ -258,13 +263,18 @@ def c_below_two(horizon: int, c: float, B: int, eps: float) -> ScenarioBundle:
 # ---------------------------------------------------------------------------
 
 
-def _target_and_decay(params: MechanismParams) -> tuple[int, int]:
-    """The target size as an integer number of gas units, and the number of
-    blocks the price takes to decay from p_1 to the floor; the static streams
-    start after that prefix."""
+def _target(params: MechanismParams) -> int:
+    """The target size as an integer number of gas units."""
     B = int(params.B)
     if B != params.B:
         raise ValueError("target size must be an integer number of gas units")
+    return B
+
+
+def _target_and_decay(params: MechanismParams) -> tuple[int, int]:
+    """The target size, and the number of blocks the price takes to decay
+    from p_1 to the floor; the static streams start after that prefix."""
+    B = _target(params)
     if params.p_1 <= params.p_min:
         return B, 0
     return B, math.ceil(math.log(params.p_1 / params.p_min) / params.eta)
@@ -294,9 +304,8 @@ def eip_c2_failure(params: MechanismParams, eps: float) -> ScenarioBundle:
         txs.append(Transaction(len(txs), t, (B,), 10.0 * params.p_min))
         tips[len(txs)] = 1.0  # the low transaction's id
         txs.append(Transaction(len(txs), t, (low_size,), 2.0 * params.p_min))
-    scenario = Scenario(capacities=(float(B),), transactions=txs)
     return ScenarioBundle(
-        scenario=scenario,
+        scenario=Scenario(txs),
         policy=TipPriority(tips=tips),
         horizon=horizon,
         notes={
@@ -348,9 +357,8 @@ def log_range(params: MechanismParams, H: float, L: float) -> ScenarioBundle:
         for _ in range(n_chunks):
             tips[len(txs)] = 1.0
             txs.append(Transaction(len(txs), t, (chunk,), L * params.p_min))
-    scenario = Scenario(capacities=(float(B),), transactions=txs)
     return ScenarioBundle(
-        scenario=scenario,
+        scenario=Scenario(txs),
         policy=TipPriority(tips=tips),
         horizon=horizon,
         notes={
@@ -416,21 +424,23 @@ class _DiscountMixGenerator(_AdaptiveGenerator):
 
 
 def discount_mix(
+    params: MechanismParams,
     rho_min: float,
-    B: int,
     K: int,
     gamma_delta: int = 24,
 ) -> ScenarioBundle:
-    """Adaptive mixed-patience construction over horizon 3p; p satisfies both
-    (1 - rho_min)^p <= 1/2 and 3p >= K * gamma_delta (headroom over the
-    tested algorithm's extension-plus-slackness)."""
+    """Adaptive mixed-patience construction over horizon 3p at the target B
+    of ``params``; p satisfies both (1 - rho_min)^p <= 1/2 and
+    3p >= K * gamma_delta (headroom over the tested algorithm's
+    extension-plus-slackness)."""
+    B = _target(params)
     if not (0.0 < rho_min < 1.0):
         raise ValueError(f"rho_min must be in (0, 1), got {rho_min}")
     if K < 1 or gamma_delta < 1:
         raise ValueError("headroom factors must be >= 1")
     p_rho = math.ceil(math.log(2.0) / -math.log1p(-rho_min))
     p = max(p_rho, math.ceil(K * gamma_delta / 3.0), 2)
-    scenario = AdaptiveScenario((float(B),), _DiscountMixGenerator(rho_min, B, p))
+    scenario = AdaptiveScenario(_DiscountMixGenerator(rho_min, B, p))
     return ScenarioBundle(
         scenario=scenario, policy=ValueDescending(), horizon=3 * p, notes={"p": p}
     )
@@ -470,12 +480,14 @@ class _PatienceGlobalGenerator(_AdaptiveGenerator):
         return []
 
 
-def patience_global(p: int, B: int) -> ScenarioBundle:
-    """Adaptive construction showing a fixed shared patience window still
-    forces a constant welfare loss; horizon is 2p."""
+def patience_global(params: MechanismParams, p: int) -> ScenarioBundle:
+    """Adaptive construction, at the target B of ``params``, showing a fixed
+    shared patience window still forces a constant welfare loss; horizon
+    is 2p."""
+    B = _target(params)
     if p < 2:
         raise ValueError(f"patience level must be >= 2, got {p}")
-    scenario = AdaptiveScenario((float(B),), _PatienceGlobalGenerator(p, B))
+    scenario = AdaptiveScenario(_PatienceGlobalGenerator(p, B))
     return ScenarioBundle(scenario=scenario, policy=ValueDescending(), horizon=2 * p)
 
 
@@ -521,9 +533,7 @@ def three_resources(t_half: int) -> ScenarioBundle:
     resource carrying the value units); reference optimum is 3*t_half."""
     if t_half < 2:
         raise ValueError(f"t must be >= 2, got {t_half}")
-    gen = _ThreeResourceGenerator(t_half)
-    anchor_cap = 8.0  # block demand on the anchor never exceeds a few units
-    scenario = AdaptiveScenario(capacities=(anchor_cap, 1.0, 1.0, 1.0), generator=gen)
+    scenario = AdaptiveScenario(_ThreeResourceGenerator(t_half), m=4)
     return ScenarioBundle(scenario=scenario, policy=ValueAscending(), horizon=2 * t_half)
 
 
@@ -589,7 +599,7 @@ def adaptive_price_adversary(
             v = (r**i) * params.p_min
             for _ in range(per_value):
                 txs.append(Transaction(len(txs), 1, (B,), v))
-        return Scenario(capacities=(float(B),), transactions=txs)
+        return Scenario(txs)
 
     def run(m_idx: int) -> RunResult:
         return run_price_based(build(m_idx), params, ValueAscending(), R)

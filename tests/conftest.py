@@ -16,7 +16,6 @@ def std_params() -> MechanismParams:
 @pytest.fixture
 def tiny_scenario() -> Scenario:
     return Scenario(
-        capacities=(100.0,),
         transactions=[
             Transaction(id=0, arrival=1, size=(50,), unit_value=5.0),
             Transaction(id=1, arrival=1, size=(60,), unit_value=3.0),

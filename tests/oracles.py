@@ -343,7 +343,7 @@ def _reference_unbool(x):
 def reference_scenario_to_jsonl(scenario: Scenario) -> str:
     """One json.dumps per line: the header, then each event in the stream's
     order."""
-    lines = [json.dumps({"m": scenario.m, "B": list(scenario.capacities)})]
+    lines = [json.dumps({"m": scenario.m})]
     for t_ in scenario.transactions:
         lines.append(
             json.dumps(
@@ -449,31 +449,25 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
             what = "bad header" if header is None else "bad event record"
             raise ScenarioError(f"line {no}: {what} ({exc})") from exc
         if header is None:
-            if not isinstance(obj, dict) or not {"m", "B"} <= obj.keys():
-                raise ScenarioError(f"line {no}: expected header with m, B")
-            header, header_no = obj, no
+            if not isinstance(obj, dict) or "m" not in obj:
+                raise ScenarioError(f"line {no}: expected header with m")
+            header = obj
             try:
                 if "seed" in obj:
                     raise ValueError(
                         "the random order's seed now goes in the policy config, as"
                         ' {"policy": "random", "seed": ' + json.dumps(obj["seed"]) + "}"
                     )
-                _reference_known_keys(obj, ["m", "B"], "header")
-                if not isinstance(obj["B"], list):
-                    raise TypeError(f"B must be a list, got {obj['B']!r}")
-                capacities = tuple(_reference_number(b, "B") for b in obj["B"])
+                if "B" in obj:
+                    raise ValueError(
+                        "the target size B now goes in the mechanism config, not the header"
+                    )
+                _reference_known_keys(obj, ["m"], "header")
                 m = _reference_integer(obj["m"], "m")
+                if m < 1:
+                    raise ValueError(f"m must be at least 1, got {m}")
             except (ValueError, TypeError, OverflowError) as exc:
-                raise ScenarioError(f"line {header_no}: bad header ({exc})") from exc
-            if m != len(capacities):
-                raise ScenarioError(
-                    f"line {header_no}: header resource count does not match capacities"
-                )
-            if not capacities or any(not math.isfinite(b) or b <= 0 for b in capacities):
-                raise ScenarioError(
-                    f"line {header_no}: bad header (capacities must be positive and"
-                    f" finite, got {capacities})"
-                )
+                raise ScenarioError(f"line {no}: bad header ({exc})") from exc
             continue
         try:
             i, t, q = obj["id"], obj["t"], obj["q"]
@@ -505,7 +499,7 @@ def reference_scenario_from_jsonl(text: str) -> Scenario:
             raise ScenarioError(f"line {no}: bad event record ({exc})") from exc
     if header is None:
         raise ScenarioError("line 1: missing scenario header")
-    return Scenario(capacities=capacities, transactions=txs)
+    return Scenario(txs, m=m)
 
 
 def reference_schedule_from_json(text: str) -> Schedule:

@@ -111,7 +111,7 @@ def _trace_registry(theorem_runs):
     out.append((res.schedule, res.scenario, params))
     for c in (1.25, 1.5, 1.75):
         pc = MechanismParams(B=6400.0, c=c, eta=ETA, p_min=1.0, p_1=1.0)
-        bundle = c_below_two(400, c, 6400, eps=0.005)
+        bundle = c_below_two(pc, 400, eps=0.005)
         res = run_price_based(bundle.scenario, pc, ValueDescending(), 400)
         out.append((res.schedule, res.scenario, pc))
     return out
@@ -216,7 +216,7 @@ def test_criterion_6_welfare_integral_identity():
             )
             for i in range(rng.randint(1, 12))
         ]
-        scn = Scenario(capacities=(100.0,), transactions=txs)
+        scn = Scenario(txs)
         entries = []
         for t in txs:
             budget = 1.0
@@ -245,7 +245,7 @@ def test_criterion_7_oracle_equivalence():
                         unit_value=round(rng.uniform(0.5, 5.0), 3))
             for i in range(n)
         ]
-        scn = Scenario(capacities=(float(B),), transactions=txs)
+        scn = Scenario(txs)
         mine = welfare(opt_fractional(scn, B, T), scn, T)
         if abs(mine - brute_fractional_opt(scn, B, T)) > 1e-9 * max(1.0, mine):
             frac_ok = False
@@ -255,7 +255,6 @@ def test_criterion_7_oracle_equivalence():
         sizes = [rng.randint(1, 10) for _ in range(n)]
         vals = [round(rng.uniform(0.5, 4.0), 3) for _ in range(n)]
         scn = Scenario(
-            capacities=(float(B),),
             transactions=[
                 Transaction(id=i, arrival=1, size=(sizes[i],), unit_value=vals[i])
                 for i in range(n)
@@ -273,7 +272,7 @@ def test_criterion_7_oracle_equivalence():
                         unit_value=round(r2.uniform(0.5, 5.0), 3))
             for i in range(n)
         ]
-        scn = Scenario(capacities=(float(B),), transactions=txs)
+        scn = Scenario(txs)
         if welfare(opt_integral_small(scn, B, T), scn, T) > welfare(
             opt_fractional(scn, B, T), scn, T
         ) + 1e-9:
@@ -308,11 +307,11 @@ def test_criterion_9_c_below_two():
     for c in (1.25, 1.5, 1.75):
         B, T = 6400, 2000
         bound = min(1.0 / 8.0, (2.0 - c) / 3.0) - 0.01
-        bundle = c_below_two(T, c, B, eps=0.005)
         params = MechanismParams(B=float(B), c=c, eta=ETA, p_min=1.0, p_1=1.0)
+        bundle = c_below_two(params, T, eps=0.005)
         res = run_price_based(bundle.scenario, params, ValueDescending(), T)
         loss_eip = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
-        bundle = c_below_two(T, c, B, eps=0.005)
+        bundle = c_below_two(params, T, eps=0.005)
         g = greedy_online(bundle.scenario, float(B), T, max_block=c * B)
         loss_greedy = 1.0 - welfare(g.schedule, g.scenario, T) / bundle.audit()["optimum"]
         details.append(f"c={c}: eip {loss_eip:.3f}, greedy {loss_greedy:.3f} >= {bound:.3f}")
@@ -351,29 +350,29 @@ def test_criterion_12_partial_patience():
     mp = MechanismParams(
         B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0, discounted_eligibility=True
     )
-    bundle = discount_mix(rho_min=0.01, B=1, K=8)
+    bundle = discount_mix(mp, rho_min=0.01, K=8)
     T = bundle.horizon
     res = run_price_based(bundle.scenario, mp, ValueDescending(), T)
     loss_d = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
-    bundle = patience_global(p=60, B=1)
+    bundle = patience_global(mp, p=60)
     T = bundle.horizon
     res = run_price_based(bundle.scenario, mp, ValueDescending(), T)
     loss_p = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
 
     # construction optima match the exact solver on miniatures (both branches)
     dp_ok = True
-    bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
+    bundle = discount_mix(mp, rho_min=0.2, K=1, gamma_delta=12)
     gen = bundle.scenario.generator
     Tm = bundle.horizon
     scn, audit = drive(bundle, Tm, lambda t, pending: {
         x.id for x in pending if gen.tags.get(x.id) == "hasty"
     })
     dp_ok &= abs(welfare(opt_integral_small(scn, 1.0, Tm), scn, Tm) - audit["optimum"]) <= 1e-9
-    bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
+    bundle = discount_mix(mp, rho_min=0.2, K=1, gamma_delta=12)
     scn, audit = drive(bundle, Tm, lambda t, p: set())
     dp_ok &= abs(welfare(opt_integral_small(scn, 1.0, Tm), scn, Tm) - audit["optimum"]) <= 1e-9
     for picker in ("reds", "none"):
-        bundle = patience_global(p=5, B=1)
+        bundle = patience_global(mp, p=5)
         gen = bundle.scenario.generator
         Tm = bundle.horizon
         pick = (

@@ -296,7 +296,7 @@ def test_seed_belongs_to_the_random_policy_only(config, key):
 def test_policy_seed_drives_the_block_stream():
     """The engine derives block t's stream from the policy's seed, so two
     seeds give two orders on one scenario and one seed gives one order."""
-    stream = Scenario((100.0,), txs(*[(30, 1.0 + i / 7) for i in range(40)]))
+    stream = Scenario(txs(*[(30, 1.0 + i / 7) for i in range(40)]))
     params = MechanismParams(B=100.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
 
     def executed(seed):

@@ -33,8 +33,8 @@ from feemarket.scenarios import random_family
 from oracles import brute_fractional_opt, brute_knapsack, brute_threshold_quantity
 
 
-def scn_of(*txs, B=100.0):
-    return Scenario(capacities=(B,), transactions=list(txs))
+def scn_of(*txs):
+    return Scenario(list(txs))
 
 
 def random_micro(rng):
@@ -50,7 +50,7 @@ def random_micro(rng):
         )
         for i in range(n)
     ]
-    return scn_of(*txs, B=float(B)), B, T
+    return scn_of(*txs), B, T
 
 
 class TestOptFractional:
@@ -58,7 +58,6 @@ class TestOptFractional:
         scn = scn_of(
             Transaction(id=0, arrival=1, size=(10,), unit_value=5.0),
             Transaction(id=1, arrival=1, size=(10,), unit_value=3.0),
-            B=10.0,
         )
         s = opt_fractional(scn, 10.0, 2)
         by_time = {(e.tx, e.time) for e in s.entries}
@@ -66,7 +65,7 @@ class TestOptFractional:
         assert welfare(s, scn, 2) == pytest.approx(80.0)
 
     def test_splits_oversized(self):
-        scn = scn_of(Transaction(id=0, arrival=1, size=(20,), unit_value=1.0), B=10.0)
+        scn = scn_of(Transaction(id=0, arrival=1, size=(20,), unit_value=1.0))
         s = opt_fractional(scn, 10.0, 2)
         assert [(e.time, e.fraction) for e in s.entries] == [(1, 0.5), (2, 0.5)]
         assert welfare(s, scn, 2) == pytest.approx(20.0)
@@ -75,7 +74,7 @@ class TestOptFractional:
     def test_bad_cap_rejected(self, B):
         # an infinite cap would give an empty schedule, and a NaN cap would
         # pass greedy_dominance_check with nothing scheduled on either side
-        scn = scn_of(Transaction(id=0, arrival=1, size=(10,), unit_value=5.0), B=10.0)
+        scn = scn_of(Transaction(id=0, arrival=1, size=(10,), unit_value=5.0))
         with pytest.raises(ValueError, match="must be positive and finite"):
             opt_fractional(scn, B, 3)
         with pytest.raises(ValueError, match="must be positive and finite"):
@@ -109,7 +108,7 @@ class TestOptIntegralSmall:
             Transaction(id=i, arrival=1, size=(10,), unit_value=float(10 - i))
             for i in range(5)
         ]
-        scn = scn_of(*txs, B=10.0)
+        scn = scn_of(*txs)
         s = opt_integral_small(scn, 10.0, 3)
         assert sorted(e.tx for e in s.entries) == [0, 1, 2]
         assert welfare(s, scn, 3) == pytest.approx(10 * (10 + 9 + 8))
@@ -119,7 +118,6 @@ class TestOptIntegralSmall:
             Transaction(id=0, arrival=1, size=(6,), unit_value=3.0),
             Transaction(id=1, arrival=1, size=(5,), unit_value=2.9),
             Transaction(id=2, arrival=1, size=(5,), unit_value=2.9),
-            B=10.0,
         )
         s = opt_integral_small(scn, 10.0, 1)
         assert sorted(e.tx for e in s.entries) == [1, 2]
@@ -137,7 +135,6 @@ class TestOptIntegralSmall:
                     Transaction(id=i, arrival=1, size=(sizes[i],), unit_value=vals[i])
                     for i in range(n)
                 ],
-                B=float(B),
             )
             mine = welfare(opt_integral_small(scn, B, 1), scn, 1)
             assert mine == pytest.approx(brute_knapsack(sizes, vals, B), rel=1e-9, abs=1e-9)
@@ -170,14 +167,14 @@ class TestOptIntegralSmall:
     ], ids=["resource-count", "repeated-id"])
     def test_bad_stream_rejected(self, txs, message):
         with pytest.raises(ScenarioError) as exc:
-            opt_integral_small(scn_of(*txs, B=10.0), 10.0, 2)
+            opt_integral_small(scn_of(*txs), 10.0, 2)
         assert str(exc.value) == message
 
     def test_lexicographic_tie_break(self):
         txs = [
             Transaction(id=i, arrival=1, size=(5,), unit_value=2.0) for i in (4, 1, 3, 2)
         ]
-        scn = scn_of(*txs, B=10.0)
+        scn = scn_of(*txs)
         s = opt_integral_small(scn, 10.0, 1)
         assert sorted(e.tx for e in s.entries) == [1, 2]
 
@@ -283,7 +280,7 @@ class TestWelfareDominance:
 
 class TestGreedyDominance:
     def test_single_tx(self):
-        scn = scn_of(Transaction(id=0, arrival=1, size=(10,), unit_value=1.0), B=10.0)
+        scn = scn_of(Transaction(id=0, arrival=1, size=(10,), unit_value=1.0))
         assert greedy_dominance_check(scn, 10.0, 1)
 
     def test_seeded_instances(self):
@@ -299,7 +296,9 @@ class TestGreedyDominance:
         # uncapped greedy, whose blocks may reach 2B
         from feemarket.scenarios import c_below_two
 
-        bundle = c_below_two(200, 1.9, 64, eps=0.01)
+        bundle = c_below_two(
+            MechanismParams(B=64.0, c=1.9, eta=0.125, p_min=1.0, p_1=1.0), 200, eps=0.01
+        )
         assert greedy_dominance_check(bundle.scenario, 64.0, 200)
 
 
@@ -308,7 +307,9 @@ def test_offline_optima_reject_adaptive_scenario():
     # benchmark would pass every dominance check against it
     from feemarket.scenarios import c_below_two
 
-    scn = c_below_two(40, 1.5, 64, 0.01).scenario
+    scn = c_below_two(
+        MechanismParams(B=64.0, c=1.5, eta=0.125, p_min=1.0, p_1=1.0), 40, 0.01
+    ).scenario
     message = (
         "an adaptive scenario has no stream until it runs;"
         " pass the run's realized stream, RunResult.scenario"

@@ -24,7 +24,6 @@ def _id_order_stream():
     """30 transactions in id order that arrive at blocks 1-5 in turn, so the
     stream is not in (arrival, id) order."""
     return Scenario(
-        capacities=(100.0,),
         transactions=[
             Transaction(id=i, arrival=1 + i % 5, size=(10 + 7 * (i % 4),), unit_value=1.5 + i % 3)
             for i in range(30)
@@ -137,7 +136,7 @@ def _stream(name, tmp_path):
     if name == "id_order":
         return _id_order_stream()
     if name == "late_first":
-        return Scenario((10.0,), [Transaction(0, 2, (5,), 1.0), Transaction(1, 1, (5,), 1.0)])
+        return Scenario([Transaction(0, 2, (5,), 1.0), Transaction(1, 1, (5,), 1.0)])
     return BUILTINS[name].run().result.scenario
 
 
@@ -151,7 +150,7 @@ def test_stream_equals_its_file_round_trip(tmp_path, name):
 
 
 def test_run_empty_scenario(tmp_path):
-    scn = Scenario(capacities=(100.0,), transactions=[])
+    scn = Scenario([])
     path = tmp_path / "empty.jsonl"
     path.write_text(scenario_to_jsonl(scn))
     mech = tmp_path / "m.json"
@@ -238,7 +237,7 @@ def test_format_flag_is_gone(command, capsys):
 
 def test_run_malformed_scenario_exit_2(tmp_path, mech_file, capsys):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"m": 1, "B": [100.0]}\n{oops\n')
+    bad.write_text('{"m": 1}\n{oops\n')
     rc = main(["run", "--scenario", str(bad), "--mechanism", str(mech_file),
                "--horizon", "3", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -247,24 +246,22 @@ def test_run_malformed_scenario_exit_2(tmp_path, mech_file, capsys):
 
 @pytest.mark.parametrize("text,line", [
     ("[1, 2]\n", 1),
-    ('{"m": 1, "B": 100}\n', 1),
-    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": "patient"}\n', 2),
-    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0.7, "q": [5], "v": 2.0}\n', 2),
-    ('{"m": 1, "B": [100.0]}\n\n{"t": 1, "id": 0, "q": [5.9], "v": 2.0}\n', 3),
-    ('{"m": 1, "B": ["100"]}\n', 1),
-    ('{"m": 1, "B": [true]}\n', 1),
-    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": "1.5"}\n', 2),
-    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": true}\n', 2),
-    ('{"m": 1, "B": [-5.0]}\n', 1),
-    ('{"m": 1, "B": [NaN]}\n', 1),
-    ('{"m": 0, "B": []}\n', 1),
-    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n\n'
+    ('{"m": 1}\n{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": "patient"}\n', 2),
+    ('{"m": 1}\n{"t": 1, "id": 0.7, "q": [5], "v": 2.0}\n', 2),
+    ('{"m": 1}\n\n{"t": 1, "id": 0, "q": [5.9], "v": 2.0}\n', 3),
+    ('{"m": 1}\n{"t": 1, "id": 0, "q": [5], "v": "1.5"}\n', 2),
+    ('{"m": 1}\n{"t": 1, "id": 0, "q": [5], "v": true}\n', 2),
+    ('{"m": 1, "B": [100.0]}\n', 1),
+    ('{"m": 0}\n', 1),
+    ('{"m": 1.5}\n', 1),
+    ('{}\n', 1),
+    ('{"m": 1}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n\n'
      '{"t": 2, "id": 0, "q": [5], "v": 2.0}\n', 4),
-    ('{"m": true, "B": [100.0]}\n', 1),
-    ('{"m": 1, "B": [100.0], "T": 50}\n', 1),
-    ('{"m": 1, "B": [100.0]}\n{"t": true, "id": 0, "q": [5], "v": 2.0}\n', 2),
-    ('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.0, "arrival": 3}\n', 2),
-    ('{"m": 1, "B": [100.0]}\n\n'
+    ('{"m": true}\n', 1),
+    ('{"m": 1, "T": 50}\n', 1),
+    ('{"m": 1}\n{"t": true, "id": 0, "q": [5], "v": 2.0}\n', 2),
+    ('{"m": 1}\n{"t": 1, "id": 0, "q": [5], "v": 2.0, "arrival": 3}\n', 2),
+    ('{"m": 1}\n\n'
      '{"t": 1, "id": 0, "q": [5], "v": 2.0, "sens": {"kind": "discount", "rho": 0.5, "p": 2}}\n', 3),
 ])
 def test_run_bad_scenario_line_exit_2(tmp_path, mech_file, text, line, capsys):
@@ -279,7 +276,7 @@ def test_run_bad_scenario_line_exit_2(tmp_path, mech_file, text, line, capsys):
 
 def test_verify_event_size_not_matching_m_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5, 7], "v": 2.0}\n')
+    bad.write_text('{"m": 1}\n{"t": 1, "id": 0, "q": [5, 7], "v": 2.0}\n')
     sched = tmp_path / "sched.json"
     sched.write_text('{"integral": true, "entries": []}')
     assert main(_verify_args(bad, sched)) == 2
@@ -289,12 +286,10 @@ def test_verify_event_size_not_matching_m_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,message", [
+    ('{"m": 0}\n', "line 1: bad header (m must be at least 1, got 0)"),
+    ('{"m": true}\n', "line 1: bad header (m must be an integer, got True)"),
     (
-        '{"m": 1, "B": [-5.0]}\n',
-        "line 1: bad header (capacities must be positive and finite, got (-5.0,))",
-    ),
-    (
-        '{"m": 1, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n'
+        '{"m": 1}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n'
         '{"t": 1, "id": 0, "q": [5], "v": 2.0}\n',
         "line 3: bad event record (duplicate transaction id 0)",
     ),
@@ -437,7 +432,7 @@ def test_verify_insufficient_gamma_fails_with_violations(tmp_path, capsys):
 def test_run_overfull_stream_slackness_verdict(tmp_path):
     # three size-50 txs a block at B=100: the summary bounds the average
     # block size by theorem_slackness and the run stays within it
-    scn = Scenario(capacities=(100.0,), transactions=[
+    scn = Scenario([
         Transaction(id=i, arrival=1 + i // 3, size=(50,), unit_value=100.0) for i in range(150)
     ])
     (tmp_path / "scenario.jsonl").write_text(scenario_to_jsonl(scn))
@@ -453,7 +448,7 @@ def test_run_overfull_stream_slackness_verdict(tmp_path):
 
 def test_verify_over_limit_benchmark_exit_2(tmp_path, capsys):
     # two blocks of 150 over a limit of 100 fail in [1, 1], [2, 2] and [1, 2]
-    scn = Scenario(capacities=(100.0,), transactions=[
+    scn = Scenario([
         Transaction(id=i, arrival=1, size=(75,), unit_value=2.0) for i in range(4)
     ])
     (tmp_path / "scenario.jsonl").write_text(scenario_to_jsonl(scn))
@@ -587,13 +582,13 @@ def test_run_non_finite_parameter_exit_2(tmp_path, scenario_file, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_run_non_finite_capacity_exit_2(tmp_path, mech_file, capsys):
-    bad = tmp_path / "nan_b.jsonl"
-    bad.write_text('{"m": 1, "B": [NaN]}\n')
+def test_run_non_finite_resource_count_exit_2(tmp_path, mech_file, capsys):
+    bad = tmp_path / "nan_m.jsonl"
+    bad.write_text('{"m": NaN}\n')
     rc = main(["run", "--scenario", str(bad), "--mechanism", str(mech_file),
                "--horizon", "3", "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: line 1: bad header (m must be an integer, got nan)\n"
 
 
 @pytest.mark.parametrize("horizon", ["0", "-1"])
@@ -656,18 +651,29 @@ def test_run_random_order_seed_comes_from_the_policy_config(tmp_path, scenario_f
     assert (tmp_path / "bare" / "trace.jsonl").read_text() == traces[0]
 
 
-OLD_HEADER_MESSAGE = (
+OLD_SEED_MESSAGE = (
     "error: line 1: bad header (the random order's seed now goes in the policy config,"
     ' as {"policy": "random", "seed": 3})\n'
+)
+OLD_TARGET_MESSAGE = (
+    "error: line 1: bad header (the target size B now goes in the mechanism config,"
+    " not the header)\n"
 )
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
-def test_old_header_with_seed_exit_2(tmp_path, mech_file, command, capsys):
-    """A header that still carries the random order's seed is an error: read
-    silently, it would run the random order at another seed."""
+@pytest.mark.parametrize("header,message", [
+    ('{"m": 1, "seed": 3}', OLD_SEED_MESSAGE),
+    ('{"m": 1, "B": [100.0]}', OLD_TARGET_MESSAGE),
+    ('{"m": 1, "B": [3.5]}', OLD_TARGET_MESSAGE),
+])
+def test_old_header_exit_2(tmp_path, mech_file, command, header, message, capsys):
+    """A header that still carries the random order's seed or a target size
+    is an error: read silently, the seed would run the random order at
+    another seed, and the B would look like the target the run posts, which
+    is the mechanism config's."""
     old = tmp_path / "old.jsonl"
-    old.write_text('{"m": 1, "B": [100.0], "seed": 3}\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n')
+    old.write_text(header + '\n{"t": 1, "id": 0, "q": [5], "v": 2.0}\n')
     sched = tmp_path / "sched.json"
     sched.write_text('{"integral": true, "entries": []}')
     if command == "run":
@@ -676,7 +682,7 @@ def test_old_header_with_seed_exit_2(tmp_path, mech_file, command, capsys):
     else:
         argv = _verify_args(old, sched)
     assert main(argv) == 2
-    assert capsys.readouterr().err == OLD_HEADER_MESSAGE
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "o").exists()
 
 

@@ -41,13 +41,14 @@ from feemarket.core import (
     schedule_from_json,
     schedule_to_json,
 )
+from feemarket.cli import PARTIAL_PATIENCE_PARAMS
 from feemarket.scenarios import patience_global
 
 from oracles import brute_window_check
 
 
-def scn_of(*txs: Transaction, B: float = 100.0) -> Scenario:
-    return Scenario(capacities=(B,), transactions=list(txs))
+def scn_of(*txs: Transaction) -> Scenario:
+    return Scenario(list(txs))
 
 
 def full(*pairs) -> Schedule:
@@ -292,14 +293,14 @@ class TestThresholdIntegral:
 
 
 class TestAvgBlockSize:
-    def make(self, sizes, B=10.0):
+    def make(self, sizes):
         txs = []
         entries = []
         for t, q in enumerate(sizes, start=1):
             if q:
                 txs.append(Transaction(id=t, arrival=t, size=(q,), unit_value=1.0))
                 entries.append(ScheduleEntry(tx=t, time=t, fraction=1.0))
-        return Schedule(entries, integral=True), scn_of(*txs, B=B)
+        return Schedule(entries, integral=True), scn_of(*txs)
 
     def test_alternating_double_blocks_pass_with_slack_one(self):
         sched, scn = self.make([20, 0, 20, 0])
@@ -318,7 +319,7 @@ class TestAvgBlockSize:
 
     def test_empty_passes(self):
         sched, _ = self.make([0, 0])
-        scn = scn_of(Transaction(id=99, arrival=1, size=(1,), unit_value=1.0), B=10.0)
+        scn = scn_of(Transaction(id=99, arrival=1, size=(1,), unit_value=1.0))
         assert check_avg_block_size(sched, scn, 10.0, 0).passed
 
     def test_matches_window_oracle(self):
@@ -365,7 +366,7 @@ resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 from feemarket import Scenario, Schedule, ScheduleEntry, Transaction, check_avg_block_size
 txs = [Transaction(id=t, arrival=t, size=(101,), unit_value=1.0) for t in range(1, {n} + 1)]
 sched = Schedule([ScheduleEntry(t, t, 1.0) for t in range(1, {n} + 1)], integral=True)
-rep = check_avg_block_size(sched, Scenario(capacities=(100.0,), transactions=txs), 100.0, 0.0)
+rep = check_avg_block_size(sched, Scenario(txs), 100.0, 0.0)
 print(json.dumps([rep.violation_count, rep.first_violation.to_json()]))
 """
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -393,7 +394,7 @@ class TestMaxBlockSize:
 
     def test_multi_resource_componentwise(self):
         scn = Scenario(
-            capacities=(10.0, 10.0),
+            m=2,
             transactions=[
                 Transaction(id=0, arrival=1, size=(3, 7), unit_value=1.0),
                 Transaction(id=1, arrival=2, size=(8, 2), unit_value=1.0),
@@ -433,18 +434,18 @@ class TestResourceCount:
     """Building a scenario whose transaction has another resource count than
     the scenario raises, with the message the engine and the reader give."""
 
-    @pytest.mark.parametrize("caps,size,other,bad", [
-        ((10.0,), (4, 7), (3,), 0),
-        ((10.0,), (3,), (4, 7), 1),
-        ((10.0, 10.0), (4,), (3, 3), 0),
-        ((10.0, 10.0), (3, 3), (4, 1, 1), 1),
+    @pytest.mark.parametrize("m,size,other,bad", [
+        (1, (4, 7), (3,), 0),
+        (1, (3,), (4, 7), 1),
+        (2, (4,), (3, 3), 0),
+        (2, (3, 3), (4, 1, 1), 1),
     ])
-    def test_wrong_resource_count_rejected(self, caps, size, other, bad):
+    def test_wrong_resource_count_rejected(self, m, size, other, bad):
         txs = [Transaction(0, 1, size, 2.0), Transaction(1, 1, other, 1.0)]
         with pytest.raises(ScenarioError) as exc:
-            Scenario(capacities=caps, transactions=txs)
+            Scenario(txs, m=m)
         n = len(txs[bad].size)
-        assert str(exc.value) == f"tx {bad}: size has {n} resources, scenario has {len(caps)}"
+        assert str(exc.value) == f"tx {bad}: size has {n} resources, scenario has {m}"
 
 
 class TestScenarioContract:
@@ -455,7 +456,7 @@ class TestScenarioContract:
 
     def test_stream_cannot_be_edited(self):
         # an edit in place would leave an index that names the old tx 0
-        scn = Scenario((10.0,), [self.tx0])
+        scn = Scenario([self.tx0])
         assert scn.index() == {0: self.tx0}
         with pytest.raises(TypeError):
             scn.transactions[0] = self.tx1
@@ -465,13 +466,21 @@ class TestScenarioContract:
         assert scn.index() == {0: self.tx0}
 
     def test_replace_keeps_the_index(self):
-        scn = Scenario((10.0,), [self.tx0, self.tx1])
-        moved = dataclasses.replace(scn, capacities=(20.0,))
-        assert moved.capacities == (20.0,)
+        scn = Scenario([self.tx0, self.tx1])
+        moved = dataclasses.replace(scn, m=1)
+        assert moved == scn
         assert moved._index is scn._index
 
+    def test_replace_with_another_resource_count_rechecks_the_stream(self):
+        # the index holds the same transactions, but they were checked
+        # against another m
+        scn = Scenario([self.tx0, self.tx1])
+        with pytest.raises(ScenarioError) as exc:
+            dataclasses.replace(scn, m=2)
+        assert str(exc.value) == "tx 0: size has 1 resources, scenario has 2"
+
     def test_replace_with_another_stream_reindexes(self):
-        scn = Scenario((10.0,), [self.tx0])
+        scn = Scenario([self.tx0])
         other = dataclasses.replace(scn, transactions=[self.tx1])
         assert other.index() == {1: self.tx1}
         assert scn.index() == {0: self.tx0}
@@ -480,37 +489,43 @@ class TestScenarioContract:
         assert str(exc.value) == "duplicate transaction id 0"
 
     def test_index_that_does_not_hold_the_stream_is_rebuilt(self):
-        scn = Scenario((10.0,), [self.tx0], _index={1: self.tx1})
+        scn = Scenario([self.tx0], _index={1: self.tx1})
         assert scn.index() == {0: self.tx0}
 
     def test_generator_is_not_a_scenario_field(self):
-        gen = patience_global(p=4, B=1).scenario.generator
+        gen = patience_global(PARTIAL_PATIENCE_PARAMS, p=4).scenario.generator
         with pytest.raises(TypeError):
-            Scenario((1.0,), generator=gen)
-        adaptive = AdaptiveScenario((1.0,), gen)
+            Scenario(generator=gen)
+        adaptive = AdaptiveScenario(gen)
         assert adaptive.m == 1
-        with pytest.raises(ScenarioError, match="capacities must be positive"):
-            AdaptiveScenario((0.0,), gen)
+        assert AdaptiveScenario(gen, m=4).m == 4
 
-    @pytest.mark.parametrize("caps", [(True,), (100.0, True)])
-    def test_bool_capacity_rejected(self, caps):
-        # the scenario reader rejects a JSON true in B; the library agrees
-        for make in (lambda: Scenario(caps), lambda: AdaptiveScenario(caps, None)):
+    @pytest.mark.parametrize("m", [True, False, 0, -1, 1.0, "1", None])
+    def test_bad_resource_count_rejected(self, m):
+        # the scenario reader reads a JSON 1.0 as 1; the library takes ints only
+        for make in (lambda: Scenario(m=m), lambda: AdaptiveScenario(None, m=m)):
             with pytest.raises(ScenarioError) as exc:
                 make()
-            assert str(exc.value) == f"capacities must be numbers, got {caps}"
+            assert str(exc.value) == f"resource count m must be an integer >= 1, got {m!r}"
+
+    def test_resource_count_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            Scenario((), 2)
+        with pytest.raises(TypeError):
+            AdaptiveScenario(None, 2)
 
     def test_stream_types_carry_no_horizon(self):
         # how long to run is the run's choice (a builtin's is its bundle's),
-        # and the random order's seed is its policy's (SeededRandom.seed)
+        # the random order's seed is its policy's (SeededRandom.seed), and
+        # the target size is the run's MechanismParams.B
         names = lambda cls: [f.name for f in dataclasses.fields(cls)]
-        assert names(Scenario) == ["capacities", "transactions", "_index"]
-        assert names(AdaptiveScenario) == ["capacities", "generator"]
+        assert names(Scenario) == ["m", "transactions", "_index"]
+        assert names(AdaptiveScenario) == ["m", "generator"]
 
     def test_index_is_read_only(self):
         # a write through the index would let the verifiers see a tx 5 that
         # the stream does not hold
-        scn = Scenario((10.0,), [Transaction(0, 1, (5,), 1.0)])
+        scn = Scenario([Transaction(0, 1, (5,), 1.0)])
         with pytest.raises(TypeError):
             scn.index()[5] = Transaction(5, 1, (5,), 9.0)
         assert dict(scn.index()) == {0: scn.transactions[0]}
@@ -573,7 +588,6 @@ class TestUnknownIds:
 class TestSerialization:
     def test_scenario_roundtrip(self):
         scn = Scenario(
-            capacities=(100.0,),
             transactions=[
                 Transaction(id=0, arrival=1, size=(5,), unit_value=1.5),
                 Transaction(id=1, arrival=2, size=(7,), unit_value=2.5, sensitivity=Discount(rho=0.25)),
@@ -581,7 +595,7 @@ class TestSerialization:
             ],
         )
         back = scenario_from_jsonl(scenario_to_jsonl(scn))
-        assert back.capacities == scn.capacities
+        assert back.m == scn.m == 1
         assert list(back.transactions) == sorted(scn.transactions, key=lambda t: (t.arrival, t.id))
 
     def test_scenario_bad_line_number(self):
@@ -595,17 +609,17 @@ class TestSerialization:
         with pytest.raises(ScenarioError):
             scenario_from_jsonl('{"t": 1, "id": 0, "q": [1], "v": 1.0}\n')
 
-    @pytest.mark.parametrize("cap", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_capacity_rejected(self, cap):
-        with pytest.raises(ScenarioError, match="finite"):
-            scenario_from_jsonl(f'{{"m": 1, "B": [{cap}]}}\n')
+    @pytest.mark.parametrize("m", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_resource_count_rejected(self, m):
+        with pytest.raises(ScenarioError, match=r"^line 1: bad header \(m must be an integer"):
+            scenario_from_jsonl(f'{{"m": {m}}}\n')
 
     def test_schedule_roundtrip(self):
         s = Schedule([ScheduleEntry(3, 1, 0.25), ScheduleEntry(4, 2, 1.0)], integral=False)
         assert schedule_from_json(schedule_to_json(s)) == s
 
     def test_integral_floats_read_as_ints(self):
-        header = '{"m": 1.0, "B": [100.0]}\n'
+        header = '{"m": 1.0}\n'
         scn = scenario_from_jsonl(header + '{"t": 3.0, "id": 4.0, "q": [5.0], "v": 1.0}\n')
         t = scn.transactions[0]
         assert (t.arrival, t.id, t.size) == (3, 4, (5,))
@@ -639,32 +653,32 @@ class TestSerialization:
          "sens has unknown key 'p'"),
     ])
     def test_bad_event_names_its_line(self, line, match):
-        text = '{"m": 1, "B": [100.0]}\n\n' + line + "\n"
+        text = '{"m": 1}\n\n' + line + "\n"
         with pytest.raises(ScenarioError, match=f"^line 3: bad event record .*{match}"):
             scenario_from_jsonl(text)
 
     @pytest.mark.parametrize("text,message", [
         # the writer's one-resource template line under a two-resource header
         (
-            '{"m": 2, "B": [100.0, 50.0]}\n\n'
+            '{"m": 2}\n\n'
             '{"t": 1, "id": 4, "q": [5], "v": 2.5, "sens": {"kind": "patient"}}\n',
             "line 3: bad event record (tx 4: size has 1 resources, scenario has 2)",
         ),
         # a line read through json.loads, after a good one
         (
-            '{"m": 1, "B": [100.0]}\n'
+            '{"m": 1}\n'
             '{"t": 1, "id": 0, "q": [5], "v": 2.5, "sens": {"kind": "patient"}}\n'
             '{"t": 1, "id": 1, "q": [5, 7], "v": 2.5}\n',
             "line 3: bad event record (tx 1: size has 2 resources, scenario has 1)",
         ),
         (
-            '{"m": 2, "B": [100.0, 50.0]}\n'
+            '{"m": 2}\n'
             '{"t": 1, "id": 0, "q": [5, 7, 1], "v": 2.5, "sens": {"kind": "patient"}}\n',
             "line 2: bad event record (tx 0: size has 3 resources, scenario has 2)",
         ),
         (
-            '\n{"m": 2, "B": [100.0]}\n{"t": 1, "id": 0, "q": [5], "v": 2.5}\n',
-            "line 2: header resource count does not match capacities",
+            '\n{"m": 2}\n{"t": 1, "id": 0, "q": [5], "v": 2.5}\n',
+            "line 3: bad event record (tx 0: size has 1 resources, scenario has 2)",
         ),
     ])
     def test_event_size_must_match_header(self, text, message):
@@ -672,18 +686,17 @@ class TestSerialization:
             scenario_from_jsonl(text)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("header,caps", [
-        ('{"m": 1, "B": [-5.0]}', "(-5.0,)"),
-        ('{"m": 1, "B": [NaN]}', "(nan,)"),
-        ('{"m": 2, "B": [100.0, 0]}', "(100.0, 0.0)"),
-        ('{"m": 0, "B": []}', "()"),
+    @pytest.mark.parametrize("header,message", [
+        ('{"m": 0}', "bad header (m must be at least 1, got 0)"),
+        ('{"m": -3.0}', "bad header (m must be at least 1, got -3)"),
+        ('{"m": true}', "bad header (m must be an integer, got True)"),
+        ('{"m": 1.5}', "bad header (m must be an integer, got 1.5)"),
+        ("{}", "expected header with m"),
     ])
-    def test_bad_capacities_name_the_header_line(self, header, caps):
+    def test_bad_resource_count_names_the_header_line(self, header, message):
         with pytest.raises(ScenarioError) as exc:
             scenario_from_jsonl("\n" + header + "\n")
-        assert str(exc.value) == (
-            f"line 2: bad header (capacities must be positive and finite, got {caps})"
-        )
+        assert str(exc.value) == f"line 2: {message}"
 
     @pytest.mark.parametrize("second", [
         '{"t": 2, "id": 4, "q": [5], "v": 2.5, "sens": {"kind": "patient"}}',  # template
@@ -691,7 +704,7 @@ class TestSerialization:
     ])
     def test_repeated_id_names_its_second_line(self, second):
         text = (
-            '{"m": 1, "B": [100.0]}\n'
+            '{"m": 1}\n'
             '{"t": 1, "id": 4, "q": [3], "v": 1.5, "sens": {"kind": "patient"}}\n'
             '{"t": 1, "id": 5, "q": [3], "v": 1.5}\n\n' + second + "\n"
             '{"t": 1, "id": 6, "q": "bad", "v": 1.5}\n'
@@ -702,13 +715,19 @@ class TestSerialization:
 
     @pytest.mark.parametrize("header,match", [
         ("[1, 2]", "expected header"),
-        ('{"m": 1, "B": 100}', "B must be a list"),
-        ('{"m": 1, "B": "1"}', "B must be a list"),
-        ('{"m": 1.5, "B": [100]}', "m must be an integer"),
-        ('{"m": true, "B": [100]}', r"m must be an integer, got True\)$"),
-        ('{"m": null, "B": [100]}', r"m must be an integer, got None\)$"),
-        ('{"m": 1, "B": [100], "b": [100]}', r"header has unknown key 'b'\)$"),
+        ('"m"', "expected header"),
+        ('{"m": "1"}', r"m must be an integer, got '1'\)$"),
+        ('{"m": null}', r"m must be an integer, got None\)$"),
+        ('{"m": [1]}', r"m must be an integer, got \[1\]\)$"),
+        ('{"m": 1, "b": [100]}', r"header has unknown key 'b'\)$"),
+        ('{"m": 1, "T": 50}', r"header has unknown key 'T'\)$"),
+        ('{"m": 1, "seed": 0}', "the random order's seed now goes in the policy"),
+        # a file older than both moves names the seed, whose loss changes a run
         ('{"m": 1, "B": [100], "seed": 0}', "the random order's seed now goes in the policy"),
+        # read silently, a file's B would look like the run's target
+        ('{"m": 1, "B": 100}', "the target size B now goes in the mechanism config, not the header"),
+        ('{"m": 4, "B": [8.0, 1.0, 1.0, 1.0]}', r"mechanism config, not the header\)$"),
+        ('{"m": 1, "B": [NaN]}', r"mechanism config, not the header\)$"),
     ])
     def test_bad_header_names_its_line(self, header, match):
         with pytest.raises(ScenarioError, match=f"^line 2: .*{match}"):

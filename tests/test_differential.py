@@ -94,7 +94,7 @@ def block_schedules(draw):
             )
             txs.append(Transaction(id=i, arrival=1, size=size, unit_value=1.0))
             entries.append(ScheduleEntry(i, t, frac))
-    scn = Scenario(capacities=tuple(targets), transactions=txs)
+    scn = Scenario(txs, m=m)
     B = targets if m > 1 else targets[0]
     return scn, Schedule(entries), B
 
@@ -127,7 +127,6 @@ def test_max_slackness_needs_its_rounding_band():
     placed = [(1, 1 / 3), (2, 1 / 3), (2, 0.1), (3, 1 / 3), (4, 0.1561917472876797),
               (4, 0.1), (4, 1 / 3), (5, 1.0), (5, 0.1), (6, 1.0), (6, 0.1)]
     scn = Scenario(
-        capacities=(3.3,),
         transactions=[Transaction(id=i, arrival=1, size=(q,), unit_value=1.0)
                       for i, q in enumerate(sizes)],
     )
@@ -162,7 +161,7 @@ def patient_schedules(draw):
         for t in txs
         if draw(st.booleans())
     ]
-    return Scenario(capacities=(100.0,), transactions=txs), Schedule(entries), horizon
+    return Scenario(txs), Schedule(entries), horizon
 
 
 @given(patient_schedules())
@@ -270,7 +269,7 @@ def engine_cases(draw):
     )
     if isinstance(policy, SeededRandom):
         policy = SeededRandom(seed=draw(st.integers(0, 2**64)))
-    scn = Scenario(capacities=tuple(targets), transactions=txs)
+    scn = Scenario(txs, m=m)
     return scn, params, policy, horizon + draw(st.integers(0, 4))
 
 
@@ -312,7 +311,7 @@ def test_tip_merge_bound_covers_entries_that_join_a_long_run(x_arrival, x_value,
     txs = [Transaction(id=i, arrival=1, size=(8,), unit_value=100.0) for i in range(20)]
     txs.append(Transaction(id=20, arrival=x_arrival, size=(8,), unit_value=x_value))
     txs.append(Transaction(id=21, arrival=y_arrival, size=(7,), unit_value=100.0))
-    scn = Scenario(capacities=(10.0,), transactions=txs)
+    scn = Scenario(txs)
     params = [MechanismParams(B=10, c=1.5, eta=0.125, p_min=1.0, p_1=2.0)]
     policy = TipPriority({20: 10.0, 21: 5.0})
     run = multi_resource_mechanism(scn, params, policy, block + 1)
@@ -335,7 +334,7 @@ def test_floor_on_a_value_keeps_it_eligible(policy):
     and drop the next value down."""
     values = [_BELOW_FLOOR, _ON_FLOOR, 2.0, 5.0, 1.0]
     txs = [Transaction(id=i, arrival=1, size=(1,), unit_value=v) for i, v in enumerate(values)]
-    scn = Scenario(capacities=(10.0,), transactions=txs)
+    scn = Scenario(txs)
     params = [MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=2.0)]
     run = multi_resource_mechanism(scn, params, policy, 1)
     assert run.trace.records == rescanning_engine(scn, params, policy, 1).records
@@ -364,7 +363,7 @@ def test_bundle_cost_on_a_value_keeps_it_eligible(policy):
     values = [below, on, 5.0, 1.0]
     txs = [Transaction(id=i, arrival=1, size=size, unit_value=v) for i, v in enumerate(values)]
     txs.append(Transaction(id=4, arrival=1, size=(1, 2), unit_value=9.0))
-    scn = Scenario(capacities=(10.0, 10.0), transactions=txs)
+    scn = Scenario(txs, m=2)
     params = [MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=p) for p in p_1s]
     run = multi_resource_mechanism(scn, params, policy, 1)
     assert run.trace.records == rescanning_engine(scn, params, policy, 1).records
@@ -387,7 +386,7 @@ def test_several_resources_decaying_entries(policy):
         Transaction(id=2, arrival=1, size=(5, 5), unit_value=9.0),
         Transaction(id=3, arrival=1, size=(5, 5), unit_value=5.0, sensitivity=Patience(2)),
     ]
-    scn = Scenario(capacities=(10.0, 10.0), transactions=txs)
+    scn = Scenario(txs, m=2)
     run = multi_resource_mechanism(scn, params, policy, 10)
     assert run.trace.records == rescanning_engine(scn, params, policy, 10).records
     assert [(r.time, i) for r in run.trace.records for i, _f in r.executed] == [(1, 2), (4, 0)]
@@ -418,7 +417,7 @@ def test_one_resource_decaying_entries_mix_sizes(policy):
         Transaction(id=i, arrival=t, size=(q,), unit_value=v, sensitivity=s)
         for i, (t, q, v, s) in enumerate(specs)
     ]
-    scn = Scenario(capacities=(9.0,), transactions=txs)
+    scn = Scenario(txs)
     run = multi_resource_mechanism(scn, params, policy, 10)
     assert run.trace.records == rescanning_engine(scn, params, policy, 10).records
     executed = [[i for i, _f in r.executed] for r in run.trace.records]
@@ -447,7 +446,7 @@ def test_one_resource_size_runs_follow_the_price(policy):
         )
         for i in range(120)
     ]
-    scn = Scenario(capacities=(8.0,), transactions=txs)
+    scn = Scenario(txs)
     params = [MechanismParams(B=8.0, c=2.0, eta=0.25, p_min=1.0, p_1=1.0)]
     run = multi_resource_mechanism(scn, params, policy, 40)
     assert run.trace.records == rescanning_engine(scn, params, policy, 40).records
@@ -511,7 +510,7 @@ def test_one_resource_block_takes_a_long_run_of_one_size(policy):
         )
         for i in range(750)
     ]
-    scn = Scenario(capacities=(1000.0,), transactions=txs)
+    scn = Scenario(txs)
     params = [MechanismParams(B=1000.0, c=1.5, eta=0.125, p_min=1.0, p_1=1.2)]
     run, events = run_against_rescanning(scn, params, policy, 10)
     index = scn.index()
@@ -534,7 +533,7 @@ def test_one_resource_scattered_admissions_leave_one_by_one(policy):
         )
         for i in range(24)
     ]
-    scn = Scenario(capacities=(10.0,), transactions=txs)
+    scn = Scenario(txs)
     params = [MechanismParams(B=10.0, c=1.5, eta=0.125, p_min=1.0, p_1=1.0)]
     run, events = run_against_rescanning(scn, params, policy, 14)
     assert 1 in events["scattered"]
@@ -556,7 +555,7 @@ def test_one_resource_block_empties_a_size(policy):
         Transaction(id=i, arrival=t, size=(q,), unit_value=v)
         for i, (t, q, v) in enumerate(specs)
     ]
-    scn = Scenario(capacities=(12.0,), transactions=txs)
+    scn = Scenario(txs)
     params = [MechanismParams(B=12.0, c=1.5, eta=0.125, p_min=1.0, p_1=1.0)]
     _run, events = run_against_rescanning(scn, params, policy, 10)
     assert events["emptied"][0] == 2
@@ -578,7 +577,7 @@ def test_one_resource_block_takes_a_sizes_best_entry(policy):
         Transaction(id=i, arrival=t, size=(q,), unit_value=v)
         for i, (t, q, v) in enumerate(specs)
     ]
-    scn = Scenario(capacities=(6.0,), transactions=txs)
+    scn = Scenario(txs)
     params = [MechanismParams(B=6.0, c=1.5, eta=0.5, p_min=1.0, p_1=1.1)]
     _run, events = run_against_rescanning(scn, params, policy, 16)
     assert len(events["best_left"]) >= 2
@@ -612,7 +611,7 @@ def greedy_cases(draw):
             )
         )
     cap = draw(st.sampled_from([None, None, 0.29 * B, 1.15 * B, 1.5 * B, 2.0 * B]))
-    scn = Scenario(capacities=(float(B),), transactions=txs)
+    scn = Scenario(txs)
     return scn, float(B), horizon + draw(st.integers(0, 4)), cap
 
 
@@ -795,8 +794,7 @@ def scenarios(draw, patient_share=None):
                 sensitivity=draw(sensitivities),
             )
         )
-    capacities = tuple(draw(st.floats(1e-300, 1e300)) for _ in range(m))
-    return Scenario(capacities=capacities, transactions=txs)
+    return Scenario(txs, m=m)
 
 
 @given(scenarios())
@@ -864,7 +862,7 @@ def test_schedule_writer_matches_json_dumps(schedule):
 @settings(max_examples=150, deadline=None)
 def test_scenario_and_schedule_round_trip(scn, schedule):
     back = scenario_from_jsonl(scenario_to_jsonl(scn))
-    assert back.capacities == scn.capacities
+    assert back.m == scn.m
     assert back.transactions == scn.transactions
     assert schedule_from_json(schedule_to_json(schedule)) == schedule
 
@@ -880,7 +878,7 @@ def test_template_taken_only_for_exact_types(monkeypatch):
 
     monkeypatch.setattr(core, "json", SimpleNamespace(dumps=dumps, loads=json.loads))
     patient = Transaction(3, 1, (7,), 2.5)
-    scn = Scenario(capacities=(100.0,), transactions=[patient])
+    scn = Scenario([patient])
     assert scenario_to_jsonl(scn).splitlines()[1] == (
         '{"t": 1, "id": 3, "q": [7], "v": 2.5, "sens": {"kind": "patient"}}'
     )
@@ -892,7 +890,7 @@ def test_template_taken_only_for_exact_types(monkeypatch):
         Transaction(4, 1, (7,), 2),
     ):
         calls.clear()
-        scenario_to_jsonl(Scenario(capacities=(100.0,) * len(odd.size), transactions=[odd]))
+        scenario_to_jsonl(Scenario([odd], m=len(odd.size)))
         assert len(calls) == 2
     calls.clear()
     record = BlockRecord(1, (0.0,), (300.0,), ((3, 1.0),), (7.0,), 17.5)
@@ -943,7 +941,7 @@ def outcome(read, text, describe):
 
 def describe_scenario(scn):
     return (
-        scn.capacities,
+        scn.m,
         [
             (t.id, t.arrival, t.size, tuple(map(type, t.size)), bits(t.unit_value), t.sensitivity)
             for t in scn.transactions
@@ -954,7 +952,6 @@ def describe_scenario(scn):
 @st.composite
 def mutated_scenario_texts(draw):
     scn = Scenario(
-        capacities=(100.0,),
         transactions=[
             Transaction(i, 1 + i % 3, (1 + i,), 0.5 + i, draw(sensitivities)) for i in range(4)
         ],
@@ -987,7 +984,7 @@ def test_scenario_reader_matches_per_line_reference(text):
 
 
 def test_scenario_reader_counts_blank_lines():
-    text = '{"m": 1, "B": [100.0]}\n\n   \n{"t": 1, "id": 0.7, "q": [5], "v": 1.0}\n'
+    text = '{"m": 1}\n\n   \n{"t": 1, "id": 0.7, "q": [5], "v": 1.0}\n'
     for read in (scenario_from_jsonl, reference_scenario_from_jsonl):
         with pytest.raises(ScenarioError, match=r"^line 4: bad event record \(t, id and q"):
             read(text)
@@ -1001,7 +998,7 @@ def template_line(t="2", i="3", q="7", v="2.5"):
 def template_text(*lines):
     """A scenario text with ``lines`` between two template lines."""
     return "\n".join(
-        ['{"m": 1, "B": [100.0]}', template_line(i="0"), *lines, template_line(i="9")]
+        ['{"m": 1}', template_line(i="0"), *lines, template_line(i="9")]
     ) + "\n"
 
 
@@ -1123,7 +1120,7 @@ def template_scenarios(draw):
         )
         for i in ids
     ]
-    return Scenario(capacities=(100.0,), transactions=txs)
+    return Scenario(txs)
 
 
 @given(template_scenarios())
@@ -1152,14 +1149,14 @@ def test_other_lines_read_with_json_loads(monkeypatch):
     ):
         calls.clear()
         scenario_from_jsonl(
-            scenario_to_jsonl(Scenario(capacities=(100.0,) * len(odd.size), transactions=[odd]))
+            scenario_to_jsonl(Scenario([odd], m=len(odd.size)))
         )
         assert len(calls) == 2
     # A bool size or arrival is written as the int it equals, which is the
     # template's form, so only the header goes through json.loads.
     for odd in (Transaction(4, 1, (True,), 2.5), Transaction(4, True, (7,), 2.5)):
         calls.clear()
-        scn = Scenario(capacities=(100.0,), transactions=[odd])
+        scn = Scenario([odd])
         assert scenario_from_jsonl(scenario_to_jsonl(scn)) == scn
         assert len(calls) == 1
     for line in ("", "  ", template_line(v="5"), template_line(i="07"), LINE_MUTATIONS[0]):

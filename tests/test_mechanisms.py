@@ -32,8 +32,8 @@ from feemarket.adversary import SeededRandom
 from feemarket.mechanisms import params_from_config, params_to_config
 
 
-def scn_of(*txs, B=100.0, m=1):
-    return Scenario(capacities=(B,) * m if m > 1 else (B,), transactions=list(txs))
+def scn_of(*txs):
+    return Scenario(list(txs))
 
 
 class TestNextPrice:
@@ -109,7 +109,7 @@ class TestRunPriceBased:
             Transaction(id=i, arrival=1 + i // 4, size=(5,), unit_value=v)
             for i in range(40)
         ]
-        scn = scn_of(*txs, B=10.0)
+        scn = scn_of(*txs)
         res = run_price_based(scn, params, ValueAscending(), 5)
         sizes = res.trace.sizes()
         assert sizes[0] == 20.0 and sizes[1] == 20.0 and sizes[2] == 20.0
@@ -124,7 +124,6 @@ class TestRunPriceBased:
         scn = scn_of(
             Transaction(id=0, arrival=1, size=(5,), unit_value=2.0),
             Transaction(id=1, arrival=1, size=(5,), unit_value=1.999999),
-            B=10.0,
         )
         res = run_price_based(scn, params, ValueAscending(), 1)
         assert [i for i, _ in res.trace.records[0].executed] == [0]
@@ -176,7 +175,7 @@ class TestRunPriceBased:
         assert a.schedule != c.schedule or a.trace.records != c.trace.records
 
     def test_requires_single_resource(self, std_params):
-        scn = Scenario(capacities=(10.0, 10.0))
+        scn = Scenario(m=2)
         with pytest.raises(ScenarioError):
             run_price_based(scn, std_params, ValueAscending(), 1)
 
@@ -189,7 +188,6 @@ class TestRunPriceBased:
             return scn_of(
                 Transaction(id=0, arrival=1, size=(20,), unit_value=2.0),
                 Transaction(id=1, arrival=1, size=(10,), unit_value=1.0, sensitivity=Discount(rho=0.1)),
-                B=10.0,
             )
 
         aware = MechanismParams(
@@ -212,7 +210,6 @@ class TestRunPriceBased:
         )
         scn = scn_of(
             Transaction(id=0, arrival=1, size=(10,), unit_value=3.0, sensitivity=Discount(rho=0.05)),
-            B=10.0,
         )
         res = run_price_based(scn, params, ValueDescending(), 8)
         assert [(r.time, i) for r in res.trace.records for i, _ in r.executed] == [(5, 0)]
@@ -224,7 +221,6 @@ class TestRunPriceBased:
         scn = scn_of(
             Transaction(id=0, arrival=1, size=(30,), unit_value=1.0),
             Transaction(id=1, arrival=1, size=(10,), unit_value=5.0, sensitivity=Patience(window=1)),
-            B=10.0,
         )
         res = run_price_based(scn, params, ValueDescending(), 4)
         times = {i: r.time for r in res.trace.records for i, _ in r.executed}
@@ -266,7 +262,7 @@ class TestMultiResource:
             MechanismParams(B=10.0, c=2.0, eta=0.25, p_min=1.0, p_1=math.e),
             MechanismParams(B=5.0, c=2.0, eta=0.5, p_min=0.5, p_1=1.0),
         ]
-        scn = Scenario(capacities=(10.0, 5.0))
+        scn = Scenario(m=2)
         res = multi_resource_mechanism(scn, params, ValueAscending(), 20)
         last = res.trace.records[-1]
         assert math.exp(last.log_prices[0]) == pytest.approx(1.0)
@@ -279,7 +275,7 @@ class TestMultiResource:
             MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=3.0, p_1=3.0),
         ]
         scn = Scenario(
-            capacities=(10.0, 10.0),
+            m=2,
             transactions=[
                 Transaction(id=0, arrival=1, size=(10, 10), unit_value=4.1),  # 41 >= 10+30
                 Transaction(id=1, arrival=1, size=(10, 10), unit_value=3.9),  # 39 < 40
@@ -292,7 +288,7 @@ class TestMultiResource:
         # a 1-resource transaction cannot enter a 2-resource scenario
         with pytest.raises(ScenarioError) as exc:
             Scenario(
-                capacities=(10.0, 10.0),
+                m=2,
                 transactions=[Transaction(id=0, arrival=1, size=(5,), unit_value=2.0)],
             )
         assert str(exc.value) == "tx 0: size has 1 resources, scenario has 2"
@@ -304,7 +300,7 @@ class TestMultiResource:
             MechanismParams(B=10.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0,
                             discounted_eligibility=True),
         ]
-        scn = Scenario(capacities=(10.0, 10.0))
+        scn = Scenario(m=2)
         for ordered in (params, params[::-1]):
             with pytest.raises(ValueError, match="discounted_eligibility differs"):
                 multi_resource_mechanism(scn, ordered, ValueAscending(), 1)
@@ -313,7 +309,7 @@ class TestMultiResource:
 class TestGreedy:
     def test_exact_fit_stream(self):
         txs = [Transaction(id=t, arrival=t, size=(10,), unit_value=2.0) for t in range(1, 6)]
-        scn = scn_of(*txs, B=10.0)
+        scn = scn_of(*txs)
         res = greedy_online(scn, 10.0, 5)
         for rec in res.trace.records:
             assert [i for i, _ in rec.executed] == [rec.time]
@@ -322,7 +318,7 @@ class TestGreedy:
     def test_cumulative_rule_overshoot(self):
         # three 0.6B-size equal-value txs at t=1: block 1 takes two, block 2 one
         txs = [Transaction(id=i, arrival=1, size=(6,), unit_value=1.0) for i in range(3)]
-        scn = scn_of(*txs, B=10.0)
+        scn = scn_of(*txs)
         res = greedy_online(scn, 10.0, 2)
         assert len(res.trace.records[0].executed) == 2
         assert len(res.trace.records[1].executed) == 1
@@ -333,20 +329,20 @@ class TestGreedy:
             Transaction(id=1, arrival=1, size=(5,), unit_value=4.0),
             Transaction(id=2, arrival=1, size=(5,), unit_value=2.0),
         ]
-        scn = scn_of(*txs, B=10.0)
+        scn = scn_of(*txs)
         res = greedy_online(scn, 10.0, 1)
         assert math.exp(res.trace.records[0].log_prices[0]) == pytest.approx(4.0)
 
     def test_zero_value_block_posts_log_zero(self):
         # a block whose lowest admitted value is 0.0 posts ln 0 = -inf
-        scn = scn_of(Transaction(id=0, arrival=1, size=(5,), unit_value=0.0), B=10.0)
+        scn = scn_of(Transaction(id=0, arrival=1, size=(5,), unit_value=0.0))
         res = greedy_online(scn, 10.0, 2)
         assert res.trace.records[0].executed == ((0, 1.0),)
         assert res.trace.records[0].log_prices == (-math.inf,)
         assert greedy_dominance_check(scn, 10.0, 2)
 
     def test_oversized_rejected_with_diagnostic(self):
-        scn = scn_of(Transaction(id=7, arrival=1, size=(11,), unit_value=1.0), B=10.0)
+        scn = scn_of(Transaction(id=7, arrival=1, size=(11,), unit_value=1.0))
         with pytest.raises(OversizedTransactionError, match="tx 7"):
             greedy_online(scn, 10.0, 1)
 
@@ -359,7 +355,7 @@ class TestGreedy:
                         unit_value=rng.uniform(0.5, 5.0))
             for i in range(300)
         ]
-        scn = scn_of(*txs, B=10.0)
+        scn = scn_of(*txs)
         res = greedy_online(scn, 10.0, 25)
         assert max_block_size(res.schedule, scn)[0] <= 20.0
         validate_schedule(res.schedule, scn)
@@ -371,20 +367,20 @@ class TestGreedy:
             Transaction(id=0, arrival=1, size=(61,), unit_value=4.0),
             Transaction(id=1, arrival=1, size=(54,), unit_value=2.0),
         ]
-        scn = scn_of(*txs, B=100.0)
+        scn = scn_of(*txs)
         res = greedy_online(scn, 100.0, 2, max_block=1.15 * 100)
         assert res.trace.records[0].executed == ((0, 1.0), (1, 1.0))
 
     @pytest.mark.parametrize("B", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_target_rejected(self, B):
-        scn = scn_of(Transaction(id=0, arrival=1, size=(5,), unit_value=1.0), B=10.0)
+        scn = scn_of(Transaction(id=0, arrival=1, size=(5,), unit_value=1.0))
         with pytest.raises(ValueError, match="target size must be positive and finite"):
             greedy_online(scn, B, 1)
 
     @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
     def test_bad_max_block_rejected(self, cap):
         # every comparison with a NaN cap is false, so the run would be uncapped
-        scn = scn_of(Transaction(id=0, arrival=1, size=(5,), unit_value=1.0), B=10.0)
+        scn = scn_of(Transaction(id=0, arrival=1, size=(5,), unit_value=1.0))
         with pytest.raises(ValueError, match="max_block must be positive"):
             greedy_online(scn, 10.0, 1, max_block=cap)
 
@@ -394,7 +390,7 @@ class TestGreedy:
         txs = [Transaction(id=0, arrival=1, size=(2,), unit_value=1.0)] + [
             Transaction(id=i, arrival=3, size=(5,), unit_value=1.0) for i in range(1, 9)
         ]
-        scn = scn_of(*txs, B=10.0)
+        scn = scn_of(*txs)
         res = greedy_online(scn, 10.0, 3)
         assert res.trace.sizes()[2] == 10.0
 
@@ -404,7 +400,7 @@ class TestGreedy:
             Transaction(id=4, arrival=1, size=(10,), unit_value=3.0),
             Transaction(id=3, arrival=2, size=(10,), unit_value=3.0),
         ]
-        scn = scn_of(*txs, B=10.0)
+        scn = scn_of(*txs)
         res = greedy_online(scn, 10.0, 3)
         order = [i for r in res.trace.records for i, _ in r.executed]
         assert order == [4, 3, 5]
@@ -436,6 +432,24 @@ class TestClosedForms:
         with pytest.raises(InfeasibleParametersError):
             theorem_gamma(p, v_max=math.e, q_max=1.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["v_max", "q_max", "delta_prime"])
+    def test_gamma_rejects_non_finite_arguments(self, name, x):
+        # max(first, nan) kept first, so a NaN v_max or q_max gave 0
+        p = MechanismParams(B=100.0, c=3.0, eta=0.125, p_min=1.0, p_1=1.0)
+        args = {"v_max": 1e6, "q_max": 100.0, "delta_prime": 0, name: x}
+        with pytest.raises(ValueError) as exc:
+            theorem_gamma(p, **args)
+        assert str(exc.value) == f"{name} must be finite, got {x}"
+
+    @pytest.mark.parametrize("v_max", [math.nan, math.inf, 0.5])
+    def test_slackness_rejects_v_max_not_finite_or_below_floor(self, v_max):
+        # an infinite bound would let every measured slackness pass
+        p = MechanismParams(B=1.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
+        with pytest.raises(ValueError) as exc:
+            theorem_slackness(p, v_max)
+        assert str(exc.value) == f"v_max must be finite and >= p_min = 1.0, got {v_max}"
+
     def test_slackness_worked_examples(self):
         p = MechanismParams(B=1.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
         assert theorem_slackness(p, math.e) == pytest.approx(9.0)
@@ -455,8 +469,8 @@ class TestAdaptiveInterface:
     def test_generator_single_run_guard(self):
         from feemarket.scenarios import patience_global
 
-        bundle = patience_global(p=4, B=1)
         params = MechanismParams(B=1.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
+        bundle = patience_global(params, p=4)
         run_price_based(bundle.scenario, params, ValueAscending(), 8)
         with pytest.raises(ScenarioError):
             run_price_based(bundle.scenario, params, ValueAscending(), 8)
@@ -466,7 +480,7 @@ class TestAdaptiveInterface:
             def arrivals(self, t, previous):
                 raise RuntimeError("boom")
 
-        scn = AdaptiveScenario(capacities=(100.0,), generator=Broken())
+        scn = AdaptiveScenario(Broken())
         with pytest.raises(ScenarioError, match="t=1"):
             run_price_based(scn, std_params, ValueAscending(), 2)
 
@@ -497,7 +511,7 @@ class TestAdaptiveInterface:
             def arrivals(self, t, previous):
                 return emitted.get(t, [])
 
-        scn = AdaptiveScenario(capacities=(100.0,), generator=Emit())
+        scn = AdaptiveScenario(Emit())
         with pytest.raises(ScenarioError) as exc:
             engine(scn, std_params)
         assert str(exc.value) == message
@@ -521,10 +535,10 @@ class TestAdaptiveInterface:
             def arrivals(self, t, previous):
                 return emitted.get(t, [])
 
-        res = engine(AdaptiveScenario((100.0,), Emit()), std_params)
+        res = engine(AdaptiveScenario(Emit()), std_params)
         realized = res.scenario
         assert type(realized) is Scenario
-        assert realized.capacities == (100.0,)
+        assert realized.m == 1
         assert len(res.trace.records) == 3
         assert realized.transactions == (*emitted[1], *emitted[3])
         assert realized.index() == {0: emitted[1][0], 5: emitted[3][0]}

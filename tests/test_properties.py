@@ -37,7 +37,7 @@ def patient_instances(draw):
         )
         for i in range(n)
     ]
-    scn = Scenario(capacities=(100.0,), transactions=txs)
+    scn = Scenario(txs)
     entries = []
     for t in txs:
         k = draw(st.integers(0, 2))

@@ -48,4 +48,4 @@ def test_readme_policy_config_examples_parse():
 
 def test_readme_scenario_header_example_parses():
     header = re.search(r"header `(\{.*?\})`", _file_format("Scenario"), re.S)[1]
-    assert scenario_from_jsonl(header + "\n") == Scenario(capacities=(100.0,))
+    assert scenario_from_jsonl(header + "\n") == Scenario()

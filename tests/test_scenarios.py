@@ -1,6 +1,7 @@
 """Scenario generators: determinism, branch logic, construction mechanics."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +35,10 @@ from feemarket.scenarios import (
 from feemarket.mechanisms import InfeasibleParametersError
 
 ETA = 0.125
+# The parameters the one-resource constructions are built against and run under.
+UNIT = MechanismParams(B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
+PARTIAL = replace(UNIT, discounted_eligibility=True)
+C15 = MechanismParams(B=64.0, c=1.5, eta=ETA, p_min=1.0, p_1=1.0)
 
 
 def drive(bundle, horizon, pick):
@@ -54,7 +59,7 @@ def drive(bundle, horizon, pick):
             sizes=(0.0,),
             cumulative_welfare=0.0,
         )
-    return Scenario(capacities=bundle.scenario.capacities, transactions=txs), gen.audit
+    return Scenario(txs, m=bundle.scenario.m), gen.audit
 
 
 class TestRandomFamily:
@@ -69,6 +74,13 @@ class TestRandomFamily:
         c = random_family(10, 100, (2.0, 10.0), 50, 2.0, B=100, eta=ETA)
         assert a.transactions != c.transactions
 
+    @pytest.mark.parametrize("load", [math.nan, math.inf, -math.inf, -1.0])
+    def test_load_factor_must_be_finite_and_non_negative(self, load):
+        # a NaN load once drew an empty stream, and an infinite one overflowed
+        with pytest.raises(ValueError) as exc:
+            random_family(1, 10, (2.0, 10.0), 10, load, B=100, eta=ETA)
+        assert str(exc.value) == f"load_factor must be finite and >= 0, got {load}"
+
     def test_load_concentration(self):
         scn = random_family(4, 1000, (2.0, 10.0), 100, 2.0, B=100, eta=ETA)
         total = sum(t.q for t in scn.transactions)
@@ -82,13 +94,13 @@ class TestRandomFamily:
 class TestCBelowTwo:
     def test_rejects_c_out_of_range(self):
         with pytest.raises(InfeasibleParametersError):
-            c_below_two(100, 2.0, 64, 0.01)
+            c_below_two(replace(C15, c=2.0), 100, 0.01)
         with pytest.raises(InfeasibleParametersError):
-            c_below_two(100, 1.0, 64, 0.01)
+            c_below_two(replace(C15, c=3.0), 100, 0.01)
 
     def test_branch_flag_matches_count_predicate(self):
         for c, picker in ((1.5, "greens"), (1.5, "reds")):
-            bundle = c_below_two(40, c, 64, 0.01)
+            bundle = c_below_two(replace(C15, c=c), 40, 0.01)
             gen = bundle.scenario.generator
 
             def pick(t, pending):
@@ -108,8 +120,8 @@ class TestCBelowTwo:
                 assert audit["branch"] == "I"
 
     def test_single_tx_per_block_first_half(self):
-        bundle = c_below_two(40, 1.5, 64, 0.01)
-        params = MechanismParams(B=64.0, c=1.5, eta=ETA, p_min=1.0, p_1=1.0)
+        bundle = c_below_two(C15, 40, 0.01)
+        params = C15
         res = run_price_based(bundle.scenario, params, ValueDescending(), 20)
         for rec in res.trace.records:
             assert len(rec.executed) <= 1
@@ -118,7 +130,7 @@ class TestCBelowTwo:
         # reported case-I optimum (all double-value blocks) is the exact DP
         # optimum of the realized stream when the greens stay whole-value;
         # force case I (no greens executed) and compare.
-        bundle = c_below_two(8, 1.9, 64, 0.01)
+        bundle = c_below_two(replace(C15, c=1.9), 8, 0.01)
         gen = bundle.scenario.generator
 
         def pick(t, pending):
@@ -136,8 +148,8 @@ class TestCBelowTwo:
 @pytest.mark.parametrize(
     "build, branch_block, key, tag",
     [
-        (lambda: c_below_two(8, 1.5, 64, 0.01), 5, "greens_first_half", "green"),
-        (lambda: discount_mix(0.2, 1, 1, 12), 5, "hasty_executed", "hasty"),
+        (lambda: c_below_two(C15, 8, 0.01), 5, "greens_first_half", "green"),
+        (lambda: discount_mix(PARTIAL, 0.2, 1, 12), 5, "hasty_executed", "hasty"),
     ],
 )
 def test_audit_empty_until_branch_then_fixed(build, branch_block, key, tag):
@@ -231,14 +243,14 @@ class TestLogRange:
 
 class TestDiscountMix:
     def test_horizon_satisfies_decay_bound(self):
-        bundle = discount_mix(rho_min=0.01, B=1, K=1, gamma_delta=1)
+        bundle = discount_mix(PARTIAL, rho_min=0.01, K=1, gamma_delta=1)
         p = bundle.notes["p"]
         assert (1 - 0.01) ** p <= 0.5
         assert p == math.ceil(math.log(2) / -math.log(0.99))  # ceil(68.97) = 69
 
     def test_branch_optima_match_dp_miniatures(self):
         # both branches, driven synthetically, against the exact solver
-        bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
+        bundle = discount_mix(PARTIAL, rho_min=0.2, K=1, gamma_delta=12)
         gen = bundle.scenario.generator
         T = bundle.horizon
 
@@ -250,7 +262,7 @@ class TestDiscountMix:
         dp = welfare(opt_integral_small(scn, 1.0, T), scn, T)
         assert dp == pytest.approx(audit["optimum"], rel=1e-9)
 
-        bundle = discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12)
+        bundle = discount_mix(PARTIAL, rho_min=0.2, K=1, gamma_delta=12)
         scn, audit = drive(bundle, bundle.horizon, lambda t, p: set())
         assert audit["branch"] == "II"
         dp = welfare(opt_integral_small(scn, 1.0, T), scn, T)
@@ -259,7 +271,7 @@ class TestDiscountMix:
 
 class TestPatienceGlobal:
     def test_branch_optima_match_dp_miniatures(self):
-        bundle = patience_global(p=5, B=1)
+        bundle = patience_global(PARTIAL, p=5)
         gen = bundle.scenario.generator
         T = bundle.horizon
 
@@ -271,14 +283,14 @@ class TestPatienceGlobal:
         dp = welfare(opt_integral_small(scn, 1.0, T), scn, T)
         assert dp == pytest.approx(audit["optimum"], rel=1e-9)  # 3p - 2
 
-        bundle = patience_global(p=5, B=1)
+        bundle = patience_global(PARTIAL, p=5)
         scn, audit = drive(bundle, T, lambda t, p: set())
         assert audit["branch"] == "II"
         dp = welfare(opt_integral_small(scn, 1.0, T), scn, T)
         assert dp == pytest.approx(audit["optimum"], rel=1e-9)  # 4p - 1
 
     def test_expired_green_contributes_nothing(self):
-        bundle = patience_global(p=3, B=1)
+        bundle = patience_global(PARTIAL, p=3)
         gen = bundle.scenario.generator
         T = bundle.horizon
         scn, _ = drive(bundle, T, lambda t, p: set())
@@ -312,7 +324,10 @@ class TestThreeResources:
 
         scn, audit = drive(bundle, T, pick_xz)
         assert audit["starved"] == "Y"
-        dp = welfare(opt_integral_small(scn, scn.capacities, T), scn, T)
+        # the optimum's caps are the benchmark's choice: here the targets
+        # the construction is run under
+        caps = [p.B for p in three_resources_params()]
+        dp = welfare(opt_integral_small(scn, caps, T), scn, T)
         assert dp == pytest.approx(audit["optimum"], rel=1e-9)
 
     def test_bundles_carry_value_on_anchor(self):
@@ -357,9 +372,6 @@ def per_call_txs(self, t, n, size, v, sens=PATIENT, tag=None):
     return out
 
 
-PARTIAL = MechanismParams(B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0, discounted_eligibility=True)
-
-
 def generator_state(gen):
     return gen._next_id, gen.tags, gen.emitted, gen.executed, gen.audit
 
@@ -393,16 +405,16 @@ class TestBatchedEmission:
         "make, params",
         [
             pytest.param(
-                lambda: c_below_two(40, 1.5, 64, 0.01),
-                [MechanismParams(B=64.0, c=1.5, eta=ETA, p_min=1.0, p_1=1.0)],
+                lambda: c_below_two(C15, 40, 0.01),
+                [C15],
                 id="c_below_two",
             ),
             pytest.param(
-                lambda: discount_mix(rho_min=0.2, B=1, K=1, gamma_delta=12),
+                lambda: discount_mix(PARTIAL, rho_min=0.2, K=1, gamma_delta=12),
                 [PARTIAL],
                 id="discount_mix",
             ),
-            pytest.param(lambda: patience_global(p=6, B=1), [PARTIAL], id="patience_global"),
+            pytest.param(lambda: patience_global(PARTIAL, p=6), [PARTIAL], id="patience_global"),
             pytest.param(
                 lambda: three_resources(4), three_resources_params(ETA), id="three_resources"
             ),
@@ -428,7 +440,7 @@ class TestBatchedEmission:
         """Once branch II is taken each block brings dust until the dust
         emitted but not executed reaches the target, as emitting one at a
         time while it is below the target would."""
-        bundle = c_below_two(40, 1.5, 64, 0.01)
+        bundle = c_below_two(C15, 40, 0.01)
         gen = bundle.scenario.generator
 
         def loop_count(pending):
@@ -457,8 +469,8 @@ class TestBatchedEmission:
 
 class TestAdaptiveReuseGuard:
     def test_second_run_raises(self):
-        bundle = patience_global(p=3, B=1)
-        params = MechanismParams(B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
+        bundle = patience_global(UNIT, p=3)
+        params = UNIT
         run_price_based(bundle.scenario, params, ValueAscending(), 6)
         with pytest.raises(ScenarioError):
             run_price_based(bundle.scenario, params, ValueAscending(), 6)
@@ -467,18 +479,18 @@ class TestAdaptiveReuseGuard:
         "make, params",
         [
             pytest.param(
-                lambda: c_below_two(8, 1.5, 64, eps=0.05),
-                [MechanismParams(B=64.0, c=1.5, eta=ETA, p_min=1.0, p_1=1.0)],
+                lambda: c_below_two(C15, 8, eps=0.05),
+                [C15],
                 id="c_below_two",
             ),
             pytest.param(
-                lambda: discount_mix(rho_min=0.5, B=1, K=1),
-                [MechanismParams(B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)],
+                lambda: discount_mix(UNIT, rho_min=0.5, K=1),
+                [UNIT],
                 id="discount_mix",
             ),
             pytest.param(
-                lambda: patience_global(p=3, B=1),
-                [MechanismParams(B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)],
+                lambda: patience_global(UNIT, p=3),
+                [UNIT],
                 id="patience_global",
             ),
             pytest.param(
@@ -509,7 +521,7 @@ class TestGlobalDiscountProbe:
             )
             for i in range(12)
         ]
-        scn = Scenario(capacities=(1.0,), transactions=txs)
+        scn = Scenario(txs)
         mp = MechanismParams(
             B=1.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0, discounted_eligibility=True
         )
