@@ -638,6 +638,8 @@ def select_block(
     m = len(capacity)
     if m == 0:
         raise ValueError("capacity must have at least one resource")
+    if any(map(math.isnan, capacity)):
+        raise ValueError(f"capacity must not be NaN, got {list(capacity)}")
     if set(map(len, map(attrgetter("size"), eligible))) - {m}:
         bad = next(t for t in eligible if len(t.size) != m)
         raise ValueError(f"tx {bad.id} has {len(bad.size)} resources, capacity has {m}")

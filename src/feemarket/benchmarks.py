@@ -86,19 +86,18 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
 
     by_time = scenario.arrivals_by_time()
     heap: list[tuple[float, int, int]] = []  # (-v, arrival, id)
-    remaining: dict[int, float] = {}
+    partial: dict[int, float] = {}  # the remaining fraction of a split transaction
     index = scenario._index
     entries: list[ScheduleEntry] = []
 
     for t in range(1, horizon + 1):
         for txn in by_time.get(t, ()):
             heapq.heappush(heap, (-txn.unit_value, txn.arrival, txn.id))
-            remaining[txn.id] = 1.0
         residual = float(B)
         while heap and residual > 1e-12 * B:
             _negv, _arr, tid = heap[0]
             txn = index[tid]
-            rem = remaining[tid]
+            rem = partial.get(tid, 1.0)
             take = min(rem, residual / txn.q)
             if take <= 0:
                 heapq.heappop(heap)
@@ -107,10 +106,10 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
             residual -= take * txn.q
             rem -= take
             if rem <= 1e-12:
-                remaining[tid] = 0.0
+                partial.pop(tid, None)
                 heapq.heappop(heap)
             else:
-                remaining[tid] = rem
+                partial[tid] = rem
                 break  # block is full: the marginal split consumed the residual
     return Schedule(entries=entries, integral=False)
 
@@ -146,6 +145,8 @@ def opt_integral_small(
     caps = _per_resource(B, m)
     if len(caps) != m:
         raise ValueError(f"expected {m} caps, got {len(caps)}")
+    if any(map(math.isnan, caps)):
+        raise ValueError(f"B must not be NaN, got {B}")
 
     # Group interchangeable transactions into types; ids within a type are
     # consumed smallest-first, which realizes the lexicographic tie-break.

@@ -28,7 +28,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import benchmarks, core, mechanisms, scenarios
 from .adversary import ValueAscending, policy_from_config
@@ -46,12 +46,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, data: Iterable[str]) -> None:
+    """Write the strings of ``data`` to ``path`` in turn, through a
+    temporary file that replaces ``path`` once all are written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -302,6 +304,44 @@ def _read(path: str) -> str:
         raise FeeMarketError(f"{path}: {exc}") from exc
 
 
+# Characters read per chunk of a scenario file.
+_CHUNK = 1 << 16
+
+# The characters str.splitlines ends a line at; "\r" ends one unless "\n"
+# follows it, when the pair ends it.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lines(fh) -> Iterator[str]:
+    """The lines of the text file ``fh``, without their breaks, exactly as
+    ``fh.read().splitlines()`` gives them, read ``_CHUNK`` characters at a
+    time.  A chunk's unterminated last line, or one that ends in "\r" and
+    so may end in "\r\n", is carried into the next chunk."""
+    tail = ""
+    while chunk := fh.read(_CHUNK):
+        text = tail + chunk
+        lines = text.splitlines()
+        end = text[-1]
+        if end == "\r":
+            tail = lines.pop() + end
+        elif end in _BREAKS:
+            tail = ""
+        else:
+            tail = lines.pop()
+        yield from lines
+    yield from tail.splitlines()
+
+
+def _read_scenario(path: str) -> Scenario:
+    """The scenario file at ``path``, parsed a chunk at a time, so only the
+    stream and one chunk's lines are held, never the file's whole text."""
+    try:
+        with open(path) as fh:
+            return core._scenario_from_lines(_lines(fh))
+    except OSError as exc:
+        raise FeeMarketError(f"{path}: {exc}") from exc
+
+
 def _load_json(path: str):
     try:
         return json.loads(_read(path))
@@ -323,7 +363,7 @@ def cmd_run(args) -> int:
         summary = _summarize(result, con.params)
         summary.update(run.score)
     else:
-        scn = core.scenario_from_jsonl(_read(args.scenario))
+        scn = _read_scenario(args.scenario)
         if not args.mechanism:
             raise FeeMarketError("--mechanism config required for file scenarios")
         params = params_from_config(_load_json(args.mechanism))
@@ -332,12 +372,10 @@ def cmd_run(args) -> int:
         result = mechanisms.run_price_based(scn, params, policy, horizon)
         summary = _summarize(result, [params])
 
-    _atomic_write(out / "trace.jsonl", core.trace_to_jsonl(result.trace))
-    _atomic_write(out / "schedule.json", core.schedule_to_json(result.schedule) + "\n")
-    _atomic_write(
-        out / "scenario.jsonl", core.scenario_to_jsonl(result.scenario)
-    )
-    _atomic_write(out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _atomic_write(out / "trace.jsonl", core._trace_lines(result.trace))
+    _atomic_write(out / "schedule.json", (core.schedule_to_json(result.schedule), "\n"))
+    _atomic_write(out / "scenario.jsonl", core._scenario_lines(result.scenario))
+    _atomic_write(out / "summary.json", (json.dumps(summary, sort_keys=True, indent=2), "\n"))
     print(json.dumps(summary, sort_keys=True))
     return EXIT_PASS
 
@@ -368,7 +406,7 @@ def _summarize(result, params_list: Sequence[MechanismParams]) -> dict:
 def cmd_verify(args) -> int:
     if args.horizon < 1:
         raise FeeMarketError(f"horizon must be >= 1, got {args.horizon}")
-    scn = core.scenario_from_jsonl(_read(args.scenario))
+    scn = _read_scenario(args.scenario)
     alg = core.schedule_from_json(_read(args.schedule))
     core.validate_schedule(alg, scn)
     if args.benchmark == "opt_fractional":
@@ -386,7 +424,7 @@ def cmd_verify(args) -> int:
     report = {"threshold": trep.to_json(), "welfare": wrep.to_json()}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
-        _atomic_write(Path(args.out), text)
+        _atomic_write(Path(args.out), (text,))
     print(text, end="")
     return EXIT_PASS if trep.passed and wrep.passed else EXIT_FAIL
 
@@ -408,7 +446,7 @@ def cmd_suite(args) -> int:
         rows.extend(suite_lower_bounds())
     text = rows_to_csv(rows)
     if args.out:
-        _atomic_write(Path(args.out), text)
+        _atomic_write(Path(args.out), (text,))
     else:
         sys.stdout.write(text)
     return EXIT_PASS if all(r.passed for r in rows) else EXIT_FAIL

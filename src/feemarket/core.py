@@ -755,10 +755,14 @@ def check_avg_block_size(
     prefix sums; only windows in a rounding band of the bound (or maximum)
     get the all-windows check's float expression, so all match it bit for
     bit.  Memory is O(n) for n blocks; time is O(n) plus the windows in the
-    band, which is O(n^2) when many windows fail or tie at B.
+    band, which is O(n^2) when many windows fail or tie at B.  A NaN or
+    infinite ``slack`` raises ValueError; a negative finite one is allowed.
     """
+    delta = float(slack)
+    if not math.isfinite(delta):
+        raise ValueError(f"slack must be finite, got {slack}")
     lo, columns = _block_prefix_sums(schedule, scenario, B)
-    count, first = _window_violations(lo, columns, float(slack))
+    count, first = _window_violations(lo, columns, delta)
     return BlockSizeReport(count, first, _max_slackness(columns))
 
 
@@ -887,7 +891,12 @@ def _sens_from_json(d: object) -> Sensitivity:
 def scenario_to_jsonl(scenario: Scenario) -> str:
     """One header line {m} then one line per arrival event, in the
     stream's order, so the file reads back as the same stream."""
-    lines = [json.dumps({"m": scenario.m})]
+    return "".join(_scenario_lines(scenario))
+
+
+def _scenario_lines(scenario: Scenario) -> Iterator[str]:
+    """The lines of ``scenario_to_jsonl``, each with its newline."""
+    yield json.dumps({"m": scenario.m}) + "\n"
     for t_ in scenario.transactions:
         a, i, size, v = t_.arrival, t_.id, t_.size, t_.unit_value
         # A Transaction's unit value is finite.
@@ -899,32 +908,38 @@ def scenario_to_jsonl(scenario: Scenario) -> str:
             and len(size) == 1
             and type(size[0]) is int
         ):
-            lines.append(
+            yield (
                 f'{{"t": {a}, "id": {i}, "q": [{size[0]}], "v": {v}, '
-                '"sens": {"kind": "patient"}}'
+                '"sens": {"kind": "patient"}}\n'
             )
         else:
-            lines.append(
-                json.dumps(
-                    {
-                        "t": _unbool(a),
-                        "id": _unbool(i),
-                        "q": list(map(_unbool, size)),
-                        "v": v,
-                        "sens": _sens_to_json(t_.sensitivity),
-                    }
-                )
-            )
-    return "\n".join(lines) + "\n"
+            yield json.dumps(
+                {
+                    "t": _unbool(a),
+                    "id": _unbool(i),
+                    "q": list(map(_unbool, size)),
+                    "v": v,
+                    "sens": _sens_to_json(t_.sensitivity),
+                }
+            ) + "\n"
 
 
 def scenario_from_jsonl(text: str) -> Scenario:
-    """Parse ``scenario_to_jsonl`` output.  Blank lines are skipped but
-    counted, so an error names the line of the text it comes from.  The
-    header's ``m`` is an integer of at least 1, every event's size has ``m``
-    entries, and an id repeated on a later line is an error of that line.
-    The id index built while reading becomes the scenario's own."""
-    rows = enumerate(text.splitlines(), start=1)
+    """Parse ``scenario_to_jsonl`` output.  The text's lines are those of
+    ``text.splitlines()``.  Blank lines are skipped but counted, so an error
+    names the line of the text it comes from.  The header's ``m`` is an
+    integer of at least 1, every event's size has ``m`` entries, and an id
+    repeated on a later line is an error of that line.  The id index built
+    while reading becomes the scenario's own.  The CLI reads a scenario
+    file through the same parser a chunk at a time, so it never holds the
+    file's whole text."""
+    return _scenario_from_lines(text.splitlines())
+
+
+def _scenario_from_lines(lines: Iterable[str]) -> Scenario:
+    """The scenario of a scenario file's lines, without their line breaks,
+    as ``scenario_from_jsonl`` reads them; ``lines`` is read once, in order."""
+    rows = enumerate(lines, start=1)
     for no, ln in rows:
         if ln.strip():
             break
@@ -1041,7 +1056,14 @@ def schedule_from_json(text: str) -> Schedule:
 
 def trace_to_jsonl(trace: RunTrace) -> str:
     """One line per block: posted price, capacity, executions, sizes, welfare."""
-    lines = []
+    return "".join(_trace_lines(trace))
+
+
+def _trace_lines(trace: RunTrace) -> Iterator[str]:
+    """The lines of ``trace_to_jsonl``, each with its newline; a trace
+    without records is one empty line."""
+    if not trace.records:
+        yield "\n"
     for r in trace.records:
         t, executed, w = r.time, r.executed, r.cumulative_welfare
         if len(r.log_prices) == 1:
@@ -1060,23 +1082,20 @@ def trace_to_jsonl(trace: RunTrace) -> str:
                 and type(w) is float
                 and -math.inf < p + b + q + w < math.inf
             ):
-                lines.append(
+                yield (
                     f'{{"t": {t}, "p": {p}, "B_t": {b}, "executed": [{", ".join(parts)}], '
-                    f'"Q": {q}, "cum_welfare": {w}}}'
+                    f'"Q": {q}, "cum_welfare": {w}}}\n'
                 )
                 continue
         single = len(r.log_prices) == 1
         prices = [math.exp(lp) for lp in r.log_prices]
-        lines.append(
-            json.dumps(
-                {
-                    "t": t,
-                    "p": prices[0] if single else prices,
-                    "B_t": r.capacities[0] if single else list(r.capacities),
-                    "executed": [{"id": i, "frac": f} for i, f in executed],
-                    "Q": r.sizes[0] if single else list(r.sizes),
-                    "cum_welfare": w,
-                }
-            )
-        )
-    return "\n".join(lines) + "\n"
+        yield json.dumps(
+            {
+                "t": t,
+                "p": prices[0] if single else prices,
+                "B_t": r.capacities[0] if single else list(r.capacities),
+                "executed": [{"id": i, "frac": f} for i, f in executed],
+                "Q": r.sizes[0] if single else list(r.sizes),
+                "cum_welfare": w,
+            }
+        ) + "\n"

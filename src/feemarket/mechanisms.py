@@ -109,6 +109,10 @@ class MechanismParams:
             raise ValueError(f"price floor must be positive, got {self.p_min}")
         if self.p_1 < self.p_min:
             raise ValueError(f"initial price {self.p_1} below floor {self.p_min}")
+        if type(self.discounted_eligibility) is not bool:
+            raise ValueError(
+                f"discounted_eligibility must be a bool, got {self.discounted_eligibility!r}"
+            )
 
     @property
     def max_block(self) -> float:
@@ -152,26 +156,21 @@ def params_from_config(obj: Mapping) -> MechanismParams:
     missing = [name for name in required if name not in obj]
     if missing:
         raise ValueError(f"mechanism config lacks {', '.join(missing)}")
-    discounted = obj.get("discounted_eligibility", False)
-    if type(discounted) is not bool:
-        raise ValueError(
-            f"discounted_eligibility must be true or false, got {discounted!r}"
-        )
     return MechanismParams(
         B=_number(obj["B"], "B"),
         c=_number(obj["c"], "c"),
         eta=_number(obj["eta"], "eta"),
         p_min=_number(obj["p_min"], "p_min"),
         p_1=_number(obj["p_1"], "p_1"),
-        discounted_eligibility=discounted,
+        discounted_eligibility=obj.get("discounted_eligibility", False),
     )
 
 
 def eip_next_price(params: MechanismParams, log_price: float, block_size: float) -> float:
     """Next log-price after a block of total size ``block_size``:
     ln p' = max(ln p_min, ln p + eta*(Q-B)/B)."""
-    if block_size < 0:
-        raise CapacityViolationError(f"negative block size {block_size}")
+    if not block_size >= 0:
+        raise CapacityViolationError(f"block size must be >= 0, got {block_size}")
     if block_size > params.max_block * (1.0 + 1e-9):
         raise CapacityViolationError(
             f"block size {block_size} exceeds capacity {params.max_block}"
@@ -422,7 +421,7 @@ def theorem_slackness(params: MechanismParams, v_max: float) -> float:
     per-unit value in the input as well as p_1."""
     if not params.p_min <= v_max < math.inf:
         raise ValueError(f"v_max must be finite and >= p_min = {params.p_min}, got {v_max}")
-    return math.log(v_max / params.p_min) / params.eta + (params.c - 1.0)
+    return (math.log(v_max) - math.log(params.p_min)) / params.eta + (params.c - 1.0)
 
 
 def theorem_gamma(
@@ -456,9 +455,11 @@ def theorem_gamma(
         raise ValueError(
             f"v_max {v_max} below e^eta * p_min = {params.p_min * math.exp(params.eta)}"
         )
-    first = math.log(params.p_1 / params.p_min) / params.eta
+    # A difference of logs: the ratios overflow for a tiny p_min.
+    ln_p_min = math.log(params.p_min)
+    first = (math.log(params.p_1) - ln_p_min) / params.eta
     second = (
-        math.log(v_max / params.p_min) / (params.eta * (c_prime - 1.0))
+        (math.log(v_max) - ln_p_min) / (params.eta * (c_prime - 1.0))
         + (params.c - 1.0)
         + (params.c - 2.0) / (c_prime - 1.0)
     )

@@ -104,6 +104,9 @@ def random_family(
     ``SeededRandom.seed``.
     """
     v_lo, v_hi = value_range
+    for name, x in (("eta", eta), ("p_min", p_min)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
     if v_lo < math.exp(eta) * p_min * (1.0 - 1e-12):
         raise ValueError(
             f"lowest value {v_lo} below e^eta * p_min = {math.exp(eta) * p_min}"

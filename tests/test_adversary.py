@@ -60,6 +60,12 @@ def test_empty():
     assert select_block([], (100.0,), ValueAscending()) == []
 
 
+def test_nan_capacity_rejected():
+    # every comparison with a NaN residual is false, so nothing was admitted
+    with pytest.raises(ValueError, match=r"capacity must not be NaN, got \[100.0, nan\]"):
+        select_block(txs(((10, 5), 1.0)), (100.0, math.nan), ValueAscending())
+
+
 def test_value_orders():
     es = txs((10, 1.0), (10, 3.0), (10, 2.0))
     assert select_block(es, (15.0,), ValueAscending()) == [0]

@@ -123,6 +123,12 @@ class TestOptIntegralSmall:
         assert sorted(e.tx for e in s.entries) == [1, 2]
         assert welfare(s, scn, 1) == pytest.approx(29.0)
 
+    def test_nan_cap_rejected(self):
+        # nothing fits a NaN cap, so the optimum was the empty schedule
+        scn = scn_of(Transaction(id=0, arrival=1, size=(6,), unit_value=3.0))
+        with pytest.raises(ValueError, match="B must not be NaN, got nan"):
+            opt_integral_small(scn, math.nan, 2)
+
     def test_matches_subset_enumeration(self):
         rng = random.Random(12)
         for _ in range(40):

@@ -7,14 +7,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from feemarket import MechanismParams, Scenario, Transaction, run_price_based
-from feemarket import cli
+from feemarket import cli, core
 from feemarket.cli import BUILTINS, main, theorem_params
-from feemarket.core import scenario_from_jsonl, scenario_to_jsonl, trace_to_jsonl
+from feemarket.core import ScenarioError, scenario_from_jsonl, scenario_to_jsonl, trace_to_jsonl
 from feemarket.adversary import SeededRandom, policy_to_config
 from feemarket.mechanisms import params_to_config, theorem_gamma
 from feemarket.scenarios import random_family
@@ -907,3 +910,118 @@ def test_cyclic_garbage_does_not_grow_with_input(tmp_path, collector, capsys):
     (small, small_garbage), (large, large_garbage) = garbage(40), garbage(400)
     assert (small, large) == (200, 2000)
     assert small_garbage == large_garbage
+
+
+# ---------------------------------------------------------------------------
+# Chunked scenario reading and line-by-line writing
+# ---------------------------------------------------------------------------
+
+# Every line boundary of str.splitlines, CRLF, and text between them.
+_PIECES = ["a", "bc", " ", "", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+           "\x85", "\u2028", "\u2029"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+       st.sampled_from([1, 2, 3, 7, 64]))
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chunked_lines_match_splitlines(tmp_path, text, chunk):
+    path = tmp_path / "text"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    # newline=None reads "\r" and "\r\n" as "\n"; newline="" keeps them,
+    # so a "\r" at a chunk's end may pair with the next chunk's "\n"
+    for newline in (None, ""):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            want = fh.read().splitlines()
+        with open(path, encoding="utf-8", newline=newline) as fh, \
+                mock.patch.object(cli, "_CHUNK", chunk):
+            assert list(cli._lines(fh)) == want
+
+
+def _event_line(t, i, q, v, template):
+    if template:
+        return f'{{"t": {t}, "id": {i}, "q": [{q}], "v": {v}, "sens": {{"kind": "patient"}}}}'
+    return json.dumps({"id": i, "t": t, "q": [q], "v": v})
+
+
+_events = st.builds(
+    _event_line, st.integers(1, 4), st.integers(0, 8), st.integers(1, 60),
+    st.sampled_from([1.5, 2.0, 3.25, 1e6]), st.booleans(),
+)
+_scenario_texts = st.builds(
+    lambda lines, breaks, end: "".join(
+        ln + br for ln, br in zip(lines, breaks)
+    ).rstrip("\r\n\v\f\x1c") + end,
+    st.lists(st.one_of(_events, st.sampled_from(["", "  ", "{oops"])), min_size=1, max_size=12)
+    .map(lambda events: ['{"m": 1}', *events]),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c"]), min_size=13, max_size=13),
+    st.sampled_from(["", "\n", "\r\n", "\r"]),
+)
+
+
+@given(_scenario_texts, st.sampled_from([1, 2, 7, 64]))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_run_and_verify_read_a_file_as_its_whole_text(tmp_path, mech_file, capsys, text, chunk):
+    # the same stream as scenario_from_jsonl of the whole text, or the same
+    # error on the same line, whatever the line breaks and chunk size
+    path, canon = tmp_path / "scenario.jsonl", tmp_path / "canon.jsonl"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    sched = tmp_path / "sched.json"
+    sched.write_text('{"integral": true, "entries": []}')
+    try:
+        scn, error = scenario_from_jsonl(path.read_text()), None
+    except ScenarioError as exc:
+        error = f"error: {exc}\n"
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        run_rc = main(["run", "--scenario", str(path), "--mechanism", str(mech_file),
+                       "--horizon", "6", "--out", str(out)])
+        run_err = capsys.readouterr().err
+        verify_rc = main(_verify_args(path, sched))
+        verify = capsys.readouterr()
+    if error is not None:
+        assert (run_rc, run_err) == (2, error)
+        assert (verify_rc, verify.err) == (2, error)
+        return
+    assert run_rc == 0 and run_err == ""
+    assert (out / "scenario.jsonl").read_text() == scenario_to_jsonl(scn)
+    canon.write_text(scenario_to_jsonl(scn))
+    want_rc = main(_verify_args(canon, sched))
+    assert (verify_rc, verify.out) == (want_rc, capsys.readouterr().out)
+
+
+def test_run_missing_scenario_file_names_path_first_exit_2(tmp_path, mech_file, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert main(["run", "--scenario", str(missing), "--mechanism", str(mech_file),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {missing}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_file_read_and_write_hold_one_chunk_beyond_the_stream(tmp_path):
+    # the whole text, its line list or the joined output would each cost
+    # about the file's size; reading and writing a chunk at a time costs a
+    # small fraction of it
+    scn = random_family(1, 4000, (1.2, 1e6), 100, 2.5, B=100, eta=0.125)
+    assert len(scn.transactions) >= 20_000
+    path, copy = tmp_path / "scenario.jsonl", tmp_path / "copy.jsonl"
+    path.write_text(scenario_to_jsonl(scn))
+    size = path.stat().st_size
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read = cli._read_scenario(str(path))
+        stream, peak = tracemalloc.get_traced_memory()
+        assert peak - stream <= size // 4, (peak - stream, size)
+        tracemalloc.reset_peak()
+        cli._atomic_write(copy, core._scenario_lines(read))
+        peak = tracemalloc.get_traced_memory()[1]
+        assert peak - stream <= size // 4, (peak - stream, size)
+    finally:
+        tracemalloc.stop()
+    assert read == scn
+    assert copy.read_bytes() == path.read_bytes()

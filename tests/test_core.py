@@ -342,6 +342,18 @@ class TestAvgBlockSize:
         with pytest.raises(ValueError):
             check_avg_block_size(sched, scn, B, 0)
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slack_rejected(self, slack):
+        # a NaN or +inf slack passed every window, -inf failed every one
+        sched, scn = self.make([20, 0])
+        with pytest.raises(ValueError) as exc:
+            check_avg_block_size(sched, scn, 10.0, slack)
+        assert str(exc.value) == f"slack must be finite, got {slack}"
+        # a negative finite slack tightens the bound
+        sched, scn = self.make([10, 10])
+        assert check_avg_block_size(sched, scn, 10.0, 0.0).violation_count == 0
+        assert check_avg_block_size(sched, scn, 10.0, -0.5).violation_count == 3
+
     def test_measured_slackness(self):
         sched, scn = self.make([20, 0, 20, 0])
         assert measured_slackness(sched, scn, 10.0) == pytest.approx(1.0)

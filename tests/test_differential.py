@@ -108,16 +108,24 @@ def block_schedules(draw):
 )
 @settings(max_examples=200, deadline=None)
 def test_window_check_matches_all_windows(case, delta):
+    # The window passes take any delta, NaN and +-inf too; the public check
+    # rejects a non-finite one and reports what they find for the others.
     scn, sched, B = case
-    report = check_avg_block_size(sched, scn, B, delta)
+    lo, columns = core._block_prefix_sums(sched, scn, B)
+    count, first = core._window_violations(lo, columns, delta)
+    max_slackness = core._max_slackness(columns)
     passed, violations, max_slack = all_windows_block_check(sched, scn, B, delta)
-    assert report.passed == passed
-    assert report.violation_count == len(violations)
-    first = [report.first_violation] if report.first_violation else []
+    assert (count == 0) == passed
+    assert count == len(violations)
+    firsts = [first] if first else []
     assert [
-        (v.resource, v.start, v.end, bits(v.total), bits(v.bound)) for v in first
+        (v.resource, v.start, v.end, bits(v.total), bits(v.bound)) for v in firsts
     ] == [(j, s, e, bits(total), bits(bound)) for j, s, e, total, bound in violations[:1]]
-    assert bits(report.max_slackness) == bits(max_slack)
+    assert bits(max_slackness) == bits(max_slack)
+    if math.isfinite(delta):
+        report = check_avg_block_size(sched, scn, B, delta)
+        assert (report.violation_count, report.first_violation) == (count, first)
+        assert bits(report.max_slackness) == bits(max_slackness)
 
 
 def test_max_slackness_needs_its_rounding_band():

@@ -86,6 +86,19 @@ class TestNextPrice:
     def test_config_roundtrip(self, std_params):
         assert params_from_config(params_to_config(std_params)) == std_params
 
+    @pytest.mark.parametrize("flag", [1, 0, "true", None])
+    def test_discounted_eligibility_must_be_a_bool(self, flag):
+        # params_from_config rejected the config params_to_config wrote for it
+        with pytest.raises(ValueError) as exc:
+            MechanismParams(B=100.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0,
+                            discounted_eligibility=flag)
+        assert str(exc.value) == f"discounted_eligibility must be a bool, got {flag!r}"
+
+    def test_nan_block_size_rejected(self, std_params):
+        # a NaN size once clamped to the floor price
+        with pytest.raises(CapacityViolationError, match="block size must be >= 0, got nan"):
+            eip_next_price(std_params, 0.0, math.nan)
+
 
 class TestRunPriceBased:
     def test_no_arrivals_price_decays_to_floor(self):
@@ -449,6 +462,15 @@ class TestClosedForms:
         with pytest.raises(ValueError) as exc:
             theorem_slackness(p, v_max)
         assert str(exc.value) == f"v_max must be finite and >= p_min = 1.0, got {v_max}"
+
+    def test_bounds_finite_for_a_tiny_floor_and_a_huge_value(self):
+        # v_max / p_min overflowed: the slackness was inf and gamma raised
+        p = MechanismParams(B=100.0, c=3.0, eta=0.125, p_min=1e-18, p_1=1e-18)
+        ln_ratio = math.log(1e300) - math.log(1e-18)
+        assert theorem_slackness(p, 1e300) == ln_ratio / 0.125 + 2.0
+        c_prime = 3.0 - 1.0 / 100.0
+        second = ln_ratio / (0.125 * (c_prime - 1.0)) + 2.0 + 1.0 / (c_prime - 1.0)
+        assert theorem_gamma(p, v_max=1e300, q_max=1.0) == math.ceil(second - 1e-9)
 
     def test_slackness_worked_examples(self):
         p = MechanismParams(B=1.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)

@@ -81,6 +81,14 @@ class TestRandomFamily:
             random_family(1, 10, (2.0, 10.0), 10, load, B=100, eta=ETA)
         assert str(exc.value) == f"load_factor must be finite and >= 0, got {load}"
 
+    @pytest.mark.parametrize("name", ["eta", "p_min"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_eta_and_p_min_must_be_finite(self, name, x):
+        # a NaN eta skipped the value-floor check
+        with pytest.raises(ValueError) as exc:
+            random_family(1, 10, (0.5, 10.0), 10, 1.0, B=100, **{"eta": ETA, name: x})
+        assert str(exc.value) == f"{name} must be finite, got {x}"
+
     def test_load_concentration(self):
         scn = random_family(4, 1000, (2.0, 10.0), 100, 2.0, B=100, eta=ETA)
         total = sum(t.q for t in scn.transactions)
