@@ -831,6 +831,45 @@ def test_overloaded_run_bytes_pinned(tmp_path, policy, capsys):
     assert digests == OVERLOADED_RUN_DIGESTS[policy]
 
 
+# SHA-256 of ``feemarket verify --benchmark opt_fractional``'s report on the
+# value_asc run above (T = 600, eta = 0.125), keyed by (gamma, bench limit):
+# at the theorem's Gamma every threshold passes; at gamma 0 against a
+# benchmark allowed 110 a block, 259 thresholds fail, so the report carries
+# a first violation and its count.
+VERIFY_REPORT_DIGESTS = {
+    (114, 100): (0, "309fc1ec4a061db45b0061ec7f91b1f373ea8907d72857af3f00a2be74d588b3"),
+    (0, 110): (1, "58cac834840b69b08091f82f8f8b20177703418629fb88f43763dac9c6a7ea02"),
+}
+
+
+@pytest.fixture(scope="module")
+def overloaded_run(tmp_path_factory):
+    params = theorem_params()
+    scn = random_family(
+        seed=1, horizon=600, value_range=(math.exp(params.eta), 1e6), q_max=100,
+        load_factor=2.5, B=100, eta=params.eta,
+    )
+    tmp = tmp_path_factory.mktemp("overloaded")
+    (tmp / "scenario.jsonl").write_text(scenario_to_jsonl(scn))
+    (tmp / "mech.json").write_text(json.dumps(params_to_config(params)))
+    horizon = 600 + theorem_gamma(params, v_max=1e6, q_max=100)
+    assert main(["run", "--scenario", str(tmp / "scenario.jsonl"), "--mechanism",
+                 str(tmp / "mech.json"), "--horizon", str(horizon), "--out", str(tmp)]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("gamma, limit", sorted(VERIFY_REPORT_DIGESTS))
+def test_verify_report_bytes_pinned(overloaded_run, tmp_path, gamma, limit, capsys):
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    rc = main(_verify_args(overloaded_run / "scenario.jsonl", overloaded_run / "schedule.json",
+                           horizon="600", gamma=str(gamma), **{"bench-limit": str(limit)},
+                           out=str(report)))
+    data = report.read_bytes()
+    assert capsys.readouterr().out == data.decode()
+    assert (rc, hashlib.sha256(data).hexdigest()) == VERIFY_REPORT_DIGESTS[gamma, limit]
+
+
 @pytest.fixture
 def collector():
     """Restores the cyclic collector's state the test found."""
