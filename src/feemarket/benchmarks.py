@@ -19,9 +19,12 @@ constraint is validated before any comparison.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import add, gt, mul
 
 from .core import (
     REL_TOL,
@@ -31,10 +34,10 @@ from .core import (
     ScenarioError,
     Schedule,
     ScheduleEntry,
-    _avg_block_violations,
+    _block_prefix_sums,
     _per_resource,
-    _resolved,
-    quantity_curve,
+    _suffix_sums,
+    _window_violations,
     welfare,
 )
 from .mechanisms import greedy_online
@@ -74,7 +77,8 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
     transactions in descending unit value (ties: earlier arrival, then
     smaller id), splitting the marginal transaction.  Remaining fractions
     stay pending.  Time sensitivities are ignored: this is the patient-value
-    benchmark.
+    benchmark.  The heap carries each size, so no step reads the index, and
+    only a split transaction keeps a remaining fraction.
     """
     if scenario.m != 1:
         raise ScenarioError("fractional benchmark requires a 1-resource scenario")
@@ -85,25 +89,23 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
     import heapq
 
     by_time = scenario.arrivals_by_time()
-    heap: list[tuple[float, int, int]] = []  # (-v, arrival, id)
+    heap: list[tuple[float, int, int, int]] = []  # (-v, arrival, id, q); ids are distinct
     partial: dict[int, float] = {}  # the remaining fraction of a split transaction
-    index = scenario._index
     entries: list[ScheduleEntry] = []
 
     for t in range(1, horizon + 1):
         for txn in by_time.get(t, ()):
-            heapq.heappush(heap, (-txn.unit_value, txn.arrival, txn.id))
+            heapq.heappush(heap, (-txn.unit_value, txn.arrival, txn.id, txn.size[0]))
         residual = float(B)
         while heap and residual > 1e-12 * B:
-            _negv, _arr, tid = heap[0]
-            txn = index[tid]
+            _negv, _arr, tid, q = heap[0]
             rem = partial.get(tid, 1.0)
-            take = min(rem, residual / txn.q)
+            take = min(rem, residual / q)
             if take <= 0:
                 heapq.heappop(heap)
                 continue
             entries.append(ScheduleEntry(tx=tid, time=t, fraction=take))
-            residual -= take * txn.q
+            residual -= take * q
             rem -= take
             if rem <= 1e-12:
                 partial.pop(tid, None)
@@ -336,34 +338,36 @@ def check_threshold_dominance(
 
     Both sides are step functions of theta with breakpoints only at scheduled
     unit values, so the union of both schedules' distinct values is an exact
-    evaluation set; each side is one ``quantity_curve``.  The benchmark must
-    first satisfy its declared windowed-average constraint (bench_limit with
-    constant slackness bench_slack).
+    evaluation set.  One ``_suffix_sums`` pass per schedule gives its side's
+    curve and its values; every theta's sides are read and compared in C.
+    The benchmark must first satisfy its declared windowed-average
+    constraint (bench_limit with constant slackness bench_slack).
     """
     _check_extension(gamma, eta)
+    if not horizon >= 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not (math.isfinite(bench_slack) and bench_slack >= 0):
         raise ValueError(f"bench_slack must be finite and >= 0, got {bench_slack}")
-    count, first = _avg_block_violations(bench, scenario, bench_limit, bench_slack)
+    count, first = _window_violations(
+        *_block_prefix_sums(bench, scenario, bench_limit), float(bench_slack)
+    )
     if count:
         raise BenchmarkConstraintError(
             f"benchmark violates its declared size constraint in "
             f"{count} window(s); first: {first.to_json()}"
         )
-    thetas = sorted(
-        {t_.unit_value for _e, t_ in _resolved(alg, scenario)}
-        | {t_.unit_value for _e, t_ in _resolved(bench, scenario)}
-    )
-    bench_q = quantity_curve(bench, scenario, (1, horizon))
-    alg_q = quantity_curve(alg, scenario, (1, horizon + gamma))
-    retained = math.exp(-eta)
-    count, first = 0, None
-    for theta in thetas:
-        lhs, rhs = bench_q(theta), alg_q(theta * retained)
-        if lhs > rhs * (1.0 + REL_TOL) + 1e-12:
-            count += 1
-            if first is None:
-                first = ThresholdViolation(theta=theta, lhs=lhs, rhs=rhs)
-    return ThresholdReport(count, first, thetas_checked=len(thetas))
+    seen: set[float] = set()
+    bench_values, bench_q = _suffix_sums(bench, scenario, 1, horizon, seen)
+    alg_values, alg_q = _suffix_sums(alg, scenario, 1, horizon + gamma, seen)
+    thetas = sorted(seen)
+    lhs = list(map(bench_q.__getitem__, map(bisect_left, repeat(bench_values), thetas)))
+    retained = map(mul, thetas, repeat(math.exp(-eta)))
+    rhs = list(map(alg_q.__getitem__, map(bisect_left, repeat(alg_values), retained)))
+    # lhs > rhs * (1 + REL_TOL) + 1e-12, in that order of operations
+    covered = map(add, map(mul, rhs, repeat(1.0 + REL_TOL)), repeat(1e-12))
+    failed = list(compress(range(len(thetas)), map(gt, lhs, covered)))
+    first = next((ThresholdViolation(thetas[k], lhs[k], rhs[k]) for k in failed), None)
+    return ThresholdReport(len(failed), first, thetas_checked=len(thetas))
 
 
 def check_welfare_dominance(

@@ -27,6 +27,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -300,7 +301,7 @@ def _read(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FeeMarketError(f"{path}: {exc}") from exc
 
 
@@ -338,7 +339,7 @@ def _read_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
             return core._scenario_from_lines(_lines(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FeeMarketError(f"{path}: {exc}") from exc
 
 
@@ -384,7 +385,7 @@ def _summarize(result, params_list: Sequence[MechanismParams]) -> dict:
     scn, horizon = result.scenario, len(result.trace.records)
     sw = core.welfare(result.schedule, scn, horizon)
     targets = [p.B for p in params_list]
-    top = max((t.unit_value for t in scn.transactions), default=-math.inf)
+    top = max(map(attrgetter("unit_value"), scn.transactions), default=-math.inf)
     bound = max(mechanisms.theorem_slackness(p, max(top, p.p_1)) for p in params_list)
     measured = core.measured_slackness(result.schedule, scn, targets)
     return {

@@ -23,9 +23,9 @@ import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from json import JSONDecodeError
-from operator import attrgetter, is_, sub
+from operator import attrgetter, ge, is_, mul, sub, truediv
 from types import MappingProxyType
 from typing import Callable, NoReturn, Protocol, Union
 
@@ -424,18 +424,8 @@ class RunTrace:
         return None
 
 
-def _resolved(
-    schedule: Schedule, scenario: Scenario, first: float = -math.inf, last: float = math.inf
-) -> Iterator[tuple[ScheduleEntry, Transaction]]:
-    """(entry, transaction) for each entry with first <= time <= last, in
-    order; InvalidScheduleError at the first unknown id among them."""
-    index = scenario._index
-    for e in schedule.entries:
-        if first <= e.time <= last:
-            t_ = index.get(e.tx)
-            if t_ is None:
-                raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
-            yield e, t_
+def _unknown(tx: int) -> InvalidScheduleError:
+    return InvalidScheduleError(f"entry references unknown transaction id {tx}")
 
 
 def validate_schedule(schedule: Schedule, scenario: Scenario) -> None:
@@ -446,7 +436,11 @@ def validate_schedule(schedule: Schedule, scenario: Scenario) -> None:
     """
     totals: dict[int, float] = {}
     seen_integral: set[int] = set()
-    for e, t_ in _resolved(schedule, scenario):
+    index = scenario._index
+    for e in schedule.entries:
+        t_ = index.get(e.tx)
+        if t_ is None:
+            raise _unknown(e.tx)
         if e.time < t_.arrival:
             raise InvalidScheduleError(
                 f"tx {e.tx} scheduled at {e.time} before arrival {t_.arrival}"
@@ -478,51 +472,98 @@ def welfare(schedule: Schedule, scenario: Scenario, horizon: int) -> float:
     Each entry contributes ``fraction * q_i * v_i(t)`` where ``v_i(t)`` is the
     per-unit value at execution time under the transaction's sensitivity.
     """
-    if horizon < 1:
+    if not horizon >= 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     index = scenario._index
 
     def terms() -> Iterator[float]:
-        # _resolved and value_at, inlined: this runs once per scheduled entry.
+        # the index lookup and value_at, inlined: this runs once per scheduled entry.
         for e in schedule.entries:
             t = e.time
             if t <= horizon:
                 t_ = index.get(e.tx)
                 if t_ is None:
-                    raise InvalidScheduleError(f"entry references unknown transaction id {e.tx}")
+                    raise _unknown(e.tx)
                 v = t_.unit_value if type(t_.sensitivity) is Patient else t_.value_at(t)
                 yield e.fraction * t_.size[0] * v
 
     return math.fsum(terms())
 
 
+def _suffix_sums(
+    schedule: Schedule,
+    scenario: Scenario,
+    first: float,
+    last: float,
+    thetas: set[float] | None = None,
+    patient: bool = False,
+) -> tuple[list[float], list[float]]:
+    """One pass over the entries with first <= time <= last: their
+    ascending distinct unit values, and for each the resource-1 size at or
+    above it, correctly rounded (a 0.0 ends the list).
+
+    Every scheduled size is a float, so an exact integer multiple of 1/scale
+    for the largest denominator ``scale`` among them; an entry with fraction
+    1.0 adds its integer size (its float below 2**53), and only split
+    entries use ``as_integer_ratio``.  One division rounds each integer
+    suffix sum to the value ``math.fsum`` returns over the same sizes.  A
+    set ``thetas`` gets every entry's unit value, in the window or not;
+    ``patient`` rejects a window entry whose value is not patient."""
+    index = scenario._index
+    totals: dict[float, int] = {}  # unit value -> its entries' size, as an integer
+    split: list[tuple[float, int, int]] = []  # (unit value, size as a ratio)
+    for e in schedule.entries:
+        inside = first <= e.time <= last
+        if inside or thetas is not None:
+            t_ = index.get(e.tx)
+            if t_ is None:
+                raise _unknown(e.tx)
+            v = t_.unit_value
+            if thetas is not None:
+                thetas.add(v)
+                if not inside:
+                    continue
+            if patient and type(t_.sensitivity) is not Patient:
+                raise UnsupportedSensitivityError(
+                    "threshold-integral identity holds for patient values only"
+                )
+            fraction = e.fraction
+            if fraction == 1.0:
+                totals[v] = totals.get(v, 0) + t_.size[0]
+            else:
+                split.append((v, *(fraction * t_.size[0]).as_integer_ratio()))
+    scale = max((d for _v, _n, d in split), default=1)
+    if scale > 1:
+        totals = {v: n * scale for v, n in totals.items()}
+    for v, n, d in split:
+        totals[v] = totals.get(v, 0) + n * (scale // d)
+    values = sorted(totals)
+    suffix = list(accumulate(map(totals.__getitem__, reversed(values))))
+    suffix = list(map(truediv, reversed(suffix), repeat(scale)))
+    suffix.append(0.0)
+    return values, suffix
+
+
 def quantity_curve(
     schedule: Schedule, scenario: Scenario, window: tuple[int, int]
 ) -> Callable[[float], float]:
     """The threshold-quantity curve theta -> quantity_above(theta) of one
-    window, built once in O(n log n) and evaluated in O(log n).
-
-    Every scheduled size is a float, so an exact integer multiple of
-    1/scale for the largest denominator ``scale`` among them.  Walking the
-    distinct unit values in descending order keeps the integer suffix sums;
-    one division rounds each correctly, to the value ``math.fsum`` returns
-    over the same sizes.
-    """
+    window: one ``_suffix_sums`` pass over the schedule, then O(log n) per
+    theta for the correctly rounded sum of the sizes at or above it.  A NaN
+    window end or theta raises ValueError."""
     a, b = window
+    if math.isnan(a) or math.isnan(b):
+        raise ValueError(f"window ends must be numbers, got {window}")
     if a > b:
         raise ValueError(f"window start {a} exceeds end {b}")
-    groups: dict[float, list[tuple[int, int]]] = {}
-    for e, t_ in _resolved(schedule, scenario, a, b):
-        groups.setdefault(t_.unit_value, []).append((e.fraction * t_.q).as_integer_ratio())
-    values = sorted(groups)
-    scale = max((d for group in groups.values() for _n, d in group), default=1)
-    suffix = [0.0] * (len(values) + 1)
-    total = 0
-    for i in range(len(values) - 1, -1, -1):
-        for n, d in groups[values[i]]:
-            total += n * (scale // d)
-        suffix[i] = total / scale
-    return lambda theta: suffix[bisect_left(values, theta)]
+    values, suffix = _suffix_sums(schedule, scenario, a, b)
+
+    def curve(theta: float) -> float:
+        if math.isnan(theta):
+            raise ValueError(f"theta must be a number, got {theta}")
+        return suffix[bisect_left(values, theta)]
+
+    return curve
 
 
 def quantity_above(
@@ -542,33 +583,18 @@ def quantity_above(
 def welfare_via_threshold_integral(
     schedule: Schedule, scenario: Scenario, horizon: int
 ) -> float:
-    """Welfare computed as the area under the threshold-quantity curve.
-
-    The curve theta -> quantity_above(theta) is a step function whose
-    breakpoints are the distinct scheduled unit values v(1) > ... > v(k), so
-    the area is the finite sum of (v(j) - v(j+1)) * quantity_above(v(j)) with
-    v(k+1) = 0.  Each quantity is the exact suffix sum of the sizes at or
-    above v(j), correctly rounded (``quantity_curve``), so the whole identity
-    costs O(n log n).  Only defined for patient values; distinct values are
-    deduplicated exactly on the float value.
+    """Welfare of blocks 1..horizon as the area under the threshold-quantity
+    curve, a step function with breakpoints at the distinct scheduled unit
+    values v(1) > ... > v(k): the sum of (v(j) - v(j+1)) * quantity_above(v(j))
+    with v(k+1) = 0, each quantity from one ``_suffix_sums`` pass.  Only
+    defined for patient values; distinct values are deduplicated exactly on
+    the float value.
     """
-    values: set[float] = set()
-    for _e, t_ in _resolved(schedule, scenario, last=horizon):
-        if type(t_.sensitivity) is not Patient:
-            raise UnsupportedSensitivityError(
-                "threshold-integral identity holds for patient values only"
-            )
-        if t_.unit_value > 0.0:
-            values.add(t_.unit_value)
-    if not values:
-        return 0.0
-    ordered = sorted(values, reverse=True)
-    quantity = quantity_curve(schedule, scenario, (1, horizon))
-    terms = []
-    for j, v in enumerate(ordered):
-        nxt = ordered[j + 1] if j + 1 < len(ordered) else 0.0
-        terms.append((v - nxt) * quantity(v))
-    return math.fsum(terms)
+    if not horizon >= 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    values, suffix = _suffix_sums(schedule, scenario, 1, horizon, patient=True)
+    # ascending, so value j's lower neighbour is value j - 1, and 0.0 below the least
+    return math.fsum(map(mul, map(sub, values, [0.0, *values]), suffix))
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +640,27 @@ def constant_slack(delta: float) -> float:
     return float(delta)
 
 
+def _block_columns(schedule: Schedule, scenario: Scenario) -> list[dict[int, float]]:
+    """Per resource, its size in each block: one float per block, summed in
+    entry order, so every column holds the same blocks in the same order."""
+    index = scenario._index
+    columns = []
+    for j in range(scenario.m):
+        out: dict[int, float] = {}
+        for e in schedule.entries:
+            t_ = index.get(e.tx)
+            if t_ is None:
+                raise _unknown(e.tx)
+            time = e.time
+            out[time] = out.get(time, 0.0) + e.fraction * t_.size[j]
+        columns.append(out)
+    return columns
+
+
 def block_sizes(schedule: Schedule, scenario: Scenario) -> dict[int, tuple[float, ...]]:
     """Per-block size vectors Q_t implied by the schedule."""
-    m = scenario.m
-    out: dict[int, list[float]] = {}
-    for e, t_ in _resolved(schedule, scenario):
-        row = out.setdefault(e.time, [0.0] * m)
-        for j in range(m):
-            row[j] += e.fraction * t_.size[j]
-    return {t: tuple(v) for t, v in out.items()}
+    columns = _block_columns(schedule, scenario)
+    return dict(zip(columns[0], zip(*map(dict.values, columns))))
 
 
 def _per_resource(B: float | Iterable[float], m: int) -> tuple[float, ...]:
@@ -643,14 +681,12 @@ def _band(D: list[float], cut: float) -> Iterator[tuple[int, int]]:
     D[j] - min(D[:j]) >= cut; only their starts are scanned.  A NaN cut
     admits no pair, a -inf cut every pair.
     """
-    low = D[0]
-    for j in range(1, len(D)):
+    lows = accumulate(D, min)  # lows[j - 1] = min(D[:j])
+    for j in compress(range(1, len(D)), map(ge, map(sub, D[1:], lows), repeat(cut))):
         dj = D[j]
-        if dj - low >= cut:
-            for i in range(j):
-                if dj - D[i] >= cut:
-                    yield i, j
-        low = min(low, dj)
+        for i in range(j):
+            if dj - D[i] >= cut:
+                yield i, j
 
 
 def _block_prefix_sums(
@@ -663,15 +699,13 @@ def _block_prefix_sums(
         raise ValueError(f"expected {scenario.m} targets, got {len(targets)}")
     if not all(0.0 < b < math.inf for b in targets):
         raise ValueError(f"targets must be positive and finite, got {targets}")
-    sizes = block_sizes(schedule, scenario)
-    if not sizes:
+    columns = _block_columns(schedule, scenario)
+    if not columns[0]:
         return 0, [(b, [0.0]) for b in targets]
-    lo, hi = min(sizes), max(sizes)
-    empty = (0.0,) * scenario.m
-    rows = [sizes.get(t, empty) for t in range(lo, hi + 1)]
+    lo, hi = min(columns[0]), max(columns[0])
     return lo, [
-        (b, list(accumulate((row[j] for row in rows), initial=0.0)))
-        for j, b in enumerate(targets)
+        (b, list(accumulate(map(col.get, range(lo, hi + 1), repeat(0.0)), initial=0.0)))
+        for b, col in zip(targets, columns)
     ]
 
 
@@ -693,7 +727,7 @@ def _window_violations(
     for resource, (bj, P) in enumerate(columns):
         n = len(P) - 1
         step = bj * scale
-        D = [p - i * step for i, p in enumerate(P)]
+        D = list(map(sub, P, map(mul, range(len(P)), repeat(step))))
         cut = delta * step - _BAND * (2.0 * max(map(abs, P)) + (n + abs(delta)) * step)
         shortest = math.inf if first is None else 0  # an earlier resource's stays first
         for i, j in _band(D, cut):
@@ -722,19 +756,11 @@ def _max_slackness(columns: list[tuple[float, list[float]]]) -> float:
         n = len(P) - 1
         if n == 0:
             continue
-        E = [p - i * bj for i, p in enumerate(P)]
+        E = list(map(sub, P, map(mul, range(len(P)), repeat(bj))))
         gap = max(map(sub, E[1:], accumulate(E, min)))
         for i, j in _band(E, gap - _BAND * (2.0 * max(map(abs, P)) + n * bj)):
             best = max(best, (P[j] - P[i]) / bj - (j - i))
     return best
-
-
-def _avg_block_violations(
-    schedule: Schedule, scenario: Scenario, B: float | Iterable[float], slack: float
-) -> tuple[int, WindowViolation | None]:
-    """The count and first violation ``check_avg_block_size`` reports,
-    without its max-slackness pass."""
-    return _window_violations(*_block_prefix_sums(schedule, scenario, B), float(slack))
 
 
 def check_avg_block_size(
@@ -776,10 +802,7 @@ def measured_slackness(
 
 def max_block_size(schedule: Schedule, scenario: Scenario) -> tuple[float, ...]:
     """Component-wise maximum block size over all times."""
-    sizes = block_sizes(schedule, scenario).values()
-    if not sizes:
-        return (0.0,) * scenario.m
-    return tuple(max(row[j] for row in sizes) for j in range(scenario.m))
+    return tuple(max(col.values(), default=0.0) for col in _block_columns(schedule, scenario))
 
 
 # ---------------------------------------------------------------------------

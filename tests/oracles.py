@@ -8,7 +8,10 @@ enumeration, and window checks by direct enumeration of all windows.
 
 The remaining oracles are the direct forms of the library's fast paths:
 the all-windows block-size check, the threshold-integral identity with one
-full scan per distinct value, block assembly that sorts by tuple keys and
+full scan per distinct value, threshold quantities and the threshold check
+as one ``math.fsum`` per theta, block sizes summed entry by entry, the
+fractional optimum's heap as it read the index for every step, block
+assembly that sorts by tuple keys and
 fit-tests every eligible transaction, a price engine that rescans its whole
 pending pool every block, a greedy baseline that re-sorts its whole pool
 every block, and JSON(-lines) writers and readers that build one dict per
@@ -191,6 +194,92 @@ def per_value_identity(schedule: Schedule, scenario: Scenario, horizon: int) -> 
         )
         terms.append((v - nxt) * quantity)
     return math.fsum(terms)
+
+
+def _lookup(index: dict, tx: int) -> Transaction:
+    if tx not in index:
+        raise InvalidScheduleError(f"entry references unknown transaction id {tx}")
+    return index[tx]
+
+
+def fsum_threshold_quantity(
+    schedule: Schedule, scenario: Scenario, theta: float, lo: float, hi: float
+) -> float:
+    """Resource-1 size in [lo, hi] at unit value >= theta, by ``math.fsum``
+    over the qualifying sizes; an unknown id in the window raises."""
+    index = {t.id: t for t in scenario.transactions}
+    return math.fsum(
+        e.fraction * _lookup(index, e.tx).size[0]
+        for e in schedule.entries
+        if lo <= e.time <= hi and _lookup(index, e.tx).unit_value >= theta
+    )
+
+
+def all_thetas_threshold_check(
+    alg: Schedule, bench: Schedule, scenario: Scenario, horizon: int, gamma: int, eta: float
+) -> tuple[int, tuple[float, float, float] | None, int]:
+    """(violation count, first (theta, lhs, rhs) or None, thetas checked) of
+    the threshold check: every distinct unit value of either schedule is a
+    theta, and each side is one ``fsum_threshold_quantity`` per theta.  An
+    unknown id raises, the benchmark's first."""
+    index = {t.id: t for t in scenario.transactions}
+    thetas = sorted(
+        {_lookup(index, e.tx).unit_value for s in (bench, alg) for e in s.entries}
+    )
+    retained = math.exp(-eta)
+    failed = []
+    for theta in thetas:
+        lhs = fsum_threshold_quantity(bench, scenario, theta, 1, horizon)
+        rhs = fsum_threshold_quantity(alg, scenario, theta * retained, 1, horizon + gamma)
+        if lhs > rhs * (1.0 + 1e-9) + 1e-12:
+            failed.append((theta, lhs, rhs))
+    return len(failed), failed[0] if failed else None, len(thetas)
+
+
+def per_entry_block_sizes(schedule: Schedule, scenario: Scenario) -> dict:
+    """Per-block size vectors, each entry added to its block's row in turn."""
+    index = {t.id: t for t in scenario.transactions}
+    rows: dict[int, list[float]] = {}
+    for e in schedule.entries:
+        t_ = _lookup(index, e.tx)
+        row = rows.setdefault(e.time, [0.0] * scenario.m)
+        for j in range(scenario.m):
+            row[j] += e.fraction * t_.size[j]
+    return {t: tuple(row) for t, row in rows.items()}
+
+
+def reference_opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
+    """The per-block-cap fractional optimum with a heap of (-v, arrival, id)
+    keys that looks each step's transaction up in the index."""
+    import heapq
+
+    by_time = scenario.arrivals_by_time()
+    heap: list[tuple[float, int, int]] = []
+    partial: dict[int, float] = {}
+    index = {t.id: t for t in scenario.transactions}
+    entries: list[ScheduleEntry] = []
+    for t in range(1, horizon + 1):
+        for txn in by_time.get(t, ()):
+            heapq.heappush(heap, (-txn.unit_value, txn.arrival, txn.id))
+        residual = float(B)
+        while heap and residual > 1e-12 * B:
+            _negv, _arr, tid = heap[0]
+            txn = index[tid]
+            rem = partial.get(tid, 1.0)
+            take = min(rem, residual / txn.q)
+            if take <= 0:
+                heapq.heappop(heap)
+                continue
+            entries.append(ScheduleEntry(tx=tid, time=t, fraction=take))
+            residual -= take * txn.q
+            rem -= take
+            if rem <= 1e-12:
+                partial.pop(tid, None)
+                heapq.heappop(heap)
+            else:
+                partial[tid] = rem
+                break
+    return Schedule(entries=entries, integral=False)
 
 
 def reference_select_block(eligible, capacity, policy, rng=None) -> list[int]:

@@ -1041,6 +1041,26 @@ def test_run_missing_scenario_file_names_path_first_exit_2(tmp_path, mech_file, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_non_utf8_file_names_path_first_exit_2(tmp_path, scenario_file, mech_file, command,
+                                               capsys):
+    # the scenario reader decodes a chunk at a time, so the error comes from
+    # inside the parse; the schedule reader's comes from its one read
+    bad = tmp_path / "bad.jsonl"
+    lines = scenario_file.read_bytes().splitlines(keepends=True)
+    bad.write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+    if command == "run":
+        args = ["run", "--scenario", str(bad), "--mechanism", str(mech_file),
+                "--out", str(tmp_path / "o")]
+    else:
+        args = _verify_args(scenario_file, bad)
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+    assert "can't decode byte 0xff" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_scenario_file_read_and_write_hold_one_chunk_beyond_the_stream(tmp_path):
     # the whole text, its line list or the joined output would each cost
     # about the file's size; reading and writing a chunk at a time costs a

@@ -292,6 +292,39 @@ class TestThresholdIntegral:
             welfare_via_threshold_integral(full((0, 1)), scn, 1)
 
 
+class TestNaNArguments:
+    """A NaN horizon, window end or theta compares false with everything, so
+    it once made a verifier pass or read 0.0; each raises a ValueError that
+    names it."""
+
+    scn = scn_of(Transaction(id=0, arrival=1, size=(10,), unit_value=1.0))
+    s = full((0, 1))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s, scn: check_threshold_dominance(s, s, scn, math.nan, 0, 0.1, 100.0),
+         "horizon must be >= 1, got nan"),
+        (lambda s, scn: check_welfare_dominance(s, s, scn, math.nan, 0, 0.1),
+         "horizon must be >= 1, got nan"),
+        (lambda s, scn: welfare(s, scn, math.nan), "horizon must be >= 1, got nan"),
+        (lambda s, scn: welfare_via_threshold_integral(s, scn, math.nan),
+         "horizon must be >= 1, got nan"),
+        (lambda s, scn: quantity_curve(s, scn, (math.nan, 5)),
+         "window ends must be numbers, got (nan, 5)"),
+        (lambda s, scn: quantity_curve(s, scn, (1, math.nan)),
+         "window ends must be numbers, got (1, nan)"),
+        (lambda s, scn: quantity_curve(s, scn, (1, 5))(math.nan), "theta must be a number, got nan"),
+        (lambda s, scn: quantity_above(s, scn, math.nan, (1, 5)), "theta must be a number, got nan"),
+    ])
+    def test_nan_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(self.s, self.scn)
+        assert str(exc.value) == message
+
+    def test_threshold_check_rejects_a_horizon_below_one(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            check_threshold_dominance(self.s, self.s, self.scn, 0, 0, 0.1, 100.0)
+
+
 class TestAvgBlockSize:
     def make(self, sizes):
         txs = []

@@ -1,5 +1,7 @@
 """The fast paths against their direct forms in ``oracles``, bit for bit:
-the O(n) window check, the O(n log n) welfare identity, block assembly, the
+the O(n) window check, the O(n log n) welfare identity, the one-pass
+threshold curves and check, block sizes, the fractional optimum's heap,
+block assembly, the
 engine's bisected pending pool, the greedy baseline's heap, and the template
 JSON writers and per-line readers."""
 
@@ -29,8 +31,11 @@ from feemarket import (
     ValueAscending,
     ValueDescending,
     check_avg_block_size,
+    check_threshold_dominance,
     greedy_online,
     multi_resource_mechanism,
+    opt_fractional,
+    quantity_curve,
     welfare_via_threshold_integral,
 )
 from feemarket import core
@@ -48,8 +53,12 @@ from feemarket.mechanisms import OversizedTransactionError, replay_log_prices
 from feemarket.scenarios import eip_c2_failure
 
 from oracles import (
+    all_thetas_threshold_check,
     all_windows_block_check,
+    fsum_threshold_quantity,
+    per_entry_block_sizes,
     per_value_identity,
+    reference_opt_fractional,
     reference_greedy_online,
     reference_scenario_from_jsonl,
     reference_scenario_to_jsonl,
@@ -178,6 +187,111 @@ def test_identity_matches_per_value_scan(case):
     scn, sched, horizon = case
     assert bits(welfare_via_threshold_integral(sched, scn, horizon)) == bits(
         per_value_identity(sched, scn, horizon)
+    )
+
+
+_SPLITS = st.one_of(
+    st.sampled_from([1.0, 1.0, 1.0 / 3.0, 0.1, 1.0 - 1e-12, 0.5]), st.floats(0.001, 1.0)
+)
+
+
+@st.composite
+def threshold_schedules(draw):
+    """A stream with repeated unit values and two fractional schedules over
+    blocks 0..horizon + 3, so some entries fall outside any window; one
+    schedule in five names an unknown id in one of its entries."""
+    n = draw(st.integers(1, 12))
+    values = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 1.0 / 3.0, 1e6]), st.floats(0.0, 1e6))
+    txs = [
+        Transaction(i, draw(st.integers(1, 4)), (draw(st.sampled_from([1, 3, 7, 10, 33, 100])),),
+                    draw(values))
+        for i in range(n)
+    ]
+    horizon = draw(st.integers(1, 6))
+
+    def schedule():
+        entries = [
+            ScheduleEntry(
+                draw(st.integers(0, n - 1)), draw(st.integers(0, horizon + 3)), draw(_SPLITS)
+            )
+            for _ in range(draw(st.integers(0, 14)))
+        ]
+        if entries and draw(st.sampled_from([False, False, False, False, True])):
+            i = draw(st.integers(0, len(entries) - 1))
+            entries[i] = ScheduleEntry(n + 7, entries[i].time, entries[i].fraction)
+        return Schedule(entries)
+
+    return Scenario(txs), schedule(), schedule(), horizon
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except InvalidScheduleError as exc:
+        return type(exc), str(exc)
+
+
+@given(threshold_schedules(), st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_quantity_curve_matches_fsum_at_and_between_breakpoints(case, a, k):
+    scn, sched, _other, _horizon = case
+    window = (a, a + k)
+    curve = _outcome(quantity_curve, sched, scn, window)
+    index = scn.index()
+    try:
+        values = sorted({index[e.tx].unit_value for e in sched.entries if a <= e.time <= a + k})
+    except KeyError:
+        want = _outcome(fsum_threshold_quantity, sched, scn, 0.0, *window)
+        assert curve == want and isinstance(want, tuple)
+        return
+    thetas = [-1.0, 0.0, math.inf, *values]
+    thetas += [math.nextafter(v, d) for v in values for d in (-math.inf, math.inf)]
+    thetas += [(u + v) / 2 for u, v in zip(values, values[1:])]
+    for theta in thetas:
+        assert bits(curve(theta)) == bits(fsum_threshold_quantity(sched, scn, theta, *window))
+
+
+@given(threshold_schedules(), st.integers(0, 3), st.sampled_from([0.125, 0.01, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_threshold_check_matches_all_thetas_fsum(case, gamma, eta):
+    scn, alg, bench, horizon = case
+    want = _outcome(all_thetas_threshold_check, alg, bench, scn, horizon, gamma, eta)
+    got = _outcome(check_threshold_dominance, alg, bench, scn, horizon, gamma, eta, 1e9)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    first = got.first_violation
+    got = (got.violation_count, first and (first.theta, first.lhs, first.rhs), got.thetas_checked)
+    assert got == want
+    if first is not None:
+        assert list(map(bits, got[1])) == list(map(bits, want[1]))
+
+
+@given(st.one_of(
+    threshold_schedules().map(lambda case: (case[0], case[1])),
+    block_schedules().map(lambda case: (case[0], case[1])),
+))
+@settings(max_examples=200, deadline=None)
+def test_block_sizes_match_per_entry_sums(case):
+    scn, sched = case
+    got = _outcome(core.block_sizes, sched, scn)
+    want = _outcome(per_entry_block_sizes, sched, scn)
+    if isinstance(want, dict):
+        got = [(t, list(map(bits, row))) for t, row in got.items()]
+        want = [(t, list(map(bits, row))) for t, row in want.items()]
+    assert got == want
+
+
+@given(
+    threshold_schedules().map(lambda case: case[0]),
+    st.sampled_from([1.0, 3.3, 7.5, 10.0, 100.0]),
+    st.integers(1, 8),
+)
+@settings(max_examples=200, deadline=None)
+def test_opt_fractional_matches_index_lookup_heap(scn, B, horizon):
+    assert schedule_to_json(opt_fractional(scn, B, horizon)) == schedule_to_json(
+        reference_opt_fractional(scn, B, horizon)
     )
 
 
