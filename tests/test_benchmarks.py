@@ -241,6 +241,19 @@ class TestThresholdDominance:
         assert rep.violation_count == 1
         assert rep.first_violation == ThresholdViolation(theta=5.0, lhs=50.0, rhs=0.0)
 
+    def test_violation_is_strictly_above_the_slack(self):
+        # with rhs = 0 the bound is exactly 1e-12: a benchmark quantity equal
+        # to it passes, and the next float up fails
+        scn = Scenario([Transaction(0, 1, (1,), 2.0)])
+        at = Schedule([ScheduleEntry(0, 1, 1e-12)])
+        above = Schedule([ScheduleEntry(0, 1, math.nextafter(1e-12, 1.0))])
+        passed = check_threshold_dominance(Schedule([]), at, scn, 1, 0, 0.125, 100.0)
+        assert (passed.violation_count, passed.thetas_checked) == (0, 1)
+        failed = check_threshold_dominance(Schedule([]), above, scn, 1, 0, 0.125, 100.0)
+        assert failed.first_violation == ThresholdViolation(
+            theta=2.0, lhs=math.nextafter(1e-12, 1.0), rhs=0.0
+        )
+
 
 class TestWelfareDominance:
     def test_empty_bench_sentinel(self, tiny_scenario):
