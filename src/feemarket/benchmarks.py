@@ -84,7 +84,7 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
         raise ScenarioError("fractional benchmark requires a 1-resource scenario")
     if not 0 < B < math.inf:
         raise ValueError(f"cap must be positive and finite, got {B}")
-    if horizon < 1:
+    if not horizon >= 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     import heapq
 
@@ -135,7 +135,7 @@ def opt_integral_small(
     total size <= 10^4 and horizon <= 12, otherwise TooLargeError.  Ties
     break toward the lexicographically smallest scheduled id set.
     """
-    if horizon < 1:
+    if not horizon >= 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if horizon > _MAX_HORIZON:
         raise TooLargeError(f"horizon {horizon} exceeds guard {_MAX_HORIZON}")

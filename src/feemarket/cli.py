@@ -29,7 +29,7 @@ import tempfile
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import benchmarks, core, mechanisms, scenarios
 from .adversary import ValueAscending, policy_from_config
@@ -189,69 +189,41 @@ def _optimum_ratio(bundle, result) -> dict:
 def _t_star_ratio(bundle, result) -> dict:
     """Welfare over [1, 2 t*] against the high demand's value over t* blocks
     (neither field when the run ends before the price doubles)."""
-    t_star = scenarios.measure_t_star(result, C2_PARAMS)
+    t_star = scenarios.measure_t_star(result, bundle.params[0])
     if not t_star:
         return {}
     sw = core.welfare(result.schedule, result.scenario, 2 * t_star)
     return {"t_star": t_star, "ratio": sw / (bundle.notes["optimum_per_block"] * t_star)}
 
 
-class BuiltinRun(NamedTuple):
-    bundle: scenarios.ScenarioBundle
-    result: mechanisms.RunResult
-    score: dict
-
-
 @dataclass(frozen=True)
 class Construction:
-    """A builtin construction: its mechanism parameters (one set per
-    resource), its bundle (whose scenario, policy and horizon define the
-    canonical run) and the summary fields that score a run of it."""
+    """A builtin construction: its bundle (whose scenario, mechanism
+    parameters, policy and horizon define the canonical run) and the summary
+    fields that score a run of it."""
 
-    params: tuple[MechanismParams, ...]
     build: Callable[[], scenarios.ScenarioBundle]
     score: Callable[..., dict] = _optimum_ratio
-
-    def run(self, horizon: int | None = None) -> BuiltinRun:
-        bundle = self.build()
-        horizon = bundle.horizon if horizon is None else horizon
-        result = mechanisms.multi_resource_mechanism(
-            bundle.scenario, self.params, bundle.policy, horizon
-        )
-        return BuiltinRun(bundle, result, self.score(bundle, result))
 
 
 def c_below_two(c: float) -> Construction:
     """The c < 2 construction against the mechanism capped at c * B."""
-    params = _params(LARGE_B, c)
-    return Construction(
-        params=(params,), build=lambda: scenarios.c_below_two(params, 1200, eps=0.005)
-    )
+    return Construction(lambda: scenarios.c_below_two(_params(LARGE_B, c), 1200, eps=0.005))
 
 
 BUILTINS: dict[str, Construction] = {
     "eip_c2_failure": Construction(
-        params=(C2_PARAMS,),
-        build=lambda: scenarios.eip_c2_failure(C2_PARAMS, eps=0.01),
-        score=_t_star_ratio,
+        lambda: scenarios.eip_c2_failure(C2_PARAMS, eps=0.01), score=_t_star_ratio
     ),
-    "log_range": Construction(
-        params=(C2_PARAMS,),
-        build=lambda: scenarios.log_range(C2_PARAMS, H=100.0, L=LOG_RANGE_L),
-    ),
+    "log_range": Construction(lambda: scenarios.log_range(C2_PARAMS, H=100.0, L=LOG_RANGE_L)),
     "c_below_two": c_below_two(1.5),
     "discount_mix": Construction(
-        params=(PARTIAL_PATIENCE_PARAMS,),
-        build=lambda: scenarios.discount_mix(PARTIAL_PATIENCE_PARAMS, rho_min=0.01, K=8),
+        lambda: scenarios.discount_mix(PARTIAL_PATIENCE_PARAMS, rho_min=0.01, K=8)
     ),
     "patience_global": Construction(
-        params=(PARTIAL_PATIENCE_PARAMS,),
-        build=lambda: scenarios.patience_global(PARTIAL_PATIENCE_PARAMS, p=60),
+        lambda: scenarios.patience_global(PARTIAL_PATIENCE_PARAMS, p=60)
     ),
-    "three_resources": Construction(
-        params=tuple(scenarios.three_resources_params(ETA)),
-        build=lambda: scenarios.three_resources(300),
-    ),
+    "three_resources": Construction(lambda: scenarios.three_resources(300)),
 }
 
 
@@ -262,27 +234,31 @@ def suite_lower_bounds() -> list[Row]:
     def add(metric: str, value: float, bound: float, passed: bool) -> None:
         rows.append(Row("lower_bounds", 0, metric, value, bound, passed))
 
+    def ratio_of(con: Construction) -> float:
+        bundle = con.build()
+        return con.score(bundle, bundle.run())["ratio"]
+
     # c < 2 family against the capped mechanism
     for c in (1.25, 1.5, 1.75):
-        loss = 1.0 - c_below_two(c).run().score["ratio"]
+        loss = 1.0 - ratio_of(c_below_two(c))
         bound = min(1.0 / 8.0, (2.0 - c) / 3.0) - 0.01
         add(f"c_below_two_loss_c{c}", loss, bound, loss >= bound)
     # c = 2 failure
-    ratio = BUILTINS["eip_c2_failure"].run().score["ratio"]
+    ratio = ratio_of(BUILTINS["eip_c2_failure"])
     add("c2_failure_ratio", ratio, 0.5, ratio < 0.5)
     # log range
-    run = BUILTINS["log_range"].run()
-    notes = run.bundle.notes
-    climb = scenarios.measure_climb(run.result, C2_PARAMS, LOG_RANGE_L, notes["decay"])
+    bundle = BUILTINS["log_range"].build()
+    notes = bundle.notes
+    climb = scenarios.measure_climb(bundle.run(), bundle.params[0], LOG_RANGE_L, notes["decay"])
     expected = notes["expected_climb"]
     add("log_range_climb", float(climb), expected + 1.0, abs(climb - expected) <= 1.0)
     # partially patient constructions (modified mechanism)
-    loss = 1.0 - BUILTINS["discount_mix"].run().score["ratio"]
+    loss = 1.0 - ratio_of(BUILTINS["discount_mix"])
     add("discount_mix_loss", loss, 1 / 20 - 0.01, loss >= 1 / 20 - 0.01)
-    loss = 1.0 - BUILTINS["patience_global"].run().score["ratio"]
+    loss = 1.0 - ratio_of(BUILTINS["patience_global"])
     add("patience_global_loss", loss, 1 / 10 - 0.02, loss >= 1 / 10 - 0.02)
     # three resources
-    ratio = BUILTINS["three_resources"].run().score["ratio"]
+    ratio = ratio_of(BUILTINS["three_resources"])
     add("three_resources_ratio", ratio, 5 / 6 + 0.05, ratio <= 5 / 6 + 0.05)
     # interactive price adversary
     rep = scenarios.adaptive_price_adversary(
@@ -352,26 +328,25 @@ def _load_json(path: str):
 
 def cmd_run(args) -> int:
     out = Path(args.out)
-    if args.scenario in BUILTINS:
+    con = BUILTINS.get(args.scenario)
+    if con is not None:
         if args.mechanism is not None or args.policy is not None:
             raise FeeMarketError(
                 f"builtin {args.scenario} runs its own mechanism and policy;"
                 " --mechanism and --policy are for file scenarios"
             )
-        con = BUILTINS[args.scenario]
-        run = con.run(args.horizon)
-        result = run.result
-        summary = _summarize(result, con.params)
-        summary.update(run.score)
+        bundle = con.build()
     else:
         scn = _read_scenario(args.scenario)
         if not args.mechanism:
             raise FeeMarketError("--mechanism config required for file scenarios")
         params = params_from_config(_load_json(args.mechanism))
         policy = policy_from_config(_load_json(args.policy)) if args.policy else ValueAscending()
-        horizon = 100 if args.horizon is None else args.horizon
-        result = mechanisms.run_price_based(scn, params, policy, horizon)
-        summary = _summarize(result, [params])
+        bundle = scenarios.ScenarioBundle(scn, (params,), policy, horizon=100)
+    result = bundle.run(args.horizon)
+    summary = _summarize(result, bundle.params)
+    if con is not None:
+        summary.update(con.score(bundle, result))
 
     _atomic_write(out / "trace.jsonl", core._trace_lines(result.trace))
     _atomic_write(out / "schedule.json", (core.schedule_to_json(result.schedule), "\n"))

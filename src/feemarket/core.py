@@ -408,12 +408,6 @@ _BLOCK_RECORD_SLOTS = _slot_setters(BlockRecord)
 class RunTrace:
     records: list[BlockRecord]
 
-    def prices(self, resource: int = 0) -> list[float]:
-        return [math.exp(r.log_prices[resource]) for r in self.records]
-
-    def log_prices(self, resource: int = 0) -> list[float]:
-        return [r.log_prices[resource] for r in self.records]
-
     def sizes(self, resource: int = 0) -> list[float]:
         return [r.sizes[resource] for r in self.records]
 
@@ -480,7 +474,7 @@ def welfare(schedule: Schedule, scenario: Scenario, horizon: int) -> float:
         # the index lookup and value_at, inlined: this runs once per scheduled entry.
         for e in schedule.entries:
             t = e.time
-            if t <= horizon:
+            if 1 <= t <= horizon:
                 t_ = index.get(e.tx)
                 if t_ is None:
                     raise _unknown(e.tx)

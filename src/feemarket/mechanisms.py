@@ -126,7 +126,7 @@ class RunResult:
     arrival stream was realized (for an ``AdaptiveScenario`` the static
     ``Scenario`` of the arrivals its generator emitted; for a ``Scenario``
     the input itself).  A builtin's canonical run is its ``ScenarioBundle``'s
-    scenario, policy and horizon."""
+    scenario, params, policy and horizon, which ``ScenarioBundle.run`` runs."""
 
     schedule: Schedule
     trace: RunTrace
@@ -195,7 +195,7 @@ class _Run:
     """
 
     def __init__(self, scenario: Scenario | AdaptiveScenario, horizon: int) -> None:
-        if horizon < 1:
+        if not horizon >= 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.m = scenario.m
         self.scenario = scenario

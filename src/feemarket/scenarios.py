@@ -42,6 +42,7 @@ from .mechanisms import (
     InfeasibleParametersError,
     MechanismParams,
     RunResult,
+    multi_resource_mechanism,
     run_price_based,
 )
 
@@ -64,15 +65,23 @@ __all__ = [
 
 @dataclass
 class ScenarioBundle:
-    """A construction's canonical run: its scenario, run under ``policy``
+    """A construction's canonical run: its scenario, run under the mechanism
+    ``params`` it was built against (one set per resource) and ``policy``
     for ``horizon`` blocks, plus the builder notes its callers read (for
     example ``decay`` and ``expected_climb``).  An adaptive construction's
     branch and reference optimum are in ``audit()``."""
 
     scenario: Scenario | AdaptiveScenario
+    params: tuple[MechanismParams, ...]
     policy: InclusionPolicy
     horizon: int
     notes: dict = field(default_factory=dict)
+
+    def run(self, horizon: int | None = None) -> RunResult:
+        """The canonical run, for ``horizon`` blocks if given."""
+        return multi_resource_mechanism(
+            self.scenario, self.params, self.policy, self.horizon if horizon is None else horizon
+        )
 
     def audit(self) -> dict:
         gen = getattr(self.scenario, "generator", None)
@@ -258,7 +267,7 @@ def c_below_two(params: MechanismParams, horizon: int, eps: float) -> ScenarioBu
     if eps <= 0 or eps >= 1.0 - c / 2.0:
         raise ValueError(f"eps must be in (0, {1.0 - c / 2.0}), got {eps}")
     scenario = AdaptiveScenario(_CBelowTwoGenerator(horizon, c, B, eps))
-    return ScenarioBundle(scenario=scenario, policy=ValueDescending(), horizon=horizon)
+    return ScenarioBundle(scenario, (params,), ValueDescending(), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +317,10 @@ def eip_c2_failure(params: MechanismParams, eps: float) -> ScenarioBundle:
         tips[len(txs)] = 1.0  # the low transaction's id
         txs.append(Transaction(len(txs), t, (low_size,), 2.0 * params.p_min))
     return ScenarioBundle(
-        scenario=Scenario(txs),
-        policy=TipPriority(tips=tips),
-        horizon=horizon,
+        Scenario(txs),
+        (params,),
+        TipPriority(tips=tips),
+        horizon,
         notes={
             "decay": decay,
             "expected_climb": math.log(2.0) / (params.eta * eps_eff),
@@ -361,9 +371,10 @@ def log_range(params: MechanismParams, H: float, L: float) -> ScenarioBundle:
             tips[len(txs)] = 1.0
             txs.append(Transaction(len(txs), t, (chunk,), L * params.p_min))
     return ScenarioBundle(
-        scenario=Scenario(txs),
-        policy=TipPriority(tips=tips),
-        horizon=horizon,
+        Scenario(txs),
+        (params,),
+        TipPriority(tips=tips),
+        horizon,
         notes={
             "decay": decay,
             "expected_climb": expected_climb,
@@ -444,9 +455,7 @@ def discount_mix(
     p_rho = math.ceil(math.log(2.0) / -math.log1p(-rho_min))
     p = max(p_rho, math.ceil(K * gamma_delta / 3.0), 2)
     scenario = AdaptiveScenario(_DiscountMixGenerator(rho_min, B, p))
-    return ScenarioBundle(
-        scenario=scenario, policy=ValueDescending(), horizon=3 * p, notes={"p": p}
-    )
+    return ScenarioBundle(scenario, (params,), ValueDescending(), 3 * p, notes={"p": p})
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +500,7 @@ def patience_global(params: MechanismParams, p: int) -> ScenarioBundle:
     if p < 2:
         raise ValueError(f"patience level must be >= 2, got {p}")
     scenario = AdaptiveScenario(_PatienceGlobalGenerator(p, B))
-    return ScenarioBundle(scenario=scenario, policy=ValueDescending(), horizon=2 * p)
+    return ScenarioBundle(scenario, (params,), ValueDescending(), 2 * p)
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +546,16 @@ def three_resources(t_half: int) -> ScenarioBundle:
     if t_half < 2:
         raise ValueError(f"t must be >= 2, got {t_half}")
     scenario = AdaptiveScenario(_ThreeResourceGenerator(t_half), m=4)
-    return ScenarioBundle(scenario=scenario, policy=ValueAscending(), horizon=2 * t_half)
+    return ScenarioBundle(scenario, three_resources_params(), ValueAscending(), 2 * t_half)
 
 
-def three_resources_params(eta: float = 0.125) -> list[MechanismParams]:
+def three_resources_params() -> tuple[MechanismParams, ...]:
     """Per-resource parameters for running the price mechanism on the
     three-resource construction: low floors so unit-value demand clears."""
     floor = 0.05
-    anchor = MechanismParams(B=8.0, c=2.0, eta=eta, p_min=floor, p_1=floor)
-    unit = MechanismParams(B=1.0, c=2.0, eta=eta, p_min=floor, p_1=floor)
-    return [anchor, unit, unit, unit]
+    anchor = MechanismParams(B=8.0, c=2.0, eta=0.125, p_min=floor, p_1=floor)
+    unit = MechanismParams(B=1.0, c=2.0, eta=0.125, p_min=floor, p_1=floor)
+    return (anchor, unit, unit, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +602,7 @@ def adaptive_price_adversary(
         raise InfeasibleParametersError(
             f"value range too small: r = {r} < 2; raise H or shrink gamma+delta"
         )
-    B = int(params.B)
+    B = _target(params)
     per_value = R + delta
 
     def build(m_idx: int) -> Scenario:

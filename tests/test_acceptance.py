@@ -17,17 +17,13 @@ from feemarket import (
     Schedule,
     ScheduleEntry,
     Transaction,
-    ValueAscending,
-    ValueDescending,
     check_avg_block_size,
     check_threshold_dominance,
     check_welfare_dominance,
     greedy_online,
     max_block_size,
-    multi_resource_mechanism,
     opt_fractional,
     opt_integral_small,
-    run_price_based,
     theorem_slackness,
     welfare,
     welfare_via_threshold_integral,
@@ -44,7 +40,6 @@ from feemarket.scenarios import (
     patience_global,
     random_family,
     three_resources,
-    three_resources_params,
 )
 
 from oracles import brute_fractional_opt, brute_knapsack
@@ -103,17 +98,16 @@ def _trace_registry(theorem_runs):
     runs, _ = theorem_runs
     out = [(r.schedule, scn, p) for r, _b, p, _g, scn in runs]
     params = MechanismParams(B=6400.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
-    bundle = eip_c2_failure(params, eps=0.01)
-    res = run_price_based(bundle.scenario, params, bundle.policy, 600)
-    out.append((res.schedule, res.scenario, params))
-    bundle = log_range(params, H=100.0, L=math.e)
-    res = run_price_based(bundle.scenario, params, bundle.policy, bundle.horizon)
-    out.append((res.schedule, res.scenario, params))
+    bundles = [
+        (eip_c2_failure(params, eps=0.01), 600),
+        (log_range(params, H=100.0, L=math.e), None),
+    ]
     for c in (1.25, 1.5, 1.75):
         pc = MechanismParams(B=6400.0, c=c, eta=ETA, p_min=1.0, p_1=1.0)
-        bundle = c_below_two(pc, 400, eps=0.005)
-        res = run_price_based(bundle.scenario, pc, ValueDescending(), 400)
-        out.append((res.schedule, res.scenario, pc))
+        bundles.append((c_below_two(pc, 400, eps=0.005), 400))
+    for bundle, horizon in bundles:
+        res = bundle.run(horizon)
+        out.append((res.schedule, res.scenario, bundle.params[0]))
     return out
 
 
@@ -288,8 +282,7 @@ def test_criterion_8_c2_failure():
     params = MechanismParams(B=6400.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
     eps = 0.01
     bundle = eip_c2_failure(params, eps)
-    hor = math.ceil(bundle.notes["expected_climb"]) + 10
-    res = run_price_based(bundle.scenario, params, bundle.policy, hor)
+    res = bundle.run(math.ceil(bundle.notes["expected_climb"]) + 10)
     t_star = measure_t_star(res, params)
     expected = math.log(2.0) / (eps * ETA) / 2.0
     sw = welfare(res.schedule, res.scenario, 2 * t_star)  # gamma = t_star
@@ -309,7 +302,7 @@ def test_criterion_9_c_below_two():
         bound = min(1.0 / 8.0, (2.0 - c) / 3.0) - 0.01
         params = MechanismParams(B=float(B), c=c, eta=ETA, p_min=1.0, p_1=1.0)
         bundle = c_below_two(params, T, eps=0.005)
-        res = run_price_based(bundle.scenario, params, ValueDescending(), T)
+        res = bundle.run()
         loss_eip = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
         bundle = c_below_two(params, T, eps=0.005)
         g = greedy_online(bundle.scenario, float(B), T, max_block=c * B)
@@ -323,7 +316,7 @@ def test_criterion_10_log_range():
     params = MechanismParams(B=6400.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
     L = math.e
     bundle = log_range(params, H=100.0, L=L)
-    res = run_price_based(bundle.scenario, params, bundle.policy, bundle.horizon)
+    res = bundle.run()
     climb = measure_climb(res, params, L, bundle.notes["decay"])
     expected = math.log(L / params.p_min) / ((params.c - 1.0) * ETA)
     sizes = res.trace.sizes()[:climb]
@@ -352,11 +345,11 @@ def test_criterion_12_partial_patience():
     )
     bundle = discount_mix(mp, rho_min=0.01, K=8)
     T = bundle.horizon
-    res = run_price_based(bundle.scenario, mp, ValueDescending(), T)
+    res = bundle.run()
     loss_d = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
     bundle = patience_global(mp, p=60)
     T = bundle.horizon
-    res = run_price_based(bundle.scenario, mp, ValueDescending(), T)
+    res = bundle.run()
     loss_p = 1.0 - welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
 
     # construction optima match the exact solver on miniatures (both branches)
@@ -392,11 +385,8 @@ def test_criterion_12_partial_patience():
 
 def test_criterion_13_three_resources():
     bundle = three_resources(300)
-    T = bundle.horizon
-    res = multi_resource_mechanism(
-        bundle.scenario, three_resources_params(ETA), ValueAscending(), T
-    )
-    ratio = welfare(res.schedule, res.scenario, T) / bundle.audit()["optimum"]
+    res = bundle.run()
+    ratio = welfare(res.schedule, res.scenario, bundle.horizon) / bundle.audit()["optimum"]
     report(
         "13 three-resource ceiling",
         ratio <= 5.0 / 6.0 + 0.05,

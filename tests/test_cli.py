@@ -140,7 +140,7 @@ def _stream(name, tmp_path):
         return _id_order_stream()
     if name == "late_first":
         return Scenario([Transaction(0, 2, (5,), 1.0), Transaction(1, 1, (5,), 1.0)])
-    return BUILTINS[name].run().result.scenario
+    return BUILTINS[name].build().run().scenario
 
 
 @pytest.mark.parametrize(
@@ -164,6 +164,16 @@ def test_run_empty_scenario(tmp_path):
                "--horizon", "5", "--out", str(out)])
     assert rc == 0
     assert json.loads((out / "summary.json").read_text())["welfare"] == 0.0
+
+
+def test_run_file_scenario_needs_a_mechanism_config_per_resource(tmp_path, mech_file, capsys):
+    path = tmp_path / "four.jsonl"
+    path.write_text(scenario_to_jsonl(Scenario([Transaction(0, 1, (1, 1, 0, 1), 1.0)], m=4)))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--mechanism", str(mech_file),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need 4 parameter sets for 4 resources, got 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--mechanism", "--policy"])
@@ -696,12 +706,11 @@ def test_adaptive_export_reruns_as_file_scenario(tmp_path, name, capsys):
     """A builtin run's exported stream (an adaptive one's realized stream),
     run again as a file scenario with the builtin's mechanism, effective
     policy and block count, gives the same bytes."""
-    con = BUILTINS[name]
+    bundle = BUILTINS[name].build()
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--scenario", name, "--out", str(a)]) == 0
-    policy = con.build().policy
-    (tmp_path / "mech.json").write_text(json.dumps(params_to_config(con.params[0])))
-    (tmp_path / "policy.json").write_text(json.dumps(policy_to_config(policy)))
+    (tmp_path / "mech.json").write_text(json.dumps(params_to_config(bundle.params[0])))
+    (tmp_path / "policy.json").write_text(json.dumps(policy_to_config(bundle.policy)))
     blocks = json.loads((a / "summary.json").read_text())["blocks"]
     assert main([
         "run", "--scenario", str(a / "scenario.jsonl"),

@@ -16,6 +16,7 @@ from feemarket import (
     BlockRecord,
     Discount,
     InvalidScheduleError,
+    MechanismParams,
     Patience,
     Scenario,
     ScenarioError,
@@ -23,12 +24,18 @@ from feemarket import (
     ScheduleEntry,
     Transaction,
     UnsupportedSensitivityError,
+    ValueAscending,
     check_avg_block_size,
     check_threshold_dominance,
     check_welfare_dominance,
+    greedy_online,
     max_block_size,
+    multi_resource_mechanism,
+    opt_fractional,
+    opt_integral_small,
     quantity_above,
     quantity_curve,
+    run_price_based,
     validate_schedule,
     welfare,
     welfare_via_threshold_integral,
@@ -238,6 +245,16 @@ class TestWelfare:
         scn = scn_of(Transaction(id=0, arrival=1, size=(10,), unit_value=2.0))
         assert welfare(full((0, 5)), scn, 4) == 0.0
 
+    def test_blocks_before_one_not_counted(self):
+        """Welfare counts blocks 1..horizon only, as the threshold-integral
+        identity does, even on a schedule that ``validate_schedule`` rejects."""
+        scn = scn_of(
+            Transaction(id=0, arrival=1, size=(10,), unit_value=2.0),
+            Transaction(id=1, arrival=1, size=(5,), unit_value=3.0),
+        )
+        s = full((0, 0), (1, 1))
+        assert welfare(s, scn, 5) == welfare_via_threshold_integral(s, scn, 5) == 15.0
+
 
 class TestQuantityAbove:
     def setup_method(self):
@@ -292,10 +309,13 @@ class TestThresholdIntegral:
             welfare_via_threshold_integral(full((0, 1)), scn, 1)
 
 
+PARAMS = MechanismParams(B=100.0, c=2.0, eta=0.125, p_min=1.0, p_1=1.0)
+
+
 class TestNaNArguments:
     """A NaN horizon, window end or theta compares false with everything, so
-    it once made a verifier pass or read 0.0; each raises a ValueError that
-    names it."""
+    it once made a verifier pass or read 0.0, or an engine or optimum fail in
+    ``range``; each raises a ValueError that names it."""
 
     scn = scn_of(Transaction(id=0, arrival=1, size=(10,), unit_value=1.0))
     s = full((0, 1))
@@ -314,6 +334,14 @@ class TestNaNArguments:
          "window ends must be numbers, got (1, nan)"),
         (lambda s, scn: quantity_curve(s, scn, (1, 5))(math.nan), "theta must be a number, got nan"),
         (lambda s, scn: quantity_above(s, scn, math.nan, (1, 5)), "theta must be a number, got nan"),
+        (lambda s, scn: run_price_based(scn, PARAMS, ValueAscending(), math.nan),
+         "horizon must be >= 1, got nan"),
+        (lambda s, scn: multi_resource_mechanism(scn, [PARAMS], ValueAscending(), math.nan),
+         "horizon must be >= 1, got nan"),
+        (lambda s, scn: greedy_online(scn, 100.0, math.nan), "horizon must be >= 1, got nan"),
+        (lambda s, scn: opt_fractional(scn, 100.0, math.nan), "horizon must be >= 1, got nan"),
+        (lambda s, scn: opt_integral_small(scn, 100.0, math.nan),
+         "horizon must be >= 1, got nan"),
     ])
     def test_nan_rejected(self, call, message):
         with pytest.raises(ValueError) as exc:

@@ -412,10 +412,9 @@ def test_tip_order_matches_rescanning_engine_on_the_c2_failure_stream():
     fits to one long run of one size, which the tip order's merge drops on
     its bound: 1,115 blocks match the rescanning engine, record for record."""
     bundle = eip_c2_failure(C2_PARAMS, eps=0.005)
-    scn, policy, horizon = bundle.scenario, bundle.policy, bundle.horizon
-    assert horizon == 1115
-    run = multi_resource_mechanism(scn, [C2_PARAMS], policy, horizon)
-    assert run.trace.records == rescanning_engine(scn, [C2_PARAMS], policy, horizon).records
+    assert bundle.horizon == 1115
+    reference = rescanning_engine(bundle.scenario, bundle.params, bundle.policy, bundle.horizon)
+    assert bundle.run().trace.records == reference.records
 
 
 @pytest.mark.parametrize(

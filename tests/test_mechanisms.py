@@ -105,7 +105,7 @@ class TestRunPriceBased:
         params = MechanismParams(B=100.0, c=2.0, eta=0.125, p_min=1.0, p_1=math.e)
         scn = scn_of(Transaction(id=0, arrival=100, size=(1,), unit_value=5.0))
         res = run_price_based(scn, params, ValueAscending(), 20)
-        prices = res.trace.prices()
+        prices = [math.exp(r.log_prices[0]) for r in res.trace.records]
         # ln p drops by eta per empty block until the floor
         assert prices[0] == pytest.approx(math.e)
         assert prices[8] == pytest.approx(1.0)
@@ -126,7 +126,7 @@ class TestRunPriceBased:
         res = run_price_based(scn, params, ValueAscending(), 5)
         sizes = res.trace.sizes()
         assert sizes[0] == 20.0 and sizes[1] == 20.0 and sizes[2] == 20.0
-        lps = res.trace.log_prices()
+        lps = [r.log_prices[0] for r in res.trace.records]
         assert lps[1] == pytest.approx(0.25)
         assert lps[2] == pytest.approx(0.5)
         assert lps[3] == pytest.approx(0.75)  # above every value: block 4 empty

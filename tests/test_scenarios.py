@@ -12,7 +12,6 @@ from feemarket import (
     Transaction,
     ValueAscending,
     ValueDescending,
-    multi_resource_mechanism,
     opt_integral_small,
     run_price_based,
     welfare,
@@ -128,9 +127,7 @@ class TestCBelowTwo:
                 assert audit["branch"] == "I"
 
     def test_single_tx_per_block_first_half(self):
-        bundle = c_below_two(C15, 40, 0.01)
-        params = C15
-        res = run_price_based(bundle.scenario, params, ValueDescending(), 20)
+        res = c_below_two(C15, 40, 0.01).run(20)
         for rec in res.trace.records:
             assert len(rec.executed) <= 1
 
@@ -191,7 +188,7 @@ class TestC2Failure:
 
     def test_blocks_close_just_over_target_while_cheap(self):
         bundle = eip_c2_failure(self.params, 0.01)
-        res = run_price_based(bundle.scenario, self.params, bundle.policy, 60)
+        res = bundle.run(60)
         limit = math.log(2.0 * self.params.p_min)
         for rec in res.trace.records:
             if rec.log_prices[0] <= limit + 1e-12:
@@ -202,7 +199,7 @@ class TestC2Failure:
         bundle = eip_c2_failure(self.params, 0.01)
         assert bundle.notes["expected_climb"] == pytest.approx(math.log(2) / 0.00125)
         hor = math.ceil(bundle.notes["expected_climb"]) + 5
-        res = run_price_based(bundle.scenario, self.params, bundle.policy, hor)
+        res = bundle.run(hor)
         t_star = measure_t_star(res, self.params)
         assert abs(t_star - bundle.notes["expected_climb"] / 2.0) <= 1.0
 
@@ -217,9 +214,7 @@ class TestLogRange:
     def test_climb_and_slackness(self):
         params = MechanismParams(B=6400.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
         bundle = log_range(params, H=100.0, L=math.e)
-        res = run_price_based(
-            bundle.scenario, params, bundle.policy, bundle.horizon
-        )
+        res = bundle.run()
         climb = measure_climb(res, params, math.e, bundle.notes["decay"])
         assert abs(climb - bundle.notes["expected_climb"]) <= 1.0
         sizes = res.trace.sizes()[:climb]
@@ -231,9 +226,7 @@ class TestLogRange:
         params = MechanismParams(B=6400.0, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
         L = math.e
         bundle = log_range(params, H=100.0, L=L)
-        res = run_price_based(
-            bundle.scenario, params, bundle.policy, bundle.horizon
-        )
+        res = bundle.run()
         climb = measure_climb(res, params, L, 0)
         idx = res.scenario.index()
         for rec in res.trace.records[:climb]:
@@ -311,9 +304,7 @@ class TestThreeResources:
     def test_pigeonhole_on_trace(self):
         bundle = three_resources(60)
         T = bundle.horizon
-        res = multi_resource_mechanism(
-            bundle.scenario, three_resources_params(ETA), ValueAscending(), T
-        )
+        res = bundle.run()
         audit = bundle.audit()
         half = min(audit["alloc_xz"], audit["alloc_yz"])
         # Z throughput over the first t blocks is capped near t, so one
@@ -365,6 +356,13 @@ class TestPriceAdversary:
         rep = adaptive_price_adversary(params, gamma=1, delta=1, H=2.0**16)
         assert rep.price_transcripts_identical
 
+    def test_rejects_a_fractional_target(self):
+        # a truncated target once scaled the profiles to size 1 and read a
+        # fraction of 1.625, above 1
+        params = MechanismParams(B=1.5, c=2.0, eta=ETA, p_min=1.0, p_1=1.0)
+        with pytest.raises(ValueError, match="target size must be an integer number of gas units"):
+            adaptive_price_adversary(params, gamma=2, delta=1, H=2.0**64)
+
 
 def per_call_txs(self, t, n, size, v, sens=PATIENT, tag=None):
     """The per-transaction emission a batch replaces: one id, one tag
@@ -410,25 +408,18 @@ class TestBatchedEmission:
         assert [tx.id for tx in gen._txs(1, 1, (1,), 1.0)] == [0]
 
     @pytest.mark.parametrize(
-        "make, params",
+        "make",
         [
-            pytest.param(
-                lambda: c_below_two(C15, 40, 0.01),
-                [C15],
-                id="c_below_two",
-            ),
+            pytest.param(lambda: c_below_two(C15, 40, 0.01), id="c_below_two"),
             pytest.param(
                 lambda: discount_mix(PARTIAL, rho_min=0.2, K=1, gamma_delta=12),
-                [PARTIAL],
                 id="discount_mix",
             ),
-            pytest.param(lambda: patience_global(PARTIAL, p=6), [PARTIAL], id="patience_global"),
-            pytest.param(
-                lambda: three_resources(4), three_resources_params(ETA), id="three_resources"
-            ),
+            pytest.param(lambda: patience_global(PARTIAL, p=6), id="patience_global"),
+            pytest.param(lambda: three_resources(4), id="three_resources"),
         ],
     )
-    def test_runs_match_per_call_emission(self, make, params):
+    def test_runs_match_per_call_emission(self, make):
         """Each construction's run emits the same transactions in the same
         blocks, and ends with the same ids, tags, counts and audit, when
         every batch is emitted one transaction at a time."""
@@ -438,8 +429,7 @@ class TestBatchedEmission:
             gen = bundle.scenario.generator
             if per_call:
                 gen._txs = per_call_txs.__get__(gen)
-            horizon = bundle.horizon
-            res = multi_resource_mechanism(bundle.scenario, params, bundle.policy, horizon)
+            res = bundle.run()
             runs.append((res.scenario.transactions, res.trace.records, generator_state(gen)))
         assert runs[0] == runs[1]
         assert runs[0][0]
@@ -475,6 +465,23 @@ class TestBatchedEmission:
         assert arrived[0] == gen.dust_target and 0 in arrived
 
 
+@pytest.mark.parametrize(
+    "make, params",
+    [
+        (lambda p: c_below_two(p, 8, eps=0.05), C15),
+        (lambda p: eip_c2_failure(p, 0.01), replace(C15, c=2.0)),
+        (lambda p: log_range(p, H=100.0, L=math.e), replace(C15, c=2.0)),
+        (lambda p: discount_mix(p, rho_min=0.5, K=1), PARTIAL),
+        (lambda p: patience_global(p, p=3), UNIT),
+    ],
+    ids=["c_below_two", "eip_c2_failure", "log_range", "discount_mix", "patience_global"],
+)
+def test_bundle_runs_under_the_params_it_was_built_against(make, params):
+    bundle = make(params)
+    assert bundle.params == (params,)
+    assert bundle.run().trace.records[0].capacities == (params.max_block,)
+
+
 class TestAdaptiveReuseGuard:
     def test_second_run_raises(self):
         bundle = patience_global(UNIT, p=3)
@@ -484,34 +491,19 @@ class TestAdaptiveReuseGuard:
             run_price_based(bundle.scenario, params, ValueAscending(), 6)
 
     @pytest.mark.parametrize(
-        "make, params",
+        "make",
         [
-            pytest.param(
-                lambda: c_below_two(C15, 8, eps=0.05),
-                [C15],
-                id="c_below_two",
-            ),
-            pytest.param(
-                lambda: discount_mix(UNIT, rho_min=0.5, K=1),
-                [UNIT],
-                id="discount_mix",
-            ),
-            pytest.param(
-                lambda: patience_global(UNIT, p=3),
-                [UNIT],
-                id="patience_global",
-            ),
-            pytest.param(
-                lambda: three_resources(2), three_resources_params(ETA), id="three_resources"
-            ),
+            pytest.param(lambda: c_below_two(C15, 8, eps=0.05), id="c_below_two"),
+            pytest.param(lambda: discount_mix(UNIT, rho_min=0.5, K=1), id="discount_mix"),
+            pytest.param(lambda: patience_global(UNIT, p=3), id="patience_global"),
+            pytest.param(lambda: three_resources(2), id="three_resources"),
         ],
     )
-    def test_every_generator_is_single_run(self, make, params):
+    def test_every_generator_is_single_run(self, make):
         bundle = make()
-        horizon = bundle.horizon
-        multi_resource_mechanism(bundle.scenario, params, ValueAscending(), horizon)
+        bundle.run()
         with pytest.raises(ScenarioError, match="single-run"):
-            multi_resource_mechanism(bundle.scenario, params, ValueAscending(), horizon)
+            bundle.run()
 
 
 class TestGlobalDiscountProbe:
