@@ -94,7 +94,7 @@ def opt_fractional(scenario: Scenario, B: float, horizon: int) -> Schedule:
     entries: list[ScheduleEntry] = []
 
     for t in range(1, horizon + 1):
-        for txn in by_time.get(t, ()):
+        for txn in by_time.pop(t, ()):
             heapq.heappush(heap, (-txn.unit_value, txn.arrival, txn.id, txn.size[0]))
         residual = float(B)
         while heap and residual > 1e-12 * B:
@@ -360,6 +360,7 @@ def check_threshold_dominance(
     bench_values, bench_q = _suffix_sums(bench, scenario, 1, horizon, seen)
     alg_values, alg_q = _suffix_sums(alg, scenario, 1, horizon + gamma, seen)
     thetas = sorted(seen)
+    del seen
     lhs = list(map(bench_q.__getitem__, map(bisect_left, repeat(bench_values), thetas)))
     retained = map(mul, thetas, repeat(math.exp(-eta)))
     rhs = list(map(alg_q.__getitem__, map(bisect_left, repeat(alg_values), retained)))

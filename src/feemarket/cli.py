@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -48,12 +47,15 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: Path, data: Iterable[str]) -> None:
-    """Write the strings of ``data`` to ``path`` in turn, through a
-    temporary file that replaces ``path`` once all are written."""
+    """Write the strings of ``data`` to ``path`` in turn, as UTF-8,
+    through a temporary file that replaces ``path`` once all are written.
+    Mode "x" creates that file, never an existing one, with the mode
+    ``open(path, "w")`` would give ``path``: 0o666 less the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    tmp = path.with_name(f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
@@ -275,7 +277,7 @@ def suite_lower_bounds() -> list[Row]:
 
 def _read(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FeeMarketError(f"{path}: {exc}") from exc
@@ -313,7 +315,7 @@ def _read_scenario(path: str) -> Scenario:
     """The scenario file at ``path``, parsed a chunk at a time, so only the
     stream and one chunk's lines are held, never the file's whole text."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return core._scenario_from_lines(_lines(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise FeeMarketError(f"{path}: {exc}") from exc

@@ -984,6 +984,9 @@ def _scenario_from_lines(lines: Iterable[str]) -> Scenario:
         raise ScenarioError(f"line {no}: bad header ({exc})") from exc
     loads, template = json.loads, _TEMPLATE_EVENT
     index: dict[int, Transaction] = {}  # in line order
+    # Equal sizes share one tuple, and a line arriving with the line before
+    # shares its int.
+    share_size, last_t = {}.setdefault, None
     for no, ln in rows:
         try:
             hit = template(ln)
@@ -993,7 +996,10 @@ def _scenario_from_lines(lines: Iterable[str]) -> Scenario:
                 t, i, q = int(t), int(i), int(q)
                 if m != 1:
                     raise ValueError(f"tx {i}: size has 1 resources, scenario has {m}")
-                txn = Transaction(i, t, (q,), float(v), PATIENT)
+                if t != last_t:
+                    last_t = t
+                size = (q,)
+                txn = Transaction(i, last_t, share_size(size, size), float(v), PATIENT)
             elif not ln.strip():
                 continue
             else:
@@ -1009,11 +1015,13 @@ def _scenario_from_lines(lines: Iterable[str]) -> Scenario:
                     )
                 if len(size) != m:
                     raise ValueError(f"tx {ii}: size has {len(size)} resources, scenario has {m}")
+                if tt != last_t:
+                    last_t = tt
                 sens = obj.get("sens", _PATIENT_JSON)
                 txn = Transaction(
                     ii,
-                    tt,
-                    size,
+                    last_t,
+                    share_size(size, size),
                     _number(obj["v"], "v"),
                     PATIENT if sens == _PATIENT_JSON else _sens_from_json(sens),
                 )
@@ -1055,6 +1063,9 @@ def schedule_from_json(text: str) -> Schedule:
         append = entries.append
         raw = obj["entries"]
         _known_keys(obj, ("integral", "entries"), "schedule")
+        # An entry in the block of the entry before shares its t, and every
+        # whole entry one 1.0.
+        last_t, one = None, 1.0
         for e in raw:
             i, t = e["id"], e["t"]
             if len(e) != 3:  # one C-level test per entry; the key is named on failure
@@ -1062,7 +1073,10 @@ def schedule_from_json(text: str) -> Schedule:
             ii, tt = int(i), int(t)
             if ii != i or tt != t or type(i) is bool or type(t) is bool:
                 raise ValueError(f"entry id and t must be integers, got id={i!r}, t={t!r}")
-            append(ScheduleEntry(ii, tt, _number(e["frac"], "frac")))
+            if tt != last_t:
+                last_t = tt
+            f = _number(e["frac"], "frac")
+            append(ScheduleEntry(ii, last_t, one if f == one else f))
         integral = obj["integral"]
         if type(integral) is not bool:
             raise TypeError(f"integral must be true or false, got {integral!r}")

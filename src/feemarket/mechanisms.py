@@ -183,8 +183,8 @@ class _Run:
     """The run skeleton both online engines share; each engine keeps only
     its pool, its block choice and its posted price.
 
-    A static ``Scenario`` was checked when it was built; ``at(t)`` looks
-    block t's arrivals up.  For an ``AdaptiveScenario``, ``at(t)`` asks the
+    A static ``Scenario`` was checked when it was built; ``at(t)`` pops
+    block t's arrivals.  For an ``AdaptiveScenario``, ``at(t)`` asks the
     generator, which sees block t-1's record, checks the batch and indexes
     it through ``core._index_stream``, and checks that each arrival is t;
     the index, in arrival order, is the realized stream, which ``result``
@@ -209,7 +209,7 @@ class _Run:
     def at(self, t: int) -> Sequence[Transaction]:
         gen = self.gen
         if gen is None:
-            return self.by_time.get(t, ())
+            return self.by_time.pop(t, ())
         previous = self.records[-1] if self.records else None
         try:
             arrivals = gen.arrivals(t, previous)

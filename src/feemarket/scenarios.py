@@ -131,11 +131,12 @@ def random_family(
     if load_factor > 0:
         per_step = max(1, round(load_factor * B / ((1 + q_max) / 2)))
         ln_lo, ln_hi = math.log(v_lo), math.log(v_hi)
+        share_size = {}.setdefault  # equal sizes share one tuple
         for t in range(1, horizon + 1):
             for _ in range(per_step):
-                q = rng.randint(1, q_max)
+                size = (rng.randint(1, q_max),)
                 v = math.exp(rng.uniform(ln_lo, ln_hi))
-                txs.append(Transaction(len(txs), t, (q,), v))
+                txs.append(Transaction(len(txs), t, share_size(size, size), v))
     return Scenario(txs)
 
 
@@ -310,12 +311,13 @@ def eip_c2_failure(params: MechanismParams, eps: float) -> ScenarioBundle:
     eps_eff = low_size / B - 1.0
     climb = math.ceil(math.log(2.0) / (params.eta * eps_eff))
     horizon = decay + climb + 5
+    high, low = (B,), (low_size,)
     txs: list[Transaction] = []
     tips: dict[int, float] = {}
     for t in range(decay + 1, horizon + 1):
-        txs.append(Transaction(len(txs), t, (B,), 10.0 * params.p_min))
+        txs.append(Transaction(len(txs), t, high, 10.0 * params.p_min))
         tips[len(txs)] = 1.0  # the low transaction's id
-        txs.append(Transaction(len(txs), t, (low_size,), 2.0 * params.p_min))
+        txs.append(Transaction(len(txs), t, low, 2.0 * params.p_min))
     return ScenarioBundle(
         Scenario(txs),
         (params,),
@@ -362,14 +364,15 @@ def log_range(params: MechanismParams, H: float, L: float) -> ScenarioBundle:
     chunk = int(chunk)
     expected_climb = math.log(L) / (params.eta * (params.c - 1.0))
     horizon = decay + math.ceil(expected_climb) + 20
+    size = (chunk,)
     txs: list[Transaction] = []
     tips: dict[int, float] = {}
     for t in range(decay + 1, horizon + 1):
         for _ in range(n_chunks):
-            txs.append(Transaction(len(txs), t, (chunk,), H * params.p_min))
+            txs.append(Transaction(len(txs), t, size, H * params.p_min))
         for _ in range(n_chunks):
             tips[len(txs)] = 1.0
-            txs.append(Transaction(len(txs), t, (chunk,), L * params.p_min))
+            txs.append(Transaction(len(txs), t, size, L * params.p_min))
     return ScenarioBundle(
         Scenario(txs),
         (params,),
@@ -603,6 +606,7 @@ def adaptive_price_adversary(
             f"value range too small: r = {r} < 2; raise H or shrink gamma+delta"
         )
     B = _target(params)
+    size = (B,)
     per_value = R + delta
 
     def build(m_idx: int) -> Scenario:
@@ -610,7 +614,7 @@ def adaptive_price_adversary(
         for i in range(m_idx + 1):
             v = (r**i) * params.p_min
             for _ in range(per_value):
-                txs.append(Transaction(len(txs), 1, (B,), v))
+                txs.append(Transaction(len(txs), 1, size, v))
         return Scenario(txs)
 
     def run(m_idx: int) -> RunResult:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -623,6 +624,41 @@ def test_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_run_outputs_get_the_mode_open_gives(tmp_path, scenario_file, mech_file):
+    # 0o666 less the umask, as a plain open(path, "w") gives, not the 0o600
+    # of the temporary file they are written through
+    old = os.umask(0o022)
+    try:
+        rc = main(["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+                   "--horizon", "10", "--out", str(tmp_path / "out")])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    for name in ("trace.jsonl", "schedule.json", "summary.json", "scenario.jsonl"):
+        assert stat.S_IMODE((tmp_path / "out" / name).stat().st_mode) == 0o644
+
+
+def test_run_and_verify_name_their_files_encoding(tmp_path, scenario_file, mech_file):
+    # a file opened in the locale's encoding would raise an EncodingWarning,
+    # an error here; a file scenario, the mechanism config, the schedule and
+    # every output are opened as UTF-8
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cli = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+           "-m", "feemarket.cli"]
+    out = tmp_path / "out"
+    for args in (
+        ["run", "--scenario", str(scenario_file), "--mechanism", str(mech_file),
+         "--horizon", "10", "--out", str(out)],
+        _verify_args(out / "scenario.jsonl", out / "schedule.json",
+                     out=str(tmp_path / "verify.json")),
+    ):
+        done = subprocess.run([*cli, *args], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads((tmp_path / "verify.json").read_text())
 
 
 @pytest.mark.parametrize("scenario", ["file", "log_range"])

@@ -823,3 +823,42 @@ class TestSerialization:
     def test_bad_schedule_rejected(self, text, match):
         with pytest.raises(InvalidScheduleError, match=match):
             schedule_from_json(text)
+
+
+# Readers share the immutable values a stream repeats.  Arrivals past 256
+# are used, since CPython shares smaller ints by itself.
+
+
+def test_scenario_reader_shares_one_tuple_per_size():
+    # a one-resource file takes the template path, three_resources' export
+    # ({"m": 4}) the json.loads path
+    from feemarket.cli import BUILTINS
+
+    one = Scenario([Transaction(i, 1 + i // 4, (1 + i % 3,), 2.5) for i in range(24)])
+    four = BUILTINS["three_resources"].build().run().scenario
+    for scn in (one, four):
+        sizes = [t.size for t in scenario_from_jsonl(scenario_to_jsonl(scn)).transactions]
+        assert len(set(map(id, sizes))) == len(set(sizes)) < len(sizes)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_scenario_reader_shares_a_blocks_arrival(m):
+    txs = [Transaction(i, 1000 + i // 3, (5,) * m, 2.5) for i in range(9)]
+    got = scenario_from_jsonl(scenario_to_jsonl(Scenario(txs, m=m))).transactions
+    assert [t.arrival for t in got] == [t.arrival for t in txs]
+    for block in (got[0:3], got[3:6], got[6:9]):
+        assert block[0].arrival is block[1].arrival is block[2].arrival
+
+
+def test_schedule_reader_shares_a_blocks_t_and_one_whole_fraction():
+    schedule = Schedule([
+        ScheduleEntry(0, 1000, 1.0),
+        ScheduleEntry(1, 1000, 0.5),
+        ScheduleEntry(2, 1000, 1.0),
+        ScheduleEntry(3, 1001, 1.0),
+    ])
+    got = schedule_from_json(schedule_to_json(schedule))
+    assert got == schedule
+    e = got.entries
+    assert e[0].time is e[1].time is e[2].time
+    assert e[0].fraction is e[2].fraction is e[3].fraction

@@ -531,3 +531,9 @@ class TestGlobalDiscountProbe:
         opt = welfare(opt_integral_small(scn, mp.max_block, 12), scn, 12)
         ratio = welfare(res.schedule, scn, 12) / opt
         assert 0.0 < ratio <= 1.0 + 1e-9
+
+
+def test_random_family_shares_one_tuple_per_size():
+    txs = random_family(3, 200, (1.2, 1e3), 20, 2.5, B=100, eta=ETA).transactions
+    sizes = [t.size for t in txs]
+    assert len(set(map(id, sizes))) == len(set(sizes)) == 20
