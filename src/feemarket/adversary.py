@@ -173,26 +173,29 @@ def _assemble(
     (``_pool_entry``), the order both value policies admit in.  Every entry
     of a run has one size, so a run leaves a merge once its head does not
     fit: its later entries have the same size and residuals only shrink.
-    The value policies merge the runs by a heap on their heads, the tip
-    order by a heap on their (-tip, id) heads (``_tip_fill``, which keeps
-    a lower bound on each size's -tip fields in ``tip_floors``).  The
-    random order concatenates the runs, sorts them by id and shuffles them.
+    The value policies merge the runs by a heap on their heads; so does
+    the tip order on one resource, on their (-tip, id) heads
+    (``_tip_fill_one``, which keeps a lower bound on each size's -tip
+    fields in ``tip_floors``).  Otherwise the runs are concatenated and
+    scanned first-fit: on several resources the tip order sorts them by
+    (-tip, id), and the random order sorts them by id and shuffles them.
     """
     if isinstance(policy, (ValueAscending, ValueDescending)):
         if len(capacity) == 1:
             return _merge_fill_one(runs, float(capacity[0]))
         return _merge_fill(runs, capacity)
+    eligible = chain.from_iterable(src[lo:hi] for src, lo, hi in runs)
     if isinstance(policy, TipPriority):
         if len(capacity) == 1:
             return _tip_fill_one(runs, tip_floors, float(capacity[0]))
-        return _tip_fill(runs, tip_floors, capacity)
-    if not isinstance(policy, SeededRandom):
+        entries = sorted(eligible, key=_tip_key)
+    elif isinstance(policy, SeededRandom):
+        if rng is None:
+            raise ValueError("SeededRandom policy requires a block RNG")
+        entries = sorted(eligible, key=itemgetter(2))
+        rng.shuffle(entries)
+    else:
         raise TypeError(f"unknown inclusion policy {policy!r}")
-    if rng is None:
-        raise ValueError("SeededRandom policy requires a block RNG")
-    entries = list(chain.from_iterable(src[lo:hi] for src, lo, hi in runs))
-    entries.sort(key=itemgetter(2))
-    rng.shuffle(entries)
     residual = [float(c) for c in capacity]
     chosen: list[tuple] = []
     if max(residual) < 1.0:
@@ -329,56 +332,16 @@ def _tip_rank(runs: list[tuple[list[tuple], int, int]], k: int, j: int, ranked: 
     return ranked[k][j]
 
 
-def _tip_fill(
-    runs: list[tuple[list[tuple], int, int]], tip_floors: dict, capacity: Sequence[float]
-) -> list[tuple]:
-    """The several-resource tip-order pass of ``_assemble``: it admits what
-    one first-fit scan of the runs' union in (-tip, id) order would, in
-    that order.  A long run's head is found only once its bound tops the
-    heap (``_tip_heap``) and its size still fits, and a run is sorted only
-    once it tops the heap again after its head is admitted."""
-    residual = [float(c) for c in capacity]
-    chosen: list[tuple] = []
-    if max(residual) < 1.0:
-        return chosen
-    lims = [r + 1e-9 for r in residual]
-    heap = _tip_heap(runs, tip_floors)
-    ranked: dict[int, list[tuple]] = {}
-    while heap:
-        k, j, entry = heap[0][2:]
-        src, lo, hi = runs[k]
-        size = src[lo][4].size
-        if not all(map(le, size, lims)):
-            heappop(heap)
-            continue
-        if entry is None:
-            entry = _tip_rank(runs, k, j, ranked)
-            heapreplace(heap, (*entry[5], k, j, entry))
-            continue
-        for i in range(len(residual)):
-            residual[i] -= size[i]
-        chosen.append(entry)
-        if max(residual) < 1.0:
-            break
-        lims = [r + 1e-9 for r in residual]
-        j += 1
-        if j == hi - lo:
-            heappop(heap)
-        elif k in ranked:
-            entry = ranked[k][j]
-            heapreplace(heap, (*entry[5], k, j, entry))
-        else:  # the admitted head's key bounds the rest of the run
-            heapreplace(heap, (*entry[5], k, j, None))
-    return chosen
-
-
 def _tip_fill_one(
     runs: list[tuple[list[tuple], int, int]], tip_floors: dict, residual: float
 ) -> list[tuple]:
-    """``_tip_fill`` on one resource, with a scalar residual.  Once a single
-    run is left, the number of its entries that fit is counted first, and
-    they are taken without the heap, sorting the run only if two or more
-    fit."""
+    """The one-resource tip-order pass of ``_assemble``: it admits what one
+    first-fit scan of the runs' union in (-tip, id) order would, in that
+    order.  A long run's head is found only once its bound tops the heap
+    (``_tip_heap``) and its size still fits, and a run is sorted only once
+    it tops the heap again after its head is admitted.  Once a single run
+    is left, the number of its entries that fit is counted first, and they
+    are taken without the heap, sorting the run only if two or more fit."""
     chosen: list[tuple] = []
     if residual < 1.0:
         return chosen
@@ -454,24 +417,26 @@ class _Pool:
     block's runs as a run of its own.  It is dropped once it fails the test
     at the floor prices (``log_floors``), the least that can be posted:
     values never rise and no posted log-price is below its floor.  Under
-    TipPriority, ``tip_floors`` holds a lower bound on the -tip fields of
-    each group that a block's tip merge has read as a range of more than
-    ``_SHORT_RUN`` entries: found then (``_tip_heap``), lowered by later
-    arrivals and dropped with the group.  Other groups pay nothing for it.
+    TipPriority on one resource, ``tip_floors`` holds a lower bound on the
+    -tip fields of each group that a block's tip merge has read as a range
+    of more than ``_SHORT_RUN`` entries: found then (``_tip_heap``),
+    lowered by later arrivals and dropped with the group.  Other groups pay
+    nothing for it.
 
     Cost: a value-order block merges the eligible ranges by a heap, dropping
     a size once its head does not fit, and on one resource admits from the
     last size left by a plain loop, so it costs O((G + admitted) log G) for
     the G sizes it visits: Python code runs per admitted transaction and per
-    visited size, not per eligible one.  A tip-order block merges them by
-    (-tip, id) in the same way (``_tip_fill``), a short range entering at
-    its head and a long one at its size's bound.  A long range whose size
-    no longer fits when its bound tops the heap leaves unread, as a pool of
-    entries too large to fit does every block; one that fits costs one
-    C-level ``min`` over it, and a sort only once a second of its entries
-    is admitted.  Only the random order re-sorts: it sorts the eligible
-    entries by id, shuffles them and scans them until the block fills, one
-    C-level fit test per entry, on any number of resources.  A size's
+    visited size, not per eligible one.  On one resource a tip-order block
+    merges them by (-tip, id) in the same way (``_tip_fill_one``), a short
+    range entering at its head and a long one at its size's bound.  A long
+    range whose size no longer fits when its bound tops the heap leaves
+    unread, as a pool of entries too large to fit does every block; one
+    that fits costs one C-level ``min`` over it, and a sort only once a
+    second of its entries is admitted.  On several resources the tip order
+    sorts the eligible entries by (-tip, id); the random order, on any
+    number, sorts them by id and shuffles them.  Either then scans them
+    until the block fills, one C-level fit test per entry.  A size's
     arrivals that all sort after its pooled entries are appended in one
     step; a size's admitted entries leave by one slice where they are one
     contiguous range of it, as under the value orders they always are, and
@@ -631,9 +596,10 @@ def select_block(
     Cost: the eligible transactions join a fresh ``_Pool`` and fill one
     block of it at price zero, where every one is eligible, as the
     price-posting engine fills each block from its own pool; ``_Pool`` gives
-    the cost of the pass.  Only the random order re-sorts the eligible
-    transactions; the tip and value orders merge them per size.  The two
-    input checks run in C.
+    the cost of the pass.  The value orders merge the eligible transactions
+    per size, as the tip order does on one resource; the random order, and
+    the tip order on several resources, sort them.  The two input checks
+    run in C.
     """
     m = len(capacity)
     if m == 0:

@@ -300,7 +300,6 @@ class WelfareReport:
     passed: bool
     ratio: float
     alg_welfare: float
-    bench_welfare: float
     required: float
 
     def to_json(self) -> dict:
@@ -395,7 +394,6 @@ def check_welfare_dominance(
         passed=passed,
         ratio=ratio,
         alg_welfare=sw_alg,
-        bench_welfare=sw_bench,
         required=required,
     )
 

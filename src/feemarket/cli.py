@@ -6,7 +6,8 @@ Subcommands:
   verify  -- check threshold and welfare dominance of a schedule against a
              benchmark schedule (or the computed fractional optimum).
   suite   -- run the named check suites across seeds and emit a CSV of
-             (suite, seed, metric, value, bound, pass) rows.
+             (suite, seed, metric, value, bound, pass) rows; a row's pass
+             is its stated relation of value to bound.
 
 Exit codes: 0 pass, 1 check failure, 2 usage or input error.  Every random
 draw is seeded: suite --seeds numbers its random instances, and the
@@ -26,7 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, ge, le, lt
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -64,14 +65,23 @@ def _atomic_write(path: Path, data: Iterable[str]) -> None:
         raise
 
 
+Relation = Callable[[float, float], bool]
+
+
 @dataclass
 class Row:
+    """A suite's claim: ``value`` stands in the relation ``holds`` to ``bound``."""
+
     suite: str
     seed: int
     metric: str
     value: float
+    holds: Relation
     bound: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.holds(self.value, self.bound)
 
     def as_list(self) -> list[str]:
         return [
@@ -98,10 +108,27 @@ def rows_to_csv(rows: list[Row]) -> str:
 # ---------------------------------------------------------------------------
 
 LOAD_FACTORS = (0.5, 1.0, 2.0, 5.0)
+ETA = 0.125
+
+
+def _params(B: float, c: float, discounted: bool = False) -> MechanismParams:
+    return MechanismParams(
+        B=float(B), c=c, eta=ETA, p_min=1.0, p_1=1.0, discounted_eligibility=discounted
+    )
 
 
 def theorem_params(B: int = 100) -> MechanismParams:
-    return MechanismParams(B=float(B), c=3.0, eta=0.125, p_min=1.0, p_1=1.0)
+    return _params(B, 3.0)
+
+
+def _v_max(scn: Scenario, p: MechanismParams) -> float:
+    """The largest unit value of ``scn``, at least ``p.p_1``."""
+    return max(max(map(attrgetter("unit_value"), scn.transactions), default=p.p_1), p.p_1)
+
+
+def _within(measured: float, bound: float) -> bool:
+    """The slackness verdict of ``run`` and the theorems suite: 1e-9 relative slack."""
+    return measured <= bound * (1 + 1e-9)
 
 
 def run_theorem_case(
@@ -132,10 +159,7 @@ def run_theorem_case(
 def suite_theorems(seeds: int, horizon: int = 200) -> list[Row]:
     def one(seed: int) -> list[Row]:
         run, bench, params, gamma, scn = run_theorem_case(seed, horizon=horizon)
-        v_max = max(
-            max((t.unit_value for t in scn.transactions), default=params.p_1),
-            params.p_1,
-        )
+        v_max = _v_max(scn, params)
         wrep = benchmarks.check_welfare_dominance(
             run.schedule, bench, scn, horizon, gamma, params.eta
         )
@@ -143,7 +167,7 @@ def suite_theorems(seeds: int, horizon: int = 200) -> list[Row]:
             run.schedule, bench, scn, horizon, gamma, params.eta, bench_limit=params.B
         )
         delta = mechanisms.theorem_slackness(params, v_max)
-        srep = core.check_avg_block_size(run.schedule, scn, params.B, delta)
+        slackness = core.measured_slackness(run.schedule, scn, params.B)
         bound_lp = math.log(v_max) + params.eta * (params.c - 1.0)
         first = run.trace.first_nonempty()
         worst_lp = max(
@@ -151,10 +175,10 @@ def suite_theorems(seeds: int, horizon: int = 200) -> list[Row]:
             default=-math.inf,
         )
         return [
-            Row("theorems", seed, "welfare_alg", wrep.alg_welfare, wrep.required, wrep.passed),
-            Row("theorems", seed, "threshold_violations", float(trep.violation_count), 0.0, trep.passed),
-            Row("theorems", seed, "slackness_measured", srep.max_slackness, delta, srep.passed),
-            Row("theorems", seed, "max_log_price", worst_lp, bound_lp + 1e-9, worst_lp <= bound_lp + 1e-9),
+            Row("theorems", seed, "welfare_alg", wrep.alg_welfare, ge, wrep.required),
+            Row("theorems", seed, "threshold_violations", float(trep.violation_count), le, 0.0),
+            Row("theorems", seed, "slackness_measured", slackness, _within, delta),
+            Row("theorems", seed, "max_log_price", worst_lp, le, bound_lp + 1e-9),
         ]
 
     return [row for seed in range(seeds) for row in one(seed)]
@@ -164,17 +188,8 @@ def suite_theorems(seeds: int, horizon: int = 200) -> list[Row]:
 # Builtin constructions at their canonical parameters (read by run and suite)
 # ---------------------------------------------------------------------------
 
-ETA = 0.125
 LARGE_B = 6400  # target size of the c <= 2 constructions, in gas units
 LOG_RANGE_L = math.exp(2.0)
-
-
-def _params(B: float, c: float, discounted: bool = False) -> MechanismParams:
-    return MechanismParams(
-        B=float(B), c=c, eta=ETA, p_min=1.0, p_1=1.0, discounted_eligibility=discounted
-    )
-
-
 C2_PARAMS = _params(LARGE_B, 2.0)
 PARTIAL_PATIENCE_PARAMS = _params(1, 2.0, discounted=True)
 
@@ -233,8 +248,8 @@ def suite_lower_bounds() -> list[Row]:
     """One pass over the deterministic constructions; every row has seed 0."""
     rows: list[Row] = []
 
-    def add(metric: str, value: float, bound: float, passed: bool) -> None:
-        rows.append(Row("lower_bounds", 0, metric, value, bound, passed))
+    def add(metric: str, value: float, holds: Relation, bound: float) -> None:
+        rows.append(Row("lower_bounds", 0, metric, value, holds, bound))
 
     def ratio_of(con: Construction) -> float:
         bundle = con.build()
@@ -243,30 +258,23 @@ def suite_lower_bounds() -> list[Row]:
     # c < 2 family against the capped mechanism
     for c in (1.25, 1.5, 1.75):
         loss = 1.0 - ratio_of(c_below_two(c))
-        bound = min(1.0 / 8.0, (2.0 - c) / 3.0) - 0.01
-        add(f"c_below_two_loss_c{c}", loss, bound, loss >= bound)
+        add(f"c_below_two_loss_c{c}", loss, ge, min(1.0 / 8.0, (2.0 - c) / 3.0) - 0.01)
     # c = 2 failure
-    ratio = ratio_of(BUILTINS["eip_c2_failure"])
-    add("c2_failure_ratio", ratio, 0.5, ratio < 0.5)
-    # log range
+    add("c2_failure_ratio", ratio_of(BUILTINS["eip_c2_failure"]), lt, 0.5)
+    # log range: the climb is within one block of the expected climb
     bundle = BUILTINS["log_range"].build()
     notes = bundle.notes
     climb = scenarios.measure_climb(bundle.run(), bundle.params[0], LOG_RANGE_L, notes["decay"])
     expected = notes["expected_climb"]
-    add("log_range_climb", float(climb), expected + 1.0, abs(climb - expected) <= 1.0)
+    add("log_range_climb", float(climb), lambda v, _: abs(v - expected) <= 1.0, expected + 1.0)
     # partially patient constructions (modified mechanism)
-    loss = 1.0 - ratio_of(BUILTINS["discount_mix"])
-    add("discount_mix_loss", loss, 1 / 20 - 0.01, loss >= 1 / 20 - 0.01)
-    loss = 1.0 - ratio_of(BUILTINS["patience_global"])
-    add("patience_global_loss", loss, 1 / 10 - 0.02, loss >= 1 / 10 - 0.02)
+    add("discount_mix_loss", 1.0 - ratio_of(BUILTINS["discount_mix"]), ge, 1 / 20 - 0.01)
+    add("patience_global_loss", 1.0 - ratio_of(BUILTINS["patience_global"]), ge, 1 / 10 - 0.02)
     # three resources
-    ratio = ratio_of(BUILTINS["three_resources"])
-    add("three_resources_ratio", ratio, 5 / 6 + 0.05, ratio <= 5 / 6 + 0.05)
-    # interactive price adversary
-    rep = scenarios.adaptive_price_adversary(
-        _params(1, 2.0), gamma=2, delta=1, H=2.0**64
-    )
-    add("price_adversary_fraction", rep.fraction, rep.bound, rep.passed)
+    add("three_resources_ratio", ratio_of(BUILTINS["three_resources"]), le, 5 / 6 + 0.05)
+    # interactive price adversary (its report also requires identical transcripts)
+    rep = scenarios.adaptive_price_adversary(_params(1, 2.0), gamma=2, delta=1, H=2.0**64)
+    add("price_adversary_fraction", rep.fraction, lambda *_: rep.passed, rep.bound)
     return rows
 
 
@@ -361,10 +369,8 @@ def cmd_run(args) -> int:
 def _summarize(result, params_list: Sequence[MechanismParams]) -> dict:
     scn, horizon = result.scenario, len(result.trace.records)
     sw = core.welfare(result.schedule, scn, horizon)
-    targets = [p.B for p in params_list]
-    top = max(map(attrgetter("unit_value"), scn.transactions), default=-math.inf)
-    bound = max(mechanisms.theorem_slackness(p, max(top, p.p_1)) for p in params_list)
-    measured = core.measured_slackness(result.schedule, scn, targets)
+    bound = max(mechanisms.theorem_slackness(p, _v_max(scn, p)) for p in params_list)
+    measured = core.measured_slackness(result.schedule, scn, [p.B for p in params_list])
     return {
         "blocks": horizon,
         "welfare": sw,
@@ -372,7 +378,7 @@ def _summarize(result, params_list: Sequence[MechanismParams]) -> dict:
         "max_block": max(max(r.sizes) for r in result.trace.records),
         "slackness_measured": measured,
         "slackness_bound": bound,
-        "slackness_ok": measured <= bound * (1 + 1e-9),
+        "slackness_ok": _within(measured, bound),
     }
 
 
@@ -392,19 +398,21 @@ def cmd_verify(args) -> int:
     else:
         bench = core.schedule_from_json(_read(args.benchmark))
         core.validate_schedule(bench, scn)
-    trep = benchmarks.check_threshold_dominance(
-        alg, bench, scn, args.horizon, args.gamma, args.eta,
-        bench_limit=args.bench_limit, bench_slack=args.bench_slack,
-    )
-    wrep = benchmarks.check_welfare_dominance(
-        alg, bench, scn, args.horizon, args.gamma, args.eta
-    )
-    report = {"threshold": trep.to_json(), "welfare": wrep.to_json()}
+    reports = {
+        "threshold": benchmarks.check_threshold_dominance(
+            alg, bench, scn, args.horizon, args.gamma, args.eta,
+            bench_limit=args.bench_limit, bench_slack=args.bench_slack,
+        ),
+        "welfare": benchmarks.check_welfare_dominance(
+            alg, bench, scn, args.horizon, args.gamma, args.eta
+        ),
+    }
+    report = {name: rep.to_json() for name, rep in reports.items()}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         _atomic_write(Path(args.out), (text,))
     print(text, end="")
-    return EXIT_PASS if trep.passed and wrep.passed else EXIT_FAIL
+    return EXIT_PASS if all(rep.passed for rep in reports.values()) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -617,7 +617,6 @@ class WindowViolation:
 class BlockSizeReport:
     violation_count: int
     first_violation: WindowViolation | None
-    max_slackness: float
 
     @property
     def passed(self) -> bool:
@@ -771,19 +770,19 @@ def check_avg_block_size(
     counts the violating windows and keeps the first (by resource, k, t0).
     ``B`` is one target for every resource or one per resource.
 
-    Count, first window and ``max_slackness`` come from ``_band`` walks over
-    prefix sums; only windows in a rounding band of the bound (or maximum)
-    get the all-windows check's float expression, so all match it bit for
-    bit.  Memory is O(n) for n blocks; time is O(n) plus the windows in the
-    band, which is O(n^2) when many windows fail or tie at B.  A NaN or
-    infinite ``slack`` raises ValueError; a negative finite one is allowed.
+    Count and first window come from a ``_band`` walk over prefix sums;
+    only windows in a rounding band of the bound get the all-windows
+    check's float expression, so both match it bit for bit.  Memory is
+    O(n) for n blocks; time is O(n) plus the windows in the band, which is
+    O(n^2) when many windows fail or tie at the bound.  A NaN or infinite
+    ``slack`` raises ValueError; a negative finite one is allowed.  The
+    smallest slackness the schedule satisfies is ``measured_slackness``.
     """
     delta = float(slack)
     if not math.isfinite(delta):
         raise ValueError(f"slack must be finite, got {slack}")
     lo, columns = _block_prefix_sums(schedule, scenario, B)
-    count, first = _window_violations(lo, columns, delta)
-    return BlockSizeReport(count, first, _max_slackness(columns))
+    return BlockSizeReport(*_window_violations(lo, columns, delta))
 
 
 def measured_slackness(

@@ -460,6 +460,27 @@ def test_run_overfull_stream_slackness_verdict(tmp_path):
     assert summary["slackness_ok"] is True
 
 
+@pytest.mark.parametrize("b", [0.0, 1.0, 112.11422774474266, 1e300])
+def test_within_pins_its_boundary(b):
+    # the slackness verdict allows exactly 1e-9 relative slack, no more
+    edge = b * (1 + 1e-9)
+    assert cli._within(edge, b)
+    assert not cli._within(math.nextafter(edge, math.inf), b)
+
+
+def test_run_and_theorems_suite_share_one_slackness_verdict():
+    run, _bench, params, _gamma, _scn = cli.run_theorem_case(3, horizon=60)
+    summary = cli._summarize(run, [params])
+    (row,) = [
+        r for r in cli.suite_theorems(4, horizon=60)
+        if (r.seed, r.metric) == (3, "slackness_measured")
+    ]
+    assert (row.value, row.bound, row.passed) == (
+        summary["slackness_measured"], summary["slackness_bound"], summary["slackness_ok"]
+    )
+    assert row.holds is cli._within
+
+
 def test_verify_over_limit_benchmark_exit_2(tmp_path, capsys):
     # two blocks of 150 over a limit of 100 fail in [1, 1], [2, 2] and [1, 2]
     scn = Scenario([

@@ -1,10 +1,12 @@
-"""The README's library quick-start runs against the current API, and its
-config examples parse."""
+"""The README's library quick-start runs against the current API, its
+config examples parse, and its table of suite claims matches the suite."""
 
 import json
 import re
+from operator import ge, le, lt
 from pathlib import Path
 
+from feemarket import cli
 from feemarket.adversary import SeededRandom, TipPriority, policy_from_config, policy_to_config
 from feemarket.core import Scenario, scenario_from_jsonl
 from feemarket.mechanisms import MechanismParams, params_from_config
@@ -49,3 +51,18 @@ def test_readme_policy_config_examples_parse():
 def test_readme_scenario_header_example_parses():
     header = re.search(r"header `(\{.*?\})`", _file_format("Scenario"), re.S)[1]
     assert scenario_from_jsonl(header + "\n") == Scenario()
+
+
+def test_readme_suite_claims_match_rows():
+    section = README.read_text().split("- **Suite CSV**", 1)[1].split("\n- **", 1)[0]
+    table = {}
+    for line in re.findall(r"^  \| (`.*)\|$", section, re.M):
+        names, relation, _bound = (cell.strip() for cell in line.split(" | "))
+        for name in re.findall(r"`(\w+(?:\.\d+)?)`", names):
+            table[name] = relation
+    rows = cli.suite_theorems(1, horizon=60) + cli.suite_lower_bounds()
+    assert set(table) == {r.metric for r in rows}
+    symbols = {ge: "≥", le: "≤", lt: "<", cli._within: "≤ bound·(1+10⁻⁹)"}
+    for r in rows:
+        if r.holds in symbols:
+            assert table[r.metric] == symbols[r.holds], r.metric
